@@ -13,14 +13,16 @@ reduction-order independent and bit-reproducible under a fixed seed
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .logic import And, Atom, ForAll, Implies, Not, Or
-from .operators import OperatorConfig, OperatorDescriptor, OperatorError, descriptor
-from .valuation import GroundingTable, valuate
+from .operators import OperatorConfig, OperatorDescriptor, descriptor
+from .valuation import (GroundingTable, classical_values, compile_formula,
+                        formula_pass)
 from .autodiff import Tape
 
 __all__ = [
@@ -69,83 +71,20 @@ def yager_p2_fraction_candidates(n: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# vectorized nonvanishing-region masks
-#
-# Each mask states where at least one analytic partial exceeds 1e-12,
-# written as the kernel's region condition.  test_analysis cross-checks
-# these masks against the scalar kernels on random points.
-
-def _ones(X):
-    return np.ones(len(X), dtype=bool)
-
-
-def _zeros(X):
-    return np.zeros(len(X), dtype=bool)
-
+# nonvanishing-derivative regions
 
 def _nonvanishing_mask(desc: OperatorDescriptor, X: np.ndarray) -> np.ndarray:
-    name = desc.name
-    p = desc.p
-    n = X.shape[1]
+    """Rows of X where at least one partial of the array kernel exceeds
+    1e-12 in magnitude."""
+    columns = np.ascontiguousarray(X.T)  # one row per input, as kernels take
     if desc.family == "aggregator":
-        if name in ("min", "max", "log_product", "prob_sum", "product",
-                    "mae", "pme", "pmean", "rmse"):
-            return _ones(X)
-        if name == "lukasiewicz":
-            return X.sum(axis=1) - (n - 1) >= 0.0
-        if name == "bounded_sum":
-            return X.sum(axis=1) <= 1.0
-        if name == "yager":
-            return ((1.0 - X) ** p).sum(axis=1) <= 1.0
-        if name == "nilpotent":
-            smallest_two = np.partition(X, 1, axis=1)[:, :2]
-            return smallest_two.sum(axis=1) > 1.0
-    elif desc.family == "tnorm":
-        a, b = X[:, 0], X[:, 1]
-        if name == "godel":
-            return _ones(X)
-        if name == "product":
-            return np.maximum(a, b) > PARTIAL_EPS
-        if name == "lukasiewicz":
-            return a + b >= 1.0
-        if name == "drastic":
-            return (a == 1.0) | (b == 1.0)
-        if name == "nilpotent":
-            return a + b > 1.0
-        if name == "yager":
-            return (1.0 - a) ** p + (1.0 - b) ** p <= 1.0
-    elif desc.family == "tconorm":
-        a, b = X[:, 0], X[:, 1]
-        if name == "godel":
-            return _ones(X)
-        if name == "product":
-            return np.minimum(a, b) < 1.0 - PARTIAL_EPS
-        if name == "lukasiewicz":
-            return a + b <= 1.0
-        if name == "drastic":
-            return (a == 0.0) | (b == 0.0)
-        if name == "nilpotent":
-            return a + b < 1.0
-        if name == "yager":
-            return a ** p + b ** p <= 1.0
-    elif desc.family == "implication":
-        a, c = X[:, 0], X[:, 1]
-        if name in ("kleene_dienes", "reichenbach"):
-            return _ones(X)
-        if name in ("lukasiewicz",):
-            return c <= a
-        if name in ("godel", "goguen", "fodor", "yager_r"):
-            return a > c
-        if name == "weber":
-            return a >= 1.0
-        if name == "dubois_prade":
-            return (a == 1.0) | (c == 0.0)
-        if name == "yager_s":
-            return (1.0 - a) ** p + c ** p <= 1.0
-        if name == "sigmoidal":
-            base = descriptor("implication", dict(desc.params)["base"], p=p)
-            return _nonvanishing_mask(base, X)
-    raise OperatorError(f"no nonvanishing mask for {desc.family}:{name}")
+        _, partials = desc.array_kernel(columns)
+    else:
+        _, partials = desc.array_kernel(*columns)
+    live = np.zeros(len(X), dtype=bool)
+    for partial in partials:
+        live |= np.abs(partial) > PARTIAL_EPS
+    return live
 
 
 def _closed_form(desc: OperatorDescriptor, n: int):
@@ -208,7 +147,7 @@ def estimate_nonvanishing_fraction(desc: OperatorDescriptor, n: int,
         raise ValueError(f"{desc.family} kernels are binary; got n={n}")
     rng = np.random.default_rng(seed)
     hits = 0
-    chunk = 200_000
+    chunk = 20_000  # draws the same stream as larger chunks, in less memory
     remaining = samples
     while remaining > 0:
         m = min(chunk, remaining)
@@ -302,9 +241,12 @@ def classical_truth(formula, assignment: dict, atom_fn) -> bool:
 
 def labeling_from_atoms(atom_fn):
     """Lift a ground-atom labelling (pred, objs) -> {0,1} to arbitrary
-    quantifier-free subformula instances."""
+    quantifier-free subformula instances.  The labelling is kept as the
+    ``atom_fn`` attribute, which lets ``gradient_quality`` label each
+    ground atom once."""
     def label(formula, assignment):
         return int(classical_truth(formula, assignment, atom_fn))
+    label.atom_fn = atom_fn
     return label
 
 
@@ -327,30 +269,42 @@ def gradient_quality(kb, g: GroundingTable, ops: OperatorConfig,
 
     ``labels(formula, assignment)`` must return the {0,1} data truth of a
     quantifier-free subformula instance (see ``labeling_from_atoms``).
-    Formulas whose quantifier body is not an implication are skipped.
-    Ratios with a zero denominator are returned as nan.
+    Each instance's antecedent and consequent derivatives come from the
+    backward pass of the formula's valuation on ``g`` (run here if no
+    earlier valuation under ``ops`` left one).  Formulas whose quantifier
+    body is not an implication are skipped.  Ratios with a zero
+    denominator are returned as nan.
     """
+    atom_fn = getattr(labels, "atom_fn", None)
+    truth: dict = {}
     total_cons = total_ant = total_cu_cons = total_cu_ant = 0.0
     used = skipped = 0
     for formula, _ in kb.entries:
-        body = formula
-        while isinstance(body, ForAll):
-            body = body.body
-        if not isinstance(body, Implies):
+        program = compile_formula(formula)
+        body = program.body
+        if body is None or program.instrs[body].op != "implies":
             skipped += 1
             continue
         used += 1
-        instances: list = []
-        root = valuate(formula, g, ops, instances=instances)
-        grads = g.tape.backward(root)
-        for rec in instances:
-            d_cons = grads[rec.consequent]
-            d_ant = -grads[rec.antecedent]
-            total_cons += d_cons
-            total_ant += d_ant
-            total_cu_cons += labels(rec.consequent_formula, rec.assignment) * d_cons
-            total_cu_ant += labels(Not(rec.antecedent_formula),
-                                   rec.assignment) * d_ant
+        run = formula_pass(formula, g, ops)
+        da, dc = run.body_partials
+        shape = _instance_shape(program, len(g.batch))
+        d_cons = np.broadcast_to(run.instance_adjoint * dc, shape)
+        d_ant = np.broadcast_to(-(run.instance_adjoint * da), shape)
+        ante, cons = program.instrs[body].args
+        if atom_fn is not None:
+            for pred in _predicates(program):
+                if pred not in truth:
+                    truth[pred] = _atom_truth(pred, g, atom_fn)
+            holds = classical_values(program, g, truth)
+            cons_true, ante_false = holds[cons], ~holds[ante]
+        else:
+            cons_true, ante_false = _instance_labels(formula, program, g,
+                                                     labels, shape)
+        total_cons += float(d_cons.sum())
+        total_ant += float(d_ant.sum())
+        total_cu_cons += float((cons_true * d_cons).sum())
+        total_cu_ant += float((ante_false * d_ant).sum())
     denom = total_cons + total_ant
     return GradientQuality(
         cons_magnitude=total_cons,
@@ -361,6 +315,43 @@ def gradient_quality(kb, g: GroundingTable, ops: OperatorConfig,
         formulas_used=used,
         formulas_skipped=skipped,
     )
+
+
+def _instance_shape(program, b: int) -> tuple:
+    """One axis per quantified variable; size b on the root block's."""
+    shape = [1] * program.n_axes
+    for axis in program.instrs[-1].axes:
+        shape[axis] = b
+    return tuple(shape)
+
+
+def _predicates(program):
+    return {instr.atom.pred for instr in program.instrs if instr.op == "atom"}
+
+
+def _atom_truth(pred, g: GroundingTable, atom_fn) -> np.ndarray:
+    """Data label of every ground atom of ``pred`` over the batch."""
+    arity = g.tensor(pred)[0].ndim
+    labels = [bool(atom_fn(pred, objs))
+              for objs in itertools.product(g.batch, repeat=arity)]
+    return np.array(labels, dtype=bool).reshape((len(g.batch),) * arity)
+
+
+def _instance_labels(formula, program, g: GroundingTable, labels, shape):
+    """Consequent and negated-antecedent labels per root-block instance,
+    one ``labels`` call each."""
+    root = program.instrs[-1]
+    body = formula
+    while isinstance(body, ForAll):
+        body = body.body
+    ante, cons = body.lhs, body.rhs
+    cons_true = np.zeros(shape)
+    ante_false = np.zeros(shape)
+    for at in np.ndindex(*shape):
+        mu = {var: g.batch[at[axis]] for var, axis in zip(root.vars, root.axes)}
+        cons_true[at] = labels(cons, mu)
+        ante_false[at] = labels(Not(ante), mu)
+    return cons_true, ante_false
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Minimal reverse-mode automatic differentiation over scalars.
 
-Every forward pass builds a fresh, append-only tape.  Operator kernels
-record one node per application together with the local partial
-derivatives of the output with respect to each input; ``Tape.backward``
-then sweeps the tape once in reverse creation order and accumulates
-adjoints.  Tapes are tiny (a grounding plus a few nodes per connective
-instance), so no batching or graph reuse is attempted.
+Every forward pass builds a fresh, append-only tape.  Each node records
+its value together with the local partial derivatives of the output with
+respect to each input; ``Tape.backward`` then sweeps the tape once in
+reverse creation order and accumulates adjoints.  The valuation engine
+differentiates a whole formula over numpy arrays and records it as one
+fused node whose parents are the ground-atom leaves
+(``Tape.record_fused``), so a tape holds the grounding, one node per
+formula and the loss.
 
 Completed tapes are read-only.  A tape must not be shared between
 threads while nodes are still being recorded; independent evaluations
@@ -55,12 +57,6 @@ class GradientMap:
 
     def __getitem__(self, node: Node) -> float:
         return self._adjoints.get(node.idx, 0.0)
-
-    def adjoint(self, node: Node) -> float:
-        return self._adjoints.get(node.idx, 0.0)
-
-    def by_index(self, idx: int) -> float:
-        return self._adjoints.get(idx, 0.0)
 
     def __len__(self) -> int:
         return len(self._adjoints)
@@ -113,6 +109,33 @@ class Tape:
             parents.append((node.idx, partial))
         self.values.append(value)
         self.parents.append(tuple(parents))
+        self.labels.append(label)
+        return Node(self, len(self.values) - 1)
+
+    def record_fused(
+        self,
+        label: str,
+        parents: Sequence[int],
+        value: float,
+        partials: Sequence[float],
+    ) -> Node:
+        """``record`` for a node with many inputs, given by tape index:
+        the same length and finiteness checks, without one Node per
+        input."""
+        if len(parents) != len(partials):
+            raise ValueError(
+                f"{label}: {len(parents)} inputs but {len(partials)} partials"
+            )
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"{label}: non-finite value {value!r}")
+        if not all(map(math.isfinite, partials)):
+            bad = next(d for d in partials if not math.isfinite(d))
+            raise ValueError(f"{label}: non-finite partial {bad!r}")
+        if parents and not 0 <= min(parents) <= max(parents) < len(self.values):
+            raise ValueError(f"{label}: input index outside the tape")
+        self.values.append(value)
+        self.parents.append(tuple(zip(parents, map(float, partials))))
         self.labels.append(label)
         return Node(self, len(self.values) - 1)
 

@@ -26,8 +26,8 @@ from . import __version__
 from .logic import ParseError, parse_kb
 from .operators import (ConfigError, OperatorConfig, OperatorError,
                         descriptor, parse_operator_config)
-from .valuation import (SemanticError, atom_gradients, build_grounding,
-                        dfl_loss, parse_grounding, valuate)
+from .valuation import (SemanticError, build_grounding, dfl_loss,
+                        parse_grounding)
 
 log = logging.getLogger("dfl")
 
@@ -107,16 +107,18 @@ def cmd_eval(args, argv) -> int:
             raise SemanticError(f"arity mismatch for {pred!r} between "
                                 f"knowledge base and grounding")
     ops = parse_operator_config(args.ops or "")
-    batch = list(range(len(domain)))
-    grounding = build_grounding(interp, domain, kb.signature, batch)
-    values = [valuate(f, grounding, ops).value for f in kb.formulas()]
-    loss = -sum(w * v for (_, w), v in zip(kb.entries, values))
-    grads = atom_gradients(kb, build_grounding(interp, domain, kb.signature,
-                                               batch), ops)
+    grounding = build_grounding(interp, domain, kb.signature,
+                                list(range(len(domain))))
+    loss = dfl_loss(kb, grounding, ops)
+    tape = grounding.tape
+    # the loss node's parents are the formula valuations, in KB order
+    values = [tape.values[idx] for idx, _ in tape.parents[loss.idx]]
+    adjoints = tape.backward(loss)
+    grads = {key: adjoints[node] for key, node in grounding.nodes.items()}
     for i, ((formula, weight), value) in enumerate(zip(kb.entries, values), 1):
         print(f"formula {i}: weight={_fmt(weight)} valuation={_fmt(value)}")
     print(f"total_valuation {_fmt(sum(values))}")
-    print(f"dfl_loss {_fmt(loss)}")
+    print(f"dfl_loss {_fmt(-sum(w * v for (_, w), v in zip(kb.entries, values)))}")
     print("gradients (dL/datom; dVal/datom is the negation):")
     rows = []
     for (pred, objs), grad in sorted(grads.items()):

@@ -3,7 +3,9 @@
 Every kernel is a pure function returning ``(value, partials)`` where
 ``partials[i]`` is the derivative of the value with respect to input i.
 Inputs must already lie in [0, 1]; nothing is clamped here (the
-valuation layer clamps model outputs before they reach a kernel).
+valuation layer clamps model outputs before they reach a kernel).  Each
+operator also has an array kernel (``tnorm_array`` and so on) that
+applies the same definition to numpy arrays.
 
 Subgradient convention at ties: min/max assign the whole partial to the
 FIRST argument when arguments are equal, and piecewise kernels keep the
@@ -21,13 +23,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 __all__ = [
     "OperatorError",
     "ConfigError",
     "OperatorDescriptor",
     "OperatorConfig",
+    "ArrayKernels",
     "negation",
     "negation_kernel",
     "tnorm",
@@ -40,6 +46,10 @@ __all__ = [
     "implication_kernel",
     "sigmoidal_implication",
     "sigmoidal_kernel",
+    "tnorm_array",
+    "tconorm_array",
+    "aggregate_array",
+    "implication_array",
     "d_Ic",
     "d_Inot_a",
     "tnorm_duality_check",
@@ -167,17 +177,22 @@ def _need_p(name: str, p):
     return p
 
 
+def _norm_p(kind: str, name: str, p):
+    """The parameter a t-norm or t-conorm runs with (only Yager takes one)."""
+    if name == "yager":
+        return _need_p(f"yager {kind}", p)
+    if p is not None:
+        raise OperatorError(f"{kind} {name} takes no parameter p")
+    return None
+
+
 def tnorm_kernel(name: str, a: float, b: float, p: float | None = None):
     fn = _TNORMS.get(name)
     if fn is None:
         raise OperatorError(f"unknown t-norm {name!r}")
     _check_unit(a)
     _check_unit(b)
-    if name == "yager":
-        p = _need_p("yager t-norm", p)
-    elif p is not None:
-        raise OperatorError(f"t-norm {name} takes no parameter p")
-    return fn(a, b, p)
+    return fn(a, b, _norm_p("t-norm", name, p))
 
 
 def tnorm(name: str, a: float, b: float, p: float | None = None) -> float:
@@ -259,11 +274,7 @@ def tconorm_kernel(name: str, a: float, b: float, p: float | None = None):
         raise OperatorError(f"unknown t-conorm {name!r}")
     _check_unit(a)
     _check_unit(b)
-    if name == "yager":
-        p = _need_p("yager t-conorm", p)
-    elif p is not None:
-        raise OperatorError(f"t-conorm {name} takes no parameter p")
-    return fn(a, b, p)
+    return fn(a, b, _norm_p("t-conorm", name, p))
 
 
 def tconorm(name: str, a: float, b: float, p: float | None = None) -> float:
@@ -416,6 +427,26 @@ _AGGREGATORS = {
 AGGREGATOR_NAMES = tuple(_AGGREGATORS)
 
 
+def _aggregator_p(name: str, p_rule, p):
+    """The parameter an aggregator runs with, by its rule in _AGGREGATORS."""
+    if p_rule is None:
+        if p is not None:
+            raise OperatorError(f"{name} takes no parameter p")
+        return None
+    if p_rule == "yager":
+        return _need_p("yager aggregator", p)
+    if p_rule == "positive":
+        if p is None:
+            raise OperatorError(f"{name} requires parameter p")
+        p = float(p)
+        if p <= 0.0:
+            raise OperatorError(f"{name} requires p > 0, got {p}")
+        return p
+    if p is not None:  # fixed-p alias (mae/rmse)
+        raise OperatorError(f"{name} takes no parameter p")
+    return p_rule
+
+
 def aggregate_kernel(name: str, xs: Sequence[float], p: float | None = None):
     entry = _AGGREGATORS.get(name)
     if entry is None:
@@ -426,23 +457,7 @@ def aggregate_kernel(name: str, xs: Sequence[float], p: float | None = None):
         raise OperatorError("aggregate requires at least one input")
     for x in xs:
         _check_unit(x)
-    if p_rule is None:
-        if p is not None:
-            raise OperatorError(f"{name} takes no parameter p")
-        p_eff = None
-    elif p_rule == "yager":
-        p_eff = _need_p("yager aggregator", p)
-    elif p_rule == "positive":
-        if p is None:
-            raise OperatorError(f"{name} requires parameter p")
-        p_eff = float(p)
-        if p_eff <= 0.0:
-            raise OperatorError(f"{name} requires p > 0, got {p_eff}")
-    else:  # fixed-p alias (mae/rmse)
-        if p is not None:
-            raise OperatorError(f"{name} takes no parameter p")
-        p_eff = p_rule
-    return fn(xs, p_eff)
+    return fn(xs, _aggregator_p(name, p_rule, p))
 
 
 def aggregate(name: str, xs: Sequence[float], p: float | None = None) -> float:
@@ -560,11 +575,15 @@ def implication_kernel(name: str, a: float, c: float, p: float | None = None,
     fn, needs_p = entry
     _check_unit(a)
     _check_unit(c)
+    return fn(a, c, _implication_p(name, needs_p, p))
+
+
+def _implication_p(name: str, needs_p: bool, p):
     if needs_p:
-        p = _need_p(name, p)
-    elif p is not None:
+        return _need_p(name, p)
+    if p is not None:
         raise OperatorError(f"implication {name} takes no parameter p")
-    return fn(a, c, p)
+    return None
 
 
 def implication(name: str, a: float, c: float, p: float | None = None,
@@ -590,14 +609,8 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def sigmoidal_kernel(base: str | None, s: float, b0: float, a: float, c: float,
-                     p: float | None = None):
-    """Sigmoid-warped implication; keeps the base's 0/1 level sets.
-
-    value = d * ((1 + e^(-b0 s)) * sigmoid(s (I + b0)) - 1)
-    with d = (1 + e^(-s (1 + b0))) / (e^(-b0 s) - e^(-s (1 + b0))),
-    an increasing map sending I=0 to 0 and I=1 to 1.
-    """
+def _sigmoidal_scaling(base, s, b0):
+    """Checked (s, b0, d, h) of the sigmoidal warp around ``base``."""
     if base is None:
         raise OperatorError("sigmoidal implication requires a base implication")
     if base == "sigmoidal":
@@ -606,7 +619,6 @@ def sigmoidal_kernel(base: str | None, s: float, b0: float, a: float, c: float,
         raise OperatorError(f"sigmoidal implication requires s > 0, got {s!r}")
     s = float(s)
     b0 = -0.5 if b0 is None else float(b0)
-    iv, (dia, dic) = implication_kernel(base, a, c, p=p)
     try:
         e_top = math.exp(-s * (1.0 + b0))
         e_bot = math.exp(-s * b0)
@@ -615,8 +627,19 @@ def sigmoidal_kernel(base: str | None, s: float, b0: float, a: float, c: float,
     denom = e_bot - e_top
     if denom <= 0.0:
         raise OperatorError(f"degenerate sigmoidal scaling for s={s}, b0={b0}")
-    d = (1.0 + e_top) / denom
-    h = 1.0 + e_bot
+    return s, b0, (1.0 + e_top) / denom, 1.0 + e_bot
+
+
+def sigmoidal_kernel(base: str | None, s: float, b0: float, a: float, c: float,
+                     p: float | None = None):
+    """Sigmoid-warped implication; keeps the base's 0/1 level sets.
+
+    value = d * ((1 + e^(-b0 s)) * sigmoid(s (I + b0)) - 1)
+    with d = (1 + e^(-s (1 + b0))) / (e^(-b0 s) - e^(-s (1 + b0))),
+    an increasing map sending I=0 to 0 and I=1 to 1.
+    """
+    s, b0, d, h = _sigmoidal_scaling(base, s, b0)
+    iv, (dia, dic) = implication_kernel(base, a, c, p=p)
     y = _sigmoid(s * (iv + b0))
     value = d * (h * y - 1.0)
     # float dust can push the 0/1 level sets a few ulps outside [0, 1]
@@ -628,6 +651,389 @@ def sigmoidal_kernel(base: str | None, s: float, b0: float, a: float, c: float,
 def sigmoidal_implication(base: str, s: float, b0: float, a: float, c: float,
                           p: float | None = None) -> float:
     return sigmoidal_kernel(base, s, b0, a, c, p=p)[0]
+
+
+# ---------------------------------------------------------------------------
+# array kernels
+#
+# The same operators over numpy arrays.  Binary kernels broadcast their two
+# inputs, and their partials broadcast against the value; aggregators
+# reduce the first axis (where numpy reduces fastest) and return one
+# partial per input.  Each makes the
+# scalar kernel's input and parameter checks and keeps its branch order
+# and tie rules: every branch is computed everywhere and ``_pick`` selects
+# them in the scalar kernel's order, so masked branches may hold inf or
+# nan.
+# Elementwise results can differ from the scalar kernels in the last digit
+# where numpy's pow/log/exp round differently from the C library, and the
+# aggregators' sums are plain sums where the scalar kernels use math.fsum.
+
+def _unit_array(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if not (x >= 0.0).all() or not (x <= 1.0).all():
+        bad = x[~((x >= 0.0) & (x <= 1.0))][0]
+        raise OperatorError(f"input must be in [0, 1], got {float(bad)!r}")
+    return x
+
+
+def _pick(conds, branches, default):
+    """Select (value, partial, partial) branch by branch: the first true
+    condition wins, like the scalar kernels' if-chains."""
+    value, da, db = default
+    for cond, (v, a, b) in zip(reversed(conds), reversed(branches)):
+        value = np.where(cond, v, value)
+        da = np.where(cond, a, da)
+        db = np.where(cond, b, db)
+    return value, (da, db)
+
+
+def _first(cond):
+    """Partials of a min/max-style pick: (1, 0) where ``cond``, else (0, 1)."""
+    return cond * 1.0, (~cond) * 1.0
+
+
+def _ta_godel(a, b, p):
+    first = a <= b
+    return np.where(first, a, b), _first(first)
+
+
+def _ta_product(a, b, p):
+    return a * b, (b, a)
+
+
+def _ta_lukasiewicz(a, b, p):
+    s = a + b - 1.0
+    return _pick([a == 1.0, b == 1.0, s >= 0.0],
+                 [(b, 1.0, 1.0), (a, 1.0, 1.0), (s, 1.0, 1.0)],
+                 (0.0, 0.0, 0.0))
+
+
+def _ta_drastic(a, b, p):
+    edge = (a == 1.0) | (b == 1.0)
+    value = np.where(edge, np.where(a <= b, a, b), 0.0)
+    return value, ((edge & (b == 1.0)) * 1.0, ((a == 1.0) & (b < 1.0)) * 1.0)
+
+
+def _ta_nilpotent(a, b, p):
+    live = a + b > 1.0
+    first = a <= b
+    return (np.where(live, np.where(first, a, b), 0.0),
+            ((live & first) * 1.0, (live & ~first) * 1.0))
+
+
+def _ta_yager(a, b, p):
+    flat = 0.0 if p > 1.0 else 1.0
+    d = _pow(2.0, 1.0 / p - 1.0)
+    s = (1.0 - a) ** p + (1.0 - b) ** p
+    scale = s ** (1.0 / p - 1.0)
+    return _pick([(a == 1.0) & (b != 1.0), (b == 1.0) & (a != 1.0),
+                  s == 0.0, s <= 1.0],
+                 [(b, flat, 1.0), (a, 1.0, flat), (1.0, d, d),
+                  (1.0 - s ** (1.0 / p), scale * (1.0 - a) ** (p - 1.0),
+                   scale * (1.0 - b) ** (p - 1.0))],
+                 (0.0, 0.0, 0.0))
+
+
+def _sa_godel(a, b, p):
+    first = a >= b
+    return np.where(first, a, b), _first(first)
+
+
+def _sa_product(a, b, p):
+    return a + b - a * b, (1.0 - b, 1.0 - a)
+
+
+def _sa_lukasiewicz(a, b, p):
+    s = a + b
+    return _pick([a == 0.0, b == 0.0, s <= 1.0],
+                 [(b, 1.0, 1.0), (a, 1.0, 1.0), (s, 1.0, 1.0)],
+                 (1.0, 0.0, 0.0))
+
+
+def _sa_drastic(a, b, p):
+    edge = (a == 0.0) | (b == 0.0)
+    value = np.where(edge, np.where(a >= b, a, b), 1.0)
+    return value, ((edge & (b == 0.0)) * 1.0, ((a == 0.0) & (b > 0.0)) * 1.0)
+
+
+def _sa_nilpotent(a, b, p):
+    live = a + b < 1.0
+    first = a >= b
+    return (np.where(live, np.where(first, a, b), 1.0),
+            ((live & first) * 1.0, (live & ~first) * 1.0))
+
+
+def _sa_yager(a, b, p):
+    flat = 0.0 if p > 1.0 else 1.0
+    d = _pow(2.0, 1.0 / p - 1.0)
+    s = a ** p + b ** p
+    scale = s ** (1.0 / p - 1.0)
+    return _pick([(a == 0.0) & (b != 0.0), (b == 0.0) & (a != 0.0),
+                  s == 0.0, s <= 1.0],
+                 [(b, flat, 1.0), (a, 1.0, flat), (0.0, d, d),
+                  (s ** (1.0 / p), scale * a ** (p - 1.0),
+                   scale * b ** (p - 1.0))],
+                 (1.0, 0.0, 0.0))
+
+
+def _one_hot(X, i):
+    """Partials 1.0 at index i of the aggregated axis, else 0.0."""
+    at = np.arange(len(X)).reshape((-1,) + (1,) * (X.ndim - 1))
+    return (at == i) * 1.0
+
+
+def _spread(live, X):
+    """Equal partials 1.0 where ``live``, else 0.0."""
+    return np.broadcast_to(live * 1.0, X.shape)
+
+
+def _aa_min(X, p):
+    return X.min(axis=0), _one_hot(X, X.argmin(axis=0))
+
+
+def _aa_max(X, p):
+    return X.max(axis=0), _one_hot(X, X.argmax(axis=0))
+
+
+def _aa_product(X, p):
+    # sequential prefix/suffix products, in the scalar kernel's order
+    before = [np.ones(X.shape[1:])]
+    for x in X[:-1]:
+        before.append(before[-1] * x)
+    after = [np.ones(X.shape[1:])]
+    for x in X[:0:-1]:
+        after.append(after[-1] * x)
+    after.reverse()
+    return before[-1] * X[-1], np.stack([b * a for b, a in zip(before, after)])
+
+
+def _aa_log_product(X, p):
+    if (X <= 0.0).any():
+        raise OperatorError("log_product is undefined at 0; clamp inputs first")
+    return np.log(X).sum(axis=0), 1.0 / X
+
+
+def _aa_lukasiewicz(X, p):
+    s = X.sum(axis=0) - (len(X) - 1)
+    live = s >= 0.0
+    return np.where(live, s, 0.0), _spread(live, X)
+
+
+def _aa_bounded_sum(X, p):
+    s = X.sum(axis=0)
+    live = s <= 1.0
+    return np.where(live, s, 1.0), _spread(live, X)
+
+
+def _aa_prob_sum(X, p):
+    prod, partials = _aa_product(1.0 - X, p)
+    return 1.0 - prod, partials
+
+
+def _aa_yager(X, p):
+    q = 1.0 - X
+    s = (q ** p).sum(axis=0)
+    corner, live = s == 0.0, s <= 1.0
+    d = _pow(float(len(X)), 1.0 / p - 1.0)
+    value = np.where(corner, 1.0, np.where(live, 1.0 - s ** (1.0 / p), 0.0))
+    partials = np.where(corner, d, np.where(
+        live, s ** (1.0 / p - 1.0) * q ** (p - 1.0), 0.0))
+    return value, partials
+
+
+def _aa_nilpotent(X, p):
+    if len(X) == 1:
+        return X[0], np.ones(X.shape)
+    partials = _one_hot(X, X.argmin(axis=0))
+    lo = X.min(axis=0)
+    second = np.where(partials == 1.0, np.inf, X).min(axis=0)
+    live = lo + second > 1.0
+    return np.where(live, lo, 0.0), partials * live
+
+
+def _aa_pme(X, p):
+    n = len(X)
+    q = 1.0 - X
+    m = (q ** p).sum(axis=0) / n
+    corner = m == 0.0
+    return (np.where(corner, 1.0, 1.0 - m ** (1.0 / p)),
+            np.where(corner, 1.0 / n, m ** (1.0 / p - 1.0) / n * q ** (p - 1.0)))
+
+
+def _aa_pmean(X, p):
+    n = len(X)
+    m = (X ** p).sum(axis=0) / n
+    corner = m == 0.0
+    return (np.where(corner, 0.0, m ** (1.0 / p)),
+            np.where(corner, 1.0 / n, m ** (1.0 / p - 1.0) / n * X ** (p - 1.0)))
+
+
+def _ia_kleene_dienes(a, c, p):
+    na = 1.0 - a
+    first = na >= c
+    return np.where(first, na, c), (np.where(first, -1.0, 0.0), (~first) * 1.0)
+
+
+def _ia_reichenbach(a, c, p):
+    return (1.0 - a) + a * c, (c - 1.0, a)
+
+
+def _ia_lukasiewicz(a, c, p):
+    u = 1.0 - a + c
+    return _pick([a == 1.0, u <= 1.0], [(c, -1.0, 1.0), (u, -1.0, 1.0)],
+                 (1.0, 0.0, 0.0))
+
+
+def _ia_dubois_prade(a, c, p):
+    return _pick([a == 1.0, c == 0.0], [(c, 0.0, 1.0), (1.0 - a, -1.0, 0.0)],
+                 (1.0, 0.0, 0.0))
+
+
+def _ia_fodor(a, c, p):
+    return _pick([a <= c, 1.0 - a >= c], [(1.0, 0.0, 0.0), (1.0 - a, -1.0, 0.0)],
+                 (c, 0.0, 1.0))
+
+
+def _ia_godel(a, c, p):
+    return _pick([a <= c], [(1.0, 0.0, 0.0)], (c, 0.0, 1.0))
+
+
+def _ia_goguen(a, c, p):
+    return _pick([a <= c], [(1.0, 0.0, 0.0)], (c / a, -c / (a * a), 1.0 / a))
+
+
+def _ia_weber(a, c, p):
+    return _pick([a < 1.0], [(1.0, 0.0, 0.0)], (c, 0.0, 1.0))
+
+
+def _ia_yager_s(a, c, p):
+    d = _pow(2.0, 1.0 / p - 1.0)
+    u = (1.0 - a) ** p + c ** p
+    scale = u ** (1.0 / p - 1.0)
+    return _pick([(a == 1.0) & (c == 0.0), a == 1.0, u <= 1.0],
+                 [(0.0, -d, d), (c, -1.0 if p == 1.0 else 0.0, 1.0),
+                  (u ** (1.0 / p), -scale * (1.0 - a) ** (p - 1.0),
+                   scale * c ** (p - 1.0))],
+                 (1.0, 0.0, 0.0))
+
+
+def _ia_yager_r(a, c, p):
+    u = (1.0 - c) ** p - (1.0 - a) ** p
+    scale = u ** (1.0 / p - 1.0)
+    return _pick([a <= c], [(1.0, 0.0, 0.0)],
+                 (1.0 - u ** (1.0 / p), -scale * (1.0 - a) ** (p - 1.0),
+                  scale * (1.0 - c) ** (p - 1.0)))
+
+
+_TNORM_ARRAYS = {"godel": _ta_godel, "product": _ta_product,
+                 "lukasiewicz": _ta_lukasiewicz, "drastic": _ta_drastic,
+                 "nilpotent": _ta_nilpotent, "yager": _ta_yager}
+_TCONORM_ARRAYS = {"godel": _sa_godel, "product": _sa_product,
+                   "lukasiewicz": _sa_lukasiewicz, "drastic": _sa_drastic,
+                   "nilpotent": _sa_nilpotent, "yager": _sa_yager}
+_AGGREGATOR_ARRAYS = {"min": _aa_min, "max": _aa_max, "product": _aa_product,
+                      "log_product": _aa_log_product,
+                      "lukasiewicz": _aa_lukasiewicz,
+                      "bounded_sum": _aa_bounded_sum, "prob_sum": _aa_prob_sum,
+                      "yager": _aa_yager, "nilpotent": _aa_nilpotent,
+                      "pme": _aa_pme, "pmean": _aa_pmean, "mae": _aa_pme,
+                      "rmse": _aa_pme}
+_IMPLICATION_ARRAYS = {"kleene_dienes": _ia_kleene_dienes,
+                       "reichenbach": _ia_reichenbach,
+                       "lukasiewicz": _ia_lukasiewicz,
+                       "dubois_prade": _ia_dubois_prade, "fodor": _ia_fodor,
+                       "godel": _ia_godel, "goguen": _ia_goguen,
+                       "weber": _ia_weber, "yager_s": _ia_yager_s,
+                       "yager_r": _ia_yager_r}
+
+
+class ArrayKernels(NamedTuple):
+    """Array kernels with their operators and parameters resolved, and
+    without input checks: callers pass values already in [0, 1] and run
+    them under ``np.errstate(all="ignore")``."""
+
+    tnorm: Callable
+    tconorm: Callable
+    implication: Callable
+    aggregate: Callable
+
+
+def _bind(fn, p):
+    return lambda *xs: fn(*xs, p)
+
+
+def _bind_tnorm(name: str, p) -> Callable:
+    fn = _TNORM_ARRAYS.get(name)
+    if fn is None:
+        raise OperatorError(f"unknown t-norm {name!r}")
+    return _bind(fn, _norm_p("t-norm", name, p))
+
+
+def _bind_tconorm(name: str, p) -> Callable:
+    fn = _TCONORM_ARRAYS.get(name)
+    if fn is None:
+        raise OperatorError(f"unknown t-conorm {name!r}")
+    return _bind(fn, _norm_p("t-conorm", name, p))
+
+
+def _bind_aggregator(name: str, p) -> Callable:
+    fn = _AGGREGATOR_ARRAYS.get(name)
+    if fn is None:
+        raise OperatorError(f"unknown aggregator {name!r}")
+    return _bind(fn, _aggregator_p(name, _AGGREGATORS[name][1], p))
+
+
+def _bind_implication(name: str, p=None, s=None, b0=None, base=None) -> Callable:
+    if name == "sigmoidal":
+        return _bind_sigmoidal(base, s, b0, p)
+    fn = _IMPLICATION_ARRAYS.get(name)
+    if fn is None:
+        raise OperatorError(f"unknown implication {name!r}")
+    return _bind(fn, _implication_p(name, _IMPLICATIONS[name][1], p))
+
+
+def _bind_sigmoidal(base, s, b0, p) -> Callable:
+    s, b0, d, h = _sigmoidal_scaling(base, s, b0)
+    base_fn = _bind_implication(base, p=p)
+
+    def kernel(a, c):
+        iv, (dia, dic) = base_fn(a, c)
+        x = s * (iv + b0)
+        e = np.exp(-np.abs(x))
+        y = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        value = np.clip(d * (h * y - 1.0), 0.0, 1.0)
+        dvdi = d * h * s * y * (1.0 - y)
+        return value, (dvdi * dia, dvdi * dic)
+
+    return kernel
+
+
+def _run_checked(kernel, *xs):
+    xs = [_unit_array(x) for x in xs]
+    with np.errstate(all="ignore"):
+        return kernel(*xs)
+
+
+def tnorm_array(name: str, a, b, p: float | None = None):
+    return _run_checked(_bind_tnorm(name, p), a, b)
+
+
+def tconorm_array(name: str, a, b, p: float | None = None):
+    return _run_checked(_bind_tconorm(name, p), a, b)
+
+
+def aggregate_array(name: str, X, p: float | None = None):
+    """Aggregate over the first axis of ``X``."""
+    kernel = _bind_aggregator(name, p)
+    if np.ndim(X) == 0 or len(X) == 0:
+        raise OperatorError("aggregate requires at least one input")
+    return _run_checked(kernel, X)
+
+
+def implication_array(name: str, a, c, p: float | None = None,
+                      s: float | None = None, b0: float | None = None,
+                      base: str | None = None):
+    return _run_checked(_bind_implication(name, p, s, b0, base), a, c)
 
 
 # ---------------------------------------------------------------------------
@@ -655,18 +1061,39 @@ class OperatorDescriptor:
             return f"{self.name}({inner})"
         return self.name
 
-    def kernel(self, *xs):
+    @cached_property
+    def kernel(self) -> Callable:
+        """The scalar kernel with this entry's name and parameters bound
+        once; ``desc.kernel(*xs)`` returns (value, partials)."""
+        kw = dict(self.params)
+        name, p = self.name, kw.get("p")
+        if self.family == "negation":
+            return negation_kernel
+        if self.family == "tnorm":
+            return lambda *xs: tnorm_kernel(name, xs[0], xs[1], p)
+        if self.family == "tconorm":
+            return lambda *xs: tconorm_kernel(name, xs[0], xs[1], p)
+        if self.family == "aggregator":
+            return lambda *xs: aggregate_kernel(name, xs, p)
+        if self.family == "implication":
+            return lambda *xs: implication_kernel(name, xs[0], xs[1], **kw)
+        raise OperatorError(f"unknown family {self.family!r}")
+
+    def array_kernel(self, *xs):
+        """``kernel`` over arrays: binary kernels take two broadcastable
+        arrays, aggregators one array reduced over its first axis."""
         kw = dict(self.params)
         if self.family == "negation":
-            return negation_kernel(*xs)
+            a = np.asarray(xs[0], dtype=float)
+            return 1.0 - a, (np.full(a.shape, -1.0),)
         if self.family == "tnorm":
-            return tnorm_kernel(self.name, xs[0], xs[1], kw.get("p"))
+            return tnorm_array(self.name, xs[0], xs[1], kw.get("p"))
         if self.family == "tconorm":
-            return tconorm_kernel(self.name, xs[0], xs[1], kw.get("p"))
+            return tconorm_array(self.name, xs[0], xs[1], kw.get("p"))
         if self.family == "aggregator":
-            return aggregate_kernel(self.name, xs, kw.get("p"))
+            return aggregate_array(self.name, xs[0], kw.get("p"))
         if self.family == "implication":
-            return implication_kernel(self.name, xs[0], xs[1], **kw)
+            return implication_array(self.name, xs[0], xs[1], **kw)
         raise OperatorError(f"unknown family {self.family!r}")
 
     def value(self, *xs) -> float:
@@ -1203,6 +1630,17 @@ class OperatorConfig:
     def aggregate_kernel(self, xs):
         return aggregate_kernel(self.aggregator, xs, self.aggregator_p)
 
+    @cached_property
+    def arrays(self) -> ArrayKernels:
+        """This configuration's array kernels, bound once."""
+        return ArrayKernels(
+            _bind_tnorm(self.tnorm, self.tnorm_p),
+            _bind_tconorm(self.tconorm, self.tconorm_p),
+            _bind_implication(self.implication, self.implication_p,
+                              self.sigmoid_s, self.sigmoid_b0,
+                              self.sigmoid_base),
+            _bind_aggregator(self.aggregator, self.aggregator_p))
+
     def describe(self) -> str:
         parts = [f"tnorm={self.tnorm}" + (f":p={self.tnorm_p}" if self.tnorm_p else ""),
                  f"tconorm={self.tconorm}" + (f":p={self.tconorm_p}" if self.tconorm_p else "")]
@@ -1231,11 +1669,6 @@ def product_config(log: bool = False) -> OperatorConfig:
 def godel_config() -> OperatorConfig:
     return OperatorConfig(tnorm="godel", tconorm="godel",
                           implication="kleene_dienes", aggregator="min")
-
-
-def lukasiewicz_config() -> OperatorConfig:
-    return OperatorConfig(tnorm="lukasiewicz", tconorm="lukasiewicz",
-                          implication="lukasiewicz", aggregator="lukasiewicz")
 
 
 def _parse_params(text: str, where: str) -> dict:

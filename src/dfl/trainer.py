@@ -4,8 +4,8 @@ semi-supervised harness on synthetic point clouds.
 The model is intentionally tiny: a two-layer perceptron classifier over
 10 Gaussian blobs plus a bilinear same-class scorer on the hidden
 embeddings, all trained with plain gradient descent.  The fuzzy loss is
-backpropagated on the scalar tape down to ground-atom truth values; the
-chain into model parameters (softmax/bilinear backward) is ordinary
+backpropagated by the valuation engine down to ground-atom truth values;
+the chain into model parameters (softmax/bilinear backward) is ordinary
 numpy.  One training run stays well under a minute.
 """
 
@@ -347,14 +347,14 @@ def _ce_gradients(model, X, y, grads):
 
 
 def _same_pairs(rng, y_batch):
-    """Ordered labeled pairs with negatives undersampled 1:1."""
-    n = len(y_batch)
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    pos = [(i, j) for i, j in pairs if y_batch[i] == y_batch[j]]
-    neg = [(i, j) for i, j in pairs if y_batch[i] != y_batch[j]]
+    """Ordered labeled pairs as (k, 2) index arrays in row-major order,
+    with negatives undersampled 1:1."""
+    y = np.asarray(y_batch)
+    same = y[:, None] == y[None, :]
+    pos = np.argwhere(same)
+    neg = np.argwhere(~same)
     if len(neg) > len(pos):
-        idx = rng.choice(len(neg), size=len(pos), replace=False)
-        neg = [neg[k] for k in idx]
+        neg = neg[rng.choice(len(neg), size=len(pos), replace=False)]
     return pos, neg
 
 
@@ -362,17 +362,18 @@ def _same_bce_gradients(model, X, pos, neg, grads):
     H = model.hidden(X)
     Z = model.same_logits(H)
     S = _sigmoid(Z)
-    pairs = [(i, j, 1.0) for i, j in pos] + [(i, j, 0.0) for i, j in neg]
-    if not pairs:
+    pairs = np.concatenate([np.reshape(pos, (-1, 2)), np.reshape(neg, (-1, 2))])
+    if not len(pairs):
         return 0.0
+    positive = np.arange(len(pairs)) < len(pos)
+    s = np.clip(S[pairs[:, 0], pairs[:, 1]], 1e-12, 1 - 1e-12)
+    # math.log and an in-order cumulative sum keep the loss bit-identical
+    # to summing the pair terms one by one
+    terms = list(map(math.log, np.where(positive, s, 1 - s).tolist()))
     dZ = np.zeros_like(Z)
-    loss = 0.0
-    for i, j, t in pairs:
-        s = min(max(S[i, j], 1e-12), 1 - 1e-12)
-        loss -= t * math.log(s) + (1 - t) * math.log(1 - s)
-        dZ[i, j] += s - t
+    dZ[pairs[:, 0], pairs[:, 1]] = s - positive
     model.same_backward(X, H, dZ, grads)
-    return loss
+    return -float(np.cumsum(terms)[-1])
 
 
 def _dfl_gradients(model, X_batch, kb, ops, w_dfl, grads):

@@ -1,30 +1,47 @@
-"""Valuation engine: grounding construction, recursive formula valuation
-over a fresh autodiff tape, and the weighted knowledge-base loss.
+"""Valuation engine: grounding construction, formula compilation, array
+valuation with its backward pass, and the weighted knowledge-base loss.
 
-The quantifier block of a prenex formula is enumerated over a sampled
-batch of objects in lexicographic object-index order.  Nested quantifier
-variables aggregate innermost-first, i.e. ``forall x, y`` becomes
-A_x(A_y(...)).  The log-product aggregator is the one exception: its
-output lives in (-inf, 0] and may not feed another connective, so the
-whole quantifier block collapses into a single flat aggregation over all
-b**d instances (the two shapes agree exactly because log turns the
-nested product into a sum).
+Each formula is compiled once (``compile_formula``, cached per formula
+object) into a flat postorder program.  Every quantified variable gets
+its own array axis, so over a batch of b objects a formula with d
+quantified variables is valuated as numpy arrays of b**d ground
+instances, with one array kernel call per connective and per quantified
+variable.  Instances are enumerated in lexicographic batch order.
+Nested quantifier variables aggregate innermost-first, i.e.
+``forall x, y`` becomes A_x(A_y(...)).  The log-product aggregator is
+the one exception: its output lives in (-inf, 0] and may not feed
+another connective, so the whole quantifier block collapses into a
+single flat aggregation over all b**d instances (the two shapes agree
+exactly because log turns the nested product into a sum).
+
+The backward pass runs over the same program in reverse, summing each
+adjoint over the axes its operand was broadcast along, and yields
+d(valuation)/d(atom) for every ground atom.  The formula's valuation is
+then recorded on the grounding's tape as one fused node whose parents
+are the atom leaves, so ``Tape.backward`` from the loss reaches every
+atom.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 import re
+import weakref
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .autodiff import Node, Tape
 from .logic import And, Atom, ForAll, Implies, KnowledgeBase, Not, Or, ParseError
-from .operators import OperatorConfig, OperatorError
+from .operators import OperatorConfig
 
 __all__ = [
     "SemanticError", "Domain", "LookupInterpretation", "GroundingTable",
-    "InstanceRecord", "sample_batch", "build_grounding", "valuate",
+    "Instr", "Program", "FormulaPass", "compile_formula", "formula_pass",
+    "classical_values", "sample_batch", "build_grounding", "valuate",
     "dfl_loss", "atom_gradients", "parse_grounding", "CLAMP_EPS",
 ]
 
@@ -72,12 +89,23 @@ class LookupInterpretation:
 
 @dataclass
 class GroundingTable:
-    """Tape-backed truth values for every ground atom over a batch."""
+    """Tape-backed truth values for every ground atom over a batch.
+
+    ``scores`` maps each predicate to (arity, tape index of its first
+    atom, clamped values), with its atoms in row-major order of batch
+    positions, as ``build_grounding`` records them; ``tensor(pred)`` views
+    them as arrays.  ``passes`` keeps the latest forward/backward pass of
+    each formula valuated on this grounding (see ``formula_pass``).
+    """
 
     nodes: dict
     batch: list
     tape: Tape
     raw: dict = field(default_factory=dict)
+    scores: dict = field(default_factory=dict, repr=False)
+    passes: dict = field(default_factory=dict, init=False, repr=False)
+    _tensors: dict = field(default_factory=dict, init=False, repr=False)
+    _positions: dict | None = field(default=None, init=False, repr=False)
 
     def __len__(self):
         return len(self.nodes)
@@ -86,12 +114,32 @@ class GroundingTable:
         try:
             return self.nodes[(pred, tuple(objs))]
         except KeyError:
-            raise SemanticError(
-                f"ground atom {pred}{tuple(objs)} missing from grounding "
-                f"(signature mismatch?)") from None
+            raise _missing(pred, objs) from None
 
     def atoms(self):
         return list(self.nodes)
+
+    def tensor(self, pred: str):
+        """(values, tape indices) of ``pred``'s atoms as arrays with one
+        axis of batch positions per argument, or None when the grounding
+        has no atom of ``pred``."""
+        if pred not in self._tensors and pred in self.scores:
+            arity, first, values = self.scores[pred]
+            shape = (len(self.batch),) * arity
+            self._tensors[pred] = (np.array(values).reshape(shape), np.arange(
+                first, first + len(values)).reshape(shape))
+        return self._tensors.get(pred)
+
+    def position(self, obj: int):
+        """Batch position of object ``obj``, or None outside the batch."""
+        if self._positions is None:
+            self._positions = {o: i for i, o in enumerate(self.batch)}
+        return self._positions.get(obj)
+
+
+def _missing(pred, objs) -> SemanticError:
+    return SemanticError(f"ground atom {pred}{tuple(objs)} missing from "
+                         f"grounding (signature mismatch?)")
 
 
 def sample_batch(domain: Domain, b: int, seed: int) -> list:
@@ -114,11 +162,16 @@ def build_grounding(interp, domain: Domain, signature: dict, batch: list,
     """
     if not batch:
         raise SemanticError("batch must be non-empty")
+    if len(set(batch)) != len(batch):
+        raise SemanticError(f"batch objects must be distinct, got {batch}")
     tape = tape if tape is not None else Tape()
     nodes = {}
     raw_values = {}
+    scores = {}
     for pred in sorted(signature):
         arity = signature[pred]
+        first = len(tape)
+        values = []
         for objs in itertools.product(batch, repeat=arity):
             raw = float(interp.score(pred, objs))
             if raw < -1e-6 or raw > 1.0 + 1e-6:
@@ -128,22 +181,122 @@ def build_grounding(interp, domain: Domain, signature: dict, batch: list,
             key = (pred, objs)
             nodes[key] = tape.leaf(clamped, label=f"{pred}{objs}")
             raw_values[key] = raw
-    return GroundingTable(nodes, list(batch), tape, raw_values)
+            values.append(clamped)
+        scores[pred] = (arity, first, values)
+    return GroundingTable(nodes, list(batch), tape, raw_values, scores)
 
 
-@dataclass
-class InstanceRecord:
-    """One quantifier instance of a formula whose body is an implication;
-    used by the gradient-quality metrics."""
+# ---------------------------------------------------------------------------
+# compilation
 
-    assignment: dict
-    antecedent: Node
-    consequent: Node
-    antecedent_formula: object
-    consequent_formula: object
+@dataclass(frozen=True)
+class Instr:
+    """One step of a compiled formula.
+
+    ``op`` is atom, not, and, or, implies or forall; ``args`` are the
+    operand steps.  An atom step keeps its ``atom``, and its ``terms``
+    hold, per argument, the axis of its quantified variable or the name
+    of a variable that ``mu`` binds.  A forall lists its ``vars`` and
+    their ``axes`` outermost first; ``root`` marks the quantifier block
+    at the root of the formula.  Steps hold no reference to the formula
+    itself, so a cached program does not keep its formula alive.
+    """
+
+    op: str
+    atom: Atom | None = None
+    args: tuple = ()
+    terms: tuple = ()
+    vars: tuple = ()
+    axes: tuple = ()
+    root: bool = False
 
 
-def _collapse_forall(f: ForAll):
+@dataclass(frozen=True)
+class Program:
+    """A formula as postorder steps; every step's value is an array with
+    one axis per quantified variable (size 1 where it does not depend on
+    that variable), and the last step is the formula.  Programs with the
+    same ``shape`` differ only in their predicates and run as one stack
+    of formulas."""
+
+    instrs: tuple
+    n_axes: int
+    shape: tuple
+
+    @property
+    def body(self):
+        """Index of the root quantifier block's body, or None when the
+        formula is not quantified at its root."""
+        last = self.instrs[-1]
+        return last.args[0] if last.op == "forall" and last.root else None
+
+
+_BINARY = {And: "and", Or: "or", Implies: "implies"}
+# id(formula) -> (weak reference to the formula, its program); an entry
+# leaves the cache when its formula is freed
+_PROGRAMS: dict = {}
+
+
+def compile_formula(formula) -> Program:
+    """The postorder program of ``formula``, compiled once per formula
+    object."""
+    key = id(formula)
+    hit = _PROGRAMS.get(key)
+    if hit is not None and hit[0]() is formula:
+        return hit[1]
+    program = _compile(formula)
+    _PROGRAMS[key] = (weakref.ref(formula, lambda _: _PROGRAMS.pop(key, None)),
+                      program)
+    return program
+
+
+def _compile(formula) -> Program:
+    instrs: list = []
+    done: list = []  # step indices of finished operands
+    n_axes = 0
+    # (node, variable -> axis, operand count once its operands are queued)
+    stack = [(formula, {}, None)]
+    while stack:
+        node, env, arity = stack.pop()
+        if arity is not None:
+            args = tuple(done[len(done) - arity:])
+            del done[len(done) - arity:]
+            if isinstance(node, ForAll):
+                vars_, _ = _quantifier_block(node)
+                instr = Instr("forall", args=args, vars=vars_,
+                              axes=tuple(env[v] for v in vars_),
+                              root=node is formula)
+            else:
+                instr = Instr("not" if isinstance(node, Not)
+                              else _BINARY[type(node)], args=args)
+            done.append(len(instrs))
+            instrs.append(instr)
+        elif isinstance(node, Atom):
+            done.append(len(instrs))
+            instrs.append(Instr("atom", node,
+                                terms=tuple(env.get(a, a) for a in node.args)))
+        elif isinstance(node, ForAll):
+            vars_, body = _quantifier_block(node)
+            inner = dict(env)
+            for var in vars_:
+                inner[var] = n_axes
+                n_axes += 1
+            stack.append((node, inner, 1))
+            stack.append((body, inner, None))
+        elif isinstance(node, Not):
+            stack.append((node, env, 1))
+            stack.append((node.child, env, None))
+        elif type(node) in _BINARY:
+            stack.append((node, env, 2))
+            stack.append((node.rhs, env, None))
+            stack.append((node.lhs, env, None))
+        else:
+            raise SemanticError(f"cannot valuate node {node!r}")
+    shape = tuple((i.op, i.args, i.terms, i.axes, i.root) for i in instrs)
+    return Program(tuple(instrs), n_axes, shape)
+
+
+def _quantifier_block(f: ForAll):
     vars_ = []
     node = f
     while isinstance(node, ForAll):
@@ -152,113 +305,394 @@ def _collapse_forall(f: ForAll):
     return tuple(vars_), node
 
 
-def valuate(f, g: GroundingTable, ops: OperatorConfig, mu: dict | None = None,
-            instances: list | None = None) -> Node:
+# ---------------------------------------------------------------------------
+# array valuation
+
+@dataclass
+class FormulaPass:
+    """Forward and backward pass of one formula over one grounding.
+
+    ``leaves`` are the tape indices of the ground atoms the formula reads
+    and ``partials`` d(value)/d(atom) for each.  ``instance_adjoint`` is
+    d(value)/d(body) per ground instance of the root quantifier block,
+    and ``body_partials`` the body's own local partials when it is a
+    binary connective (dI/da and dI/dc for an implication); both
+    broadcast to one axis per quantified variable, and are plain floats
+    for a batch of one object.  ``node`` is the fused tape node of the
+    valuation.
+    """
+
+    value: float
+    leaves: list
+    partials: list
+    instance_adjoint: np.ndarray | float | None = None
+    body_partials: tuple | None = None
+    node: Node | None = None
+
+
+def _term_index(instr: Instr, g: GroundingTable, n_axes: int, mu: dict):
+    """Index arrays into the atom's predicate tensor, one per argument,
+    each with ``n_axes`` axes, that gather the atom's instances."""
+    positions = []
+    for term in instr.terms:
+        if not isinstance(term, int):
+            if term not in mu:
+                raise SemanticError(f"unbound variable {term!r} in {instr.atom}")
+            if g.position(mu[term]) is None:
+                raise _missing(instr.atom.pred, _example(instr, g, mu))
+            term = -1 - g.position(mu[term])
+        positions.append(term)
+    return _index(len(g.batch), n_axes, tuple(positions))
+
+
+def _atom_table(instr: Instr, g: GroundingTable, mu: dict) -> np.ndarray:
+    """The values of the atom's predicate over the batch."""
+    tensor = g.tensor(instr.atom.pred)
+    if tensor is None or tensor[0].ndim != len(instr.terms):
+        raise _missing(instr.atom.pred, _example(instr, g, mu))
+    return tensor[0]
+
+
+def _example(instr: Instr, g: GroundingTable, mu: dict) -> list:
+    """Objects of one instance of the atom, for error messages."""
+    return [g.batch[0] if isinstance(t, int) else mu[t] for t in instr.terms]
+
+
+@functools.lru_cache(maxsize=1024)
+def _index(b: int, n_axes: int, terms: tuple) -> tuple:
+    """Index arrays with ``n_axes`` axes, one per term: 0..b-1 laid along
+    axis k for a term k >= 0, the fixed position -1 - k for k < 0."""
+    index = []
+    for term in terms:
+        shape = [1] * n_axes
+        if term >= 0:
+            shape[term] = b
+            index.append(np.arange(b).reshape(shape))
+        else:
+            index.append(np.full(shape, -1 - term))
+    return tuple(index)
+
+
+def _gather(table: np.ndarray, index: tuple, n_axes: int) -> np.ndarray:
+    value = table[index]
+    return value if value.ndim == n_axes else value.reshape((1,) * n_axes)
+
+
+_OPERATOR_FIELDS = {"and": ("T", "tnorm"), "or": ("S", "tconorm"),
+                    "implies": ("I", "implication"), "forall": ("A", "aggregator")}
+
+
+def _non_finite(ops: OperatorConfig, op: str, what: str, x) -> ValueError:
+    """The tape's error for a non-finite value or partial, labelled with
+    the operator as a tape node would be."""
+    prefix, attr = _OPERATOR_FIELDS[op]
+    return ValueError(f"{prefix}_{getattr(ops, attr)}: non-finite {what} "
+                      f"{float(x)!r}")
+
+
+def _check_finite(ops: OperatorConfig, op: str, value, partials):
+    for what, arr in [("value", value)] + [("partial", p) for p in partials]:
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise _non_finite(ops, op, what, np.asarray(arr)[~finite][0])
+
+
+def _check_finite_scalar(ops: OperatorConfig, op: str, value: float, partials):
+    if not math.isfinite(value):
+        raise _non_finite(ops, op, "value", value)
+    if not all(map(math.isfinite, partials)):
+        raise _non_finite(ops, op, "partial",
+                          next(d for d in partials if not math.isfinite(d)))
+
+
+def _move(x: np.ndarray, source: tuple, destination: tuple) -> np.ndarray:
+    return x if source == destination else np.moveaxis(x, source, destination)
+
+
+def _reduce_to(adjoint: np.ndarray, shape) -> np.ndarray:
+    """Sum ``adjoint`` over the axes an operand of ``shape`` was broadcast
+    along, except the leading formula axis: each formula of a stack keeps
+    its own adjoint."""
+    axes = tuple(k for k, (n, m) in enumerate(zip(adjoint.shape, shape))
+                 if k and m == 1 and n != 1)
+    return adjoint.sum(axis=axes, keepdims=True) if axes else adjoint
+
+
+def _row(x: np.ndarray, f: int) -> np.ndarray:
+    """Formula f's slice of a stacked array (size 1 broadcasts)."""
+    return x[f if len(x) > 1 else 0]
+
+
+def _single_object_pass(program, g, ops, mu) -> FormulaPass:
+    """The pass over a batch of one object, where every array would hold a
+    single instance: the program runs on Python floats through the
+    scalar kernels, which at that size are many times faster than numpy."""
+    instrs = program.instrs
+    values: list = [0.0] * len(instrs)
+    local: list = [None] * len(instrs)
+    binary = {"and": ops.tnorm_kernel, "or": ops.tconorm_kernel,
+              "implies": ops.implication_kernel}
+    log_space = ops.aggregator == "log_product"
+    obj = g.batch[0]
+    for i, instr in enumerate(instrs):
+        op = instr.op
+        if op == "atom":
+            try:
+                objs = tuple(obj if type(t) is int else mu[t] for t in instr.terms)
+            except KeyError as exc:
+                raise SemanticError(
+                    f"unbound variable {exc} in {instr.atom}") from None
+            local[i] = g.node(instr.atom.pred, objs)
+            values[i] = local[i].value
+        elif op == "not":
+            values[i] = 1.0 - values[instr.args[0]]
+        elif op == "forall":
+            if log_space and not instr.root:
+                raise _log_product_error()
+            v, levels = values[instr.args[0]], []
+            for _ in range(1 if log_space else len(instr.axes)):
+                v, (partial,) = ops.aggregate_kernel([v])
+                _check_finite_scalar(ops, op, v, [partial])
+                levels.append(partial)
+            local[i] = levels
+            values[i] = v
+        else:
+            v, partials = binary[op](values[instr.args[0]],
+                                     values[instr.args[1]])
+            _check_finite_scalar(ops, op, v, partials)
+            local[i] = partials
+            values[i] = v
+    root = len(instrs) - 1
+    adjoints: list = [0.0] * len(instrs)
+    adjoints[root] = 1.0
+    grads: dict = {}  # leaf index -> d(value)/d(atom)
+    out = FormulaPass(values[root], [], [])
+    for i in range(root, -1, -1):
+        instr, adj = instrs[i], adjoints[i]
+        if instr.op == "atom":
+            leaf = local[i].idx
+            grads[leaf] = grads.get(leaf, 0.0) + adj
+        elif instr.op == "not":
+            adjoints[instr.args[0]] = -adj
+        elif instr.op == "forall":
+            for partial in local[i]:
+                adj *= partial
+            body = instr.args[0]
+            if instr.root:
+                out.instance_adjoint = adj
+                if instrs[body].op in binary:
+                    out.body_partials = local[body]
+            adjoints[body] = adj
+        else:
+            for arg, partial in zip(instr.args, local[i]):
+                adjoints[arg] = adj * partial
+    out.leaves, out.partials = list(grads), list(grads.values())
+    return out
+
+
+def _log_product_error() -> SemanticError:
+    return SemanticError(
+        "log_product produces a log-space truth value; it may only "
+        "appear as the outermost quantifier of a prenex formula")
+
+
+def _stacked_atom(slot: list, g: GroundingTable, n_axes: int, mu: dict):
+    """(index, stacked tensors) for one atom step of a stack of programs:
+    the tensors of each program's predicate, stacked along a leading
+    formula axis, and index arrays that gather the atom's instances."""
+    index = _term_index(slot[0], g, n_axes, mu)  # the same terms throughout
+    tables = {}
+    for instr in slot:
+        if instr.atom.pred not in tables:
+            tables[instr.atom.pred] = _atom_table(instr, g, mu)
+    stacked = np.stack([tables[instr.atom.pred] for instr in slot])
+    formula = np.arange(len(slot)).reshape((-1,) + (1,) * n_axes)
+    return (formula,) + tuple(ix[None] for ix in index), stacked
+
+
+def _stack_pass(programs: list, g, ops, mu) -> list:
+    """Forward and backward pass of programs of one shape as a stack:
+    every array has a leading formula axis, then one axis per quantified
+    variable."""
+    b, n_axes, F = len(g.batch), programs[0].n_axes, len(programs)
+    instrs = programs[0].instrs
+    values: list = [None] * len(instrs)
+    local: list = [None] * len(instrs)  # local partials, or forall levels
+    kernels = ops.arrays
+    binary = {"and": kernels.tnorm, "or": kernels.tconorm,
+              "implies": kernels.implication}
+    log_space = ops.aggregator == "log_product"
+    for i, instr in enumerate(instrs):
+        op = instr.op
+        if op == "atom":
+            index, stacked = _stacked_atom([p.instrs[i] for p in programs], g,
+                                           n_axes, mu)
+            local[i] = (index, stacked.shape)
+            values[i] = stacked[index]
+        elif op == "not":
+            values[i] = 1.0 - values[instr.args[0]]
+        elif op == "forall":
+            if log_space and not instr.root:
+                raise _log_product_error()
+            axes = tuple(k + 1 for k in instr.axes)
+            body = values[instr.args[0]]
+            shape = list(body.shape)
+            for k in axes:
+                shape[k] = b
+            X = np.broadcast_to(body, shape)
+            if log_space:
+                # one flat aggregation over every instance of the block
+                head = tuple(range(len(axes)))
+                moved = _move(X, axes, head)
+                v, P = kernels.aggregate(
+                    moved.reshape((-1,) + moved.shape[len(axes):]))
+                _check_finite(ops, op, v, [P])
+                levels = [_move(P.reshape(moved.shape), head, axes)]
+                for k in axes:
+                    shape[k] = 1
+                v = v.reshape(shape)
+            else:
+                levels = []
+                v = X
+                for k in reversed(axes):  # innermost first
+                    agg, P = kernels.aggregate(_move(v, (k,), (0,)))
+                    _check_finite(ops, op, agg, [P])
+                    levels.append(_move(P, (0,), (k,)))
+                    v = np.expand_dims(agg, k)
+                levels.reverse()
+            local[i] = levels
+            values[i] = v
+        else:
+            v, partials = binary[op](values[instr.args[0]],
+                                     values[instr.args[1]])
+            _check_finite(ops, op, v, partials)
+            local[i] = partials
+            values[i] = v
+    root = len(instrs) - 1
+    grads: list = [{} for _ in programs]  # per formula: predicate -> array
+    adjoints: list = [None] * len(instrs)
+    adjoints[root] = np.ones(values[root].shape)
+    outs = [FormulaPass(float(v), [], []) for v in values[root].reshape(F, -1)[:, 0]]
+    for i in range(root, -1, -1):
+        instr, adj = instrs[i], adjoints[i]
+        op = instr.op
+        if op == "atom":
+            index, shape = local[i]
+            grad = np.zeros(shape)
+            grad[index] += adj
+            for f, p in enumerate(programs):
+                pred = p.instrs[i].atom.pred
+                grads[f][pred] = grads[f].get(pred, 0.0) + grad[f]
+        elif op == "not":
+            adjoints[instr.args[0]] = -adj
+        elif op == "forall":
+            for P in local[i]:  # outermost first
+                adj = adj * P
+            body = instr.args[0]
+            if instr.root:
+                for f, out in enumerate(outs):
+                    out.instance_adjoint = adj[f]
+                    if instrs[body].op in binary:
+                        out.body_partials = tuple(_row(d, f)
+                                                  for d in local[body])
+            adjoints[body] = _reduce_to(adj, values[body].shape)
+        else:
+            for arg, partial in zip(instr.args, local[i]):
+                adjoints[arg] = _reduce_to(adj * partial, values[arg].shape)
+    for out, pred_grads in zip(outs, grads):
+        for pred in sorted(pred_grads):
+            out.leaves.extend(g.tensor(pred)[1].ravel().tolist())
+            out.partials.extend(pred_grads[pred].ravel().tolist())
+    return outs
+
+
+def formula_pass(f, g: GroundingTable, ops: OperatorConfig) -> FormulaPass:
+    """The pass an earlier valuation of ``f`` under ``ops`` left on ``g``,
+    or else a new valuation, recorded on ``g``'s tape."""
+    hit = g.passes.get(id(f))
+    if hit is not None and hit[0] is f and hit[1] == ops:
+        return hit[2]
+    return _valuate([f], g, ops, None)[0]
+
+
+def _valuate(formulas: list, g: GroundingTable, ops: OperatorConfig,
+             mu) -> list:
+    """Valuate ``formulas``, one stack per program shape, and record each
+    on the tape in the given order."""
+    mu = dict(mu) if mu else {}
+    programs = [compile_formula(f) for f in formulas]
+    if len(g.batch) == 1:
+        passes = [_single_object_pass(p, g, ops, mu) for p in programs]
+    else:
+        stacks: dict = {}
+        for k, program in enumerate(programs):
+            stacks.setdefault(program.shape, []).append(k)
+        passes = [None] * len(formulas)
+        for members in stacks.values():
+            with np.errstate(all="ignore"):
+                stack = _stack_pass([programs[k] for k in members], g, ops, mu)
+            for k, out in zip(members, stack):
+                passes[k] = out
+    for f, out in zip(formulas, passes):
+        out.node = g.tape.record_fused("valuation", out.leaves, out.value,
+                                       out.partials)
+        if not mu:
+            g.passes[id(f)] = (f, ops, out)
+    return passes
+
+
+def valuate(f, g: GroundingTable, ops: OperatorConfig,
+            mu: dict | None = None) -> Node:
     """Fuzzy truth value of ``f`` under grounding ``g`` and operators ``ops``.
 
-    ``mu`` maps already-bound variables to object indices.  When
-    ``instances`` is a list and the quantifier body is an implication,
-    one InstanceRecord per enumerated instance is appended; the
-    antecedent/consequent nodes are per-instance pass-through slots, so
-    their adjoints are exactly the per-instance derivatives even when a
-    ground atom is shared between slots.
+    ``mu`` maps variables that ``f`` leaves free to object indices.  The
+    returned tape node's parents are the ground atoms of every predicate
+    ``f`` uses, with d(value)/d(atom) as partials.
     """
-    mu = dict(mu or {})
-    return _eval(f, g, ops, mu, instances, at_root=True)
+    return _valuate([f], g, ops, mu)[0].node
 
 
-def _eval(node, g, ops, mu, instances, at_root=False):
-    tape = g.tape
-    if isinstance(node, Atom):
-        try:
-            objs = tuple(mu[a] for a in node.args)
-        except KeyError as exc:
-            raise SemanticError(f"unbound variable {exc} in {node}") from None
-        return g.node(node.pred, objs)
-    if isinstance(node, Not):
-        child = _eval(node.child, g, ops, mu, instances)
-        return tape.record("N_C", [child], 1.0 - child.value, [-1.0])
-    if isinstance(node, And):
-        lhs = _eval(node.lhs, g, ops, mu, instances)
-        rhs = _eval(node.rhs, g, ops, mu, instances)
-        v, partials = ops.tnorm_kernel(lhs.value, rhs.value)
-        return tape.record(f"T_{ops.tnorm}", [lhs, rhs], v, partials)
-    if isinstance(node, Or):
-        lhs = _eval(node.lhs, g, ops, mu, instances)
-        rhs = _eval(node.rhs, g, ops, mu, instances)
-        v, partials = ops.tconorm_kernel(lhs.value, rhs.value)
-        return tape.record(f"S_{ops.tconorm}", [lhs, rhs], v, partials)
-    if isinstance(node, Implies):
-        lhs = _eval(node.lhs, g, ops, mu, instances)
-        rhs = _eval(node.rhs, g, ops, mu, instances)
-        v, partials = ops.implication_kernel(lhs.value, rhs.value)
-        return tape.record(f"I_{ops.implication}", [lhs, rhs], v, partials)
-    if isinstance(node, ForAll):
-        if ops.aggregator == "log_product" and not at_root:
-            raise SemanticError(
-                "log_product produces a log-space truth value; it may only "
-                "appear as the outermost quantifier of a prenex formula")
-        vars_, body = _collapse_forall(node)
-        return _eval_quantifier(vars_, body, g, ops, mu, instances)
-    raise SemanticError(f"cannot valuate node {node!r}")
+def classical_values(program: Program, g: GroundingTable, truth: dict) -> list:
+    """Boolean truth of every step of ``program`` under data labels:
+    ``truth`` maps each predicate to a boolean array over batch
+    positions, like ``GroundingTable.tensor``.  Quantifiers hold where
+    every instance holds."""
+    b, n_axes = len(g.batch), program.n_axes
+    out: list = []
+    for instr in program.instrs:
+        args = [out[k] for k in instr.args]
+        if instr.op == "atom":
+            index = _term_index(instr, g, n_axes, {})
+            value = _gather(truth[instr.atom.pred], index, n_axes)
+        elif instr.op == "not":
+            value = ~args[0]
+        elif instr.op == "and":
+            value = args[0] & args[1]
+        elif instr.op == "or":
+            value = args[0] | args[1]
+        elif instr.op == "implies":
+            value = ~args[0] | args[1]
+        else:
+            shape = list(args[0].shape)
+            for k in instr.axes:
+                shape[k] = b
+            value = np.broadcast_to(args[0], shape).all(axis=instr.axes,
+                                                        keepdims=True)
+        out.append(value)
+    return out
 
 
-def _eval_body(body, g, ops, mu, instances):
-    if instances is not None and isinstance(body, Implies):
-        ante = _eval(body.lhs, g, ops, mu, instances)
-        cons = _eval(body.rhs, g, ops, mu, instances)
-        # fresh pass-through slots: adjoints stay per-instance even when the
-        # same ground atom serves as antecedent here and consequent elsewhere
-        ante_slot = g.tape.record("ante", [ante], ante.value, [1.0])
-        cons_slot = g.tape.record("cons", [cons], cons.value, [1.0])
-        v, partials = ops.implication_kernel(ante_slot.value, cons_slot.value)
-        out = g.tape.record(f"I_{ops.implication}", [ante_slot, cons_slot],
-                            v, partials)
-        instances.append(InstanceRecord(dict(mu), ante_slot, cons_slot,
-                                        body.lhs, body.rhs))
-        return out
-    return _eval(body, g, ops, mu, instances)
+def dfl_loss(kb: KnowledgeBase, g: GroundingTable,
+             ops: OperatorConfig) -> Node:
+    """L = -sum over formulas of weight * valuation; root of the tape.
 
-
-def _eval_quantifier(vars_, body, g, ops, mu, instances):
-    tape = g.tape
-    batch = g.batch
-    if ops.aggregator == "log_product":
-        values = []
-        for combo in itertools.product(batch, repeat=len(vars_)):
-            mu.update(zip(vars_, combo))
-            values.append(_eval_body(body, g, ops, mu, instances))
-        for var in vars_:
-            mu.pop(var, None)
-        v, partials = ops.aggregate_kernel([n.value for n in values])
-        return tape.record("A_log_product", values, v, partials)
-
-    def agg_over(remaining):
-        if not remaining:
-            return _eval_body(body, g, ops, mu, instances)
-        var = remaining[0]
-        children = []
-        for idx in batch:
-            mu[var] = idx
-            children.append(agg_over(remaining[1:]))
-        del mu[var]
-        v, partials = ops.aggregate_kernel([n.value for n in children])
-        return tape.record(f"A_{ops.aggregator}", children, v, partials)
-
-    return agg_over(list(vars_))
-
-
-def dfl_loss(kb: KnowledgeBase, g: GroundingTable, ops: OperatorConfig,
-             instances: list | None = None) -> Node:
-    """L = -sum over formulas of weight * valuation; root of the tape."""
+    The loss node's parents are the formula valuations, in knowledge-base
+    order."""
     tape = g.tape
     if not kb.entries:
         return tape.leaf(0.0, label="loss")
-    vals = []
-    weights = []
-    for formula, weight in kb.entries:
-        vals.append(valuate(formula, g, ops, instances=instances))
-        weights.append(weight)
+    vals = [out.node for out in _valuate(kb.formulas(), g, ops, None)]
+    weights = [weight for _, weight in kb.entries]
     total = -sum(w * n.value for w, n in zip(weights, vals))
     return tape.record("loss", vals, total, [-w for w in weights])
 

@@ -1,0 +1,125 @@
+"""The recursive scalar valuation engine, kept as the reference that the
+array engine in ``dfl.valuation`` is tested against.
+
+It walks the formula tree once per ground instance and records every
+connective and aggregation as its own node on the grounding's tape,
+calling the scalar kernels through ``OperatorConfig.*_kernel``.  With
+``instances=[]`` it appends one InstanceRecord per instance of a
+quantifier block whose body is an implication; the antecedent and
+consequent are pass-through slots, so their adjoints are exactly the
+per-instance derivatives even when a ground atom is shared between
+slots.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+
+from dfl.autodiff import Node
+from dfl.logic import And, Atom, ForAll, Implies, Not, Or
+from dfl.valuation import SemanticError
+
+
+@dataclass
+class InstanceRecord:
+    """One quantifier instance of a formula whose body is an implication."""
+
+    assignment: dict
+    antecedent: Node
+    consequent: Node
+    antecedent_formula: object
+    consequent_formula: object
+
+
+def valuate(f, g, ops, mu=None, instances=None) -> Node:
+    """Fuzzy truth value of ``f`` as a node on ``g.tape``."""
+    return _eval(f, g, ops, dict(mu or {}), instances, at_root=True)
+
+
+def _collapse_forall(f: ForAll):
+    vars_ = []
+    node = f
+    while isinstance(node, ForAll):
+        vars_.extend(node.vars)
+        node = node.body
+    return tuple(vars_), node
+
+
+def _eval(node, g, ops, mu, instances, at_root=False):
+    tape = g.tape
+    if isinstance(node, Atom):
+        try:
+            objs = tuple(mu[a] for a in node.args)
+        except KeyError as exc:
+            raise SemanticError(f"unbound variable {exc} in {node}") from None
+        return g.node(node.pred, objs)
+    if isinstance(node, Not):
+        child = _eval(node.child, g, ops, mu, instances)
+        return tape.record("N_C", [child], 1.0 - child.value, [-1.0])
+    if isinstance(node, And):
+        lhs = _eval(node.lhs, g, ops, mu, instances)
+        rhs = _eval(node.rhs, g, ops, mu, instances)
+        v, partials = ops.tnorm_kernel(lhs.value, rhs.value)
+        return tape.record(f"T_{ops.tnorm}", [lhs, rhs], v, partials)
+    if isinstance(node, Or):
+        lhs = _eval(node.lhs, g, ops, mu, instances)
+        rhs = _eval(node.rhs, g, ops, mu, instances)
+        v, partials = ops.tconorm_kernel(lhs.value, rhs.value)
+        return tape.record(f"S_{ops.tconorm}", [lhs, rhs], v, partials)
+    if isinstance(node, Implies):
+        lhs = _eval(node.lhs, g, ops, mu, instances)
+        rhs = _eval(node.rhs, g, ops, mu, instances)
+        v, partials = ops.implication_kernel(lhs.value, rhs.value)
+        return tape.record(f"I_{ops.implication}", [lhs, rhs], v, partials)
+    if isinstance(node, ForAll):
+        if ops.aggregator == "log_product" and not at_root:
+            raise SemanticError(
+                "log_product produces a log-space truth value; it may only "
+                "appear as the outermost quantifier of a prenex formula")
+        vars_, body = _collapse_forall(node)
+        return _eval_quantifier(vars_, body, g, ops, mu, instances)
+    raise SemanticError(f"cannot valuate node {node!r}")
+
+
+def _eval_body(body, g, ops, mu, instances):
+    if instances is not None and isinstance(body, Implies):
+        ante = _eval(body.lhs, g, ops, mu, instances)
+        cons = _eval(body.rhs, g, ops, mu, instances)
+        ante_slot = g.tape.record("ante", [ante], ante.value, [1.0])
+        cons_slot = g.tape.record("cons", [cons], cons.value, [1.0])
+        v, partials = ops.implication_kernel(ante_slot.value, cons_slot.value)
+        out = g.tape.record(f"I_{ops.implication}", [ante_slot, cons_slot],
+                            v, partials)
+        instances.append(InstanceRecord(dict(mu), ante_slot, cons_slot,
+                                        body.lhs, body.rhs))
+        return out
+    return _eval(body, g, ops, mu, instances)
+
+
+def _eval_quantifier(vars_, body, g, ops, mu, instances):
+    tape = g.tape
+    batch = g.batch
+    if ops.aggregator == "log_product":
+        values = []
+        for combo in itertools.product(batch, repeat=len(vars_)):
+            mu.update(zip(vars_, combo))
+            values.append(_eval_body(body, g, ops, mu, instances))
+        for var in vars_:
+            mu.pop(var, None)
+        v, partials = ops.aggregate_kernel([n.value for n in values])
+        return tape.record("A_log_product", values, v, partials)
+
+    def agg_over(remaining):
+        if not remaining:
+            return _eval_body(body, g, ops, mu, instances)
+        var = remaining[0]
+        children = []
+        for idx in batch:
+            mu[var] = idx
+            children.append(agg_over(remaining[1:]))
+        del mu[var]
+        v, partials = ops.aggregate_kernel([n.value for n in children])
+        return tape.record(f"A_{ops.aggregator}", children, v, partials)
+
+    return agg_over(list(vars_))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,8 @@ from dfl.analysis import (
     _nonvanishing_mask,
 )
 from dfl.logic import parse_formula, parse_kb
-from dfl.operators import OperatorConfig, catalog, descriptor, parse_operator_config
+from dfl.operators import (OperatorConfig, OperatorError, catalog, descriptor,
+                           parse_operator_config)
 from dfl.valuation import LookupInterpretation, Domain, build_grounding
 
 SAMPLES = 40_000
@@ -117,19 +119,83 @@ def test_std_error_formula():
 
 
 # ---------------------------------------------------------------------------
-# the vectorized masks agree with the scalar kernels
+# the array kernels (and the masks derived from them) agree with the
+# scalar kernels
+
+BOUNDARY = [0.0, 1e-7, 0.5, 1.0 - 1e-7, 1.0]
+
+# scalar kernels that call pow/exp/log, where numpy's vectorised routines
+# may round the last digit differently from the C library
+TRANSCENDENTAL = {("tnorm", "yager"), ("tconorm", "yager"),
+                  ("implication", "yager_s"), ("implication", "yager_r"),
+                  ("implication", "sigmoidal"), ("aggregator", "log_product"),
+                  ("aggregator", "yager"), ("aggregator", "pme"),
+                  ("aggregator", "pmean"), ("aggregator", "mae"),
+                  ("aggregator", "rmse")}
+# aggregators whose scalar kernels sum with math.fsum (arrays: plain sums,
+# which round alike for two inputs but not always for three)
+FSUM = {"lukasiewicz", "bounded_sum", "log_product", "yager", "pme", "pmean",
+        "mae", "rmse"}
+
+
+def _array_and_scalar(desc, points):
+    """Per point, (value, partials) from the array kernel and from the
+    scalar kernel."""
+    points = np.asarray(points, dtype=float)
+    if desc.family == "aggregator":
+        value, partials = desc.array_kernel(points.T)
+    else:
+        value, partials = desc.array_kernel(*points.T)
+        partials = [np.broadcast_to(d, value.shape) for d in partials]
+    array = [(value[i], [d[i] for d in partials]) for i in range(len(points))]
+    return array, [desc.kernel(*x) for x in points.tolist()]
+
+
+def _agree(desc, points, exact, tol):
+    array, scalar = _array_and_scalar(desc, points)
+    for x, (av, ap), (sv, sp) in zip(points, array, scalar):
+        for a, s in [(av, sv)] + list(zip(ap, sp)):
+            # the branch taken: zero partials and live partials coincide
+            assert (a == 0.0) == (s == 0.0), (desc.label(), x, a, s)
+            assert (abs(a) > 1e-12) == (abs(s) > 1e-12), (desc.label(), x)
+            if exact or math.isinf(s):
+                assert a == s, (desc.label(), x, a, s)
+            else:
+                assert abs(a - s) <= tol * max(1.0, abs(s)), (desc.label(), x)
+
 
 @pytest.mark.parametrize("desc", [d for d in catalog() if d.family != "negation"],
                          ids=lambda d: f"{d.family}:{d.label()}")
 def test_mask_matches_scalar_kernels(desc):
     rng = np.random.default_rng(abs(hash(desc.label())) % 10_000)
-    n = 2 if desc.family != "aggregator" else 3
-    X = rng.random((400, n))
-    mask = _nonvanishing_mask(desc, X)
-    for i in range(len(X)):
-        _, partials = desc.kernel(*X[i].tolist())
-        scalar = any(abs(d) > 1e-12 for d in partials)
-        assert scalar == bool(mask[i]), (desc.label(), X[i])
+    transcendental = (desc.family, desc.name) in TRANSCENDENTAL
+    for n in ((2, 3) if desc.family == "aggregator" else (2,)):
+        grid = [x for x in itertools.product(BOUNDARY, repeat=n)
+                if desc.name != "log_product" or 0.0 not in x]
+        plain_sum = n > 2 and desc.family == "aggregator" and desc.name in FSUM
+        _agree(desc, grid, exact=not (transcendental or plain_sum), tol=1e-15)
+        X = rng.random((400, n))
+        _agree(desc, X, exact=False, tol=1e-12)
+        mask = _nonvanishing_mask(desc, X)
+        for i in range(len(X)):
+            _, partials = desc.kernel(*X[i].tolist())
+            scalar = any(abs(d) > 1e-12 for d in partials)
+            assert scalar == bool(mask[i]), (desc.label(), X[i])
+
+
+def test_array_kernels_make_the_scalar_checks():
+    with pytest.raises(OperatorError, match="log_product is undefined"):
+        descriptor("aggregator", "log_product").array_kernel(np.array([[0.5], [0.0]]))
+    with pytest.raises(OperatorError, match="in \\[0, 1\\]"):
+        descriptor("tnorm", "product").array_kernel(np.array([0.5]), np.array([1.5]))
+    with pytest.raises(OperatorError, match="requires parameter p"):
+        descriptor("tnorm", "yager").array_kernel(np.array([0.5]), np.array([0.5]))
+    with pytest.raises(OperatorError, match="at least one input"):
+        descriptor("aggregator", "min").array_kernel(np.zeros((0, 3)))
+    value, (partial,) = descriptor("negation", "classic").array_kernel(
+        np.array(BOUNDARY))
+    assert value.tolist() == [1.0 - x for x in BOUNDARY]
+    assert partial.tolist() == [-1.0] * len(BOUNDARY)
 
 
 # ---------------------------------------------------------------------------

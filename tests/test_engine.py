@@ -1,0 +1,252 @@
+"""The array valuation engine against the recursive scalar reference
+(tests/scalar_reference.py): formula values, every atom gradient and the
+gradient-quality metrics agree to 1e-12 under every operator, and both
+raise the same exceptions."""
+
+import math
+import random
+
+import pytest
+
+import scalar_reference
+from dfl.analysis import classical_truth, gradient_quality, labeling_from_atoms
+from dfl.logic import And, Atom, ForAll, Implies, KnowledgeBase, Not, Or
+from dfl.operators import (AGGREGATOR_NAMES, IMPLICATION_NAMES, TCONORM_NAMES,
+                           TNORM_NAMES, parse_operator_config)
+from dfl.valuation import (Domain, LookupInterpretation, SemanticError,
+                           build_grounding, compile_formula, dfl_loss, valuate)
+
+BASE = "tnorm=product tconorm=product implication=reichenbach aggregator=product"
+
+
+def _overrides():
+    """One config per catalog operator, each varying one family of BASE."""
+    out = []
+    for name in TNORM_NAMES:
+        out.append(f"tnorm={name}" + (":p=2" if name == "yager" else ""))
+    for name in TCONORM_NAMES:
+        out.append(f"tconorm={name}" + (":p=2" if name == "yager" else ""))
+    for name in IMPLICATION_NAMES:
+        if name == "sigmoidal":
+            out.append("implication=sigmoidal:base=kleene_dienes,s=9,b0=-0.5")
+        elif name in ("yager_s", "yager_r"):
+            out.append(f"implication={name}:p=2")
+        else:
+            out.append(f"implication={name}")
+    for name in AGGREGATOR_NAMES:
+        params = {"yager": [":p=2"], "pme": [":p=0.5", ":p=2"],
+                  "pmean": [":p=0.5", ":p=2"]}.get(name, [""])
+        out += [f"aggregator={name}{p}" for p in params]
+    return out
+
+
+CONFIGS = _overrides()
+SIGNATURE = {"p": 1, "q": 1, "r": 2}
+
+
+def _tree(rng, vars_, depth):
+    """Random quantifier-free body over p/1, q/1 and r/2; atoms repeat
+    (shared atoms) and r may repeat a variable (r(x, x))."""
+    if depth == 0 or rng.random() < 0.3:
+        pred = rng.choice(["p", "q", "r"])
+        return Atom(pred, tuple(rng.choice(vars_)
+                                for _ in range(SIGNATURE[pred])))
+    kind = rng.choice(["and", "or", "implies", "not", "shared"])
+    if kind == "not":
+        return Not(_tree(rng, vars_, depth - 1))
+    if kind == "shared":
+        sub = _tree(rng, vars_, depth - 1)
+        return And(sub, Or(sub, Not(sub)))
+    cls = {"and": And, "or": Or, "implies": Implies}[kind]
+    return cls(_tree(rng, vars_, depth - 1), _tree(rng, vars_, depth - 1))
+
+
+def _random_formulas(rng):
+    """Prenex formulas, a nested quantifier under a connective, and one
+    formula with a variable z left free for ``mu``."""
+    prenex = [ForAll(("x", "y"), Implies(_tree(rng, ["x", "y"], 2),
+                                         _tree(rng, ["x", "y"], 2))),
+              ForAll(("x",), ForAll(("y",), _tree(rng, ["x", "y"], 3)))]
+    nested = ForAll(("x",), And(_tree(rng, ["x"], 1),
+                                ForAll(("y",), _tree(rng, ["x", "y"], 2))))
+    free = ForAll(("x",), Or(_tree(rng, ["x", "z"], 2), Atom("r", ("z", "x"))))
+    return prenex, nested, free
+
+
+def _grounding(table, batch):
+    domain = Domain([f"o{i}" for i in range(3)])
+    return build_grounding(LookupInterpretation(table), domain, SIGNATURE, batch)
+
+
+def _table(rng, ties=False):
+    """Random atom values; with ``ties``, values from {1/4, 1/2, 3/4}, whose
+    sums and products are exact, so ties and branch boundaries such as
+    a + b = 1 occur and the conventions there are compared too."""
+    table = {}
+    for pred, arity in SIGNATURE.items():
+        objs = [(i,) for i in range(3)] if arity == 1 else \
+            [(i, j) for i in range(3) for j in range(3)]
+        for o in objs:
+            table[(pred, o)] = rng.choice([0.25, 0.5, 0.75]) if ties \
+                else rng.random()
+    return table
+
+
+def _close(a, b, tol=1e-12):
+    return abs(a - b) <= tol * max(1.0, abs(b))
+
+
+def _gradients(valuate_fn, formula, table, batch, ops, mu=None):
+    g = _grounding(table, batch)
+    node = valuate_fn(formula, g, ops, mu=mu)
+    grads = g.tape.backward(node)
+    return node.value, {key: grads[leaf] for key, leaf in g.nodes.items()}
+
+
+def _outcome(valuate_fn, formula, table, batch, ops, mu=None):
+    try:
+        return _gradients(valuate_fn, formula, table, batch, ops, mu)
+    except (SemanticError, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("override", CONFIGS)
+def test_engine_matches_scalar_reference(override):
+    ops = parse_operator_config(f"{BASE} {override}")
+    rng = random.Random(override)
+    for trial in range(6):
+        table = _table(rng, ties=trial % 2 == 1)
+        prenex, nested, free = _random_formulas(rng)
+        batch = [[0], [0, 2], [0, 1, 2]][trial % 3]
+        cases = [(f, None) for f in prenex + [nested]]
+        cases += [(free, {"z": obj}) for obj in batch[:2]]
+        for formula, mu in cases:
+            got = _outcome(valuate, formula, table, batch, ops, mu)
+            want = _outcome(scalar_reference.valuate, formula, table, batch,
+                            ops, mu)
+            if isinstance(want, type):
+                assert got is want, (override, formula)
+                continue
+            assert _close(got[0], want[0]), (override, formula, got[0], want[0])
+            for key, grad in want[1].items():
+                assert _close(got[1][key], grad), (override, formula, key)
+
+
+def test_log_product_under_a_connective_is_rejected_by_both():
+    ops = parse_operator_config("aggregator=log_product")
+    _, nested, _ = _random_formulas(random.Random(1))
+    table = _table(random.Random(2))
+    for valuate_fn in (valuate, scalar_reference.valuate):
+        with pytest.raises(SemanticError, match="log_product"):
+            valuate_fn(nested, _grounding(table, [0, 1]), ops)
+
+
+@pytest.mark.parametrize("batch", [[0], [0, 1]])
+def test_unbound_variable_and_missing_atom_raise_semantic_error(batch):
+    ops = parse_operator_config(BASE)
+    table = _table(random.Random(3))
+    unbound = ForAll(("x",), And(Atom("p", ("x",)), Atom("q", ("z",))))
+    missing = ForAll(("x",), Atom("s", ("x",)))
+    outside = ForAll(("x",), Atom("r", ("x", "z")))
+    for valuate_fn in (valuate, scalar_reference.valuate):
+        with pytest.raises(SemanticError, match="unbound variable 'z'"):
+            valuate_fn(unbound, _grounding(table, batch), ops)
+        with pytest.raises(SemanticError, match="missing"):
+            valuate_fn(missing, _grounding(table, batch), ops)
+        with pytest.raises(SemanticError, match="missing"):
+            valuate_fn(outside, _grounding(table, batch), ops, mu={"z": 2})
+
+
+@pytest.mark.parametrize("config, q, batch", [
+    # Goguen gives 0 at a = 1, c = 0, and log_product rejects the 0
+    ("implication=goguen aggregator=log_product", [0.0, 0.0], [0]),
+    ("implication=goguen aggregator=log_product", [0.0, 0.0], [0, 1]),
+    # pme with p < 1 has an infinite partial at an instance valued 1
+    ("aggregator=pme:p=0.5", [1.0, 0.5], [0, 1]),
+])
+def test_non_finite_valuations_raise_value_error(config, q, batch):
+    ops = parse_operator_config(config)
+    formula = ForAll(("x",), Implies(Atom("p", ("x",)), Atom("q", ("x",))))
+    table = {("p", (0,)): 1.0, ("p", (1,)): 1.0,
+             ("q", (0,)): q[0], ("q", (1,)): q[1]}
+    domain = Domain(["o0", "o1"])
+    for valuate_fn in (valuate, scalar_reference.valuate):
+        g = build_grounding(LookupInterpretation(table), domain,
+                            {"p": 1, "q": 1}, batch, clamp_eps=0.0)
+        with pytest.raises(ValueError):
+            valuate_fn(formula, g, ops)
+
+
+def _reference_quality(kb, g, ops, atom_fn):
+    """cons%, cu_cons% and cu_ant% from the reference's per-instance
+    pass-through slots and per-instance classical truth."""
+    cons = ant = cu_cons = cu_ant = 0.0
+    for formula, _ in kb.entries:
+        instances = []
+        root = scalar_reference.valuate(formula, g, ops, instances=instances)
+        grads = g.tape.backward(root)
+        for rec in instances:
+            d_cons, d_ant = grads[rec.consequent], -grads[rec.antecedent]
+            cons += d_cons
+            ant += d_ant
+            cu_cons += classical_truth(rec.consequent_formula, rec.assignment,
+                                       atom_fn) * d_cons
+            cu_ant += classical_truth(Not(rec.antecedent_formula),
+                                      rec.assignment, atom_fn) * d_ant
+    return cons, ant, cu_cons / cons, cu_ant / ant
+
+
+@pytest.mark.parametrize("override", [
+    "", "implication=kleene_dienes tnorm=godel", "aggregator=log_product",
+    "implication=sigmoidal:base=reichenbach,s=9,b0=-0.5 aggregator=log_product",
+    "implication=lukasiewicz aggregator=mae"])
+@pytest.mark.parametrize("batch", [[0], [0, 1, 2]])
+def test_gradient_quality_matches_per_instance_reference(override, batch):
+    ops = parse_operator_config(f"{BASE} {override}")
+    rng = random.Random(f"{override}{batch}")
+    kb = KnowledgeBase()
+    for _ in range(3):
+        kb.add(_random_formulas(rng)[0][0])
+    table = _table(rng)
+    labels = {key: rng.random() < 0.5 for key in table}
+
+    def atom_fn(pred, objs):
+        return labels[(pred, objs)]
+
+    g = _grounding(table, batch)
+    dfl_loss(kb, g, ops)  # gradient_quality reuses these passes
+    got = gradient_quality(kb, g, ops, labeling_from_atoms(atom_fn))
+    cons, ant, cu_cons, cu_ant = _reference_quality(
+        kb, _grounding(table, batch), ops, atom_fn)
+    assert _close(got.cons_magnitude, cons) and _close(got.ant_magnitude, ant)
+    assert _close(got.cu_cons_pct, cu_cons) and _close(got.cu_ant_pct, cu_ant)
+    # a labels function without ``atom_fn`` is called per instance instead
+    plain = gradient_quality(kb, _grounding(table, batch), ops,
+                             lambda f, mu: int(classical_truth(f, mu, atom_fn)))
+    assert _close(plain.cu_cons_pct, got.cu_cons_pct)
+    assert _close(plain.cu_ant_pct, got.cu_ant_pct)
+
+
+def test_formulas_compile_once_into_postorder_programs():
+    formula = ForAll(("x", "y"), Implies(And(Atom("p", ("x",)),
+                                             Atom("r", ("x", "x"))),
+                                         Atom("q", ("y",))))
+    program = compile_formula(formula)
+    assert compile_formula(formula) is program
+    assert [s.op for s in program.instrs] == ["atom", "atom", "and", "atom",
+                                              "implies", "forall"]
+    assert program.n_axes == 2 and program.instrs[1].terms == (0, 0)
+    assert program.body == 4
+
+
+def test_valuation_is_one_fused_node_over_the_atom_leaves():
+    ops = parse_operator_config(BASE)
+    table = _table(random.Random(5))
+    formula = _random_formulas(random.Random(6))[0][0]
+    g = _grounding(table, [0, 1, 2])
+    before = len(g.tape)
+    node = valuate(formula, g, ops)
+    assert len(g.tape) == before + 1
+    parents = g.tape.parents[node.idx]
+    assert {idx for idx, _ in parents} <= {leaf.idx for leaf in g.nodes.values()}
+    assert all(math.isfinite(d) for _, d in parents)

@@ -25,7 +25,8 @@ from dfl.trainer import (
     semi_supervised_train,
     toy_optimization_rate,
 )
-from dfl.valuation import Domain, build_grounding, dfl_loss, valuate
+from dfl.valuation import Domain, build_grounding
+import scalar_reference
 
 GODEL = parse_operator_config(
     "tnorm=godel tconorm=godel implication=kleene_dienes aggregator=min")
@@ -214,6 +215,59 @@ def test_same_pairs_undersampling():
     assert all(y[i] != y[j] for i, j in neg)
 
 
+def _loop_same_pairs(rng, y_batch):
+    # the per-pair loop version of _same_pairs
+    n = len(y_batch)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    pos = [(i, j) for i, j in pairs if y_batch[i] == y_batch[j]]
+    neg = [(i, j) for i, j in pairs if y_batch[i] != y_batch[j]]
+    if len(neg) > len(pos):
+        idx = rng.choice(len(neg), size=len(pos), replace=False)
+        neg = [neg[k] for k in idx]
+    return pos, neg
+
+
+def _loop_same_bce_gradients(model, X, pos, neg, grads):
+    # the per-pair loop version of _same_bce_gradients
+    from dfl.trainer import _sigmoid
+    H = model.hidden(X)
+    Z = model.same_logits(H)
+    S = _sigmoid(Z)
+    pairs = [(i, j, 1.0) for i, j in pos] + [(i, j, 0.0) for i, j in neg]
+    if not pairs:
+        return 0.0
+    dZ = np.zeros_like(Z)
+    loss = 0.0
+    for i, j, t in pairs:
+        s = min(max(S[i, j], 1e-12), 1 - 1e-12)
+        loss -= t * math.log(s) + (1 - t) * math.log(1 - s)
+        dZ[i, j] += s - t
+    model.same_backward(X, H, dZ, grads)
+    return loss
+
+
+@pytest.mark.parametrize("labels", [
+    "task", [0, 0, 0, 0], [0, 1, 2, 3], [3, 3, 1, 2, 1, 3, 0]])
+def test_same_pairs_and_bce_match_loop_version(labels):
+    task = make_task(0)
+    y = task.y[task.labeled_idx] if labels == "task" else np.array(labels)
+    X = task.X[task.labeled_idx[:len(y)]]
+    model = TinyModel(task.dim, 32, 10, seed=3)
+    rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+    pos, neg = _same_pairs(rng_a, y)
+    loop_pos, loop_neg = _loop_same_pairs(rng_b, y)
+    assert [tuple(p) for p in pos.tolist()] == loop_pos
+    assert [tuple(p) for p in neg.tolist()] == loop_neg
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    grads, loop_grads = model.zero_grads(), model.zero_grads()
+    loss = _same_bce_gradients(model, X, pos, neg, grads)
+    loop_loss = _loop_same_bce_gradients(model, X, loop_pos, loop_neg,
+                                         loop_grads)
+    assert loss == loop_loss
+    for key in model.PARAMS:
+        assert np.array_equal(grads[key], loop_grads[key]), key
+
+
 # ---------------------------------------------------------------------------
 # gradient quality during training
 
@@ -258,7 +312,7 @@ def test_cu_ant_under_shuffled_labels_matches_counting_oracle():
     total_w = total_wq = var = 0.0
     for formula, _ in kb.entries:
         instances = []
-        root = valuate(formula, g, ops, instances=instances)
+        root = scalar_reference.valuate(formula, g, ops, instances=instances)
         grads = g.tape.backward(root)
         for rec in instances:
             w = -grads[rec.antecedent]

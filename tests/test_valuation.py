@@ -11,6 +11,7 @@ from dfl.valuation import (
     valuate,
 )
 from conftest import SCENE_VALUATION, SCENE_VALUATION_GRADIENTS
+import scalar_reference
 
 PRODUCT = OperatorConfig()  # T_P, S_P, I_RC, A_TP
 
@@ -54,6 +55,12 @@ def test_grounding_rejects_out_of_range_scorer():
     domain = _uniform_domain(2)
     with pytest.raises(SemanticError):
         build_grounding(_const_interp({"p": 1}, 1.5), domain, {"p": 1}, [0, 1])
+
+
+def test_grounding_rejects_repeated_batch_objects():
+    domain = _uniform_domain(2)
+    with pytest.raises(SemanticError, match="distinct"):
+        build_grounding(_const_interp({"p": 1}, 0.5), domain, {"p": 1}, [0, 0])
 
 
 def test_grounding_clamps():
@@ -155,7 +162,8 @@ def test_quantifier_instance_count_is_b_to_the_d():
         g = build_grounding(_const_interp({"p": 1, "q": 1}, 0.5), domain,
                             {"p": 1, "q": 1}, list(range(b)))
         instances = []
-        valuate(kb.formulas()[0], g, PRODUCT, instances=instances)
+        scalar_reference.valuate(kb.formulas()[0], g, PRODUCT,
+                                 instances=instances)
         assert len(instances) == b ** 2
 
 
