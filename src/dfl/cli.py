@@ -27,7 +27,7 @@ from .logic import ParseError, parse_kb
 from .operators import (ConfigError, OperatorConfig, OperatorError,
                         descriptor, parse_operator_config)
 from .valuation import (SemanticError, build_grounding, dfl_loss,
-                        parse_grounding)
+                        formula_pass, parse_grounding)
 
 log = logging.getLogger("dfl")
 
@@ -110,15 +110,13 @@ def cmd_eval(args, argv) -> int:
     grounding = build_grounding(interp, domain, kb.signature,
                                 list(range(len(domain))))
     loss = dfl_loss(kb, grounding, ops)
-    tape = grounding.tape
-    # the loss node's parents are the formula valuations, in KB order
-    values = [tape.values[idx] for idx, _ in tape.parents[loss.idx]]
-    adjoints = tape.backward(loss)
+    values = [formula_pass(f, grounding, ops).value for f in kb.formulas()]
+    adjoints = grounding.tape.backward(loss)
     grads = {key: adjoints[node] for key, node in grounding.nodes.items()}
     for i, ((formula, weight), value) in enumerate(zip(kb.entries, values), 1):
         print(f"formula {i}: weight={_fmt(weight)} valuation={_fmt(value)}")
     print(f"total_valuation {_fmt(sum(values))}")
-    print(f"dfl_loss {_fmt(-sum(w * v for (_, w), v in zip(kb.entries, values)))}")
+    print(f"dfl_loss {_fmt(loss.value)}")
     print("gradients (dL/datom; dVal/datom is the negation):")
     rows = []
     for (pred, objs), grad in sorted(grads.items()):

@@ -1061,22 +1061,18 @@ class OperatorDescriptor:
             return f"{self.name}({inner})"
         return self.name
 
-    @cached_property
-    def kernel(self) -> Callable:
-        """The scalar kernel with this entry's name and parameters bound
-        once; ``desc.kernel(*xs)`` returns (value, partials)."""
+    def kernel(self, *xs):
         kw = dict(self.params)
-        name, p = self.name, kw.get("p")
         if self.family == "negation":
-            return negation_kernel
+            return negation_kernel(*xs)
         if self.family == "tnorm":
-            return lambda *xs: tnorm_kernel(name, xs[0], xs[1], p)
+            return tnorm_kernel(self.name, xs[0], xs[1], kw.get("p"))
         if self.family == "tconorm":
-            return lambda *xs: tconorm_kernel(name, xs[0], xs[1], p)
+            return tconorm_kernel(self.name, xs[0], xs[1], kw.get("p"))
         if self.family == "aggregator":
-            return lambda *xs: aggregate_kernel(name, xs, p)
+            return aggregate_kernel(self.name, xs, kw.get("p"))
         if self.family == "implication":
-            return lambda *xs: implication_kernel(name, xs[0], xs[1], **kw)
+            return implication_kernel(self.name, xs[0], xs[1], **kw)
         raise OperatorError(f"unknown family {self.family!r}")
 
     def array_kernel(self, *xs):

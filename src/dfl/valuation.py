@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import random
 import re
 import weakref
@@ -91,18 +90,15 @@ class LookupInterpretation:
 class GroundingTable:
     """Tape-backed truth values for every ground atom over a batch.
 
-    ``scores`` maps each predicate to (arity, tape index of its first
-    atom, clamped values), with its atoms in row-major order of batch
-    positions, as ``build_grounding`` records them; ``tensor(pred)`` views
-    them as arrays.  ``passes`` keeps the latest forward/backward pass of
-    each formula valuated on this grounding (see ``formula_pass``).
+    ``tensor(pred)`` views a predicate's atoms as arrays over batch
+    positions.  ``passes`` keeps the latest forward/backward pass of each
+    formula valuated on this grounding (see ``formula_pass``).
     """
 
     nodes: dict
     batch: list
     tape: Tape
     raw: dict = field(default_factory=dict)
-    scores: dict = field(default_factory=dict, repr=False)
     passes: dict = field(default_factory=dict, init=False, repr=False)
     _tensors: dict = field(default_factory=dict, init=False, repr=False)
     _positions: dict | None = field(default=None, init=False, repr=False)
@@ -123,12 +119,21 @@ class GroundingTable:
         """(values, tape indices) of ``pred``'s atoms as arrays with one
         axis of batch positions per argument, or None when the grounding
         has no atom of ``pred``."""
-        if pred not in self._tensors and pred in self.scores:
-            arity, first, values = self.scores[pred]
-            shape = (len(self.batch),) * arity
-            self._tensors[pred] = (np.array(values).reshape(shape), np.arange(
-                first, first + len(values)).reshape(shape))
+        if not self._tensors:
+            arities = {p: len(objs) for p, objs in self.nodes}
+            for p, arity in arities.items():
+                self._tensors[p] = self._tensor(p, arity)
         return self._tensors.get(pred)
+
+    def _tensor(self, pred: str, arity: int):
+        shape = (len(self.batch),) * arity
+        try:
+            nodes = [self.nodes[(pred, objs)] for objs in
+                     itertools.product(self.batch, repeat=arity)]
+        except KeyError:
+            return None  # the grounding lacks some atom of pred
+        return (np.array([n.value for n in nodes]).reshape(shape),
+                np.array([n.idx for n in nodes]).reshape(shape))
 
     def position(self, obj: int):
         """Batch position of object ``obj``, or None outside the batch."""
@@ -167,11 +172,8 @@ def build_grounding(interp, domain: Domain, signature: dict, batch: list,
     tape = tape if tape is not None else Tape()
     nodes = {}
     raw_values = {}
-    scores = {}
     for pred in sorted(signature):
         arity = signature[pred]
-        first = len(tape)
-        values = []
         for objs in itertools.product(batch, repeat=arity):
             raw = float(interp.score(pred, objs))
             if raw < -1e-6 or raw > 1.0 + 1e-6:
@@ -181,9 +183,7 @@ def build_grounding(interp, domain: Domain, signature: dict, batch: list,
             key = (pred, objs)
             nodes[key] = tape.leaf(clamped, label=f"{pred}{objs}")
             raw_values[key] = raw
-            values.append(clamped)
-        scores[pred] = (arity, first, values)
-    return GroundingTable(nodes, list(batch), tape, raw_values, scores)
+    return GroundingTable(nodes, list(batch), tape, raw_values)
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +317,14 @@ class FormulaPass:
     d(value)/d(body) per ground instance of the root quantifier block,
     and ``body_partials`` the body's own local partials when it is a
     binary connective (dI/da and dI/dc for an implication); both
-    broadcast to one axis per quantified variable, and are plain floats
-    for a batch of one object.  ``node`` is the fused tape node of the
-    valuation.
+    broadcast to one axis per quantified variable.  ``node`` is the fused
+    tape node of the valuation.
     """
 
     value: float
     leaves: list
     partials: list
-    instance_adjoint: np.ndarray | float | None = None
+    instance_adjoint: np.ndarray | None = None
     body_partials: tuple | None = None
     node: Node | None = None
 
@@ -397,14 +396,6 @@ def _check_finite(ops: OperatorConfig, op: str, value, partials):
             raise _non_finite(ops, op, what, np.asarray(arr)[~finite][0])
 
 
-def _check_finite_scalar(ops: OperatorConfig, op: str, value: float, partials):
-    if not math.isfinite(value):
-        raise _non_finite(ops, op, "value", value)
-    if not all(map(math.isfinite, partials)):
-        raise _non_finite(ops, op, "partial",
-                          next(d for d in partials if not math.isfinite(d)))
-
-
 def _move(x: np.ndarray, source: tuple, destination: tuple) -> np.ndarray:
     return x if source == destination else np.moveaxis(x, source, destination)
 
@@ -421,73 +412,6 @@ def _reduce_to(adjoint: np.ndarray, shape) -> np.ndarray:
 def _row(x: np.ndarray, f: int) -> np.ndarray:
     """Formula f's slice of a stacked array (size 1 broadcasts)."""
     return x[f if len(x) > 1 else 0]
-
-
-def _single_object_pass(program, g, ops, mu) -> FormulaPass:
-    """The pass over a batch of one object, where every array would hold a
-    single instance: the program runs on Python floats through the
-    scalar kernels, which at that size are many times faster than numpy."""
-    instrs = program.instrs
-    values: list = [0.0] * len(instrs)
-    local: list = [None] * len(instrs)
-    binary = {"and": ops.tnorm_kernel, "or": ops.tconorm_kernel,
-              "implies": ops.implication_kernel}
-    log_space = ops.aggregator == "log_product"
-    obj = g.batch[0]
-    for i, instr in enumerate(instrs):
-        op = instr.op
-        if op == "atom":
-            try:
-                objs = tuple(obj if type(t) is int else mu[t] for t in instr.terms)
-            except KeyError as exc:
-                raise SemanticError(
-                    f"unbound variable {exc} in {instr.atom}") from None
-            local[i] = g.node(instr.atom.pred, objs)
-            values[i] = local[i].value
-        elif op == "not":
-            values[i] = 1.0 - values[instr.args[0]]
-        elif op == "forall":
-            if log_space and not instr.root:
-                raise _log_product_error()
-            v, levels = values[instr.args[0]], []
-            for _ in range(1 if log_space else len(instr.axes)):
-                v, (partial,) = ops.aggregate_kernel([v])
-                _check_finite_scalar(ops, op, v, [partial])
-                levels.append(partial)
-            local[i] = levels
-            values[i] = v
-        else:
-            v, partials = binary[op](values[instr.args[0]],
-                                     values[instr.args[1]])
-            _check_finite_scalar(ops, op, v, partials)
-            local[i] = partials
-            values[i] = v
-    root = len(instrs) - 1
-    adjoints: list = [0.0] * len(instrs)
-    adjoints[root] = 1.0
-    grads: dict = {}  # leaf index -> d(value)/d(atom)
-    out = FormulaPass(values[root], [], [])
-    for i in range(root, -1, -1):
-        instr, adj = instrs[i], adjoints[i]
-        if instr.op == "atom":
-            leaf = local[i].idx
-            grads[leaf] = grads.get(leaf, 0.0) + adj
-        elif instr.op == "not":
-            adjoints[instr.args[0]] = -adj
-        elif instr.op == "forall":
-            for partial in local[i]:
-                adj *= partial
-            body = instr.args[0]
-            if instr.root:
-                out.instance_adjoint = adj
-                if instrs[body].op in binary:
-                    out.body_partials = local[body]
-            adjoints[body] = adj
-        else:
-            for arg, partial in zip(instr.args, local[i]):
-                adjoints[arg] = adj * partial
-    out.leaves, out.partials = list(grads), list(grads.values())
-    return out
 
 
 def _log_product_error() -> SemanticError:
@@ -621,18 +545,15 @@ def _valuate(formulas: list, g: GroundingTable, ops: OperatorConfig,
     on the tape in the given order."""
     mu = dict(mu) if mu else {}
     programs = [compile_formula(f) for f in formulas]
-    if len(g.batch) == 1:
-        passes = [_single_object_pass(p, g, ops, mu) for p in programs]
-    else:
-        stacks: dict = {}
-        for k, program in enumerate(programs):
-            stacks.setdefault(program.shape, []).append(k)
-        passes = [None] * len(formulas)
-        for members in stacks.values():
-            with np.errstate(all="ignore"):
-                stack = _stack_pass([programs[k] for k in members], g, ops, mu)
-            for k, out in zip(members, stack):
-                passes[k] = out
+    stacks: dict = {}
+    for k, program in enumerate(programs):
+        stacks.setdefault(program.shape, []).append(k)
+    passes = [None] * len(formulas)
+    for members in stacks.values():
+        with np.errstate(all="ignore"):
+            stack = _stack_pass([programs[k] for k in members], g, ops, mu)
+        for k, out in zip(members, stack):
+            passes[k] = out
     for f, out in zip(formulas, passes):
         out.node = g.tape.record_fused("valuation", out.leaves, out.value,
                                        out.partials)

@@ -63,6 +63,28 @@ def test_grounding_rejects_repeated_batch_objects():
         build_grounding(_const_interp({"p": 1}, 0.5), domain, {"p": 1}, [0, 0])
 
 
+def test_hand_built_grounding_valuates_like_build_grounding():
+    # atoms recorded in an order of their own, over a batch with a gap
+    from dfl.autodiff import Tape
+    batch = [2, 0]
+    table = {("p", (0,)): 0.3, ("p", (2,)): 0.8}
+    for k, objs in enumerate([(0, 0), (0, 2), (2, 0), (2, 2)]):
+        table[("q", objs)] = 0.1 + 0.2 * k
+    tape = Tape()
+    nodes = {key: tape.leaf(value) for key, value in reversed(table.items())}
+    hand = GroundingTable(nodes, batch, tape)
+    built = build_grounding(LookupInterpretation(table), _uniform_domain(3),
+                            {"p": 1, "q": 2}, batch)
+    kb = parse_kb("forall x, y: p(x) -> q(x, y)\n")
+    expected = atom_gradients(kb, built, PRODUCT)
+    got = atom_gradients(kb, hand, PRODUCT)
+    assert dfl_loss(kb, hand, PRODUCT).value == dfl_loss(kb, built, PRODUCT).value
+    assert got == expected
+    del nodes[("q", (2, 0))]
+    with pytest.raises(SemanticError, match="missing"):
+        valuate(kb.formulas()[0], GroundingTable(nodes, batch, tape), PRODUCT)
+
+
 def test_grounding_clamps():
     domain = _uniform_domain(1)
     g = build_grounding(_const_interp({"p": 1}, 1.0), domain, {"p": 1}, [0])
