@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .logic import And, Atom, ForAll, Implies, Not, Or
-from .operators import OperatorConfig, OperatorDescriptor, descriptor
-from .valuation import (GroundingTable, classical_values, compile_formula,
-                        formula_pass)
+from .operators import (OperatorConfig, OperatorDescriptor, aggregate_array,
+                        descriptor, implication_array, implication_kernel)
+from .valuation import (CLAMP_EPS, GroundingTable, classical_values,
+                        compile_formula, formula_pass)
 from .autodiff import Tape
 
 __all__ = [
@@ -72,20 +73,6 @@ def yager_p2_fraction_candidates(n: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # nonvanishing-derivative regions
-
-def _nonvanishing_mask(desc: OperatorDescriptor, X: np.ndarray) -> np.ndarray:
-    """Rows of X where at least one partial of the array kernel exceeds
-    1e-12 in magnitude."""
-    columns = np.ascontiguousarray(X.T)  # one row per input, as kernels take
-    if desc.family == "aggregator":
-        _, partials = desc.array_kernel(columns)
-    else:
-        _, partials = desc.array_kernel(*columns)
-    live = np.zeros(len(X), dtype=bool)
-    for partial in partials:
-        live |= np.abs(partial) > PARTIAL_EPS
-    return live
-
 
 def _closed_form(desc: OperatorDescriptor, n: int):
     name, p = desc.name, desc.p
@@ -152,7 +139,7 @@ def estimate_nonvanishing_fraction(desc: OperatorDescriptor, n: int,
     while remaining > 0:
         m = min(chunk, remaining)
         X = rng.random((m, n))
-        hits += int(_nonvanishing_mask(desc, X).sum())
+        hits += int(np.count_nonzero(desc.live_partials(X)))
         remaining -= m
     estimate = hits / samples
     std_error = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / samples)
@@ -202,15 +189,15 @@ def single_passing_audit(op, n: int, samples: int = 10_000, seed: int = 0):
         raise ValueError("single-passing audits need samples >= 10_000")
     rng = np.random.default_rng(seed)
     if isinstance(op, OperatorDescriptor):
-        kernel = op.kernel
-
-        def fn(xs):
-            return kernel(*xs)
-    else:
-        fn = op
+        # the same stream as one rng.random(n) call per point
+        X = rng.random((samples, n))
+        violations = np.flatnonzero(op.live_partials(X) > 1)
+        if len(violations):
+            return False, tuple(X[violations[0]].tolist())
+        return True, None
     for _ in range(samples):
         xs = rng.random(n).tolist()
-        _, partials = fn(xs)
+        _, partials = op(xs)
         live = sum(1 for d in partials if abs(d) > PARTIAL_EPS)
         if live > 1:
             return False, tuple(xs)
@@ -358,25 +345,24 @@ def _instance_labels(formula, program, g: GroundingTable, labels, shape):
 # derivative surfaces
 
 def _grid(step: float):
+    """The (a, c) points of a grid of ``step`` over the unit square, ``a``
+    varying slowest."""
     count = round(1.0 / step)
     if abs(count * step - 1.0) > 1e-9:
         raise ValueError(f"grid step {step} does not divide 1")
-    return [i * step for i in range(count + 1)]
+    axis = [i * step for i in range(count + 1)]
+    a, c = np.meshgrid(axis, axis, indexing="ij")
+    return a.ravel(), c.ravel()
 
 
 def derivative_surface(name: str, step: float, p: float | None = None,
                        s: float | None = None, b0: float | None = None,
                        base: str | None = None) -> list:
     """Dense (a, c, d_Ic, d_Inot_a) table for an implication kernel."""
-    from .operators import implication_kernel
-
-    rows = []
-    for a in _grid(step):
-        for c in _grid(step):
-            _, (dia, dic) = implication_kernel(name, a, c, p=p, s=s, b0=b0,
-                                               base=base)
-            rows.append((a, c, dic, -dia))
-    return rows
+    a, c = _grid(step)
+    _, (dia, dic) = implication_array(name, a, c, p=p, s=s, b0=b0, base=base)
+    dia, dic = np.broadcast_to(dia, a.shape), np.broadcast_to(dic, a.shape)
+    return list(zip(a.tolist(), c.tolist(), dic.tolist(), (-dia).tolist()))
 
 
 def yager_tnorm_fraction_check(p: float, samples: int, seed: int):
@@ -398,27 +384,15 @@ def implication_aggregator_interaction(agg: str, impl: str, step: float,
     clamped like grounding atoms, so corner rows show the engine's real
     (finite) behaviour.
     """
-    from .operators import aggregate_kernel, implication_kernel
-    from .valuation import CLAMP_EPS
-
     if agg not in ("log_product", "rmse"):
         raise ValueError("interaction surfaces are defined for log_product/rmse")
-    a1 = math.sqrt(0.9)
-    c1 = 0.0
-    rows = []
-    for a in _grid(step):
-        for c in _grid(step):
-            ac = min(max(a, CLAMP_EPS), 1.0 - CLAMP_EPS)
-            cc = min(max(c, CLAMP_EPS), 1.0 - CLAMP_EPS)
-            tape = Tape()
-            la = tape.leaf(ac)
-            lc = tape.leaf(cc)
-            v1, _ = implication_kernel("reichenbach", a1, c1)
-            n1 = tape.leaf(v1)
-            v2, partials = implication_kernel(impl, ac, cc, p=p)
-            n2 = tape.record("I", [la, lc], v2, partials)
-            av, apart = aggregate_kernel(agg, [n1.value, n2.value])
-            root = tape.record(f"A_{agg}", [n1, n2], av, apart)
-            grads = tape.backward(root)
-            rows.append((a, c, -grads[la]))
-    return rows
+    a, c = _grid(step)
+    companion, _ = implication_kernel("reichenbach", math.sqrt(0.9), 0.0)
+    probed, (dia, _) = implication_array(
+        impl, np.clip(a, CLAMP_EPS, 1.0 - CLAMP_EPS),
+        np.clip(c, CLAMP_EPS, 1.0 - CLAMP_EPS), p=p)
+    _, partials = aggregate_array(agg, np.stack([np.full(a.shape, companion),
+                                                 probed]))
+    # the chain rule in the tape's order: adjoints accumulate from 0.0
+    d_ante = 0.0 + partials[1] * dia
+    return list(zip(a.tolist(), c.tolist(), (-d_ante).tolist()))

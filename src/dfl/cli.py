@@ -291,8 +291,6 @@ def cmd_sweep(args, argv) -> int:
         values = [v.replace(":", ",") for v in values]
     seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
              else [base.seed])
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
     try:
         rows, means = config_sweep(base, args.axis, values, seeds)
     except ValueError as exc:
@@ -408,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated; for formula-subset use ':' "
                            "inside a value, e.g. 1:2,2:3")
     p_sw.add_argument("--seeds", help="comma-separated seed list")
-    p_sw.add_argument("--jobs", type=int, default=1,
-                      help="parallelism cap (runs may be sequential)")
     p_sw.add_argument("--csv")
 
     p_or = sub.add_parser("oracle", help="exact semantic-loss comparison")

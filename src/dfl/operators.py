@@ -1,11 +1,21 @@
 """Fuzzy operator catalog: values plus analytic partial derivatives.
 
-Every kernel is a pure function returning ``(value, partials)`` where
-``partials[i]`` is the derivative of the value with respect to input i.
+Each operator is defined once, as an array kernel returning
+``(value, partials)`` where ``partials[i]`` is the derivative of the
+value with respect to input i.  Binary kernels (t-norms, t-conorms,
+implications) broadcast their two inputs and their partials broadcast
+against the value; aggregators reduce the first axis of one array and
+return one partial per input.  ``tnorm_array`` and its siblings run a
+kernel on checked arrays, ``OperatorConfig.arrays`` binds a
+configuration's kernels once for the valuation engine, and the scalar
+API (``tnorm``, ``tnorm_kernel``, ``OperatorDescriptor.kernel`` and so
+on) runs the same kernel at one point and returns floats.  The property
+audits draw many points and check each law with one array call.
+
 Inputs must already lie in [0, 1]; nothing is clamped here (the
-valuation layer clamps model outputs before they reach a kernel).  Each
-operator also has an array kernel (``tnorm_array`` and so on) that
-applies the same definition to numpy arrays.
+valuation layer clamps model outputs before they reach a kernel).  Every
+entry point checks the operator name, then its parameters, then its
+inputs, and raises ``OperatorError`` for the first that is bad.
 
 Subgradient convention at ties: min/max assign the whole partial to the
 FIRST argument when arguments are equal, and piecewise kernels keep the
@@ -22,6 +32,7 @@ intended failure mode for un-clamped boundary inputs.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
@@ -71,10 +82,10 @@ class ConfigError(ValueError):
     """Malformed operator-config assignment."""
 
 
-def _check_unit(x: float, what: str = "input") -> float:
+def _check_unit(x: float) -> float:
     x = float(x)
     if not (0.0 <= x <= 1.0):
-        raise OperatorError(f"{what} must be in [0, 1], got {x!r}")
+        raise OperatorError(f"input must be in [0, 1], got {x!r}")
     return x
 
 
@@ -87,586 +98,14 @@ def _pow(base: float, exp: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# negation
-
-def negation_kernel(a: float):
-    return 1.0 - a, (-1.0,)
-
-
-def negation(a: float) -> float:
-    _check_unit(a)
-    return 1.0 - a
-
-
-# ---------------------------------------------------------------------------
-# t-norms
-
-def _t_godel(a, b, p=None):
-    if a <= b:
-        return a, (1.0, 0.0)
-    return b, (0.0, 1.0)
-
-
-def _t_product(a, b, p=None):
-    return a * b, (b, a)
-
-
-def _t_lukasiewicz(a, b, p=None):
-    if a == 1.0:  # neutral element, kept exact; matches the generic branch
-        return b, (1.0, 1.0)
-    if b == 1.0:
-        return a, (1.0, 1.0)
-    s = a + b - 1.0
-    if s >= 0.0:
-        return s, (1.0, 1.0)
-    return 0.0, (0.0, 0.0)
-
-
-def _t_drastic(a, b, p=None):
-    if a == 1.0 or b == 1.0:
-        v, _ = _t_godel(a, b)
-        da = 1.0 if b == 1.0 and a < 1.0 else 0.0
-        db = 1.0 if a == 1.0 and b < 1.0 else 0.0
-        if a == 1.0 and b == 1.0:
-            da = 1.0  # min tie goes to the first argument
-        return v, (da, db)
-    return 0.0, (0.0, 0.0)
-
-
-def _t_nilpotent(a, b, p=None):
-    if a + b > 1.0:
-        return _t_godel(a, b)
-    return 0.0, (0.0, 0.0)
-
-
-def _t_yager(a, b, p):
-    if a == 1.0 and b != 1.0:  # neutral element, kept exact
-        return b, (0.0 if p > 1.0 else 1.0, 1.0)
-    if b == 1.0 and a != 1.0:
-        return a, (1.0, 0.0 if p > 1.0 else 1.0)
-    s = (1.0 - a) ** p + (1.0 - b) ** p
-    if s == 0.0:
-        # corner a = b = 1: declared subgradient, the diagonal limit
-        d = _pow(2.0, 1.0 / p - 1.0)
-        return 1.0, (d, d)
-    if s <= 1.0:
-        scale = _pow(s, 1.0 / p - 1.0)
-        return (1.0 - _pow(s, 1.0 / p),
-                (scale * _pow(1.0 - a, p - 1.0), scale * _pow(1.0 - b, p - 1.0)))
-    return 0.0, (0.0, 0.0)
-
-
-_TNORMS = {
-    "godel": _t_godel,
-    "product": _t_product,
-    "lukasiewicz": _t_lukasiewicz,
-    "drastic": _t_drastic,
-    "nilpotent": _t_nilpotent,
-    "yager": _t_yager,
-}
-
-TNORM_NAMES = tuple(_TNORMS)
-
-
-def _need_p(name: str, p):
-    if p is None:
-        raise OperatorError(f"{name} requires parameter p")
-    p = float(p)
-    if p < 1.0:
-        raise OperatorError(f"{name} requires p >= 1, got {p}")
-    return p
-
-
-def _norm_p(kind: str, name: str, p):
-    """The parameter a t-norm or t-conorm runs with (only Yager takes one)."""
-    if name == "yager":
-        return _need_p(f"yager {kind}", p)
-    if p is not None:
-        raise OperatorError(f"{kind} {name} takes no parameter p")
-    return None
-
-
-def tnorm_kernel(name: str, a: float, b: float, p: float | None = None):
-    fn = _TNORMS.get(name)
-    if fn is None:
-        raise OperatorError(f"unknown t-norm {name!r}")
-    _check_unit(a)
-    _check_unit(b)
-    return fn(a, b, _norm_p("t-norm", name, p))
-
-
-def tnorm(name: str, a: float, b: float, p: float | None = None) -> float:
-    return tnorm_kernel(name, a, b, p)[0]
-
-
-# ---------------------------------------------------------------------------
-# t-conorms (N_C-duals of the t-norms above)
-
-def _s_godel(a, b, p=None):
-    if a >= b:
-        return a, (1.0, 0.0)
-    return b, (0.0, 1.0)
-
-
-def _s_product(a, b, p=None):
-    return a + b - a * b, (1.0 - b, 1.0 - a)
-
-
-def _s_lukasiewicz(a, b, p=None):
-    if a == 0.0:  # neutral element, kept exact; matches the generic branch
-        return b, (1.0, 1.0)
-    if b == 0.0:
-        return a, (1.0, 1.0)
-    s = a + b
-    if s <= 1.0:
-        return s, (1.0, 1.0)
-    return 1.0, (0.0, 0.0)
-
-
-def _s_drastic(a, b, p=None):
-    if a == 0.0 or b == 0.0:
-        v, _ = _s_godel(a, b)
-        da = 1.0 if b == 0.0 and a > 0.0 else 0.0
-        db = 1.0 if a == 0.0 and b > 0.0 else 0.0
-        if a == 0.0 and b == 0.0:
-            da = 1.0
-        return v, (da, db)
-    return 1.0, (0.0, 0.0)
-
-
-def _s_nilpotent(a, b, p=None):
-    if a + b < 1.0:
-        return _s_godel(a, b)
-    return 1.0, (0.0, 0.0)
-
-
-def _s_yager(a, b, p):
-    if a == 0.0 and b != 0.0:  # neutral element, kept exact
-        return b, (0.0 if p > 1.0 else 1.0, 1.0)
-    if b == 0.0 and a != 0.0:
-        return a, (1.0, 0.0 if p > 1.0 else 1.0)
-    s = a ** p + b ** p
-    if s == 0.0:
-        # corner a = b = 0: declared subgradient, the diagonal limit
-        d = _pow(2.0, 1.0 / p - 1.0)
-        return 0.0, (d, d)
-    if s <= 1.0:
-        scale = _pow(s, 1.0 / p - 1.0)
-        return _pow(s, 1.0 / p), (scale * _pow(a, p - 1.0), scale * _pow(b, p - 1.0))
-    return 1.0, (0.0, 0.0)
-
-
-_TCONORMS = {
-    "godel": _s_godel,
-    "product": _s_product,
-    "lukasiewicz": _s_lukasiewicz,
-    "drastic": _s_drastic,
-    "nilpotent": _s_nilpotent,
-    "yager": _s_yager,
-}
-
-TCONORM_NAMES = tuple(_TCONORMS)
-
-
-def tconorm_kernel(name: str, a: float, b: float, p: float | None = None):
-    fn = _TCONORMS.get(name)
-    if fn is None:
-        raise OperatorError(f"unknown t-conorm {name!r}")
-    _check_unit(a)
-    _check_unit(b)
-    return fn(a, b, _norm_p("t-conorm", name, p))
-
-
-def tconorm(name: str, a: float, b: float, p: float | None = None) -> float:
-    return tconorm_kernel(name, a, b, p)[0]
-
-
-# ---------------------------------------------------------------------------
-# aggregators
-
-def _argmin_first(xs):
-    best = 0
-    for i in range(1, len(xs)):
-        if xs[i] < xs[best]:
-            best = i
-    return best
-
-
-def _argmax_first(xs):
-    best = 0
-    for i in range(1, len(xs)):
-        if xs[i] > xs[best]:
-            best = i
-    return best
-
-
-def _a_min(xs, p=None):
-    i = _argmin_first(xs)
-    partials = [0.0] * len(xs)
-    partials[i] = 1.0
-    return xs[i], partials
-
-
-def _a_max(xs, p=None):
-    i = _argmax_first(xs)
-    partials = [0.0] * len(xs)
-    partials[i] = 1.0
-    return xs[i], partials
-
-
-def _a_product(xs, p=None):
-    n = len(xs)
-    # prefix/suffix products keep partials exact when some x is 0
-    prefix = [1.0] * (n + 1)
-    for i, x in enumerate(xs):
-        prefix[i + 1] = prefix[i] * x
-    suffix = [1.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * xs[i]
-    partials = [prefix[i] * suffix[i + 1] for i in range(n)]
-    return prefix[n], partials
-
-
-def _a_log_product(xs, p=None):
-    for x in xs:
-        if x <= 0.0:
-            raise OperatorError("log_product is undefined at 0; clamp inputs first")
-    return math.fsum(math.log(x) for x in xs), [1.0 / x for x in xs]
-
-
-def _a_lukasiewicz(xs, p=None):
-    n = len(xs)
-    s = math.fsum(xs) - (n - 1)
-    if s >= 0.0:
-        return s, [1.0] * n
-    return 0.0, [0.0] * n
-
-
-def _a_bounded_sum(xs, p=None):
-    s = math.fsum(xs)
-    if s <= 1.0:
-        return s, [1.0] * len(xs)
-    return 1.0, [0.0] * len(xs)
-
-
-def _a_prob_sum(xs, p=None):
-    ones = [1.0 - x for x in xs]
-    prod, partials = _a_product(ones)
-    return 1.0 - prod, partials
-
-
-def _a_yager(xs, p):
-    s = math.fsum((1.0 - x) ** p for x in xs)
-    if s == 0.0:
-        # all-ones corner: declared subgradient, the diagonal limit
-        d = _pow(float(len(xs)), 1.0 / p - 1.0)
-        return 1.0, [d] * len(xs)
-    if s <= 1.0:
-        scale = _pow(s, 1.0 / p - 1.0)
-        return (1.0 - _pow(s, 1.0 / p),
-                [scale * _pow(1.0 - x, p - 1.0) for x in xs])
-    return 0.0, [0.0] * len(xs)
-
-
-def _a_nilpotent(xs, p=None):
-    n = len(xs)
-    if n == 1:
-        return xs[0], [1.0]
-    lo = _argmin_first(xs)
-    second = None
-    for i in range(n):
-        if i == lo:
-            continue
-        if second is None or xs[i] < xs[second]:
-            second = i
-    if xs[lo] + xs[second] > 1.0:
-        partials = [0.0] * n
-        partials[lo] = 1.0
-        return xs[lo], partials
-    return 0.0, [0.0] * n
-
-
-def _a_pme(xs, p):
-    n = len(xs)
-    s = math.fsum((1.0 - x) ** p for x in xs)
-    if s == 0.0:
-        # all-ones corner: declared subgradient, the diagonal limit
-        return 1.0, [1.0 / n] * n
-    v = 1.0 - _pow(s / n, 1.0 / p)
-    scale = _pow(s / n, 1.0 / p - 1.0) / n
-    return v, [scale * _pow(1.0 - x, p - 1.0) for x in xs]
-
-
-def _a_pmean(xs, p):
-    n = len(xs)
-    s = math.fsum(x ** p for x in xs)
-    if s == 0.0:
-        # all-zeros corner: declared subgradient, the diagonal limit
-        return 0.0, [1.0 / n] * n
-    v = _pow(s / n, 1.0 / p)
-    scale = _pow(s / n, 1.0 / p - 1.0) / n
-    return v, [scale * _pow(x, p - 1.0) for x in xs]
-
-
-_AGGREGATORS = {
-    "min": (_a_min, None),
-    "max": (_a_max, None),
-    "product": (_a_product, None),
-    "log_product": (_a_log_product, None),
-    "lukasiewicz": (_a_lukasiewicz, None),
-    "bounded_sum": (_a_bounded_sum, None),
-    "prob_sum": (_a_prob_sum, None),
-    "yager": (_a_yager, "yager"),
-    "nilpotent": (_a_nilpotent, None),
-    "pme": (_a_pme, "positive"),
-    "pmean": (_a_pmean, "positive"),
-    "mae": (_a_pme, 1.0),
-    "rmse": (_a_pme, 2.0),
-}
-
-AGGREGATOR_NAMES = tuple(_AGGREGATORS)
-
-
-def _aggregator_p(name: str, p_rule, p):
-    """The parameter an aggregator runs with, by its rule in _AGGREGATORS."""
-    if p_rule is None:
-        if p is not None:
-            raise OperatorError(f"{name} takes no parameter p")
-        return None
-    if p_rule == "yager":
-        return _need_p("yager aggregator", p)
-    if p_rule == "positive":
-        if p is None:
-            raise OperatorError(f"{name} requires parameter p")
-        p = float(p)
-        if p <= 0.0:
-            raise OperatorError(f"{name} requires p > 0, got {p}")
-        return p
-    if p is not None:  # fixed-p alias (mae/rmse)
-        raise OperatorError(f"{name} takes no parameter p")
-    return p_rule
-
-
-def aggregate_kernel(name: str, xs: Sequence[float], p: float | None = None):
-    entry = _AGGREGATORS.get(name)
-    if entry is None:
-        raise OperatorError(f"unknown aggregator {name!r}")
-    fn, p_rule = entry
-    xs = [float(x) for x in xs]
-    if not xs:
-        raise OperatorError("aggregate requires at least one input")
-    for x in xs:
-        _check_unit(x)
-    return fn(xs, _aggregator_p(name, p_rule, p))
-
-
-def aggregate(name: str, xs: Sequence[float], p: float | None = None) -> float:
-    return aggregate_kernel(name, xs, p)[0]
-
-
-# ---------------------------------------------------------------------------
-# implications
+# kernels
 #
-# Kernels return (value, (dI/da, dI/dc)).  The derivative with respect to
-# the negated antecedent is d_Inot_a = -dI/da.
-
-def _i_kleene_dienes(a, c, p=None):
-    na = 1.0 - a
-    if na >= c:
-        return na, (-1.0, 0.0)
-    return c, (0.0, 1.0)
-
-
-def _i_reichenbach(a, c, p=None):
-    return (1.0 - a) + a * c, (c - 1.0, a)
-
-
-def _i_lukasiewicz(a, c, p=None):
-    if a == 1.0:  # left-neutral edge, kept exact; matches the generic branch
-        return c, (-1.0, 1.0)
-    u = 1.0 - a + c
-    if u <= 1.0:
-        return u, (-1.0, 1.0)
-    return 1.0, (0.0, 0.0)
-
-
-def _i_dubois_prade(a, c, p=None):
-    # branch order fixes the corner (1, 0) subgradient: a = 1 wins, so at
-    # most one partial is ever live and the kernel stays single-passing
-    if a == 1.0:
-        return c, (0.0, 1.0)
-    if c == 0.0:
-        return 1.0 - a, (-1.0, 0.0)
-    return 1.0, (0.0, 0.0)
-
-
-def _i_fodor(a, c, p=None):
-    if a <= c:
-        return 1.0, (0.0, 0.0)
-    return _i_kleene_dienes(a, c)
-
-
-def _i_godel(a, c, p=None):
-    if a <= c:
-        return 1.0, (0.0, 0.0)
-    return c, (0.0, 1.0)
-
-
-def _i_goguen(a, c, p=None):
-    if a <= c:
-        return 1.0, (0.0, 0.0)
-    return c / a, (-c / (a * a), 1.0 / a)
-
-
-def _i_weber(a, c, p=None):
-    if a < 1.0:
-        return 1.0, (0.0, 0.0)
-    return c, (0.0, 1.0)
-
-
-def _i_yager_s(a, c, p):
-    if a == 1.0 and c == 0.0:
-        # corner: declared subgradient, the diagonal limit
-        d = _pow(2.0, 1.0 / p - 1.0)
-        return 0.0, (-d, d)
-    if a == 1.0:  # left-neutral edge, kept exact
-        return c, (-1.0 if p == 1.0 else 0.0, 1.0)
-    u = (1.0 - a) ** p + c ** p
-    if u <= 1.0:
-        scale = _pow(u, 1.0 / p - 1.0)
-        return (_pow(u, 1.0 / p),
-                (-scale * _pow(1.0 - a, p - 1.0), scale * _pow(c, p - 1.0)))
-    return 1.0, (0.0, 0.0)
-
-
-def _i_yager_r(a, c, p):
-    if a <= c:
-        return 1.0, (0.0, 0.0)
-    u = (1.0 - c) ** p - (1.0 - a) ** p
-    v = 1.0 - _pow(u, 1.0 / p)
-    scale = _pow(u, 1.0 / p - 1.0)
-    return v, (-scale * _pow(1.0 - a, p - 1.0), scale * _pow(1.0 - c, p - 1.0))
-
-
-_IMPLICATIONS = {
-    "kleene_dienes": (_i_kleene_dienes, False),
-    "reichenbach": (_i_reichenbach, False),
-    "lukasiewicz": (_i_lukasiewicz, False),
-    "dubois_prade": (_i_dubois_prade, False),
-    "fodor": (_i_fodor, False),
-    "godel": (_i_godel, False),
-    "goguen": (_i_goguen, False),
-    "weber": (_i_weber, False),
-    "yager_s": (_i_yager_s, True),
-    "yager_r": (_i_yager_r, True),
-}
-
-IMPLICATION_NAMES = tuple(_IMPLICATIONS) + ("sigmoidal",)
-
-
-def implication_kernel(name: str, a: float, c: float, p: float | None = None,
-                       s: float | None = None, b0: float | None = None,
-                       base: str | None = None):
-    if name == "sigmoidal":
-        return sigmoidal_kernel(base, s, b0, a, c, p=p)
-    entry = _IMPLICATIONS.get(name)
-    if entry is None:
-        raise OperatorError(f"unknown implication {name!r}")
-    fn, needs_p = entry
-    _check_unit(a)
-    _check_unit(c)
-    return fn(a, c, _implication_p(name, needs_p, p))
-
-
-def _implication_p(name: str, needs_p: bool, p):
-    if needs_p:
-        return _need_p(name, p)
-    if p is not None:
-        raise OperatorError(f"implication {name} takes no parameter p")
-    return None
-
-
-def implication(name: str, a: float, c: float, p: float | None = None,
-                s: float | None = None, b0: float | None = None,
-                base: str | None = None) -> float:
-    return implication_kernel(name, a, c, p=p, s=s, b0=b0, base=base)[0]
-
-
-def d_Ic(name: str, a: float, c: float, **kw) -> float:
-    """Derivative of the implication with respect to the consequent."""
-    return implication_kernel(name, a, c, **kw)[1][1]
-
-
-def d_Inot_a(name: str, a: float, c: float, **kw) -> float:
-    """Derivative with respect to the negated antecedent (= -dI/da)."""
-    return -implication_kernel(name, a, c, **kw)[1][0]
-
-
-def _sigmoid(x: float) -> float:
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
-def _sigmoidal_scaling(base, s, b0):
-    """Checked (s, b0, d, h) of the sigmoidal warp around ``base``."""
-    if base is None:
-        raise OperatorError("sigmoidal implication requires a base implication")
-    if base == "sigmoidal":
-        raise OperatorError("sigmoidal base cannot itself be sigmoidal")
-    if s is None or float(s) <= 0.0:
-        raise OperatorError(f"sigmoidal implication requires s > 0, got {s!r}")
-    s = float(s)
-    b0 = -0.5 if b0 is None else float(b0)
-    try:
-        e_top = math.exp(-s * (1.0 + b0))
-        e_bot = math.exp(-s * b0)
-    except OverflowError as exc:
-        raise OperatorError(f"sigmoidal parameters overflow: s={s}, b0={b0}") from exc
-    denom = e_bot - e_top
-    if denom <= 0.0:
-        raise OperatorError(f"degenerate sigmoidal scaling for s={s}, b0={b0}")
-    return s, b0, (1.0 + e_top) / denom, 1.0 + e_bot
-
-
-def sigmoidal_kernel(base: str | None, s: float, b0: float, a: float, c: float,
-                     p: float | None = None):
-    """Sigmoid-warped implication; keeps the base's 0/1 level sets.
-
-    value = d * ((1 + e^(-b0 s)) * sigmoid(s (I + b0)) - 1)
-    with d = (1 + e^(-s (1 + b0))) / (e^(-b0 s) - e^(-s (1 + b0))),
-    an increasing map sending I=0 to 0 and I=1 to 1.
-    """
-    s, b0, d, h = _sigmoidal_scaling(base, s, b0)
-    iv, (dia, dic) = implication_kernel(base, a, c, p=p)
-    y = _sigmoid(s * (iv + b0))
-    value = d * (h * y - 1.0)
-    # float dust can push the 0/1 level sets a few ulps outside [0, 1]
-    value = min(max(value, 0.0), 1.0)
-    dvdi = d * h * s * y * (1.0 - y)
-    return value, (dvdi * dia, dvdi * dic)
-
-
-def sigmoidal_implication(base: str, s: float, b0: float, a: float, c: float,
-                          p: float | None = None) -> float:
-    return sigmoidal_kernel(base, s, b0, a, c, p=p)[0]
-
-
-# ---------------------------------------------------------------------------
-# array kernels
-#
-# The same operators over numpy arrays.  Binary kernels broadcast their two
-# inputs, and their partials broadcast against the value; aggregators
-# reduce the first axis (where numpy reduces fastest) and return one
-# partial per input.  Each makes the
-# scalar kernel's input and parameter checks and keeps its branch order
-# and tie rules: every branch is computed everywhere and ``_pick`` selects
-# them in the scalar kernel's order, so masked branches may hold inf or
-# nan.
-# Elementwise results can differ from the scalar kernels in the last digit
-# where numpy's pow/log/exp round differently from the C library, and the
-# aggregators' sums are plain sums where the scalar kernels use math.fsum.
+# Every branch is computed everywhere and ``_pick`` selects them in order,
+# so masked branches may hold inf or nan; callers run kernels under
+# ``np.errstate(all="ignore")``.  A binary kernel's results may differ in
+# the last digit between an array call, where numpy's vectorised
+# pow/log/exp round, and a call at one point, which computes on numpy
+# scalars and rounds like the C library.
 
 def _unit_array(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -678,7 +117,15 @@ def _unit_array(x) -> np.ndarray:
 
 def _pick(conds, branches, default):
     """Select (value, partial, partial) branch by branch: the first true
-    condition wins, like the scalar kernels' if-chains."""
+    condition wins, like an if-chain.  Conditions at one point (numpy
+    bools, as the scalar API passes) take the if-chain itself, which
+    keeps a scalar call to microseconds."""
+    if isinstance(conds[0], np.bool_):
+        for cond, (v, a, b) in zip(conds, branches):
+            if cond:
+                return v, (a, b)
+        v, a, b = default
+        return v, (a, b)
     value, da, db = default
     for cond, (v, a, b) in zip(reversed(conds), reversed(branches)):
         value = np.where(cond, v, value)
@@ -687,14 +134,14 @@ def _pick(conds, branches, default):
     return value, (da, db)
 
 
-def _first(cond):
-    """Partials of a min/max-style pick: (1, 0) where ``cond``, else (0, 1)."""
-    return cond * 1.0, (~cond) * 1.0
+def _negation(a, p=None):
+    return 1.0 - a, (np.full(np.shape(a), -1.0),)
 
+
+# t-norms
 
 def _ta_godel(a, b, p):
-    first = a <= b
-    return np.where(first, a, b), _first(first)
+    return _pick([a <= b], [(a, 1.0, 0.0)], (b, 0.0, 1.0))
 
 
 def _ta_product(a, b, p):
@@ -702,6 +149,7 @@ def _ta_product(a, b, p):
 
 
 def _ta_lukasiewicz(a, b, p):
+    # the neutral edges are kept exact; they match the generic branch
     s = a + b - 1.0
     return _pick([a == 1.0, b == 1.0, s >= 0.0],
                  [(b, 1.0, 1.0), (a, 1.0, 1.0), (s, 1.0, 1.0)],
@@ -709,19 +157,19 @@ def _ta_lukasiewicz(a, b, p):
 
 
 def _ta_drastic(a, b, p):
-    edge = (a == 1.0) | (b == 1.0)
-    value = np.where(edge, np.where(a <= b, a, b), 0.0)
-    return value, ((edge & (b == 1.0)) * 1.0, ((a == 1.0) & (b < 1.0)) * 1.0)
+    # at a = b = 1 the min tie goes to the first argument
+    return _pick([b == 1.0, a == 1.0], [(a, 1.0, 0.0), (b, 0.0, 1.0)],
+                 (0.0, 0.0, 0.0))
 
 
 def _ta_nilpotent(a, b, p):
-    live = a + b > 1.0
-    first = a <= b
-    return (np.where(live, np.where(first, a, b), 0.0),
-            ((live & first) * 1.0, (live & ~first) * 1.0))
+    return _pick([a + b <= 1.0, a <= b], [(0.0, 0.0, 0.0), (a, 1.0, 0.0)],
+                 (b, 0.0, 1.0))
 
 
 def _ta_yager(a, b, p):
+    # neutral edges kept exact; the corner a = b = 1 takes the declared
+    # subgradient, the diagonal limit
     flat = 0.0 if p > 1.0 else 1.0
     d = _pow(2.0, 1.0 / p - 1.0)
     s = (1.0 - a) ** p + (1.0 - b) ** p
@@ -734,9 +182,10 @@ def _ta_yager(a, b, p):
                  (0.0, 0.0, 0.0))
 
 
+# t-conorms (N_C-duals of the t-norms above)
+
 def _sa_godel(a, b, p):
-    first = a >= b
-    return np.where(first, a, b), _first(first)
+    return _pick([a >= b], [(a, 1.0, 0.0)], (b, 0.0, 1.0))
 
 
 def _sa_product(a, b, p):
@@ -751,16 +200,13 @@ def _sa_lukasiewicz(a, b, p):
 
 
 def _sa_drastic(a, b, p):
-    edge = (a == 0.0) | (b == 0.0)
-    value = np.where(edge, np.where(a >= b, a, b), 1.0)
-    return value, ((edge & (b == 0.0)) * 1.0, ((a == 0.0) & (b > 0.0)) * 1.0)
+    return _pick([b == 0.0, a == 0.0], [(a, 1.0, 0.0), (b, 0.0, 1.0)],
+                 (1.0, 0.0, 0.0))
 
 
 def _sa_nilpotent(a, b, p):
-    live = a + b < 1.0
-    first = a >= b
-    return (np.where(live, np.where(first, a, b), 1.0),
-            ((live & first) * 1.0, (live & ~first) * 1.0))
+    return _pick([a + b >= 1.0, a >= b], [(1.0, 0.0, 0.0), (a, 1.0, 0.0)],
+                 (b, 0.0, 1.0))
 
 
 def _sa_yager(a, b, p):
@@ -775,6 +221,8 @@ def _sa_yager(a, b, p):
                    scale * b ** (p - 1.0))],
                  (1.0, 0.0, 0.0))
 
+
+# aggregators over the first axis
 
 def _one_hot(X, i):
     """Partials 1.0 at index i of the aggregated axis, else 0.0."""
@@ -796,7 +244,7 @@ def _aa_max(X, p):
 
 
 def _aa_product(X, p):
-    # sequential prefix/suffix products, in the scalar kernel's order
+    # sequential prefix/suffix products keep partials exact when some x is 0
     before = [np.ones(X.shape[1:])]
     for x in X[:-1]:
         before.append(before[-1] * x)
@@ -831,6 +279,7 @@ def _aa_prob_sum(X, p):
 
 
 def _aa_yager(X, p):
+    # the all-ones corner takes the declared subgradient, the diagonal limit
     q = 1.0 - X
     s = (q ** p).sum(axis=0)
     corner, live = s == 0.0, s <= 1.0
@@ -851,16 +300,8 @@ def _aa_nilpotent(X, p):
     return np.where(live, lo, 0.0), partials * live
 
 
-def _aa_pme(X, p):
-    n = len(X)
-    q = 1.0 - X
-    m = (q ** p).sum(axis=0) / n
-    corner = m == 0.0
-    return (np.where(corner, 1.0, 1.0 - m ** (1.0 / p)),
-            np.where(corner, 1.0 / n, m ** (1.0 / p - 1.0) / n * q ** (p - 1.0)))
-
-
 def _aa_pmean(X, p):
+    # the all-zeros corner takes the declared subgradient, the diagonal limit
     n = len(X)
     m = (X ** p).sum(axis=0) / n
     corner = m == 0.0
@@ -868,10 +309,17 @@ def _aa_pmean(X, p):
             np.where(corner, 1.0 / n, m ** (1.0 / p - 1.0) / n * X ** (p - 1.0)))
 
 
+def _aa_pme(X, p):
+    # 1 - pmean(1 - x): the same partials, and the all-ones corner
+    value, partials = _aa_pmean(1.0 - X, p)
+    return 1.0 - value, partials
+
+
+# implications: (value, (dI/da, dI/dc)); the derivative with respect to
+# the negated antecedent is d_Inot_a = -dI/da
+
 def _ia_kleene_dienes(a, c, p):
-    na = 1.0 - a
-    first = na >= c
-    return np.where(first, na, c), (np.where(first, -1.0, 0.0), (~first) * 1.0)
+    return _pick([1.0 - a >= c], [(1.0 - a, -1.0, 0.0)], (c, 0.0, 1.0))
 
 
 def _ia_reichenbach(a, c, p):
@@ -879,12 +327,15 @@ def _ia_reichenbach(a, c, p):
 
 
 def _ia_lukasiewicz(a, c, p):
+    # the left-neutral edge is kept exact; it matches the generic branch
     u = 1.0 - a + c
     return _pick([a == 1.0, u <= 1.0], [(c, -1.0, 1.0), (u, -1.0, 1.0)],
                  (1.0, 0.0, 0.0))
 
 
 def _ia_dubois_prade(a, c, p):
+    # branch order fixes the corner (1, 0) subgradient: a = 1 wins, so at
+    # most one partial is ever live and the kernel stays single-passing
     return _pick([a == 1.0, c == 0.0], [(c, 0.0, 1.0), (1.0 - a, -1.0, 0.0)],
                  (1.0, 0.0, 0.0))
 
@@ -907,6 +358,8 @@ def _ia_weber(a, c, p):
 
 
 def _ia_yager_s(a, c, p):
+    # the corner (1, 0) takes the declared subgradient, the diagonal limit;
+    # the left-neutral edge is kept exact
     d = _pow(2.0, 1.0 / p - 1.0)
     u = (1.0 - a) ** p + c ** p
     scale = u ** (1.0 / p - 1.0)
@@ -925,27 +378,128 @@ def _ia_yager_r(a, c, p):
                   scale * (1.0 - c) ** (p - 1.0)))
 
 
-_TNORM_ARRAYS = {"godel": _ta_godel, "product": _ta_product,
-                 "lukasiewicz": _ta_lukasiewicz, "drastic": _ta_drastic,
-                 "nilpotent": _ta_nilpotent, "yager": _ta_yager}
-_TCONORM_ARRAYS = {"godel": _sa_godel, "product": _sa_product,
-                   "lukasiewicz": _sa_lukasiewicz, "drastic": _sa_drastic,
-                   "nilpotent": _sa_nilpotent, "yager": _sa_yager}
-_AGGREGATOR_ARRAYS = {"min": _aa_min, "max": _aa_max, "product": _aa_product,
-                      "log_product": _aa_log_product,
-                      "lukasiewicz": _aa_lukasiewicz,
-                      "bounded_sum": _aa_bounded_sum, "prob_sum": _aa_prob_sum,
-                      "yager": _aa_yager, "nilpotent": _aa_nilpotent,
-                      "pme": _aa_pme, "pmean": _aa_pmean, "mae": _aa_pme,
-                      "rmse": _aa_pme}
-_IMPLICATION_ARRAYS = {"kleene_dienes": _ia_kleene_dienes,
-                       "reichenbach": _ia_reichenbach,
-                       "lukasiewicz": _ia_lukasiewicz,
-                       "dubois_prade": _ia_dubois_prade, "fodor": _ia_fodor,
-                       "godel": _ia_godel, "goguen": _ia_goguen,
-                       "weber": _ia_weber, "yager_s": _ia_yager_s,
-                       "yager_r": _ia_yager_r}
+_TNORMS = {"godel": _ta_godel, "product": _ta_product,
+           "lukasiewicz": _ta_lukasiewicz, "drastic": _ta_drastic,
+           "nilpotent": _ta_nilpotent, "yager": _ta_yager}
+_TCONORMS = {"godel": _sa_godel, "product": _sa_product,
+             "lukasiewicz": _sa_lukasiewicz, "drastic": _sa_drastic,
+             "nilpotent": _sa_nilpotent, "yager": _sa_yager}
+# name -> (kernel, parameter rule): None takes no p, "yager" needs p >= 1,
+# "positive" needs p > 0 and a number is the fixed p of an alias
+_AGGREGATORS = {
+    "min": (_aa_min, None),
+    "max": (_aa_max, None),
+    "product": (_aa_product, None),
+    "log_product": (_aa_log_product, None),
+    "lukasiewicz": (_aa_lukasiewicz, None),
+    "bounded_sum": (_aa_bounded_sum, None),
+    "prob_sum": (_aa_prob_sum, None),
+    "yager": (_aa_yager, "yager"),
+    "nilpotent": (_aa_nilpotent, None),
+    "pme": (_aa_pme, "positive"),
+    "pmean": (_aa_pmean, "positive"),
+    "mae": (_aa_pme, 1.0),
+    "rmse": (_aa_pme, 2.0),
+}
+# name -> (kernel, whether it needs p >= 1)
+_IMPLICATIONS = {
+    "kleene_dienes": (_ia_kleene_dienes, False),
+    "reichenbach": (_ia_reichenbach, False),
+    "lukasiewicz": (_ia_lukasiewicz, False),
+    "dubois_prade": (_ia_dubois_prade, False),
+    "fodor": (_ia_fodor, False),
+    "godel": (_ia_godel, False),
+    "goguen": (_ia_goguen, False),
+    "weber": (_ia_weber, False),
+    "yager_s": (_ia_yager_s, True),
+    "yager_r": (_ia_yager_r, True),
+}
 
+TNORM_NAMES = tuple(_TNORMS)
+TCONORM_NAMES = tuple(_TCONORMS)
+AGGREGATOR_NAMES = tuple(_AGGREGATORS)
+IMPLICATION_NAMES = tuple(_IMPLICATIONS) + ("sigmoidal",)
+
+
+# ---------------------------------------------------------------------------
+# names and parameters
+
+def _lookup(table: dict, kind: str, name: str):
+    entry = table.get(name)
+    if entry is None:
+        raise OperatorError(f"unknown {kind} {name!r}")
+    return entry
+
+
+def _need_p(name: str, p):
+    if p is None:
+        raise OperatorError(f"{name} requires parameter p")
+    p = float(p)
+    if p < 1.0:
+        raise OperatorError(f"{name} requires p >= 1, got {p}")
+    return p
+
+
+def _norm_p(kind: str, name: str, p):
+    """The parameter a t-norm or t-conorm runs with (only Yager takes one)."""
+    if name == "yager":
+        return _need_p(f"yager {kind}", p)
+    if p is not None:
+        raise OperatorError(f"{kind} {name} takes no parameter p")
+    return None
+
+
+def _aggregator_p(name: str, p_rule, p):
+    """The parameter an aggregator runs with, by its rule in _AGGREGATORS."""
+    if p_rule is None:
+        if p is not None:
+            raise OperatorError(f"{name} takes no parameter p")
+        return None
+    if p_rule == "yager":
+        return _need_p("yager aggregator", p)
+    if p_rule == "positive":
+        if p is None:
+            raise OperatorError(f"{name} requires parameter p")
+        p = float(p)
+        if p <= 0.0:
+            raise OperatorError(f"{name} requires p > 0, got {p}")
+        return p
+    if p is not None:  # fixed-p alias (mae/rmse)
+        raise OperatorError(f"{name} takes no parameter p")
+    return p_rule
+
+
+def _implication_p(name: str, needs_p: bool, p):
+    if needs_p:
+        return _need_p(name, p)
+    if p is not None:
+        raise OperatorError(f"implication {name} takes no parameter p")
+    return None
+
+
+def _sigmoidal_scaling(base, s, b0):
+    """Checked (s, b0, d, h) of the sigmoidal warp around ``base``."""
+    if base is None:
+        raise OperatorError("sigmoidal implication requires a base implication")
+    if base == "sigmoidal":
+        raise OperatorError("sigmoidal base cannot itself be sigmoidal")
+    if s is None or float(s) <= 0.0:
+        raise OperatorError(f"sigmoidal implication requires s > 0, got {s!r}")
+    s = float(s)
+    b0 = -0.5 if b0 is None else float(b0)
+    try:
+        e_top = math.exp(-s * (1.0 + b0))
+        e_bot = math.exp(-s * b0)
+    except OverflowError as exc:
+        raise OperatorError(f"sigmoidal parameters overflow: s={s}, b0={b0}") from exc
+    denom = e_bot - e_top
+    if denom <= 0.0:
+        raise OperatorError(f"degenerate sigmoidal scaling for s={s}, b0={b0}")
+    return s, b0, (1.0 + e_top) / denom, 1.0 + e_bot
+
+
+# ---------------------------------------------------------------------------
+# binding
 
 class ArrayKernels(NamedTuple):
     """Array kernels with their operators and parameters resolved, and
@@ -963,36 +517,33 @@ def _bind(fn, p):
 
 
 def _bind_tnorm(name: str, p) -> Callable:
-    fn = _TNORM_ARRAYS.get(name)
-    if fn is None:
-        raise OperatorError(f"unknown t-norm {name!r}")
-    return _bind(fn, _norm_p("t-norm", name, p))
+    return _bind(_lookup(_TNORMS, "t-norm", name), _norm_p("t-norm", name, p))
 
 
 def _bind_tconorm(name: str, p) -> Callable:
-    fn = _TCONORM_ARRAYS.get(name)
-    if fn is None:
-        raise OperatorError(f"unknown t-conorm {name!r}")
-    return _bind(fn, _norm_p("t-conorm", name, p))
+    return _bind(_lookup(_TCONORMS, "t-conorm", name),
+                 _norm_p("t-conorm", name, p))
 
 
 def _bind_aggregator(name: str, p) -> Callable:
-    fn = _AGGREGATOR_ARRAYS.get(name)
-    if fn is None:
-        raise OperatorError(f"unknown aggregator {name!r}")
-    return _bind(fn, _aggregator_p(name, _AGGREGATORS[name][1], p))
+    fn, p_rule = _lookup(_AGGREGATORS, "aggregator", name)
+    return _bind(fn, _aggregator_p(name, p_rule, p))
 
 
 def _bind_implication(name: str, p=None, s=None, b0=None, base=None) -> Callable:
     if name == "sigmoidal":
         return _bind_sigmoidal(base, s, b0, p)
-    fn = _IMPLICATION_ARRAYS.get(name)
-    if fn is None:
-        raise OperatorError(f"unknown implication {name!r}")
-    return _bind(fn, _implication_p(name, _IMPLICATIONS[name][1], p))
+    fn, needs_p = _lookup(_IMPLICATIONS, "implication", name)
+    return _bind(fn, _implication_p(name, needs_p, p))
 
 
 def _bind_sigmoidal(base, s, b0, p) -> Callable:
+    """Sigmoid-warped implication; keeps the base's 0/1 level sets.
+
+    value = d * ((1 + e^(-b0 s)) * sigmoid(s (I + b0)) - 1)
+    with d = (1 + e^(-s (1 + b0))) / (e^(-b0 s) - e^(-s (1 + b0))),
+    an increasing map sending I=0 to 0 and I=1 to 1.
+    """
     s, b0, d, h = _sigmoidal_scaling(base, s, b0)
     base_fn = _bind_implication(base, p=p)
 
@@ -1001,15 +552,21 @@ def _bind_sigmoidal(base, s, b0, p) -> Callable:
         x = s * (iv + b0)
         e = np.exp(-np.abs(x))
         y = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-        value = np.clip(d * (h * y - 1.0), 0.0, 1.0)
+        # float dust can push the 0/1 level sets a few ulps outside [0, 1]
+        value = np.minimum(np.maximum(d * (h * y - 1.0), 0.0), 1.0)
         dvdi = d * h * s * y * (1.0 - y)
         return value, (dvdi * dia, dvdi * dic)
 
     return kernel
 
 
+# ---------------------------------------------------------------------------
+# array entry points
+
 def _run_checked(kernel, *xs):
-    xs = [_unit_array(x) for x in xs]
+    # broadcast first, so a kernel's conditions are all arrays or all at
+    # one point
+    xs = np.broadcast_arrays(*[_unit_array(x) for x in xs])
     with np.errstate(all="ignore"):
         return kernel(*xs)
 
@@ -1034,6 +591,90 @@ def implication_array(name: str, a, c, p: float | None = None,
                       s: float | None = None, b0: float | None = None,
                       base: str | None = None):
     return _run_checked(_bind_implication(name, p, s, b0, base), a, c)
+
+
+# ---------------------------------------------------------------------------
+# scalar API: the same kernels at one point, as floats
+
+def _unit(x) -> np.float64:
+    return np.float64(_check_unit(x))
+
+
+def _scalar(kernel, *xs):
+    """``kernel``'s value and partials at one point, as floats."""
+    with np.errstate(all="ignore"):
+        value, partials = kernel(*xs)
+    return float(value), tuple(map(float, partials))
+
+
+def negation_kernel(a: float):
+    return _scalar(_negation, _unit(a))
+
+
+def negation(a: float) -> float:
+    return negation_kernel(a)[0]
+
+
+def tnorm_kernel(name: str, a: float, b: float, p: float | None = None):
+    return _scalar(_bind_tnorm(name, p), _unit(a), _unit(b))
+
+
+def tnorm(name: str, a: float, b: float, p: float | None = None) -> float:
+    return tnorm_kernel(name, a, b, p)[0]
+
+
+def tconorm_kernel(name: str, a: float, b: float, p: float | None = None):
+    return _scalar(_bind_tconorm(name, p), _unit(a), _unit(b))
+
+
+def tconorm(name: str, a: float, b: float, p: float | None = None) -> float:
+    return tconorm_kernel(name, a, b, p)[0]
+
+
+def aggregate_kernel(name: str, xs: Sequence[float], p: float | None = None):
+    kernel = _bind_aggregator(name, p)
+    X = np.array([_check_unit(x) for x in xs])
+    if not len(X):
+        raise OperatorError("aggregate requires at least one input")
+    value, partials = _scalar(kernel, X)
+    return value, list(partials)
+
+
+def aggregate(name: str, xs: Sequence[float], p: float | None = None) -> float:
+    return aggregate_kernel(name, xs, p)[0]
+
+
+def implication_kernel(name: str, a: float, c: float, p: float | None = None,
+                       s: float | None = None, b0: float | None = None,
+                       base: str | None = None):
+    return _scalar(_bind_implication(name, p, s, b0, base), _unit(a), _unit(c))
+
+
+def implication(name: str, a: float, c: float, p: float | None = None,
+                s: float | None = None, b0: float | None = None,
+                base: str | None = None) -> float:
+    return implication_kernel(name, a, c, p=p, s=s, b0=b0, base=base)[0]
+
+
+def d_Ic(name: str, a: float, c: float, **kw) -> float:
+    """Derivative of the implication with respect to the consequent."""
+    return implication_kernel(name, a, c, **kw)[1][1]
+
+
+def d_Inot_a(name: str, a: float, c: float, **kw) -> float:
+    """Derivative with respect to the negated antecedent (= -dI/da)."""
+    return -implication_kernel(name, a, c, **kw)[1][0]
+
+
+def sigmoidal_kernel(base: str | None, s: float, b0: float, a: float, c: float,
+                     p: float | None = None):
+    """Sigmoid-warped implication of ``base`` (see ``_bind_sigmoidal``)."""
+    return _scalar(_bind_sigmoidal(base, s, b0, p), _unit(a), _unit(c))
+
+
+def sigmoidal_implication(base: str, s: float, b0: float, a: float, c: float,
+                          p: float | None = None) -> float:
+    return sigmoidal_kernel(base, s, b0, a, c, p=p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1080,8 +721,7 @@ class OperatorDescriptor:
         arrays, aggregators one array reduced over its first axis."""
         kw = dict(self.params)
         if self.family == "negation":
-            a = np.asarray(xs[0], dtype=float)
-            return 1.0 - a, (np.full(a.shape, -1.0),)
+            return _run_checked(_negation, xs[0])
         if self.family == "tnorm":
             return tnorm_array(self.name, xs[0], xs[1], kw.get("p"))
         if self.family == "tconorm":
@@ -1095,14 +735,22 @@ class OperatorDescriptor:
     def value(self, *xs) -> float:
         return self.kernel(*xs)[0]
 
+    def live_partials(self, X) -> np.ndarray:
+        """Per row of the (m, n) point array ``X``, how many partials of
+        the array kernel exceed 1e-12 in magnitude."""
+        columns = np.ascontiguousarray(np.asarray(X).T)  # one row per input
+        if self.family == "aggregator":
+            _, partials = self.array_kernel(columns)
+        else:
+            _, partials = self.array_kernel(*columns)
+        live = np.zeros(len(X), dtype=int)
+        for partial in partials:
+            live += np.abs(partial) > 1e-12
+        return live
+
 
 def _near(u, margin):
     return abs(u) < margin
-
-
-def _two_smallest_sum(xs):
-    ys = sorted(xs)
-    return ys[0] + ys[1]
 
 
 def _mk_locus(kind: str, p=None):
@@ -1205,7 +853,10 @@ _T_DEFINITIONAL = frozenset({"commutative", "associative", "neutral", "monotone"
 _I_DEFINITIONAL = frozenset({"boundary", "monotone"})
 
 
-def _tnorm_descriptor(name, p=None):
+def _norm_descriptor(family, name, p=None):
+    """A t-norm or its dual t-conorm: they share their properties, except
+    that only t-norms are declared left-continuous, and their loci are
+    mirrored where the kernels are not self-dual."""
     extra = {
         "godel": {"idempotent", "continuous", "left-continuous", "single-passing"},
         "product": {"strict", "continuous", "left-continuous"},
@@ -1214,39 +865,21 @@ def _tnorm_descriptor(name, p=None):
         "nilpotent": {"left-continuous", "single-passing"},
         "yager": {"continuous", "left-continuous"},
     }[name]
+    if family == "tconorm":
+        extra = extra - {"left-continuous"}
     locus = {
         "godel": ("a = b", _mk_locus("tie")),
         "product": ("none", _mk_locus("none")),
         "lukasiewicz": ("a + b = 1", _mk_locus("sum1")),
-        "drastic": ("a = 1 or b = 1", _mk_locus("drastic-t")),
+        "drastic": (("a = 1 or b = 1", _mk_locus("drastic-t")) if family == "tnorm"
+                    else ("a = 0 or b = 0", _mk_locus("drastic-s"))),
         "nilpotent": ("a + b = 1 or a = b", _mk_locus("tie-or-sum1")),
-        "yager": ("(1-a)^p + (1-b)^p = 1, or -> 0", _mk_locus("yager-t", p)),
+        "yager": (("(1-a)^p + (1-b)^p = 1, or -> 0", _mk_locus("yager-t", p))
+                  if family == "tnorm"
+                  else ("a^p + b^p = 1, or -> 0", _mk_locus("yager-s", p))),
     }[name]
     params = (("p", p),) if name == "yager" else ()
-    return OperatorDescriptor("tnorm", name, params,
-                              _T_DEFINITIONAL | frozenset(extra),
-                              locus[0], locus[1])
-
-
-def _tconorm_descriptor(name, p=None):
-    extra = {
-        "godel": {"idempotent", "continuous", "single-passing"},
-        "product": {"strict", "continuous"},
-        "lukasiewicz": {"continuous"},
-        "drastic": {"single-passing"},
-        "nilpotent": {"single-passing"},
-        "yager": {"continuous"},
-    }[name]
-    locus = {
-        "godel": ("a = b", _mk_locus("tie")),
-        "product": ("none", _mk_locus("none")),
-        "lukasiewicz": ("a + b = 1", _mk_locus("sum1")),
-        "drastic": ("a = 0 or b = 0", _mk_locus("drastic-s")),
-        "nilpotent": ("a + b = 1 or a = b", _mk_locus("tie-or-sum1")),
-        "yager": ("a^p + b^p = 1, or -> 0", _mk_locus("yager-s", p)),
-    }[name]
-    params = (("p", p),) if name == "yager" else ()
-    return OperatorDescriptor("tconorm", name, params,
+    return OperatorDescriptor(family, name, params,
                               _T_DEFINITIONAL | frozenset(extra),
                               locus[0], locus[1])
 
@@ -1343,10 +976,8 @@ def descriptor(family: str, name: str, **params) -> OperatorDescriptor:
                                   frozenset({"strict", "strong", "boundary",
                                              "single-passing"}),
                                   "none", _mk_locus("none"))
-    if family == "tnorm":
-        return _tnorm_descriptor(name, params.get("p"))
-    if family == "tconorm":
-        return _tconorm_descriptor(name, params.get("p"))
+    if family in ("tnorm", "tconorm"):
+        return _norm_descriptor(family, name, params.get("p"))
     if family == "aggregator":
         return _aggregator_descriptor(name, params.get("p"))
     if family == "implication":
@@ -1356,29 +987,17 @@ def descriptor(family: str, name: str, **params) -> OperatorDescriptor:
 
 def catalog(yager_ps=(1.0, 2.0, 5.0), pme_ps=(0.5, 1.0, 2.0)) -> list:
     """Every catalog operator at representative parameter values."""
+    ps = {"yager": yager_ps, "yager_s": yager_ps, "yager_r": yager_ps,
+          "pme": pme_ps, "pmean": pme_ps}
     out = [descriptor("negation", "classic")]
-    for name in TNORM_NAMES:
-        if name == "yager":
-            out += [descriptor("tnorm", name, p=p) for p in yager_ps]
-        else:
-            out.append(descriptor("tnorm", name))
-    for name in TCONORM_NAMES:
-        if name == "yager":
-            out += [descriptor("tconorm", name, p=p) for p in yager_ps]
-        else:
-            out.append(descriptor("tconorm", name))
-    for name in AGGREGATOR_NAMES:
-        if name == "yager":
-            out += [descriptor("aggregator", name, p=p) for p in yager_ps]
-        elif name in ("pme", "pmean"):
-            out += [descriptor("aggregator", name, p=p) for p in pme_ps]
-        else:
-            out.append(descriptor("aggregator", name))
-    for name in _IMPLICATIONS:
-        if name in ("yager_s", "yager_r"):
-            out += [descriptor("implication", name, p=p) for p in yager_ps]
-        else:
-            out.append(descriptor("implication", name))
+    for family, names in [("tnorm", TNORM_NAMES), ("tconorm", TCONORM_NAMES),
+                          ("aggregator", AGGREGATOR_NAMES),
+                          ("implication", tuple(_IMPLICATIONS))]:
+        for name in names:
+            if name in ps:
+                out += [descriptor(family, name, p=p) for p in ps[name]]
+            else:
+                out.append(descriptor(family, name))
     for s in (0.01, 9.0, 20.0):
         out.append(descriptor("implication", "sigmoidal",
                               base="reichenbach", s=s, b0=-0.5))
@@ -1402,8 +1021,6 @@ def tnorm_duality_check(name: str, samples: int = 10_000, p: float | None = None
                         seed: int = 0) -> float:
     """Max abs error of S(a,b) = 1 - T(1-a, 1-b) and d_S(a,b) = d_T(1-a, 1-b)
     over uniform samples, skipping subgradient tie loci."""
-    import random as _random
-
     if name not in _TNORMS:
         raise OperatorError(f"unknown t-norm {name!r}")
     exclude = _DUALITY_EXCLUDE[name]
@@ -1412,148 +1029,177 @@ def tnorm_duality_check(name: str, samples: int = 10_000, p: float | None = None
         yag_t = _mk_locus("yager-t", p)
         yag_s = _mk_locus("yager-s", p)
         exclude = lambda xs, m: yag_t([1 - xs[0], 1 - xs[1]], m) or yag_s(xs, m)
-    rng = _random.Random(seed)
-    worst = 0.0
-    taken = 0
-    while taken < samples:
+    rng = random.Random(seed)
+    points = []
+    while len(points) < samples:
         a, b = rng.random(), rng.random()
-        if exclude((a, b), 1e-9):
-            continue
-        taken += 1
-        sv, (dsa, _) = tconorm_kernel(name, a, b, p)
-        tv, (dta, _) = tnorm_kernel(name, 1.0 - a, 1.0 - b, p)
-        worst = max(worst, abs(sv - (1.0 - tv)), abs(dsa - dta))
-    return worst
+        if not exclude((a, b), 1e-9):
+            points.append((a, b))
+    a, b = np.array(points).reshape(-1, 2).T
+    sv, (dsa, _) = tconorm_array(name, a, b, p)
+    tv, (dta, _) = tnorm_array(name, 1.0 - a, 1.0 - b, p)
+    return max(float(np.max(np.abs(sv - (1.0 - tv)), initial=0.0)),
+               float(np.max(np.abs(dsa - dta), initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
 # property audit
+#
+# Points are drawn one by one from the seeded ``random.Random``, in the
+# order a per-point loop draws them, and each law is evaluated with one
+# array call per input length.
+
+def _excess(err):
+    """``err`` where positive, else 0 (nan included), as ``max(0, err)``."""
+    return np.where(err > 0.0, err, 0.0)
+
+
+def _verdict(prop, err, tol, witness):
+    """(prop, passed, witness): the law fails when its largest error
+    exceeds ``tol``, and the witness is ``witness(i)`` for the first
+    sampled point i with that error."""
+    err = _excess(err)
+    worst = int(np.argmax(err))
+    if err[worst] <= tol:
+        return (prop, True, None)
+    return (prop, False, witness(worst))
+
+
+def _points(draws, samples, arity):
+    """``samples`` points of ``arity`` coordinates, the next ones that
+    ``draws(k)`` returns in order."""
+    return np.array(draws(samples * arity)).reshape(samples, arity)
+
+
+def _law(prop, draws, arity, samples, expr, tol):
+    """Check a law at sampled points; ``expr`` maps the coordinate arrays
+    to errors."""
+    points = _points(draws, samples, arity)
+    return _verdict(prop, expr(*points.T), tol,
+                    lambda i: tuple(points[i].tolist()))
+
+
+def _values(desc: OperatorDescriptor):
+    return lambda *xs: desc.array_kernel(*xs)[0]
+
+
+def _row_values(val, rows):
+    """``val`` of each row of inputs, one array call per row length."""
+    out = np.empty(len(rows))
+    lengths = np.array([len(row) for row in rows])
+    for n in np.unique(lengths):
+        at = np.flatnonzero(lengths == n)
+        out[at] = val(np.array([rows[i] for i in at]).T)
+    return out
+
 
 def _audit_binary(desc: OperatorDescriptor, rng, samples, tol):
     """Battery for t-norms / t-conorms."""
-    val = desc.value
+    val = _values(desc)
     neutral = 1.0 if desc.family == "tnorm" else 0.0
-    checks = []
-
-    def run(prop, gen, expr):
-        worst, witness = 0.0, None
-        for _ in range(samples):
-            point = gen()
-            err = expr(*point)
-            if err > worst:
-                worst, witness = err, point
-        checks.append((prop, worst <= tol, None if worst <= tol else witness))
-
     u = rng.random
-    run("commutative", lambda: (u(), u()), lambda a, b: abs(val(a, b) - val(b, a)))
-    run("associative", lambda: (u(), u(), u()),
-        lambda a, b, c: abs(val(val(a, b), c) - val(a, val(b, c))))
-    run("neutral", lambda: (u(),), lambda a: abs(val(neutral, a) - a))
-    run("idempotent", lambda: (u(),), lambda a: abs(val(a, a) - a))
+
+    def draws(k):
+        return [u() for _ in range(k)]
 
     def mono_err(a, b1, b2):
-        lo, hi = (b1, b2) if b1 <= b2 else (b2, b1)
-        return max(0.0, val(a, lo) - val(a, hi))
+        return val(a, np.minimum(b1, b2)) - val(a, np.maximum(b1, b2))
 
-    run("monotone", lambda: (u(), u(), u()), mono_err)
-    return checks
+    return [
+        _law("commutative", draws, 2, samples,
+             lambda a, b: abs(val(a, b) - val(b, a)), tol),
+        _law("associative", draws, 3, samples,
+             lambda a, b, c: abs(val(val(a, b), c) - val(a, val(b, c))), tol),
+        _law("neutral", draws, 1, samples, lambda a: abs(val(neutral, a) - a), tol),
+        _law("idempotent", draws, 1, samples, lambda a: abs(val(a, a) - a), tol),
+        _law("monotone", draws, 3, samples, mono_err, tol),
+    ]
 
 
 def _audit_aggregator(desc: OperatorDescriptor, rng, samples, tol):
-    val = desc.value
-    checks = []
+    val = _values(desc)
     u = rng.random
     log = desc.name == "log_product"
-
-    def run(prop, gen, expr):
-        worst, witness = 0.0, None
-        for _ in range(samples):
-            point = gen()
-            err = expr(point)
-            if err > worst:
-                worst, witness = err, point
-        checks.append((prop, worst <= tol, None if worst <= tol else witness))
-
-    def perm_err(xs):
-        shuffled = list(xs)
-        rng.shuffle(shuffled)
-        return abs(val(*xs) - val(*shuffled))
 
     def interior(n):
         return [0.05 + 0.9 * u() for _ in range(n)] if log else [u() for _ in range(n)]
 
-    run("symmetric", lambda: interior(rng.randint(2, 5)), perm_err)
+    def shuffled(xs):
+        ys = list(xs)
+        rng.shuffle(ys)
+        return ys
 
-    def mono_err(xs):
+    def bumped(xs):
         i = rng.randrange(len(xs))
-        bumped = list(xs)
-        bumped[i] = min(1.0, xs[i] + u() * (1.0 - xs[i]))
-        return max(0.0, val(*xs) - val(*bumped))
+        ys = list(xs)
+        ys[i] = min(1.0, xs[i] + u() * (1.0 - xs[i]))
+        return ys
 
-    run("monotone", lambda: interior(rng.randint(2, 5)), mono_err)
+    def law(prop, change, expr):
+        # each sample draws its point, then whatever ``change`` draws
+        points, changed = [], []
+        for _ in range(samples):
+            points.append(interior(rng.randint(2, 5)))
+            changed.append(change(points[-1]))
+        err = expr(_row_values(val, points), _row_values(val, changed))
+        return _verdict(prop, err, tol, points.__getitem__)
+
+    checks = [law("symmetric", shuffled, lambda v, w: abs(v - w)),
+              law("monotone", bumped, lambda v, w: v - w)]
     if not log:
-        run("idempotent", lambda: [u()] * rng.randint(2, 5),
-            lambda xs: abs(val(*xs) - xs[0]))
+        points = [[u()] * rng.randint(2, 5) for _ in range(samples)]
+        first = np.array([xs[0] for xs in points])
+        checks.append(_verdict("idempotent",
+                               abs(_row_values(val, points) - first), tol,
+                               points.__getitem__))
+        corners = val(np.array([[0.0, 1.0]] * 3))
         checks.append(("boundary",
-                       val(0.0, 0.0, 0.0) == 0.0 and val(1.0, 1.0, 1.0) == 1.0,
-                       None))
+                       bool(corners[0] == 0.0 and corners[1] == 1.0), None))
     return checks
 
 
 def _audit_implication(desc: OperatorDescriptor, rng, samples, tol):
-    val = desc.value
-    checks = []
+    val = _values(desc)
+    u = rng.random
 
-    def u():
+    def draws(k):
         # mix exact endpoints in: several table properties only fail on
         # the boundary lines (e.g. Weber's CP at a = 1)
-        r = rng.random()
-        if r < 0.15:
-            return 0.0
-        if r < 0.30:
-            return 1.0
-        return rng.random()
-
-    def run(prop, gen, expr):
-        worst, witness = 0.0, None
-        for _ in range(samples):
-            point = gen()
-            err = expr(*point)
-            if err > worst:
-                worst, witness = err, point
-        checks.append((prop, worst <= tol, None if worst <= tol else witness))
-
-    checks.append(("boundary",
-                   abs(val(0.0, 0.0) - 1.0) <= tol
-                   and abs(val(1.0, 1.0) - 1.0) <= tol
-                   and abs(val(1.0, 0.0)) <= tol, None))
-    run("LN", lambda: (u(),), lambda c: abs(val(1.0, c) - c))
-    run("EP", lambda: (u(), u(), u()),
-        lambda a, b, c: abs(val(a, val(b, c)) - val(b, val(a, c))))
-    run("IP", lambda: (u(),), lambda a: abs(val(a, a) - 1.0))
-    run("CP", lambda: (u(), u()),
-        lambda a, c: abs(val(a, c) - val(1.0 - c, 1.0 - a)))
+        out = []
+        for _ in range(k):
+            r = u()
+            out.append(0.0 if r < 0.15 else 1.0 if r < 0.30 else u())
+        return out
 
     def mono_err(a1, a2, c1, c2):
-        alo, ahi = (a1, a2) if a1 <= a2 else (a2, a1)
-        clo, chi = (c1, c2) if c1 <= c2 else (c2, c1)
-        err_a = max(0.0, val(ahi, c1) - val(alo, c1))  # decreasing in a
-        err_c = max(0.0, val(a1, clo) - val(a1, chi))  # increasing in c
-        return max(err_a, err_c)
+        alo, ahi = np.minimum(a1, a2), np.maximum(a1, a2)
+        clo, chi = np.minimum(c1, c2), np.maximum(c1, c2)
+        err_a = _excess(val(ahi, c1) - val(alo, c1))  # decreasing in a
+        err_c = _excess(val(a1, clo) - val(a1, chi))  # increasing in c
+        return np.maximum(err_a, err_c)
 
-    run("monotone", lambda: (u(), u(), u(), u()), mono_err)
-    return checks
+    corners = val(np.array([0.0, 1.0, 1.0]), np.array([0.0, 1.0, 0.0]))
+    return [
+        ("boundary", bool(abs(corners[0] - 1.0) <= tol
+                          and abs(corners[1] - 1.0) <= tol
+                          and abs(corners[2]) <= tol), None),
+        _law("LN", draws, 1, samples, lambda c: abs(val(1.0, c) - c), tol),
+        _law("EP", draws, 3, samples,
+             lambda a, b, c: abs(val(a, val(b, c)) - val(b, val(a, c))), tol),
+        _law("IP", draws, 1, samples, lambda a: abs(val(a, a) - 1.0), tol),
+        _law("CP", draws, 2, samples,
+             lambda a, c: abs(val(a, c) - val(1.0 - c, 1.0 - a)), tol),
+        _law("monotone", draws, 4, samples, mono_err, tol),
+    ]
 
 
-def _audit_single_passing(desc: OperatorDescriptor, rng, samples, tol):
+def _audit_single_passing(desc: OperatorDescriptor, rng, samples):
     arity = {"negation": 1, "tnorm": 2, "tconorm": 2, "implication": 2}.get(
         desc.family, 3)
-    for _ in range(samples):
-        xs = [rng.random() for _ in range(arity)]
-        _, partials = desc.kernel(*xs)
-        live = sum(1 for d in partials if abs(d) > 1e-12)
-        if live > 1:
-            return ("single-passing", False, tuple(xs))
+    points = _points(lambda k: [rng.random() for _ in range(k)], samples, arity)
+    violations = np.flatnonzero(desc.live_partials(points) > 1)
+    if len(violations):
+        return ("single-passing", False, tuple(points[violations[0]].tolist()))
     return ("single-passing", True, None)
 
 
@@ -1568,9 +1214,7 @@ def property_audit(desc: OperatorDescriptor, samples: int = 2000, seed: int = 0,
     single-passing probe everywhere.  A failure carries the worst
     sampled counterexample as witness.
     """
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     if desc.family in ("tnorm", "tconorm"):
         checks = _audit_binary(desc, rng, samples, tol)
     elif desc.family == "aggregator":
@@ -1582,7 +1226,7 @@ def property_audit(desc: OperatorDescriptor, samples: int = 2000, seed: int = 0,
     else:
         raise OperatorError(f"unknown family {desc.family!r}")
     if desc.name != "log_product":
-        checks.append(_audit_single_passing(desc, rng, min(samples, 2000), tol))
+        checks.append(_audit_single_passing(desc, rng, min(samples, 2000)))
     return checks
 
 
@@ -1651,20 +1295,8 @@ class OperatorConfig:
         return " ".join(parts)
 
     def validate(self) -> "OperatorConfig":
-        self.tnorm_kernel(0.5, 0.5)
-        self.tconorm_kernel(0.5, 0.5)
-        self.implication_kernel(0.5, 0.5)
-        self.aggregate_kernel([0.5, 0.5])
+        self.arrays  # binding checks every name and parameter
         return self
-
-
-def product_config(log: bool = False) -> OperatorConfig:
-    return OperatorConfig(aggregator="log_product" if log else "product")
-
-
-def godel_config() -> OperatorConfig:
-    return OperatorConfig(tnorm="godel", tconorm="godel",
-                          implication="kleene_dienes", aggregator="min")
 
 
 def _parse_params(text: str, where: str) -> dict:
@@ -1719,18 +1351,9 @@ def parse_operator_config(text: str, base: OperatorConfig | None = None) -> Oper
             if name != "classic":
                 raise ConfigError(f"unknown negation {name!r} (only 'classic')")
             continue
-        if key == "tnorm":
-            if name not in _TNORMS:
-                raise ConfigError(f"unknown t-norm {name!r}")
-            cfg["tnorm"] = (name, params.get("p"))
-        elif key == "tconorm":
-            if name not in _TCONORMS:
-                raise ConfigError(f"unknown t-conorm {name!r}")
-            cfg["tconorm"] = (name, params.get("p"))
-        elif key == "aggregator":
-            if name not in _AGGREGATORS:
-                raise ConfigError(f"unknown aggregator {name!r}")
-            cfg["aggregator"] = (name, params.get("p"))
+        # names and parameters are checked once, when ``validate`` binds
+        if key in cfg:
+            cfg[key] = (name, params.get("p"))
         elif key == "implication":
             if name == "sigmoidal":
                 impl.update(name=name, p=params.get("p", impl["p"]),
@@ -1742,10 +1365,8 @@ def parse_operator_config(text: str, base: OperatorConfig | None = None) -> Oper
                     raise ConfigError(f"unknown sigmoidal base {impl['base']!r}")
                 if impl["s"] is None:
                     raise ConfigError("sigmoidal implication needs s=<positive>")
-            elif name in _IMPLICATIONS:
-                impl.update(name=name, p=params.get("p"), s=None, b0=None, base=None)
             else:
-                raise ConfigError(f"unknown implication {name!r}")
+                impl.update(name=name, p=params.get("p"), s=None, b0=None, base=None)
         if key != "implication":
             for pk in params:
                 if pk != "p":

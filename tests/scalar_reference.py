@@ -3,12 +3,12 @@ array engine in ``dfl.valuation`` is tested against.
 
 It walks the formula tree once per ground instance and records every
 connective and aggregation as its own node on the grounding's tape,
-calling the scalar kernels through ``OperatorConfig.*_kernel``.  With
-``instances=[]`` it appends one InstanceRecord per instance of a
-quantifier block whose body is an implication; the antecedent and
-consequent are pass-through slots, so their adjoints are exactly the
-per-instance derivatives even when a ground atom is shared between
-slots.
+calling the scalar reference kernels (``scalar_kernels``) that ``ops``
+selects.  With ``instances=[]`` it appends one InstanceRecord per
+instance of a quantifier block whose body is an implication; the
+antecedent and consequent are pass-through slots, so their adjoints are
+exactly the per-instance derivatives even when a ground atom is shared
+between slots.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from dfl.autodiff import Node
 from dfl.logic import And, Atom, ForAll, Implies, Not, Or
 from dfl.valuation import SemanticError
+from scalar_kernels import (aggregate_kernel, implication_kernel, tconorm_kernel,
+                            tnorm_kernel)
 
 
 @dataclass
@@ -35,6 +37,12 @@ class InstanceRecord:
 def valuate(f, g, ops, mu=None, instances=None) -> Node:
     """Fuzzy truth value of ``f`` as a node on ``g.tape``."""
     return _eval(f, g, ops, dict(mu or {}), instances, at_root=True)
+
+
+def _implication(ops, a, c):
+    return implication_kernel(ops.implication, a, c, p=ops.implication_p,
+                              s=ops.sigmoid_s, b0=ops.sigmoid_b0,
+                              base=ops.sigmoid_base)
 
 
 def _collapse_forall(f: ForAll):
@@ -60,17 +68,18 @@ def _eval(node, g, ops, mu, instances, at_root=False):
     if isinstance(node, And):
         lhs = _eval(node.lhs, g, ops, mu, instances)
         rhs = _eval(node.rhs, g, ops, mu, instances)
-        v, partials = ops.tnorm_kernel(lhs.value, rhs.value)
+        v, partials = tnorm_kernel(ops.tnorm, lhs.value, rhs.value, ops.tnorm_p)
         return tape.record(f"T_{ops.tnorm}", [lhs, rhs], v, partials)
     if isinstance(node, Or):
         lhs = _eval(node.lhs, g, ops, mu, instances)
         rhs = _eval(node.rhs, g, ops, mu, instances)
-        v, partials = ops.tconorm_kernel(lhs.value, rhs.value)
+        v, partials = tconorm_kernel(ops.tconorm, lhs.value, rhs.value,
+                                     ops.tconorm_p)
         return tape.record(f"S_{ops.tconorm}", [lhs, rhs], v, partials)
     if isinstance(node, Implies):
         lhs = _eval(node.lhs, g, ops, mu, instances)
         rhs = _eval(node.rhs, g, ops, mu, instances)
-        v, partials = ops.implication_kernel(lhs.value, rhs.value)
+        v, partials = _implication(ops, lhs.value, rhs.value)
         return tape.record(f"I_{ops.implication}", [lhs, rhs], v, partials)
     if isinstance(node, ForAll):
         if ops.aggregator == "log_product" and not at_root:
@@ -88,7 +97,7 @@ def _eval_body(body, g, ops, mu, instances):
         cons = _eval(body.rhs, g, ops, mu, instances)
         ante_slot = g.tape.record("ante", [ante], ante.value, [1.0])
         cons_slot = g.tape.record("cons", [cons], cons.value, [1.0])
-        v, partials = ops.implication_kernel(ante_slot.value, cons_slot.value)
+        v, partials = _implication(ops, ante_slot.value, cons_slot.value)
         out = g.tape.record(f"I_{ops.implication}", [ante_slot, cons_slot],
                             v, partials)
         instances.append(InstanceRecord(dict(mu), ante_slot, cons_slot,
@@ -107,7 +116,8 @@ def _eval_quantifier(vars_, body, g, ops, mu, instances):
             values.append(_eval_body(body, g, ops, mu, instances))
         for var in vars_:
             mu.pop(var, None)
-        v, partials = ops.aggregate_kernel([n.value for n in values])
+        v, partials = aggregate_kernel(ops.aggregator, [n.value for n in values],
+                                       ops.aggregator_p)
         return tape.record("A_log_product", values, v, partials)
 
     def agg_over(remaining):
@@ -119,7 +129,9 @@ def _eval_quantifier(vars_, body, g, ops, mu, instances):
             mu[var] = idx
             children.append(agg_over(remaining[1:]))
         del mu[var]
-        v, partials = ops.aggregate_kernel([n.value for n in children])
+        v, partials = aggregate_kernel(ops.aggregator,
+                                       [n.value for n in children],
+                                       ops.aggregator_p)
         return tape.record(f"A_{ops.aggregator}", children, v, partials)
 
     return agg_over(list(vars_))

@@ -19,12 +19,13 @@ from dfl.analysis import (
     yager_p2_fraction_candidates,
     yager_tnorm_fraction,
     yager_tnorm_fraction_check,
-    _nonvanishing_mask,
 )
 from dfl.logic import parse_formula, parse_kb
 from dfl.operators import (OperatorConfig, OperatorError, catalog, descriptor,
                            parse_operator_config)
 from dfl.valuation import LookupInterpretation, Domain, build_grounding
+
+import scalar_kernels
 
 SAMPLES = 40_000
 
@@ -120,7 +121,7 @@ def test_std_error_formula():
 
 # ---------------------------------------------------------------------------
 # the array kernels (and the masks derived from them) agree with the
-# scalar kernels
+# scalar reference kernels
 
 BOUNDARY = [0.0, 1e-7, 0.5, 1.0 - 1e-7, 1.0]
 
@@ -148,7 +149,7 @@ def _array_and_scalar(desc, points):
         value, partials = desc.array_kernel(*points.T)
         partials = [np.broadcast_to(d, value.shape) for d in partials]
     array = [(value[i], [d[i] for d in partials]) for i in range(len(points))]
-    return array, [desc.kernel(*x) for x in points.tolist()]
+    return array, [scalar_kernels.kernel(desc, *x) for x in points.tolist()]
 
 
 def _agree(desc, points, exact, tol):
@@ -176,9 +177,9 @@ def test_mask_matches_scalar_kernels(desc):
         _agree(desc, grid, exact=not (transcendental or plain_sum), tol=1e-15)
         X = rng.random((400, n))
         _agree(desc, X, exact=False, tol=1e-12)
-        mask = _nonvanishing_mask(desc, X)
+        mask = desc.live_partials(X) > 0
         for i in range(len(X)):
-            _, partials = desc.kernel(*X[i].tolist())
+            _, partials = scalar_kernels.kernel(desc, *X[i].tolist())
             scalar = any(abs(d) > 1e-12 for d in partials)
             assert scalar == bool(mask[i]), (desc.label(), X[i])
 
@@ -230,6 +231,15 @@ def test_composition_with_product_is_not_single_passing():
 def test_godel_implication_single_passing():
     ok, _ = single_passing_audit(descriptor("implication", "godel"), 2)
     assert ok
+
+
+@pytest.mark.parametrize("desc", catalog(), ids=lambda d: f"{d.family}:{d.label()}")
+def test_single_passing_audit_matches_loop(desc):
+    # the same verdict and witness as one scalar kernel call per point
+    n = {"negation": 1, "tnorm": 2, "tconorm": 2, "implication": 2}.get(
+        desc.family, 3)
+    assert single_passing_audit(desc, n, 10_000, seed=5) == \
+        scalar_kernels.single_passing_audit(desc, n, 10_000, seed=5)
 
 
 # ---------------------------------------------------------------------------

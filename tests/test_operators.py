@@ -28,6 +28,8 @@ from dfl.operators import (
     TNORM_NAMES,
 )
 
+import scalar_kernels
+
 
 def kernel_fn(desc):
     def f(tape, leaves):
@@ -439,6 +441,28 @@ def test_audit_matches_declared_for_catalog():
                 continue
             declared = prop in desc.properties
             assert ok == declared, (desc.family, desc.label(), prop, witness)
+
+
+# ---------------------------------------------------------------------------
+# the array audits return the reports of their per-point loops over the
+# scalar reference kernels: the same verdicts and the same witnesses
+
+@pytest.mark.parametrize("desc", catalog(), ids=lambda d: f"{d.family}:{d.label()}")
+def test_property_audit_matches_loop(desc):
+    # five seeds, at the benchmark's sample count (2000) and at the
+    # acceptance audit's (3000, seed 51)
+    for samples, seed in [(2000, 21), (3000, 51), (2000, 1), (2000, 2),
+                          (2000, 3)]:
+        assert property_audit(desc, samples=samples, seed=seed) == \
+            scalar_kernels.property_audit(desc, samples=samples,
+                                          seed=seed), (samples, seed)
+
+
+@pytest.mark.parametrize("name,p", [(name, p) for name in TNORM_NAMES for p in (
+    (1.0, 2.0, 5.0) if name == "yager" else (None,))])
+def test_duality_check_matches_loop(name, p):
+    assert tnorm_duality_check(name, 10_000, p, seed=52) == \
+        scalar_kernels.tnorm_duality_check(name, 10_000, p, seed=52)
 
 
 # ---------------------------------------------------------------------------
