@@ -124,6 +124,17 @@ class FractionEstimate:
         return (self.estimate - self.closed_form) / se
 
 
+POINT_CHUNK = 20_000
+
+
+def _point_chunks(rng, samples: int, n: int):
+    """``samples`` uniform points of [0,1)^n, POINT_CHUNK rows at a time:
+    the same stream as one ``rng.random(n)`` call per point, in bounded
+    memory."""
+    for start in range(0, samples, POINT_CHUNK):
+        yield rng.random((min(POINT_CHUNK, samples - start), n))
+
+
 def estimate_nonvanishing_fraction(desc: OperatorDescriptor, n: int,
                                    samples: int, seed: int) -> FractionEstimate:
     """Draw uniform points from [0,1]^n and count where at least one
@@ -133,14 +144,8 @@ def estimate_nonvanishing_fraction(desc: OperatorDescriptor, n: int,
     if desc.family in ("tnorm", "tconorm", "implication") and n != 2:
         raise ValueError(f"{desc.family} kernels are binary; got n={n}")
     rng = np.random.default_rng(seed)
-    hits = 0
-    chunk = 20_000  # draws the same stream as larger chunks, in less memory
-    remaining = samples
-    while remaining > 0:
-        m = min(chunk, remaining)
-        X = rng.random((m, n))
-        hits += int(np.count_nonzero(desc.live_partials(X)))
-        remaining -= m
+    hits = sum(int(np.count_nonzero(desc.live_partials(X)))
+               for X in _point_chunks(rng, samples, n))
     estimate = hits / samples
     std_error = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / samples)
     out = FractionEstimate(f"{desc.family}:{desc.label()}", n, samples,
@@ -189,11 +194,10 @@ def single_passing_audit(op, n: int, samples: int = 10_000, seed: int = 0):
         raise ValueError("single-passing audits need samples >= 10_000")
     rng = np.random.default_rng(seed)
     if isinstance(op, OperatorDescriptor):
-        # the same stream as one rng.random(n) call per point
-        X = rng.random((samples, n))
-        violations = np.flatnonzero(op.live_partials(X) > 1)
-        if len(violations):
-            return False, tuple(X[violations[0]].tolist())
+        for X in _point_chunks(rng, samples, n):
+            violations = np.flatnonzero(op.live_partials(X) > 1)
+            if len(violations):
+                return False, tuple(X[violations[0]].tolist())
         return True, None
     for _ in range(samples):
         xs = rng.random(n).tolist()

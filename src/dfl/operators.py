@@ -117,15 +117,7 @@ def _unit_array(x) -> np.ndarray:
 
 def _pick(conds, branches, default):
     """Select (value, partial, partial) branch by branch: the first true
-    condition wins, like an if-chain.  Conditions at one point (numpy
-    bools, as the scalar API passes) take the if-chain itself, which
-    keeps a scalar call to microseconds."""
-    if isinstance(conds[0], np.bool_):
-        for cond, (v, a, b) in zip(conds, branches):
-            if cond:
-                return v, (a, b)
-        v, a, b = default
-        return v, (a, b)
+    condition wins, like an if-chain."""
     value, da, db = default
     for cond, (v, a, b) in zip(reversed(conds), reversed(branches)):
         value = np.where(cond, v, value)
@@ -564,9 +556,7 @@ def _bind_sigmoidal(base, s, b0, p) -> Callable:
 # array entry points
 
 def _run_checked(kernel, *xs):
-    # broadcast first, so a kernel's conditions are all arrays or all at
-    # one point
-    xs = np.broadcast_arrays(*[_unit_array(x) for x in xs])
+    xs = [_unit_array(x) for x in xs]
     with np.errstate(all="ignore"):
         return kernel(*xs)
 
@@ -1319,6 +1309,18 @@ def _parse_params(text: str, where: str) -> dict:
     return params
 
 
+_CONFIG_NAMES = {"tnorm": (_TNORMS, "t-norm"), "tconorm": (_TCONORMS, "t-conorm"),
+                 "aggregator": (_AGGREGATORS, "aggregator"),
+                 "implication": (_IMPLICATIONS, "implication")}
+
+
+def _config_name(key: str, name: str):
+    try:
+        _lookup(*_CONFIG_NAMES[key], name)
+    except OperatorError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def parse_operator_config(text: str, base: OperatorConfig | None = None) -> OperatorConfig:
     """Parse assignments like ``tnorm=yager:p=2``.
 
@@ -1351,8 +1353,9 @@ def parse_operator_config(text: str, base: OperatorConfig | None = None) -> Oper
             if name != "classic":
                 raise ConfigError(f"unknown negation {name!r} (only 'classic')")
             continue
-        # names and parameters are checked once, when ``validate`` binds
+        # names are checked per token, parameters once ``validate`` binds
         if key in cfg:
+            _config_name(key, name)
             cfg[key] = (name, params.get("p"))
         elif key == "implication":
             if name == "sigmoidal":
@@ -1366,6 +1369,7 @@ def parse_operator_config(text: str, base: OperatorConfig | None = None) -> Oper
                 if impl["s"] is None:
                     raise ConfigError("sigmoidal implication needs s=<positive>")
             else:
+                _config_name(key, name)
                 impl.update(name=name, p=params.get("p"), s=None, b0=None, base=None)
         if key != "implication":
             for pk in params:

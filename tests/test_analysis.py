@@ -26,6 +26,7 @@ from dfl.operators import (OperatorConfig, OperatorError, catalog, descriptor,
 from dfl.valuation import LookupInterpretation, Domain, build_grounding
 
 import scalar_kernels
+from dfl import analysis
 
 SAMPLES = 40_000
 
@@ -139,9 +140,9 @@ FSUM = {"lukasiewicz", "bounded_sum", "log_product", "yager", "pme", "pmean",
         "mae", "rmse"}
 
 
-def _array_and_scalar(desc, points):
-    """Per point, (value, partials) from the array kernel and from the
-    scalar kernel."""
+def _kernel_columns(desc, points):
+    """Per point, (value, partials) from the array kernel, from the
+    shipped scalar API and from the scalar reference kernel."""
     points = np.asarray(points, dtype=float)
     if desc.family == "aggregator":
         value, partials = desc.array_kernel(points.T)
@@ -149,20 +150,25 @@ def _array_and_scalar(desc, points):
         value, partials = desc.array_kernel(*points.T)
         partials = [np.broadcast_to(d, value.shape) for d in partials]
     array = [(value[i], [d[i] for d in partials]) for i in range(len(points))]
-    return array, [scalar_kernels.kernel(desc, *x) for x in points.tolist()]
+    rows = points.tolist()
+    return (array, [desc.kernel(*x) for x in rows],
+            [scalar_kernels.kernel(desc, *x) for x in rows])
 
 
 def _agree(desc, points, exact, tol):
-    array, scalar = _array_and_scalar(desc, points)
-    for x, (av, ap), (sv, sp) in zip(points, array, scalar):
-        for a, s in [(av, sv)] + list(zip(ap, sp)):
-            # the branch taken: zero partials and live partials coincide
-            assert (a == 0.0) == (s == 0.0), (desc.label(), x, a, s)
-            assert (abs(a) > 1e-12) == (abs(s) > 1e-12), (desc.label(), x)
-            if exact or math.isinf(s):
-                assert a == s, (desc.label(), x, a, s)
-            else:
-                assert abs(a - s) <= tol * max(1.0, abs(s)), (desc.label(), x)
+    array, shipped, reference = _kernel_columns(desc, points)
+    for x, (av, ap), (kv, kp), (sv, sp) in zip(points, array, shipped, reference):
+        # the scalar API returns floats
+        assert all(type(k) is float for k in [kv, *kp]), (desc.label(), x)
+        for a, k, s in zip([av, *ap], [kv, *kp], [sv, *sp], strict=True):
+            for got in (a, k):
+                # the branch taken: zero partials and live partials coincide
+                assert (got == 0.0) == (s == 0.0), (desc.label(), x, got, s)
+                assert (abs(got) > 1e-12) == (abs(s) > 1e-12), (desc.label(), x)
+                if exact or math.isinf(s):
+                    assert got == s, (desc.label(), x, got, s)
+                else:
+                    assert abs(got - s) <= tol * max(1.0, abs(s)), (desc.label(), x)
 
 
 @pytest.mark.parametrize("desc", [d for d in catalog() if d.family != "negation"],
@@ -240,6 +246,24 @@ def test_single_passing_audit_matches_loop(desc):
         desc.family, 3)
     assert single_passing_audit(desc, n, 10_000, seed=5) == \
         scalar_kernels.single_passing_audit(desc, n, 10_000, seed=5)
+
+
+@pytest.mark.parametrize("family, name, params, n", [
+    ("tnorm", "godel", {}, 2),
+    ("aggregator", "min", {}, 3),
+    ("tnorm", "lukasiewicz", {}, 2),
+    ("aggregator", "lukasiewicz", {}, 3),
+])
+def test_single_passing_audit_chunks_match_loop(monkeypatch, family, name,
+                                                params, n):
+    # over several chunks the points, verdict and witness stay the loop's:
+    # 45k samples span three chunks, and at 7 rows a chunk the Lukasiewicz
+    # aggregator's first violation (row 23 at seed 3) lies in the fourth
+    desc = descriptor(family, name, **params)
+    expected = scalar_kernels.single_passing_audit(desc, n, 45_000, seed=3)
+    assert single_passing_audit(desc, n, 45_000, seed=3) == expected
+    monkeypatch.setattr(analysis, "POINT_CHUNK", 7)
+    assert single_passing_audit(desc, n, 45_000, seed=3) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from dfl.autodiff import finite_difference_check
@@ -23,6 +24,7 @@ from dfl.operators import (
     tconorm,
     tconorm_kernel,
     tnorm,
+    tnorm_array,
     tnorm_kernel,
     tnorm_duality_check,
     TNORM_NAMES,
@@ -344,17 +346,12 @@ def test_recursive_extension_matches_aggregator(tname, aname):
 
 def _r_implication_oracle(tname, a, c, p=None, coarse=10_000, fine=200):
     # sup{b : T(a, b) <= c} by coarse scan plus local refinement;
-    # T is increasing in b, so scan from above.
-    lo, hi = 0.0, 1.0
-    best = 0.0
-    found = False
-    for i in range(coarse, -1, -1):
-        b = i / coarse
-        if tnorm(tname, a, b, p) <= c:
-            best, found = b, True
-            break
-    if not found:
+    # T is increasing in b, so take the largest grid point that passes.
+    grid = np.arange(coarse + 1) / coarse
+    passing = np.flatnonzero(tnorm_array(tname, a, grid, p)[0] <= c)
+    if not len(passing):
         return 0.0
+    best = float(grid[passing[-1]])
     lo, hi = best, min(1.0, best + 1.0 / coarse)
     for _ in range(fine):
         mid = 0.5 * (lo + hi)
@@ -491,6 +488,14 @@ def test_parse_operator_config_errors():
         parse_operator_config("implication=sigmoidal:s=9")
     with pytest.raises(ConfigError):
         parse_operator_config("aggregator=pme")  # pme needs p
+    # every token's name is checked, not only the one that ends up in force
+    for text, message in [
+            ("tnorm=prodct tnorm=godel", "unknown t-norm 'prodct'"),
+            ("tconorm=nope tconorm=godel", "unknown t-conorm 'nope'"),
+            ("aggregator=avg aggregator=min", "unknown aggregator 'avg'"),
+            ("implication=kd implication=godel", "unknown implication 'kd'")]:
+        with pytest.raises(ConfigError, match=message):
+            parse_operator_config(text)
 
 
 def test_config_describe_roundtrip():
