@@ -287,7 +287,7 @@ def gradient_quality(kb, g: GroundingTable, ops: OperatorConfig,
             for pred in _predicates(program):
                 if pred not in truth:
                     truth[pred] = _atom_truth(pred, g, atom_fn)
-            holds = classical_values(program, g, truth)
+            holds = classical_values(program, len(g.batch), truth)
             cons_true, ante_false = holds[cons], ~holds[ante]
         else:
             cons_true, ante_false = _instance_labels(formula, program, g,

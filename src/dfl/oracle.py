@@ -1,12 +1,16 @@
 """Exact Semantic Loss by world enumeration, and the equivalence check
 against the product-configuration fuzzy valuation.
 
-A world assigns {0,1} to every ground atom appearing in the grounded
-knowledge base; atoms that never appear marginalize out and are not
-enumerated.  The satisfying-world probability mass is accumulated with
-``math.fsum`` (exactly rounded), so results are independent of
-enumeration order.  The 20-atom cap (about a million worlds) keeps the
-oracle exact rather than sampled; larger groundings are rejected.
+A world assigns {0,1} to every ground atom that each formula's compiled
+program reads over its b**d instances; other atoms marginalize out.
+Worlds are a leading array axis: the programs are evaluated classically
+(``valuation.classical_values``) over ``WORLD_CHUNK`` worlds at a time,
+in ``itertools.product`` order with the first atom as the most
+significant bit.  A world's weight multiplies its atoms' probabilities
+in atom order, and ``math.fsum`` (exactly rounded) sums the satisfying
+weights, so the result depends on neither order nor chunking.  The
+20-atom cap (about a million worlds) keeps the oracle exact rather than
+sampled; larger groundings are rejected before any world is built.
 
 The fuzzy side of the comparison uses product t-norm/t-conorm, the
 Reichenbach implication and the log-product aggregator, exponentiated
@@ -21,20 +25,22 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .analysis import classical_truth
-from .logic import And, Atom, ForAll, Implies, KnowledgeBase, Not, Or
+import numpy as np
+
+from .logic import KnowledgeBase
 from .operators import OperatorConfig
-from .valuation import (CLAMP_EPS, Domain, LookupInterpretation,
-                        build_grounding, valuate)
+from .valuation import (Domain, LookupInterpretation, build_grounding,
+                        classical_values, compile_formula, valuate)
 
 __all__ = [
     "WorldCapError", "AtomOccurrence", "EquivalenceReport",
-    "WORLD_ATOM_CAP", "DPFL_CONFIG",
-    "ground_instances", "occurrence_census", "semantic_probability",
+    "WORLD_ATOM_CAP", "WORLD_CHUNK", "DPFL_CONFIG",
+    "occurrence_census", "semantic_probability",
     "semantic_loss", "dpfl_valuation", "equivalence_report", "world_table",
 ]
 
 WORLD_ATOM_CAP = 20
+WORLD_CHUNK = 2 ** 14  # worlds per array pass
 
 DPFL_CONFIG = OperatorConfig(tnorm="product", tconorm="product",
                              implication="reichenbach",
@@ -45,48 +51,21 @@ class WorldCapError(ValueError):
     """Grounded knowledge base exceeds the exact-enumeration atom cap."""
 
 
-def _collapse(formula: ForAll):
-    vars_ = []
-    node = formula
-    while isinstance(node, ForAll):
-        vars_.extend(node.vars)
-        node = node.body
-    return tuple(vars_), node
-
-
-def ground_instances(kb: KnowledgeBase, batch: list):
-    """All (body, assignment) instances of every formula, in knowledge-base
-    order then lexicographic object order."""
-    out = []
-    for formula, _ in kb.entries:
-        vars_, body = _collapse(formula)
-        for combo in itertools.product(batch, repeat=len(vars_)):
-            out.append((body, dict(zip(vars_, combo))))
-    return out
-
-
-def _appearing_atoms(kb: KnowledgeBase, batch: list):
-    """Ground atoms of the grounded KB in first-appearance order, plus
-    per-atom occurrence counts."""
-    order: list = []
+def _census(kb: KnowledgeBase, batch: list) -> dict:
+    """Occurrences of each ground atom (pred, objs) of the grounded KB, in
+    first-appearance order: formulas in KB order, then their instances in
+    lexicographic batch order, then atom steps in program order.  An atom
+    that ignores a quantified variable occurs once per value of it."""
     counts: dict = {}
-
-    def walk(node, mu):
-        if isinstance(node, Atom):
-            key = (node.pred, tuple(mu[a] for a in node.args))
-            if key not in counts:
-                counts[key] = 0
-                order.append(key)
-            counts[key] += 1
-        elif isinstance(node, Not):
-            walk(node.child, mu)
-        elif isinstance(node, (And, Or, Implies)):
-            walk(node.lhs, mu)
-            walk(node.rhs, mu)
-
-    for body, mu in ground_instances(kb, batch):
-        walk(body, mu)
-    return order, counts
+    for formula in kb.formulas():
+        program = compile_formula(formula)
+        steps = [(instr.atom.pred, instr.terms) for instr in program.instrs
+                 if instr.op == "atom"]
+        for combo in itertools.product(batch, repeat=program.n_axes):
+            for pred, terms in steps:
+                key = (pred, tuple(combo[axis] for axis in terms))
+                counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 @dataclass
@@ -101,50 +80,72 @@ class AtomOccurrence:
 
 
 def occurrence_census(kb: KnowledgeBase, batch: list) -> AtomOccurrence:
-    _, counts = _appearing_atoms(kb, batch)
+    counts = _census(kb, batch)
     return AtomOccurrence(counts, all(v <= 1 for v in counts.values()))
 
 
 def _prob_lookup(probs):
-    if isinstance(probs, LookupInterpretation):
-        return probs.score
-    if isinstance(probs, dict):
-        table = LookupInterpretation(probs)
-        return table.score
-    return probs.score
+    return (LookupInterpretation(probs) if isinstance(probs, dict)
+            else probs).score
 
 
-def _enumerate_worlds(kb: KnowledgeBase, probs, batch: list):
-    atoms, _ = _appearing_atoms(kb, batch)
+def _worlds(kb: KnowledgeBase, probs, batch: list):
+    """(atoms, chunks): the appearing atoms, which are the columns of a
+    world matrix, and an iterator of (worlds, satisfied, weight) arrays
+    per chunk of worlds, worlds being the chunk's boolean (world x atom)
+    matrix.  Refuses more than ``WORLD_ATOM_CAP`` atoms before any world
+    is built."""
+    atoms = list(_census(kb, batch))
     if len(atoms) > WORLD_ATOM_CAP:
         raise WorldCapError(
             f"{len(atoms)} ground atoms exceed the {WORLD_ATOM_CAP}-atom "
             f"world-enumeration cap")
     score = _prob_lookup(probs)
     p = [float(score(pred, objs)) for pred, objs in atoms]
-    instances = ground_instances(kb, batch)
-    for bits in itertools.product((0, 1), repeat=len(atoms)):
-        world = dict(zip(atoms, bits))
-        atom_fn = lambda pred, objs: world[(pred, objs)]
-        satisfied = all(classical_truth(body, mu, atom_fn)
-                        for body, mu in instances)
-        weight = 1.0
-        for pi, bit in zip(p, bits):
-            weight *= pi if bit else (1.0 - pi)
-        yield bits, satisfied, weight
+    b, n = len(batch), len(atoms)
+    # per predicate, the world-matrix column of each ground atom over
+    # batch positions; atoms no instance reads get column 0
+    column = {atom: j for j, atom in enumerate(atoms)}
+    columns = {pred: np.array([column.get((pred, objs), 0) for objs in
+                               itertools.product(batch, repeat=arity)],
+                              dtype=np.intp).reshape((b,) * arity)
+               for pred, arity in kb.signature.items()}
+    programs = [compile_formula(f) for f in kb.formulas()]
+
+    def chunks():
+        for start in range(0, 2 ** n, WORLD_CHUNK):
+            index = np.arange(start, min(start + WORLD_CHUNK, 2 ** n))
+            worlds = np.empty((len(index), n), dtype=bool)
+            weight = np.ones(len(index))
+            for j, pj in enumerate(p):
+                worlds[:, j] = bit = ((index >> (n - 1 - j)) & 1).astype(bool)
+                weight *= np.where(bit, pj, 1.0 - pj)
+            truth = {pred: worlds[:, cols] for pred, cols in columns.items()}
+            satisfied = np.ones(len(index), dtype=bool)
+            for program in programs:
+                root = classical_values(program, b, truth)[-1]
+                satisfied &= root.reshape(-1)
+            yield worlds, satisfied, weight
+
+    return atoms, chunks()
 
 
 def world_table(kb: KnowledgeBase, probs, batch: list):
     """(atoms, rows) where each row is (bits, satisfied, probability)."""
-    atoms, _ = _appearing_atoms(kb, batch)
-    return atoms, list(_enumerate_worlds(kb, probs, batch))
+    atoms, chunks = _worlds(kb, probs, batch)
+    rows = []
+    for worlds, ok, weight in chunks:
+        rows.extend(zip(map(tuple, worlds.astype(np.uint8).tolist()),
+                        ok.tolist(), weight.tolist()))
+    return atoms, rows
 
 
 def semantic_probability(kb: KnowledgeBase, probs, batch: list) -> float:
     """Probability of sampling a world consistent with the grounded KB
     under independent atom probabilities."""
-    return math.fsum(weight for _, ok, weight
-                     in _enumerate_worlds(kb, probs, batch) if ok)
+    _, chunks = _worlds(kb, probs, batch)
+    return math.fsum(itertools.chain.from_iterable(
+        weight[ok].tolist() for _, ok, weight in chunks))
 
 
 def semantic_loss(kb: KnowledgeBase, probs, batch: list) -> float:
@@ -155,28 +156,20 @@ def semantic_loss(kb: KnowledgeBase, probs, batch: list) -> float:
     return -math.log(prob)
 
 
-class _DefaultingInterp:
-    """Scores appearing atoms from the table; grounding slots the KB never
-    touches get a placeholder value."""
-
-    def __init__(self, score, appearing):
-        self._score = score
-        self._appearing = set(appearing)
-
-    def score(self, pred, objs):
-        if (pred, objs) in self._appearing:
-            return self._score(pred, objs)
-        return 0.5
-
-
 def dpfl_valuation(kb: KnowledgeBase, probs, batch: list) -> float:
     """Product-config valuation of the KB, exponentiated back to
     probability space.  Formula weights are ignored: the comparison is
     between probabilities, not losses."""
-    appearing, _ = _appearing_atoms(kb, batch)
-    interp = _DefaultingInterp(_prob_lookup(probs), appearing)
+    appearing = _census(kb, batch)
+    score = _prob_lookup(probs)
+    # grounding slots the KB never reads get a placeholder value
+    table = {(pred, objs): score(pred, objs) if (pred, objs) in appearing
+             else 0.5
+             for pred in sorted(kb.signature)
+             for objs in itertools.product(batch, repeat=kb.signature[pred])}
     domain = Domain([f"o{i}" for i in range(max(batch) + 1)])
-    g = build_grounding(interp, domain, kb.signature, batch)
+    g = build_grounding(LookupInterpretation(table), domain, kb.signature,
+                        batch)
     log_total = 0.0
     for formula, _ in kb.entries:
         log_total += valuate(formula, g, DPFL_CONFIG).value

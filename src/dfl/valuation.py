@@ -72,18 +72,24 @@ class Domain:
 
 
 class LookupInterpretation:
-    """Interpretation backed by a fixed table of atom probabilities."""
+    """Interpretation backed by a fixed table of atom probabilities;
+    ``names`` optionally names the objects in error messages."""
 
-    def __init__(self, table: dict):
+    def __init__(self, table: dict, names: list | None = None):
         # keys: (pred, tuple of object indices) -> probability
         self.table = dict(table)
+        self.names = names
 
     def score(self, pred: str, objs: tuple) -> float:
         try:
             return self.table[(pred, objs)]
         except KeyError:
+            atom = f"{pred}{objs}"
+            if self.names is not None and all(0 <= i < len(self.names)
+                                              for i in objs):
+                atom = f"{pred}({','.join(self.names[i] for i in objs)})"
             raise SemanticError(
-                f"no probability for ground atom {pred}{objs}") from None
+                f"no probability for ground atom {atom}") from None
 
 
 @dataclass
@@ -372,11 +378,6 @@ def _index(b: int, n_axes: int, terms: tuple) -> tuple:
     return tuple(index)
 
 
-def _gather(table: np.ndarray, index: tuple, n_axes: int) -> np.ndarray:
-    value = table[index]
-    return value if value.ndim == n_axes else value.reshape((1,) * n_axes)
-
-
 _OPERATOR_FIELDS = {"and": ("T", "tnorm"), "or": ("S", "tconorm"),
                     "implies": ("I", "implication"), "forall": ("A", "aggregator")}
 
@@ -573,18 +574,23 @@ def valuate(f, g: GroundingTable, ops: OperatorConfig,
     return _valuate([f], g, ops, mu)[0].node
 
 
-def classical_values(program: Program, g: GroundingTable, truth: dict) -> list:
-    """Boolean truth of every step of ``program`` under data labels:
-    ``truth`` maps each predicate to a boolean array over batch
-    positions, like ``GroundingTable.tensor``.  Quantifiers hold where
-    every instance holds."""
-    b, n_axes = len(g.batch), program.n_axes
+def classical_values(program: Program, b: int, truth: dict) -> list:
+    """Boolean truth of every step of ``program`` over a batch of ``b``
+    objects: ``truth`` maps each predicate to a boolean array whose last
+    axes are batch positions, like ``GroundingTable.tensor``.  Any leading
+    axes (a world axis, say) are kept in front of the program's own.
+    Quantifiers hold where every instance holds."""
+    n_axes = program.n_axes
     out: list = []
     for instr in program.instrs:
         args = [out[k] for k in instr.args]
         if instr.op == "atom":
-            index = _term_index(instr, g, n_axes, {})
-            value = _gather(truth[instr.atom.pred], index, n_axes)
+            if not all(isinstance(t, int) for t in instr.terms):
+                raise SemanticError(f"unbound variable in {instr.atom}")
+            value = truth[instr.atom.pred][
+                (Ellipsis,) + _index(b, n_axes, instr.terms)]
+            if not instr.terms:  # a nullary atom: size 1 on every axis
+                value = value.reshape(value.shape + (1,) * n_axes)
         elif instr.op == "not":
             value = ~args[0]
         elif instr.op == "and":
@@ -594,11 +600,10 @@ def classical_values(program: Program, g: GroundingTable, truth: dict) -> list:
         elif instr.op == "implies":
             value = ~args[0] | args[1]
         else:
-            shape = list(args[0].shape)
-            for k in instr.axes:
-                shape[k] = b
-            value = np.broadcast_to(args[0], shape).all(axis=instr.axes,
-                                                        keepdims=True)
+            # an axis the body does not depend on has size 1, and every
+            # instance along it holds alike
+            value = args[0].all(axis=tuple(k - n_axes for k in instr.axes),
+                                keepdims=True)
         out.append(value)
     return out
 
@@ -672,4 +677,4 @@ def parse_grounding(text: str):
         if key in table:
             raise ParseError(f"duplicate grounding entry for {line!r}", lineno)
         table[key] = value
-    return Domain(names), LookupInterpretation(table), signature
+    return Domain(names), LookupInterpretation(table, names), signature

@@ -9,16 +9,23 @@ instance of a quantifier block whose body is an implication; the
 antecedent and consequent are pass-through slots, so their adjoints are
 exactly the per-instance derivatives even when a ground atom is shared
 between slots.
+
+It also keeps the oracle's per-world enumeration, which the array
+enumeration in ``dfl.oracle`` is tested against: one dict per world and
+one recursive ``classical_truth`` call per world and ground instance.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
+from dfl.analysis import classical_truth
 from dfl.autodiff import Node
 from dfl.logic import And, Atom, ForAll, Implies, Not, Or
-from dfl.valuation import SemanticError
+from dfl.oracle import WORLD_ATOM_CAP, WorldCapError
+from dfl.valuation import LookupInterpretation, SemanticError
 from scalar_kernels import (aggregate_kernel, implication_kernel, tconorm_kernel,
                             tnorm_kernel)
 
@@ -135,3 +142,94 @@ def _eval_quantifier(vars_, body, g, ops, mu, instances):
         return tape.record(f"A_{ops.aggregator}", children, v, partials)
 
     return agg_over(list(vars_))
+
+
+# ---------------------------------------------------------------------------
+# the oracle, one world at a time
+
+def _collapse(formula: ForAll):
+    vars_ = []
+    node = formula
+    while isinstance(node, ForAll):
+        vars_.extend(node.vars)
+        node = node.body
+    return tuple(vars_), node
+
+
+def ground_instances(kb, batch: list):
+    """All (body, assignment) instances of every formula, in knowledge-base
+    order then lexicographic object order."""
+    out = []
+    for formula, _ in kb.entries:
+        vars_, body = _collapse(formula)
+        for combo in itertools.product(batch, repeat=len(vars_)):
+            out.append((body, dict(zip(vars_, combo))))
+    return out
+
+
+def _appearing_atoms(kb, batch: list):
+    """Ground atoms of the grounded KB in first-appearance order, plus
+    per-atom occurrence counts."""
+    order: list = []
+    counts: dict = {}
+
+    def walk(node, mu):
+        if isinstance(node, Atom):
+            key = (node.pred, tuple(mu[a] for a in node.args))
+            if key not in counts:
+                counts[key] = 0
+                order.append(key)
+            counts[key] += 1
+        elif isinstance(node, Not):
+            walk(node.child, mu)
+        elif isinstance(node, (And, Or, Implies)):
+            walk(node.lhs, mu)
+            walk(node.rhs, mu)
+
+    for body, mu in ground_instances(kb, batch):
+        walk(body, mu)
+    return order, counts
+
+
+def occurrence_counts(kb, batch: list) -> dict:
+    _, counts = _appearing_atoms(kb, batch)
+    return counts
+
+
+def _prob_lookup(probs):
+    if isinstance(probs, dict):
+        return LookupInterpretation(probs).score
+    return probs.score
+
+
+def _enumerate_worlds(kb, probs, batch: list):
+    atoms, _ = _appearing_atoms(kb, batch)
+    if len(atoms) > WORLD_ATOM_CAP:
+        raise WorldCapError(
+            f"{len(atoms)} ground atoms exceed the {WORLD_ATOM_CAP}-atom "
+            f"world-enumeration cap")
+    score = _prob_lookup(probs)
+    p = [float(score(pred, objs)) for pred, objs in atoms]
+    instances = ground_instances(kb, batch)
+    for bits in itertools.product((0, 1), repeat=len(atoms)):
+        world = dict(zip(atoms, bits))
+        atom_fn = lambda pred, objs: world[(pred, objs)]
+        satisfied = all(classical_truth(body, mu, atom_fn)
+                        for body, mu in instances)
+        weight = 1.0
+        for pi, bit in zip(p, bits):
+            weight *= pi if bit else (1.0 - pi)
+        yield bits, satisfied, weight
+
+
+def world_table(kb, probs, batch: list):
+    """(atoms, rows) where each row is (bits, satisfied, probability)."""
+    atoms, _ = _appearing_atoms(kb, batch)
+    return atoms, list(_enumerate_worlds(kb, probs, batch))
+
+
+def semantic_probability(kb, probs, batch: list) -> float:
+    """Probability of sampling a world consistent with the grounded KB
+    under independent atom probabilities."""
+    return math.fsum(weight for _, ok, weight
+                     in _enumerate_worlds(kb, probs, batch) if ok)

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -218,6 +219,29 @@ def test_oracle_world_cap_exit_4(tmp_path, capsys):
     assert code == 4
 
 
+# the whole `dfl oracle compare --dump-worlds` output for a two-object KB
+EXPECTED_SAME_WORLDS = (
+    "exact=0.46 dpfl=0.39014976 gap=0.06985024000000001 single_occurrence=false\n"
+    "worlds same(a,a) same(a,b) same(b,a) same(b,b)\n"
+    "0000 1 0.022399999999999996\n"
+    "0001 1 0.005599999999999999\n"
+    "0010 0 0.03359999999999999\n"
+    "0011 0 0.008399999999999998\n"
+    "0100 0 0.009599999999999997\n"
+    "0101 0 0.0023999999999999994\n"
+    "0110 1 0.014399999999999996\n"
+    "0111 1 0.003599999999999999\n"
+    "1000 1 0.2016\n"
+    "1001 1 0.0504\n"
+    "1010 0 0.3024\n"
+    "1011 0 0.0756\n"
+    "1100 0 0.08640000000000002\n"
+    "1101 0 0.021600000000000005\n"
+    "1110 1 0.12960000000000002\n"
+    "1111 1 0.032400000000000005\n"
+)
+
+
 def test_oracle_dump_worlds(tmp_path, capsys):
     kb = tmp_path / "kb.dfl"
     kb.write_text("forall x: raven(x) -> black(x)\n")
@@ -226,6 +250,56 @@ def test_oracle_dump_worlds(tmp_path, capsys):
     code = main(["oracle", "compare", "--kb", str(kb), "--grounding",
                  str(grounding), "--dump-worlds"])
     assert code == 0
-    out = capsys.readouterr().out.splitlines()
-    world_lines = [l for l in out if l and l[0] in "01" and " " in l]
-    assert len(world_lines) == 4
+    assert capsys.readouterr().out == (
+        "exact=0.6799999999999999 dpfl=0.6799999999999999 gap=0.0 "
+        "single_occurrence=true\n"
+        "worlds raven(o1) black(o1)\n"
+        "00 1 0.07999999999999999\n"
+        "01 1 0.11999999999999997\n"
+        "10 0 0.32000000000000006\n"
+        "11 1 0.48\n")
+
+
+def test_oracle_dump_worlds_two_objects(tmp_path, capsys):
+    kb = tmp_path / "kb.dfl"
+    kb.write_text("forall x, y: same(x, y) -> same(y, x)\n")
+    grounding = tmp_path / "g.grounding"
+    grounding.write_text("same(a,a)=0.9\nsame(a,b)=0.3\n"
+                         "same(b,a)=0.6\nsame(b,b)=0.2\n")
+    code = main(["oracle", "compare", "--kb", str(kb), "--grounding",
+                 str(grounding), "--dump-worlds"])
+    assert code == 0
+    assert capsys.readouterr().out == EXPECTED_SAME_WORLDS
+
+
+def test_oracle_world_cap_before_enumeration(tmp_path, capsys):
+    # 7 predicates over 3 objects are 21 atoms; 2 * 3**8 = 13,122 instances
+    body = " | ".join(f"p{i % 7}(v{i})" for i in range(8))
+    quantifier = "forall " + ", ".join(f"v{i}" for i in range(8))
+    kb = tmp_path / "kb.dfl"
+    kb.write_text(f"{quantifier}: {body}\n{quantifier}: ~({body})\n")
+    grounding = tmp_path / "g.grounding"
+    grounding.write_text("\n".join(f"p{i}({o})=0.5" for i in range(7)
+                                   for o in ("a", "b", "c")))
+    start = time.perf_counter()
+    code = main(["oracle", "compare", "--kb", str(kb), "--grounding",
+                 str(grounding), "--dump-worlds"])
+    elapsed = time.perf_counter() - start
+    assert code == 4
+    assert "21 ground atoms exceed the 20-atom" in capsys.readouterr().err
+    # enumerating 2**21 worlds would take seconds
+    assert elapsed < 1.0, elapsed
+
+
+@pytest.mark.parametrize("command", [["eval"], ["oracle", "compare"]])
+def test_missing_probability_names_objects(tmp_path, capsys, command):
+    kb = tmp_path / "kb.dfl"
+    kb.write_text("forall x: p(x) -> q(x)\n")
+    grounding = tmp_path / "g.grounding"
+    grounding.write_text("p(a)=0.5\np(b)=0.5\nq(a)=0.5\n")
+    code = main(command + ["--kb", str(kb), "--grounding", str(grounding)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "no probability for ground atom q(b)" in err
+
+

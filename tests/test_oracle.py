@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import dfl.oracle as oracle
+import scalar_reference as reference
 from dfl.logic import And, Atom, ForAll, Implies, Not, Or, KnowledgeBase, parse_kb
 from dfl.oracle import (
     WorldCapError,
@@ -154,3 +156,101 @@ def test_semantic_loss_equals_dpfl_loss_for_single_occurrence():
     probs = {("raven", (0,)): 0.8, ("black", (0,)): 0.6}
     loss = semantic_loss(kb, probs, [0])
     assert loss == pytest.approx(-math.log(1 - 0.8 * 0.4), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the array enumeration against the per-world loop
+
+# the benchmark's knowledge bases: a connected one in which atoms repeat
+# and p(x)/q(y) ignore one quantified variable, and one that splits into
+# per-object components with every atom occurring once
+CONNECTED = ("forall x, y: p(x) & r(x, y) -> q(y)\n"
+             "forall x, y: r(x, y) -> t(y, x) | ~s(x)\n"
+             "forall x, y: q(x) & t(x, y) -> p(y) | s(y)\n")
+COMPONENTS = ("forall x: a(x) & b(x) -> c(x) | ~d(x)\n"
+              "forall x: e(x) | f(x) -> ~g(x)\n")
+
+
+def _seeded_probs(kb, batch, seed):
+    rng = random.Random(seed)
+    return {atom: rng.uniform(0.05, 0.95)
+            for atom in sorted(reference.occurrence_counts(kb, batch))}
+
+
+def _assert_matches_loop(kb, probs, batch):
+    counts = reference.occurrence_counts(kb, batch)
+    census = occurrence_census(kb, batch).counts
+    assert list(census.items()) == list(counts.items())
+    ref_atoms, ref_rows = reference.world_table(kb, probs, batch)
+    # reference.semantic_probability, without enumerating the worlds twice
+    exact = math.fsum(weight for _, ok, weight in ref_rows if ok)
+    assert semantic_probability(kb, probs, batch) == exact
+    atoms, rows = world_table(kb, probs, batch)
+    assert atoms == ref_atoms
+    assert rows == ref_rows
+    for bits, satisfied, weight in rows:
+        assert type(bits) is tuple and all(type(bit) is int for bit in bits)
+        assert type(satisfied) is bool
+        assert type(weight) is float
+
+
+@pytest.mark.parametrize("text", [CONNECTED, COMPONENTS],
+                         ids=["connected", "components"])
+def test_benchmark_kbs_match_loop(text):
+    kb = parse_kb(text)
+    _assert_matches_loop(kb, _seeded_probs(kb, [0, 1], 1), [0, 1])
+
+
+def test_random_single_occurrence_kbs_match_loop():
+    rng = random.Random(61)  # criterion 6's knowledge bases
+    for _ in range(100):
+        kb, probs = _random_single_occurrence_kb(rng, max_atoms=10)
+        _assert_matches_loop(kb, probs, [0])
+
+
+@pytest.mark.parametrize("text", [
+    "forall x, y: same(x, y) -> same(y, x)",
+    "forall x: r(x, x)",
+    "forall x: r(x, x) | ~r(x, x)\nforall x, y: r(x, y) -> r(y, x)",
+    # p ignores y and z, q ignores x and y: each occurs once per value
+    "forall x, y, z: p(x) -> q(z)",
+    "forall x, y: p(x) & ~(p(x) & q(y))",
+])
+def test_small_kbs_match_loop(text):
+    kb = parse_kb(text)
+    _assert_matches_loop(kb, _seeded_probs(kb, [0, 1], 3), [0, 1])
+    # a batch of objects that are not positions 0..b-1
+    _assert_matches_loop(kb, _seeded_probs(kb, [2, 5], 4), [2, 5])
+
+
+def test_ignored_variable_occurs_once_per_value():
+    kb = parse_kb("forall x, y, z: p(x) -> q(z)")
+    census = occurrence_census(kb, [0, 1, 2])
+    assert census[("p", (0,))] == 9
+    assert census[("q", (2,))] == 9
+    assert list(census.counts) == [("p", (0,)), ("q", (0,)), ("q", (1,)),
+                                   ("q", (2,)), ("p", (1,)), ("p", (2,))]
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 7, 64])
+def test_chunks_match_loop(monkeypatch, chunk):
+    # 2**9 = 512 and 2**7 = 128 worlds: chunks of 5 and of 7 end in a
+    # partial chunk, chunks of 64 divide both evenly
+    monkeypatch.setattr(oracle, "WORLD_CHUNK", chunk)
+    for text, batch in [("forall x, y: same(x, y) -> same(y, x)", [0, 1, 2]),
+                        (COMPONENTS, [0])]:
+        kb = parse_kb(text)
+        _assert_matches_loop(kb, _seeded_probs(kb, batch, 5), batch)
+
+
+def test_world_cap_before_enumeration(monkeypatch):
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("worlds enumerated past the atom cap")
+
+    monkeypatch.setattr(oracle, "classical_values", enumerate_nothing)
+    kb = parse_kb("forall x, y: p(x) & q(y)")  # 2 * 11 = 22 atoms
+    probs = {(pred, (i,)): 0.5 for pred in "pq" for i in range(11)}
+    with pytest.raises(WorldCapError):
+        semantic_probability(kb, probs, list(range(11)))
+    with pytest.raises(WorldCapError):
+        world_table(kb, probs, list(range(11)))
