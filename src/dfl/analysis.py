@@ -16,20 +16,21 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
-from .logic import And, Atom, ForAll, Implies, Not, Or
+from .logic import compile_formula
 from .operators import (OperatorConfig, OperatorDescriptor, aggregate_array,
                         descriptor, implication_array, implication_kernel)
 from .valuation import (CLAMP_EPS, GroundingTable, classical_values,
-                        compile_formula, formula_pass)
+                        formula_pass)
 from .autodiff import Tape
 
 __all__ = [
     "FractionEstimate", "GradientQuality",
     "estimate_nonvanishing_fraction", "single_passing_audit", "composed",
-    "gradient_quality", "labeling_from_atoms", "classical_truth",
+    "gradient_quality", "labeling_from_atoms",
     "derivative_surface", "yager_tnorm_fraction_check",
     "implication_aggregator_interaction",
     "lukasiewicz_fraction", "nilpotent_fraction", "yager_tnorm_fraction",
@@ -211,34 +212,11 @@ def single_passing_audit(op, n: int, samples: int = 10_000, seed: int = 0):
 # ---------------------------------------------------------------------------
 # gradient quality
 
-def classical_truth(formula, assignment: dict, atom_fn) -> bool:
-    """Boolean truth of a quantifier-free subformula under data labels."""
-    if isinstance(formula, Atom):
-        objs = tuple(assignment[a] for a in formula.args)
-        return bool(atom_fn(formula.pred, objs))
-    if isinstance(formula, Not):
-        return not classical_truth(formula.child, assignment, atom_fn)
-    if isinstance(formula, And):
-        return (classical_truth(formula.lhs, assignment, atom_fn)
-                and classical_truth(formula.rhs, assignment, atom_fn))
-    if isinstance(formula, Or):
-        return (classical_truth(formula.lhs, assignment, atom_fn)
-                or classical_truth(formula.rhs, assignment, atom_fn))
-    if isinstance(formula, Implies):
-        return (not classical_truth(formula.lhs, assignment, atom_fn)
-                or classical_truth(formula.rhs, assignment, atom_fn))
-    raise ValueError(f"not a quantifier-free formula: {formula!r}")
-
-
 def labeling_from_atoms(atom_fn):
-    """Lift a ground-atom labelling (pred, objs) -> {0,1} to arbitrary
-    quantifier-free subformula instances.  The labelling is kept as the
-    ``atom_fn`` attribute, which lets ``gradient_quality`` label each
-    ground atom once."""
-    def label(formula, assignment):
-        return int(classical_truth(formula, assignment, atom_fn))
-    label.atom_fn = atom_fn
-    return label
+    """The labels ``gradient_quality`` takes: the data truth
+    ``atom_fn(pred, objs) -> {0,1}`` of each ground atom, which it lifts
+    to subformula instances classically over each compiled program."""
+    return SimpleNamespace(atom_fn=atom_fn)
 
 
 @dataclass
@@ -258,15 +236,15 @@ def gradient_quality(kb, g: GroundingTable, ops: OperatorConfig,
                      labels) -> GradientQuality:
     """Per-step |cons|, |ant| and the cons%/cu_cons%/cu_ant% ratios.
 
-    ``labels(formula, assignment)`` must return the {0,1} data truth of a
-    quantifier-free subformula instance (see ``labeling_from_atoms``).
-    Each instance's antecedent and consequent derivatives come from the
+    ``labels`` gives the {0,1} data truth of every ground atom (see
+    ``labeling_from_atoms``); the truth of each antecedent and consequent
+    instance follows from it over the formula's compiled program.  Each
+    instance's antecedent and consequent derivatives come from the
     backward pass of the formula's valuation on ``g`` (run here if no
     earlier valuation under ``ops`` left one).  Formulas whose quantifier
     body is not an implication are skipped.  Ratios with a zero
     denominator are returned as nan.
     """
-    atom_fn = getattr(labels, "atom_fn", None)
     truth: dict = {}
     total_cons = total_ant = total_cu_cons = total_cu_ant = 0.0
     used = skipped = 0
@@ -283,15 +261,12 @@ def gradient_quality(kb, g: GroundingTable, ops: OperatorConfig,
         d_cons = np.broadcast_to(run.instance_adjoint * dc, shape)
         d_ant = np.broadcast_to(-(run.instance_adjoint * da), shape)
         ante, cons = program.instrs[body].args
-        if atom_fn is not None:
-            for pred in _predicates(program):
-                if pred not in truth:
-                    truth[pred] = _atom_truth(pred, g, atom_fn)
-            holds = classical_values(program, len(g.batch), truth)
-            cons_true, ante_false = holds[cons], ~holds[ante]
-        else:
-            cons_true, ante_false = _instance_labels(formula, program, g,
-                                                     labels, shape)
+        for instr in program.instrs:
+            if instr.op == "atom" and instr.atom.pred not in truth:
+                truth[instr.atom.pred] = _atom_truth(instr.atom.pred, g,
+                                                     labels.atom_fn)
+        holds = classical_values(program, len(g.batch), truth)
+        cons_true, ante_false = holds[cons], ~holds[ante]
         total_cons += float(d_cons.sum())
         total_ant += float(d_ant.sum())
         total_cu_cons += float((cons_true * d_cons).sum())
@@ -316,33 +291,12 @@ def _instance_shape(program, b: int) -> tuple:
     return tuple(shape)
 
 
-def _predicates(program):
-    return {instr.atom.pred for instr in program.instrs if instr.op == "atom"}
-
-
 def _atom_truth(pred, g: GroundingTable, atom_fn) -> np.ndarray:
     """Data label of every ground atom of ``pred`` over the batch."""
     arity = g.tensor(pred)[0].ndim
     labels = [bool(atom_fn(pred, objs))
               for objs in itertools.product(g.batch, repeat=arity)]
     return np.array(labels, dtype=bool).reshape((len(g.batch),) * arity)
-
-
-def _instance_labels(formula, program, g: GroundingTable, labels, shape):
-    """Consequent and negated-antecedent labels per root-block instance,
-    one ``labels`` call each."""
-    root = program.instrs[-1]
-    body = formula
-    while isinstance(body, ForAll):
-        body = body.body
-    ante, cons = body.lhs, body.rhs
-    cons_true = np.zeros(shape)
-    ante_false = np.zeros(shape)
-    for at in np.ndindex(*shape):
-        mu = {var: g.batch[at[axis]] for var, axis in zip(root.vars, root.axes)}
-        cons_true[at] = labels(cons, mu)
-        ante_false[at] = labels(Not(ante), mu)
-    return cons_true, ante_false
 
 
 # ---------------------------------------------------------------------------

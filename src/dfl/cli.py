@@ -8,7 +8,7 @@ command with identical inputs and seed reproduces the CSV byte for
 byte (wall clock lives only in the manifest).
 
 Exit codes: 0 success, 2 input error, 3 semantic/config error,
-4 resource cap exceeded.
+4 resource cap exceeded (world atoms or ground instances).
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from . import __version__
 from .logic import ParseError, parse_kb
 from .operators import (ConfigError, OperatorConfig, OperatorError,
                         descriptor, parse_operator_config)
-from .valuation import (SemanticError, build_grounding, dfl_loss,
-                        formula_pass, parse_grounding)
+from .valuation import (InstanceCapError, SemanticError, build_grounding,
+                        dfl_loss, formula_pass, parse_grounding)
 
 log = logging.getLogger("dfl")
 
@@ -211,11 +211,15 @@ def cmd_analyze(args, argv) -> int:
                                     list(range(len(domain))))
 
         from .analysis import labeling_from_atoms
+        position = {name: i for i, name in enumerate(labels_domain.names)}
 
         def atom_fn(pred, objs):
-            names = tuple(domain.names[i] for i in objs)
-            idx = tuple(labels_domain.index_of(nm) for nm in names)
-            return int(round(labels_interp.score(pred, idx)))
+            names = [domain.names[i] for i in objs]
+            key = (pred, tuple(position.get(name) for name in names))
+            if key not in labels_interp.table:
+                raise SemanticError(f"no label for ground atom "
+                                    f"{pred}({','.join(names)})")
+            return int(round(labels_interp.table[key]))
 
         q = gradient_quality(kb, grounding, ops, labeling_from_atoms(atom_fn))
         header = ["cons_magnitude", "ant_magnitude", "cons_pct",
@@ -439,7 +443,7 @@ def main(argv=None) -> int:
     except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except WorldCapError as exc:
+    except (WorldCapError, InstanceCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (SemanticError, OperatorError, ConfigError, ValueError) as exc:

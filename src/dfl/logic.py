@@ -1,4 +1,5 @@
-"""Function-free prenex first-order formulas and weighted knowledge bases.
+"""Function-free prenex first-order formulas, their compiled programs and
+weighted knowledge bases.
 
 Surface syntax (ASCII, line oriented):
 
@@ -13,24 +14,85 @@ Precedence: ~ binds tightest, then &, then |, then ->.  Quantifiers are
 prenex only; `exists` is reserved and rejected.  A knowledge-base file
 (`.dfl`) holds one `[weight] formula` per line, `#` comments, weight
 defaulting to 1.0.
+
+The grammar has no nesting limit: parsing, printing, equality, hashing
+and ``repr`` run over explicit stacks, not Python recursion.  Each
+formula is compiled once (``compile_formula``) into a flat postorder
+``Program``, which validation, ``free_and_bound``, ``quantifier_rank``,
+the valuation engine, gradient-quality analysis and the oracle read.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = [
     "Atom", "Not", "And", "Or", "Implies", "ForAll", "Formula",
-    "ParseError", "KnowledgeBase",
+    "ParseError", "KnowledgeBase", "Instr", "Program", "compile_formula",
     "parse_formula", "parse_kb", "print_formula",
     "free_and_bound", "quantifier_rank", "validate_formula",
 ]
 
 
-@dataclass(frozen=True)
-class Atom:
+def _preorder(root) -> list:
+    """The type and the non-formula fields of every node of ``root``, in
+    preorder with children right to left.  Each node type has a fixed
+    number of fields, so the list identifies the tree."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        out.append(type(node))
+        for name in node.__slots__:
+            value = getattr(node, name)
+            (stack if isinstance(value, _Node) else out).append(value)
+    return out
+
+
+def _join(root, expand) -> str:
+    """The text of ``root``: ``expand`` turns an item into its fragments
+    in order, strings as they are and other items to expand in turn.
+    The fragments are joined once, at the end."""
+    out, stack = [], [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            stack.extend(reversed(expand(item)))
+    return "".join(out)
+
+
+class _Node:
+    """Structural equality, hashing and the dataclass ``repr`` of formula
+    trees, computed without recursion."""
+
+    __slots__ = ("__weakref__",)  # compile_formula refers to formulas weakly
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _preorder(self) == _preorder(other)
+
+    def __hash__(self):
+        return hash(tuple(_preorder(self)))
+
+    def __repr__(self):
+        def expand(node):
+            items = [f"{type(node).__name__}("]
+            for k, name in enumerate(node.__slots__):
+                value = getattr(node, name)
+                items += [f"{', ' if k else ''}{name}=",
+                          value if isinstance(value, _Node) else repr(value)]
+            return items + [")"]
+        return _join(self, expand)
+
+
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class Atom(_Node):
     pred: str
     args: tuple
 
@@ -38,36 +100,39 @@ class Atom:
         return f"{self.pred}({', '.join(self.args)})"
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class Not(_Node):
     child: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class And(_Node):
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class Or(_Node):
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class Implies(_Node):
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
-class ForAll:
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class ForAll(_Node):
     vars: tuple
     body: "Formula"
 
 
 Formula = Atom | Not | And | Or | Implies | ForAll
+
+# connective token -> (node type, precedence); ~ binds tightest
+_CONNECTIVES = {"->": (Implies, 1), "|": (Or, 2), "&": (And, 3), "~": (Not, 4)}
 
 
 class ParseError(ValueError):
@@ -79,32 +144,25 @@ class ParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(r"->|[()~&|,:]|[A-Za-z_][A-Za-z0-9_]*|\S")
-
-
-def _tokenize(text: str, line: int = 1):
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        tokens.append((match.group(), line, match.start() + 1))
-    return tokens
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class _Parser:
-    def __init__(self, tokens, line=1):
-        self.tokens = tokens
+    def __init__(self, text: str, line: int = 1):
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text) + [None]  # None ends the input
         self.pos = 0
         self.line = line
 
     def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def loc(self):
-        if self.pos < len(self.tokens):
-            _, line, col = self.tokens[self.pos]
-            return line, col
-        if self.tokens:
-            _, line, col = self.tokens[-1]
-            return line, col + 1
-        return self.line, 1
+        """(line, column) of the current token, or just past the last."""
+        cols = [match.start() + 1 for match in _TOKEN_RE.finditer(self.text)]
+        if self.pos < len(cols):
+            return self.line, cols[self.pos]
+        return self.line, cols[-1] + 1 if cols else 1
 
     def error(self, message):
         line, col = self.loc()
@@ -122,7 +180,7 @@ class _Parser:
 
     def ident(self, what):
         token = self.peek()
-        if token is None or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", token):
+        if token is None or not _IDENT_RE.fullmatch(token):
             self.error(f"expected {what}, got {token!r}")
         if token in ("forall", "exists"):
             self.error(f"keyword {token!r} cannot be used as {what}")
@@ -147,36 +205,36 @@ class _Parser:
         return ForAll(tuple(vars_), body)
 
     def parse_expr(self):
-        lhs = self.parse_or()
-        if self.peek() == "->":
-            self.take("->")
-            return Implies(lhs, self.parse_expr())
-        return lhs
+        """Precedence climbing over explicit stacks: ``operands`` holds
+        finished subformulas and ``pending`` the prefix ``~``, open
+        parentheses and binary connectives not yet applied."""
+        operands, pending = [], []
+        while True:
+            while self.peek() in ("~", "("):
+                pending.append(self.take())
+            operands.append(self.parse_atom())
+            while True:
+                token = self.peek()
+                binary = token in _CONNECTIVES and token != "~"
+                prec = _CONNECTIVES[token][1] if binary else 0
+                # apply what binds tighter; -> groups to the right
+                while pending and pending[-1] != "(" and (
+                        _CONNECTIVES[pending[-1]][1] > prec
+                        or _CONNECTIVES[pending[-1]][1] == prec
+                        and token != "->"):
+                    op, rhs = pending.pop(), operands.pop()
+                    operands.append(Not(rhs) if op == "~" else
+                                    _CONNECTIVES[op][0](operands.pop(), rhs))
+                if binary:
+                    pending.append(self.take())
+                    break
+                if not pending:
+                    return operands.pop()
+                self.take(")")
+                pending.pop()
 
-    def parse_or(self):
-        node = self.parse_and()
-        while self.peek() == "|":
-            self.take("|")
-            node = Or(node, self.parse_and())
-        return node
-
-    def parse_and(self):
-        node = self.parse_unary()
-        while self.peek() == "&":
-            self.take("&")
-            node = And(node, self.parse_unary())
-        return node
-
-    def parse_unary(self):
+    def parse_atom(self):
         token = self.peek()
-        if token == "~":
-            self.take("~")
-            return Not(self.parse_unary())
-        if token == "(":
-            self.take("(")
-            node = self.parse_expr()
-            self.take(")")
-            return node
         if token in ("forall", "exists"):
             if token == "exists":
                 self.error("existential quantifiers are not supported")
@@ -192,116 +250,188 @@ class _Parser:
         return Atom(pred, tuple(args))
 
 
+# ---------------------------------------------------------------------------
+# compilation
+
+class Instr(NamedTuple):
+    """One step of a compiled formula.
+
+    ``op`` is atom, not, and, or, implies or forall; ``args`` are the
+    operand steps.  An atom step keeps its ``atom``, and its ``terms``
+    hold, per argument, the axis of its quantified variable or the name
+    of a variable that ``mu`` binds.  A forall lists its ``vars`` and
+    their ``axes`` outermost first; ``root`` marks the quantifier block
+    at the root of the formula.  Steps hold no reference to the formula
+    itself, so a cached program does not keep its formula alive.
+    """
+
+    op: str
+    atom: Atom | None = None
+    args: tuple = ()
+    terms: tuple = ()
+    vars: tuple = ()
+    axes: tuple = ()
+    root: bool = False
+
+
+@dataclass(frozen=True)
+class Program:
+    """A formula as postorder steps; every step's value is an array with
+    one axis per quantified variable (size 1 where it does not depend on
+    that variable), and the last step is the formula.  Programs with the
+    same ``shape`` differ only in their predicates and run as one stack
+    of formulas."""
+
+    instrs: tuple
+    n_axes: int
+    shape: tuple
+
+    @property
+    def body(self):
+        """Index of the root quantifier block's body, or None when the
+        formula is not quantified at its root."""
+        last = self.instrs[-1]
+        return last.args[0] if last.op == "forall" and last.root else None
+
+
+_BINARY = {And: "and", Or: "or", Implies: "implies"}
+# id(formula) -> (weak reference to the formula, its program); an entry
+# leaves the cache when its formula is freed
+_PROGRAMS: dict = {}
+
+
+def compile_formula(formula) -> Program:
+    """The postorder program of ``formula``, compiled once per formula
+    object."""
+    key = id(formula)
+    hit = _PROGRAMS.get(key)
+    if hit is not None and hit[0]() is formula:
+        return hit[1]
+    program = _compile(formula)
+    _PROGRAMS[key] = (weakref.ref(formula, lambda _: _PROGRAMS.pop(key, None)),
+                      program)
+    return program
+
+
+def _compile(formula) -> Program:
+    instrs: list = []
+    done: list = []  # step indices of finished operands
+    n_axes = 0
+    # (node, variable -> axis, operand count once its operands are queued);
+    # a quantifier block is queued to finish as its tuple of variables
+    stack = [(formula, {}, None)]
+    while stack:
+        node, env, arity = stack.pop()
+        if arity is not None:
+            args = tuple(done[-arity:])
+            del done[-arity:]
+            if isinstance(node, tuple):
+                # the root block is the last to finish
+                instr = Instr("forall", args=args, vars=node,
+                              axes=tuple(env[v] for v in node),
+                              root=not stack)
+            else:
+                instr = Instr("not" if isinstance(node, Not)
+                              else _BINARY[type(node)], args=args)
+            done.append(len(instrs))
+            instrs.append(instr)
+        elif isinstance(node, Atom):
+            done.append(len(instrs))
+            instrs.append(Instr("atom", node,
+                                terms=tuple(env.get(a, a) for a in node.args)))
+        elif isinstance(node, ForAll):
+            vars_ = []
+            while isinstance(node, ForAll):
+                vars_.extend(node.vars)
+                node = node.body
+            inner = dict(env)
+            for var in vars_:
+                inner[var] = n_axes
+                n_axes += 1
+            stack.append((tuple(vars_), inner, 1))
+            stack.append((node, inner, None))
+        elif isinstance(node, Not):
+            stack.append((node, env, 1))
+            stack.append((node.child, env, None))
+        elif type(node) in _BINARY:
+            stack.append((node, env, 2))
+            stack.append((node.rhs, env, None))
+            stack.append((node.lhs, env, None))
+        else:
+            raise ParseError(f"unknown node {node!r}")
+    shape = tuple((i.op, i.args, i.terms, i.axes, i.root) for i in instrs)
+    return Program(tuple(instrs), n_axes, shape)
+
+
 def validate_formula(f: ForAll, signature: dict | None = None,
                      line: int = 1) -> dict:
-    """Check bound variables and arity consistency; returns the (possibly
-    updated) predicate signature table."""
+    """Check bound variables, arity consistency and that the only
+    quantifier is ``f``'s own; returns the (possibly updated) predicate
+    signature table."""
     if not isinstance(f, ForAll):
         raise ParseError("formula must be universally quantified", line)
     signature = dict(signature or {})
-    bound = set(f.vars)
-
-    def walk(node):
-        if isinstance(node, Atom):
-            for arg in node.args:
-                if arg not in bound:
-                    raise ParseError(
-                        f"unbound variable {arg!r} in {node}", line)
-            arity = signature.get(node.pred)
-            if arity is None:
-                signature[node.pred] = len(node.args)
-            elif arity != len(node.args):
-                raise ParseError(
-                    f"arity conflict for {node.pred!r}: "
-                    f"{len(node.args)} vs {arity}", line)
-        elif isinstance(node, Not):
-            walk(node.child)
-        elif isinstance(node, (And, Or, Implies)):
-            walk(node.lhs)
-            walk(node.rhs)
-        elif isinstance(node, ForAll):
+    for instr in compile_formula(f).instrs:
+        # a root block longer than f.vars is a ForAll directly under f
+        if instr.op == "forall" and not (instr.root and instr.vars == f.vars):
             raise ParseError("quantifiers must be prenex", line)
-        else:
-            raise ParseError(f"unknown node {node!r}", line)
-
-    walk(f.body)
+        if instr.op != "atom":
+            continue
+        atom = instr.atom
+        for term in instr.terms:
+            if not isinstance(term, int):
+                raise ParseError(f"unbound variable {term!r} in {atom}", line)
+        arity = signature.setdefault(atom.pred, len(atom.args))
+        if arity != len(atom.args):
+            raise ParseError(f"arity conflict for {atom.pred!r}: "
+                             f"{len(atom.args)} vs {arity}", line)
     return signature
 
 
 def parse_formula(text: str, line: int = 1) -> ForAll:
-    parser = _Parser(_tokenize(text, line), line)
-    formula = parser.parse_formula()
+    formula = _Parser(text, line).parse_formula()
     validate_formula(formula, line=line)
     return formula
 
 
-_PREC = {Implies: 1, Or: 2, And: 3, Not: 4, Atom: 5}
+_PREC = {cls: prec for cls, prec in _CONNECTIVES.values()}
+_SYMBOL = {cls: f" {token} " for token, (cls, _) in _CONNECTIVES.items()}
 
 
-def _print_expr(node, parent_prec=0, right_of=None) -> str:
-    prec = _PREC[type(node)]
+def _fragments(item) -> list:
+    """The fragments of ``(node, outer)``, where ``outer`` is the
+    precedence below which the context needs ``node`` parenthesized."""
+    node, outer = item
     if isinstance(node, Atom):
-        return f"{node.pred}({', '.join(node.args)})"
+        return [str(node)]
+    prec = _PREC[type(node)]
     if isinstance(node, Not):
-        child = _print_expr(node.child, prec)
-        return f"~{child}"
-    if isinstance(node, Implies):
-        # right-associative: parenthesize an Implies on the left
-        lhs = _print_expr(node.lhs, prec + 1)
-        rhs = _print_expr(node.rhs, prec)
-        text = f"{lhs} -> {rhs}"
-    elif isinstance(node, Or):
-        lhs = _print_expr(node.lhs, prec)
-        rhs = _print_expr(node.rhs, prec + 1)  # left-associative
-        text = f"{lhs} | {rhs}"
-    else:  # And
-        lhs = _print_expr(node.lhs, prec)
-        rhs = _print_expr(node.rhs, prec + 1)
-        text = f"{lhs} & {rhs}"
-    if prec < parent_prec:
-        return f"({text})"
-    return text
+        return ["~", (node.child, prec)]
+    # & and | group to the left and -> to the right: the operand on the
+    # other side needs parentheses at equal precedence
+    right = isinstance(node, Implies)
+    parts = [(node.lhs, prec + right), _SYMBOL[type(node)],
+             (node.rhs, prec + (not right))]
+    return ["(", *parts, ")"] if prec < outer else parts
 
 
 def print_formula(f: ForAll) -> str:
     """Canonical text; ``parse_formula(print_formula(f)) == f``."""
     if not isinstance(f, ForAll):
-        return _print_expr(f)
-    return f"forall {', '.join(f.vars)}: {_print_expr(f.body)}"
+        return _join((f, 0), _fragments)
+    return f"forall {', '.join(f.vars)}: {_join((f.body, 0), _fragments)}"
 
 
 def free_and_bound(f: ForAll):
     """Quantifier variables in declaration order plus all atoms in
     left-to-right order."""
-    vars_: list = []
-    node = f
-    while isinstance(node, ForAll):
-        vars_.extend(node.vars)
-        node = node.body
-    atoms: list = []
-
-    def walk(n):
-        if isinstance(n, Atom):
-            atoms.append(n)
-        elif isinstance(n, Not):
-            walk(n.child)
-        elif isinstance(n, (And, Or, Implies)):
-            walk(n.lhs)
-            walk(n.rhs)
-
-    walk(node)
-    return tuple(vars_), atoms
+    instrs = compile_formula(f).instrs
+    return instrs[-1].vars, [i.atom for i in instrs if i.op == "atom"]
 
 
 def quantifier_rank(f: Formula) -> int:
     """Number of quantified variables (the d in the b**d grounding cost)."""
-    if isinstance(f, ForAll):
-        return len(f.vars) + quantifier_rank(f.body)
-    if isinstance(f, Not):
-        return quantifier_rank(f.child)
-    if isinstance(f, (And, Or, Implies)):
-        return quantifier_rank(f.lhs) + quantifier_rank(f.rhs)
-    return 0
+    return compile_formula(f).n_axes
 
 
 @dataclass
@@ -341,6 +471,6 @@ def parse_kb(text: str) -> KnowledgeBase:
         if match:
             weight = float(match.group(1))
             line = match.group(2)
-        formula = _Parser(_tokenize(line, lineno), lineno).parse_formula()
+        formula = _Parser(line, lineno).parse_formula()
         kb.add(formula, weight, lineno)
     return kb

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logic import KnowledgeBase
+from .logic import KnowledgeBase, compile_formula
 from .operators import OperatorConfig
 from .valuation import (Domain, LookupInterpretation, build_grounding,
-                        classical_values, compile_formula, valuate)
+                        check_instance_cap, classical_values, valuate)
 
 __all__ = [
     "WorldCapError", "AtomOccurrence", "EquivalenceReport",
@@ -56,9 +56,10 @@ def _census(kb: KnowledgeBase, batch: list) -> dict:
     first-appearance order: formulas in KB order, then their instances in
     lexicographic batch order, then atom steps in program order.  An atom
     that ignores a quantified variable occurs once per value of it."""
+    programs = [compile_formula(f) for f in kb.formulas()]
+    check_instance_cap(programs, len(batch))
     counts: dict = {}
-    for formula in kb.formulas():
-        program = compile_formula(formula)
+    for program in programs:
         steps = [(instr.atom.pred, instr.terms) for instr in program.instrs
                  if instr.op == "atom"]
         for combo in itertools.product(batch, repeat=program.n_axes):
@@ -131,13 +132,12 @@ def _worlds(kb: KnowledgeBase, probs, batch: list):
 
 
 def world_table(kb: KnowledgeBase, probs, batch: list):
-    """(atoms, rows) where each row is (bits, satisfied, probability)."""
+    """(atoms, rows) where rows yields (bits, satisfied, probability) per
+    world, building one chunk of ``WORLD_CHUNK`` worlds at a time."""
     atoms, chunks = _worlds(kb, probs, batch)
-    rows = []
-    for worlds, ok, weight in chunks:
-        rows.extend(zip(map(tuple, worlds.astype(np.uint8).tolist()),
-                        ok.tolist(), weight.tolist()))
-    return atoms, rows
+    return atoms, (row for worlds, ok, weight in chunks
+                   for row in zip(map(tuple, worlds.astype(np.uint8).tolist()),
+                                  ok.tolist(), weight.tolist()))
 
 
 def semantic_probability(kb: KnowledgeBase, probs, batch: list) -> float:

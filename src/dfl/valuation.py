@@ -1,10 +1,10 @@
-"""Valuation engine: grounding construction, formula compilation, array
-valuation with its backward pass, and the weighted knowledge-base loss.
+"""Valuation engine: grounding construction, array valuation of compiled
+formulas with its backward pass, and the weighted knowledge-base loss.
 
-Each formula is compiled once (``compile_formula``, cached per formula
-object) into a flat postorder program.  Every quantified variable gets
-its own array axis, so over a batch of b objects a formula with d
-quantified variables is valuated as numpy arrays of b**d ground
+Each formula is compiled once (``logic.compile_formula``, cached per
+formula object) into a flat postorder program.  Every quantified
+variable gets its own array axis, so over a batch of b objects a formula
+with d quantified variables is valuated as numpy arrays of b**d ground
 instances, with one array kernel call per connective and per quantified
 variable.  Instances are enumerated in lexicographic batch order.
 Nested quantifier variables aggregate innermost-first, i.e.
@@ -26,25 +26,27 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 import re
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Node, Tape
-from .logic import And, Atom, ForAll, Implies, KnowledgeBase, Not, Or, ParseError
+from .logic import Instr, KnowledgeBase, ParseError, Program, compile_formula
 from .operators import OperatorConfig
 
 __all__ = [
     "SemanticError", "Domain", "LookupInterpretation", "GroundingTable",
-    "Instr", "Program", "FormulaPass", "compile_formula", "formula_pass",
-    "classical_values", "sample_batch", "build_grounding", "valuate",
+    "InstanceCapError", "FormulaPass", "formula_pass", "check_instance_cap",
+    "classical_values", "build_grounding", "valuate",
     "dfl_loss", "atom_gradients", "parse_grounding", "CLAMP_EPS",
+    "INSTANCE_CAP",
 ]
 
 CLAMP_EPS = 1e-7
+# ground instances (b**d for d quantified variables over b objects) summed
+# over the formulas of one valuation; each costs a few float64 per step
+INSTANCE_CAP = 1_000_000
 
 
 class SemanticError(ValueError):
@@ -52,9 +54,22 @@ class SemanticError(ValueError):
     log-product output consumed by a connective, scorer out of range)."""
 
 
+class InstanceCapError(ValueError):
+    """A valuation would build more ground instances than INSTANCE_CAP."""
+
+
+def check_instance_cap(programs, b: int):
+    """Refuse ``programs`` over ``b`` objects, before any array is built,
+    when their ground instances sum past ``INSTANCE_CAP``."""
+    total = sum(b ** program.n_axes for program in programs)
+    if total > INSTANCE_CAP:
+        raise InstanceCapError(f"{total} ground instances exceed the "
+                               f"{INSTANCE_CAP}-instance cap")
+
+
 @dataclass
 class Domain:
-    """Finite support of the object distribution plus a uniform sampler.
+    """Finite support of the object distribution.
 
     ``points`` optionally carries one embedding vector per object (any
     sequence indexed like ``names``); lookup-table interpretations leave
@@ -66,9 +81,6 @@ class Domain:
 
     def __len__(self):
         return len(self.names)
-
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
 
 
 class LookupInterpretation:
@@ -153,15 +165,6 @@ def _missing(pred, objs) -> SemanticError:
                          f"grounding (signature mismatch?)")
 
 
-def sample_batch(domain: Domain, b: int, seed: int) -> list:
-    """Uniform sample of b object indices without replacement, sorted."""
-    n = len(domain)
-    if not 1 <= b <= n:
-        raise ValueError(f"batch size {b} out of range 1..{n}")
-    rng = random.Random(seed)
-    return sorted(rng.sample(range(n), b))
-
-
 def build_grounding(interp, domain: Domain, signature: dict, batch: list,
                     tape: Tape | None = None,
                     clamp_eps: float = CLAMP_EPS) -> GroundingTable:
@@ -190,125 +193,6 @@ def build_grounding(interp, domain: Domain, signature: dict, batch: list,
             nodes[key] = tape.leaf(clamped, label=f"{pred}{objs}")
             raw_values[key] = raw
     return GroundingTable(nodes, list(batch), tape, raw_values)
-
-
-# ---------------------------------------------------------------------------
-# compilation
-
-@dataclass(frozen=True)
-class Instr:
-    """One step of a compiled formula.
-
-    ``op`` is atom, not, and, or, implies or forall; ``args`` are the
-    operand steps.  An atom step keeps its ``atom``, and its ``terms``
-    hold, per argument, the axis of its quantified variable or the name
-    of a variable that ``mu`` binds.  A forall lists its ``vars`` and
-    their ``axes`` outermost first; ``root`` marks the quantifier block
-    at the root of the formula.  Steps hold no reference to the formula
-    itself, so a cached program does not keep its formula alive.
-    """
-
-    op: str
-    atom: Atom | None = None
-    args: tuple = ()
-    terms: tuple = ()
-    vars: tuple = ()
-    axes: tuple = ()
-    root: bool = False
-
-
-@dataclass(frozen=True)
-class Program:
-    """A formula as postorder steps; every step's value is an array with
-    one axis per quantified variable (size 1 where it does not depend on
-    that variable), and the last step is the formula.  Programs with the
-    same ``shape`` differ only in their predicates and run as one stack
-    of formulas."""
-
-    instrs: tuple
-    n_axes: int
-    shape: tuple
-
-    @property
-    def body(self):
-        """Index of the root quantifier block's body, or None when the
-        formula is not quantified at its root."""
-        last = self.instrs[-1]
-        return last.args[0] if last.op == "forall" and last.root else None
-
-
-_BINARY = {And: "and", Or: "or", Implies: "implies"}
-# id(formula) -> (weak reference to the formula, its program); an entry
-# leaves the cache when its formula is freed
-_PROGRAMS: dict = {}
-
-
-def compile_formula(formula) -> Program:
-    """The postorder program of ``formula``, compiled once per formula
-    object."""
-    key = id(formula)
-    hit = _PROGRAMS.get(key)
-    if hit is not None and hit[0]() is formula:
-        return hit[1]
-    program = _compile(formula)
-    _PROGRAMS[key] = (weakref.ref(formula, lambda _: _PROGRAMS.pop(key, None)),
-                      program)
-    return program
-
-
-def _compile(formula) -> Program:
-    instrs: list = []
-    done: list = []  # step indices of finished operands
-    n_axes = 0
-    # (node, variable -> axis, operand count once its operands are queued)
-    stack = [(formula, {}, None)]
-    while stack:
-        node, env, arity = stack.pop()
-        if arity is not None:
-            args = tuple(done[len(done) - arity:])
-            del done[len(done) - arity:]
-            if isinstance(node, ForAll):
-                vars_, _ = _quantifier_block(node)
-                instr = Instr("forall", args=args, vars=vars_,
-                              axes=tuple(env[v] for v in vars_),
-                              root=node is formula)
-            else:
-                instr = Instr("not" if isinstance(node, Not)
-                              else _BINARY[type(node)], args=args)
-            done.append(len(instrs))
-            instrs.append(instr)
-        elif isinstance(node, Atom):
-            done.append(len(instrs))
-            instrs.append(Instr("atom", node,
-                                terms=tuple(env.get(a, a) for a in node.args)))
-        elif isinstance(node, ForAll):
-            vars_, body = _quantifier_block(node)
-            inner = dict(env)
-            for var in vars_:
-                inner[var] = n_axes
-                n_axes += 1
-            stack.append((node, inner, 1))
-            stack.append((body, inner, None))
-        elif isinstance(node, Not):
-            stack.append((node, env, 1))
-            stack.append((node.child, env, None))
-        elif type(node) in _BINARY:
-            stack.append((node, env, 2))
-            stack.append((node.rhs, env, None))
-            stack.append((node.lhs, env, None))
-        else:
-            raise SemanticError(f"cannot valuate node {node!r}")
-    shape = tuple((i.op, i.args, i.terms, i.axes, i.root) for i in instrs)
-    return Program(tuple(instrs), n_axes, shape)
-
-
-def _quantifier_block(f: ForAll):
-    vars_ = []
-    node = f
-    while isinstance(node, ForAll):
-        vars_.extend(node.vars)
-        node = node.body
-    return tuple(vars_), node
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +430,7 @@ def _valuate(formulas: list, g: GroundingTable, ops: OperatorConfig,
     on the tape in the given order."""
     mu = dict(mu) if mu else {}
     programs = [compile_formula(f) for f in formulas]
+    check_instance_cap(programs, len(g.batch))
     stacks: dict = {}
     for k, program in enumerate(programs):
         stacks.setdefault(program.shape, []).append(k)

@@ -13,6 +13,8 @@ between slots.
 It also keeps the oracle's per-world enumeration, which the array
 enumeration in ``dfl.oracle`` is tested against: one dict per world and
 one recursive ``classical_truth`` call per world and ground instance.
+``classical_truth`` is also the per-instance reference for the labels
+that ``dfl.analysis.gradient_quality`` derives over compiled programs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from dfl.analysis import classical_truth
 from dfl.autodiff import Node
 from dfl.logic import And, Atom, ForAll, Implies, Not, Or
 from dfl.oracle import WORLD_ATOM_CAP, WorldCapError
@@ -59,6 +60,25 @@ def _collapse_forall(f: ForAll):
         vars_.extend(node.vars)
         node = node.body
     return tuple(vars_), node
+
+
+def classical_truth(formula, assignment: dict, atom_fn) -> bool:
+    """Boolean truth of a quantifier-free subformula under data labels."""
+    if isinstance(formula, Atom):
+        objs = tuple(assignment[a] for a in formula.args)
+        return bool(atom_fn(formula.pred, objs))
+    if isinstance(formula, Not):
+        return not classical_truth(formula.child, assignment, atom_fn)
+    if isinstance(formula, And):
+        return (classical_truth(formula.lhs, assignment, atom_fn)
+                and classical_truth(formula.rhs, assignment, atom_fn))
+    if isinstance(formula, Or):
+        return (classical_truth(formula.lhs, assignment, atom_fn)
+                or classical_truth(formula.rhs, assignment, atom_fn))
+    if isinstance(formula, Implies):
+        return (not classical_truth(formula.lhs, assignment, atom_fn)
+                or classical_truth(formula.rhs, assignment, atom_fn))
+    raise ValueError(f"not a quantifier-free formula: {formula!r}")
 
 
 def _eval(node, g, ops, mu, instances, at_root=False):

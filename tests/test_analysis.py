@@ -6,7 +6,6 @@ import pytest
 
 from dfl.analysis import (
     FractionEstimate,
-    classical_truth,
     composed,
     derivative_surface,
     estimate_nonvanishing_fraction,
@@ -26,6 +25,7 @@ from dfl.operators import (OperatorConfig, OperatorError, catalog, descriptor,
 from dfl.valuation import LookupInterpretation, Domain, build_grounding
 
 import scalar_kernels
+from scalar_reference import classical_truth
 from dfl import analysis
 
 SAMPLES = 40_000

@@ -1,10 +1,24 @@
 import json
 import os
+import random
 import time
 
 import pytest
 
 from dfl.cli import main
+
+SCENE_LABELS = """\
+chair(o1)=1
+chair(o2)=0
+cushion(o1)=0
+cushion(o2)=1
+armRest(o1)=0
+armRest(o2)=0
+partOf(o1,o1)=0
+partOf(o1,o2)=0
+partOf(o2,o1)=1
+partOf(o2,o2)=0
+"""
 
 
 @pytest.fixture
@@ -125,23 +139,28 @@ def test_analyze_surface(capsys, tmp_path):
 def test_analyze_quality(capsys, tmp_path, scene_files):
     kb, grounding = scene_files
     labels = tmp_path / "labels.grounding"
-    labels.write_text("""\
-chair(o1)=1
-chair(o2)=0
-cushion(o1)=0
-cushion(o2)=1
-armRest(o1)=0
-armRest(o2)=0
-partOf(o1,o1)=0
-partOf(o1,o2)=0
-partOf(o2,o1)=1
-partOf(o2,o2)=0
-""")
+    labels.write_text(SCENE_LABELS)
     code = main(["analyze", "quality", "--kb", kb, "--grounding", grounding,
                  "--labels", str(labels), "--ops", "aggregator=log_product"])
     assert code == 0
     out = capsys.readouterr().out
     assert "cons_pct" in out and "cu_ant_pct" in out
+
+
+@pytest.mark.parametrize("labels, atom", [("p(a)=1\nq(a)=1\n", "p(b)"),
+                                          ("p(a)=1\np(b)=0\nq(a)=1\n", "q(b)")])
+def test_analyze_quality_names_an_unlabelled_atom(tmp_path, capsys, labels,
+                                                   atom):
+    kb = tmp_path / "kb.dfl"
+    kb.write_text("forall x: p(x) -> q(x)\n")
+    grounding = tmp_path / "g.grounding"
+    grounding.write_text("p(a)=0.5\np(b)=0.5\nq(a)=0.5\nq(b)=0.5\n")
+    labels_file = tmp_path / "labels.grounding"
+    labels_file.write_text(labels)
+    code = main(["analyze", "quality", "--kb", str(kb), "--grounding",
+                 str(grounding), "--labels", str(labels_file)])
+    assert code == 3
+    assert f"error: no label for ground atom {atom}" in capsys.readouterr().err
 
 
 def test_train_and_determinism(tmp_path, capsys):
@@ -303,3 +322,84 @@ def test_missing_probability_names_objects(tmp_path, capsys, command):
     assert "no probability for ground atom q(b)" in err
 
 
+@pytest.mark.parametrize("command", [["eval"], ["oracle", "compare"],
+                                     ["analyze", "quality"]])
+def test_instance_cap_exit_4_before_any_array(tmp_path, capsys, command):
+    # 40**8 ground instances
+    variables = "abcdefgh"
+    kb = tmp_path / "kb.dfl"
+    kb.write_text(f"forall {', '.join(variables)}: "
+                  + " & ".join(f"p({v})" for v in variables[:-1])
+                  + f" -> p({variables[-1]})\n")
+    grounding = tmp_path / "g.grounding"
+    grounding.write_text("\n".join(f"p(o{i})=0.5" for i in range(40)))
+    if command[0] == "analyze":
+        command = command + ["--labels", str(grounding)]
+    start = time.perf_counter()
+    code = main(command + ["--kb", str(kb), "--grounding", str(grounding)])
+    assert code == 4
+    assert "6553600000000 ground instances exceed" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_eval_deep_negation_chain(tmp_path, capsys):
+    kb = tmp_path / "kb.dfl"
+    kb.write_text("forall x: " + "~" * 10 ** 5 + "p(x)\n")
+    grounding = tmp_path / "g.grounding"
+    grounding.write_text("p(a)=0.25\n")
+    code = main(["eval", "--kb", str(kb), "--grounding", str(grounding)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "formula 1: weight=1.0 valuation=0.25" in captured.out
+
+
+FUZZ_PIECES = ["(", ")", "~", "&", "|", "->", ",", ":", "=", "#", "\n", "x",
+               "y", "z", "o1", "forall ", "exists ", "chair(x)", "partOf(y)",
+               "q(x, y)", "0.5 ", "-1 ", "1e999 ", "1.5", "nan", "0"]
+
+
+def _mutate(rng, text):
+    """``text`` after one to four random deletions, insertions of grammar
+    pieces and repetitions of a span."""
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(0, 8))
+        kind = rng.randrange(3)
+        if kind == 0:
+            text = text[:i] + text[j:]
+        elif kind == 1:
+            text = text[:i] + rng.choice(FUZZ_PIECES) + text[i:]
+        else:
+            text = text[:i] + text[i:j] * rng.randint(2, 3) + text[j:]
+    return text
+
+
+def test_fuzzed_inputs_exit_with_documented_codes(tmp_path, capsys,
+                                                  scene_kb_text,
+                                                  scene_grounding_text):
+    """Mutated knowledge bases, groundings and labels, deep and wide
+    formulas among them, end in exit 0, 2, 3 or 4 and never a
+    traceback."""
+    rng = random.Random(8)
+    kbs = [scene_kb_text,
+           "forall x: " + "~" * 1500 + "chair(x)\n",
+           "forall x, y: " + " & ".join(["chair(x)", "partOf(y, x)"] * 750)
+           + " -> cushion(y) | armRest(y)\n"]
+    ops = ["", "aggregator=log_product", "tnorm=yager:p=2", "aggregator=pme"]
+    kb, grounding, labels = (tmp_path / name for name in
+                             ("kb.dfl", "g.grounding", "labels.grounding"))
+    codes = set()
+    for trial in range(60):
+        kb.write_text(_mutate(rng, rng.choice(kbs)))
+        grounding.write_text(_mutate(rng, scene_grounding_text)
+                             if trial % 3 == 0 else scene_grounding_text)
+        labels.write_text(_mutate(rng, SCENE_LABELS)
+                          if trial % 3 == 1 else SCENE_LABELS)
+        command = (["eval"] if trial % 2 else
+                   ["analyze", "quality", "--labels", str(labels)])
+        code = main(command + ["--kb", str(kb), "--grounding", str(grounding),
+                               "--ops", rng.choice(ops)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4) and "Traceback" not in err, (trial, err)
+        codes.add(code)
+    assert {0, 2, 3} <= codes

@@ -1,12 +1,16 @@
 import random
+import sys
 
 import pytest
 
 from dfl.logic import (
     And, Atom, ForAll, Implies, Not, Or,
-    KnowledgeBase, ParseError,
+    KnowledgeBase, ParseError, compile_formula,
     free_and_bound, parse_formula, parse_kb, print_formula, quantifier_rank,
 )
+
+RECURSION_LIMIT = sys.getrecursionlimit()
+DEEP = 10 ** 5
 
 EXAMPLE = "forall x, y: chair(x) & partOf(y, x) -> cushion(y) | armRest(y)"
 
@@ -159,6 +163,29 @@ def _random_formula(rng, variables, depth):
     return {"and": And, "or": Or, "implies": Implies}[kind](lhs, rhs)
 
 
+def _deep_formulas():
+    """(formula, program length) for DEEP nested negations, DEEP-atom &
+    and -> chains (nested to the left and to the right) and a conjunction
+    under DEEP parentheses, each far past the interpreter's recursion
+    limit; one at a time, so that only one is alive."""
+    p, q = Atom("p", ("x",)), Atom("q", ("x",))
+    chain = p
+    for _ in range(DEEP):
+        chain = Not(chain)
+    assert ForAll(("x",), chain) != ForAll(("x",), Not(chain))
+    yield ForAll(("x",), chain), DEEP + 2
+    for binary in (lambda f: And(f, p), lambda f: Implies(p, f)):
+        chain = p
+        for _ in range(DEEP - 1):
+            chain = binary(chain)
+        yield ForAll(("x",), chain), 2 * DEEP
+    chain = None
+    parenthesized = parse_formula("forall x: " + "(" * DEEP + "p(x) & q(x)"
+                                  + ")" * DEEP)
+    assert parenthesized == ForAll(("x",), And(p, q))
+    yield parenthesized, 4
+
+
 def test_print_parse_roundtrip_on_random_asts():
     rng = random.Random(99)
     for _ in range(1000):
@@ -167,6 +194,41 @@ def test_print_parse_roundtrip_on_random_asts():
                    _random_formula(rng, variables, rng.randint(0, 5)))
         text = print_formula(f)
         assert parse_formula(text) == f, text
+    for f, steps in _deep_formulas():
+        parsed = parse_formula(print_formula(f))
+        assert parsed == f and hash(parsed) == hash(f)
+        assert len(compile_formula(parsed).instrs) == steps
+        assert quantifier_rank(parsed) == 1
+    assert sys.getrecursionlimit() == RECURSION_LIMIT
+
+
+def _dataclass_eq(a, b):
+    """Equality as the dataclass-generated ``__eq__`` defines it: the
+    same class and equal fields, compared recursively."""
+    if type(a) is not type(b):
+        return False
+    fields = type(a).__dataclass_fields__
+    return all(_dataclass_eq(getattr(a, name), getattr(b, name))
+               if hasattr(getattr(a, name), "__dataclass_fields__")
+               else getattr(a, name) == getattr(b, name) for name in fields)
+
+
+def test_equality_and_hash_agree_with_dataclass_equality():
+    rng = random.Random(7)
+    x, y = Atom("p", ("x",)), Atom("p", ("y",))
+    # nested quantifier chains are distinct trees, as for the dataclasses
+    trees = [ForAll(("x", "y"), x), ForAll(("x",), ForAll(("y",), x)),
+             ForAll(("x",), ForAll(("y",), x)), ForAll(("y",), ForAll(("x",), x)),
+             And(x, y), And(y, x), Or(x, y), Implies(x, y), Not(x), x, y]
+    trees += [_random_formula(rng, ["x", "y"], rng.randint(0, 2))
+              for _ in range(300)]
+    for a in trees:
+        for b in trees[:40]:
+            assert (a == b) is _dataclass_eq(a, b), (a, b)
+            if a == b:
+                assert hash(a) == hash(b)
+    assert repr(And(x, Not(y))) == ("And(lhs=Atom(pred='p', args=('x',)), "
+                                    "rhs=Not(child=Atom(pred='p', args=('y',))))")
 
 
 def test_rejection_set_mutations_fail_cleanly():

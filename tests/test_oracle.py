@@ -83,6 +83,7 @@ def test_world_count_is_two_to_the_atoms():
     probs = {("raven", (i,)): 0.5 for i in range(2)}
     probs.update({("black", (i,)): 0.5 for i in range(2)})
     atoms, rows = world_table(kb, probs, [0, 1])
+    rows = list(rows)
     assert len(atoms) == 4
     assert len(rows) == 2 ** 4
     assert math.fsum(w for _, _, w in rows) == pytest.approx(1.0)
@@ -186,6 +187,7 @@ def _assert_matches_loop(kb, probs, batch):
     exact = math.fsum(weight for _, ok, weight in ref_rows if ok)
     assert semantic_probability(kb, probs, batch) == exact
     atoms, rows = world_table(kb, probs, batch)
+    rows = list(rows)
     assert atoms == ref_atoms
     assert rows == ref_rows
     for bits, satisfied, weight in rows:

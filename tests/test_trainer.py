@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dfl.analysis import classical_truth, gradient_quality, labeling_from_atoms
+from dfl.analysis import gradient_quality, labeling_from_atoms
 from dfl.logic import Not, parse_kb
 from dfl.operators import OperatorConfig, parse_operator_config
 from dfl.trainer import (
@@ -27,6 +27,7 @@ from dfl.trainer import (
 )
 from dfl.valuation import Domain, build_grounding
 import scalar_reference
+from scalar_reference import classical_truth
 
 GODEL = parse_operator_config(
     "tnorm=godel tconorm=godel implication=kleene_dienes aggregator=min")

@@ -1,13 +1,15 @@
 import math
 import random
+import sys
 
 import pytest
 
 from dfl.logic import ForAll, Atom, And, parse_formula, parse_kb, ParseError
 from dfl.operators import OperatorConfig, parse_operator_config
+from dfl import valuation
 from dfl.valuation import (
-    Domain, GroundingTable, LookupInterpretation, SemanticError,
-    atom_gradients, build_grounding, dfl_loss, parse_grounding, sample_batch,
+    Domain, GroundingTable, InstanceCapError, LookupInterpretation,
+    SemanticError, atom_gradients, build_grounding, dfl_loss, parse_grounding,
     valuate,
 )
 from conftest import SCENE_VALUATION, SCENE_VALUATION_GRADIENTS
@@ -252,39 +254,36 @@ def test_relaxed_equals_full_when_batch_is_domain():
     table = {(pred, (i,)): rng.random() for pred in ("p", "q") for i in range(3)}
     interp = LookupInterpretation(table)
     g_full = build_grounding(interp, domain, {"p": 1, "q": 1}, [0, 1, 2])
-    batch = sample_batch(domain, 3, seed=5)
-    g_rel = build_grounding(interp, domain, {"p": 1, "q": 1}, batch)
+    # the whole domain as a batch, as a uniform sample of 3 of 3 objects is
+    g_rel = build_grounding(interp, domain, {"p": 1, "q": 1}, [0, 1, 2])
     full = valuate(kb.formulas()[0], g_full, PRODUCT).value
     relaxed = valuate(kb.formulas()[0], g_rel, PRODUCT).value
     assert full == relaxed
 
 
-# ---------------------------------------------------------------------------
-# batch sampling
-
-def test_sample_batch_full_domain_sorted():
-    domain = _uniform_domain(6)
-    assert sample_batch(domain, 6, seed=3) == [0, 1, 2, 3, 4, 5]
-
-
-def test_sample_batch_deterministic():
-    domain = _uniform_domain(100)
-    assert sample_batch(domain, 1, seed=9) == sample_batch(domain, 1, seed=9)
-    assert sample_batch(domain, 10, seed=9) == sample_batch(domain, 10, seed=9)
-
-
-def test_sample_batch_without_replacement():
-    domain = _uniform_domain(1000)
-    batch = sample_batch(domain, 32, seed=11)
-    assert len(set(batch)) == 32
+def test_deep_formulas_valuate():
+    limit = sys.getrecursionlimit()
+    n = 10 ** 4
+    kb = parse_kb(f"forall x: {'~' * n}p(x)\n"
+                  f"forall x: {' & '.join(['p(x)'] * n)}")
+    g = build_grounding(LookupInterpretation({("p", (0,)): 0.25}),
+                        _uniform_domain(1), kb.signature, [0])
+    ops = parse_operator_config("tnorm=godel aggregator=min")
+    loss = dfl_loss(kb, g, ops)
+    assert loss.value == -0.5
+    assert g.tape.backward(loss)[g.nodes[("p", (0,))]] == -2.0
+    assert sys.getrecursionlimit() == limit
 
 
-def test_sample_batch_range_errors():
-    domain = _uniform_domain(4)
-    with pytest.raises(ValueError):
-        sample_batch(domain, 0, seed=1)
-    with pytest.raises(ValueError):
-        sample_batch(domain, 5, seed=1)
+def test_instance_cap_counts_every_formula(monkeypatch):
+    kb = parse_kb("forall x, y, z: p(x) & p(y) & p(z)\nforall x: p(x)")
+    g = build_grounding(_const_interp({"p": 1}, 0.5), _uniform_domain(2),
+                        kb.signature, [0, 1])
+    monkeypatch.setattr(valuation, "INSTANCE_CAP", 10)  # 2**3 + 2 instances
+    dfl_loss(kb, g, PRODUCT)
+    monkeypatch.setattr(valuation, "INSTANCE_CAP", 9)
+    with pytest.raises(InstanceCapError, match="10 ground instances exceed"):
+        dfl_loss(kb, g, PRODUCT)
 
 
 # ---------------------------------------------------------------------------
