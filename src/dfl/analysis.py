@@ -256,10 +256,11 @@ def gradient_quality(kb, g: GroundingTable, ops: OperatorConfig,
             continue
         used += 1
         run = formula_pass(formula, g, ops)
-        da, dc = run.body_partials
+        adj = run.stack_adjoint[run.f]
+        da, dc = (d[run.f if len(d) > 1 else 0] for d in run.stack_partials)
         shape = _instance_shape(program, len(g.batch))
-        d_cons = np.broadcast_to(run.instance_adjoint * dc, shape)
-        d_ant = np.broadcast_to(-(run.instance_adjoint * da), shape)
+        d_cons = np.broadcast_to(adj * dc, shape)
+        d_ant = np.broadcast_to(-(adj * da), shape)
         ante, cons = program.instrs[body].args
         for instr in program.instrs:
             if instr.op == "atom" and instr.atom.pred not in truth:
@@ -293,7 +294,7 @@ def _instance_shape(program, b: int) -> tuple:
 
 def _atom_truth(pred, g: GroundingTable, atom_fn) -> np.ndarray:
     """Data label of every ground atom of ``pred`` over the batch."""
-    arity = g.tensor(pred)[0].ndim
+    arity = g.tensor(pred).ndim
     labels = [bool(atom_fn(pred, objs))
               for objs in itertools.product(g.batch, repeat=arity)]
     return np.array(labels, dtype=bool).reshape((len(g.batch),) * arity)

@@ -1,13 +1,13 @@
 """Minimal reverse-mode automatic differentiation over scalars.
 
-Every forward pass builds a fresh, append-only tape.  Each node records
-its value together with the local partial derivatives of the output with
-respect to each input; ``Tape.backward`` then sweeps the tape once in
-reverse creation order and accumulates adjoints.  The valuation engine
-differentiates a whole formula over numpy arrays and records it as one
-fused node whose parents are the ground-atom leaves
-(``Tape.record_fused``), so a tape holds the grounding, one node per
-formula and the loss.
+Each node of an append-only tape records its value and the local partial
+derivatives of the output with respect to each input; ``Tape.backward``
+sweeps the tape once in reverse creation order and accumulates adjoints.
+The valuation engine no longer needs it to train: ``valuation.
+loss_gradient`` returns the loss gradient as an array.  The tape serves
+callers that want nodes (``valuation.valuate`` and ``dfl_loss`` record a
+formula as one fused node over the ground-atom leaves with
+``record_fused``), scalar compositions, and ``finite_difference_check``.
 
 Completed tapes are read-only.  A tape must not be shared between
 threads while nodes are still being recorded; independent evaluations
@@ -92,25 +92,10 @@ class Tape:
         value: float,
         partials: Sequence[float],
     ) -> Node:
-        if len(inputs) != len(partials):
-            raise ValueError(
-                f"{label}: {len(inputs)} inputs but {len(partials)} partials"
-            )
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"{label}: non-finite value {value!r}")
-        parents = []
-        for node, partial in zip(inputs, partials):
-            partial = float(partial)
-            if not math.isfinite(partial):
-                raise ValueError(f"{label}: non-finite partial {partial!r}")
-            if node.tape is not self:
-                raise ValueError(f"{label}: input node belongs to another tape")
-            parents.append((node.idx, partial))
-        self.values.append(value)
-        self.parents.append(tuple(parents))
-        self.labels.append(label)
-        return Node(self, len(self.values) - 1)
+        if any(node.tape is not self for node in inputs):
+            raise ValueError(f"{label}: input node belongs to another tape")
+        return self.record_fused(label, [node.idx for node in inputs], value,
+                                 partials)
 
     def record_fused(
         self,
@@ -119,9 +104,8 @@ class Tape:
         value: float,
         partials: Sequence[float],
     ) -> Node:
-        """``record`` for a node with many inputs, given by tape index:
-        the same length and finiteness checks, without one Node per
-        input."""
+        """``record`` for inputs given by tape index, without one Node
+        per input."""
         if len(parents) != len(partials):
             raise ValueError(
                 f"{label}: {len(parents)} inputs but {len(partials)} partials"

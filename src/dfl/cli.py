@@ -27,7 +27,7 @@ from .logic import ParseError, parse_kb
 from .operators import (ConfigError, OperatorConfig, OperatorError,
                         descriptor, parse_operator_config)
 from .valuation import (InstanceCapError, SemanticError, build_grounding,
-                        dfl_loss, formula_pass, parse_grounding)
+                        formula_pass, loss_gradient, parse_grounding)
 
 log = logging.getLogger("dfl")
 
@@ -109,17 +109,15 @@ def cmd_eval(args, argv) -> int:
     ops = parse_operator_config(args.ops or "")
     grounding = build_grounding(interp, domain, kb.signature,
                                 list(range(len(domain))))
-    loss = dfl_loss(kb, grounding, ops)
+    loss, gradient = loss_gradient(kb, grounding, ops)
     values = [formula_pass(f, grounding, ops).value for f in kb.formulas()]
-    adjoints = grounding.tape.backward(loss)
-    grads = {key: adjoints[node] for key, node in grounding.nodes.items()}
     for i, ((formula, weight), value) in enumerate(zip(kb.entries, values), 1):
         print(f"formula {i}: weight={_fmt(weight)} valuation={_fmt(value)}")
     print(f"total_valuation {_fmt(sum(values))}")
-    print(f"dfl_loss {_fmt(loss.value)}")
+    print(f"dfl_loss {_fmt(loss)}")
     print("gradients (dL/datom; dVal/datom is the negation):")
     rows = []
-    for (pred, objs), grad in sorted(grads.items()):
+    for (pred, objs), grad in sorted(zip(grounding.keys(), gradient.tolist())):
         names = " ".join(domain.names[i] for i in objs)
         print(f"  {pred}({names}) dL={_fmt(grad)} dVal={_fmt(-grad)}")
         rows.append([pred, names, _fmt(grad), _fmt(-grad)])

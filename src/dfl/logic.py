@@ -274,13 +274,14 @@ class Instr(NamedTuple):
     root: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Program:
     """A formula as postorder steps; every step's value is an array with
     one axis per quantified variable (size 1 where it does not depend on
     that variable), and the last step is the formula.  Programs with the
     same ``shape`` differ only in their predicates and run as one stack
-    of formulas."""
+    of formulas.  Programs compare and hash by identity, so caches can
+    key on them cheaply."""
 
     instrs: tuple
     n_axes: int

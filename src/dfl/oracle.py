@@ -8,9 +8,11 @@ Worlds are a leading array axis: the programs are evaluated classically
 in ``itertools.product`` order with the first atom as the most
 significant bit.  A world's weight multiplies its atoms' probabilities
 in atom order, and ``math.fsum`` (exactly rounded) sums the satisfying
-weights, so the result depends on neither order nor chunking.  The
-20-atom cap (about a million worlds) keeps the oracle exact rather than
-sampled; larger groundings are rejected before any world is built.
+weights, so the result depends on neither order nor chunking.  A chunk
+holds at most ``INSTANCE_CAP`` world-instance pairs, so memory stays
+bounded.  The 20-atom cap (about a million worlds) keeps the oracle
+exact rather than sampled, and ``WORLD_INSTANCE_CAP`` bounds its work;
+groundings past either cap are rejected before any world is built.
 
 The fuzzy side of the comparison uses product t-norm/t-conorm, the
 Reichenbach implication and the log-product aggregator, exponentiated
@@ -29,18 +31,22 @@ import numpy as np
 
 from .logic import KnowledgeBase, compile_formula
 from .operators import OperatorConfig
-from .valuation import (Domain, LookupInterpretation, build_grounding,
-                        check_instance_cap, classical_values, valuate)
+from .valuation import (INSTANCE_CAP, Domain, LookupInterpretation,
+                        build_grounding, check_instance_cap, classical_values,
+                        formula_pass)
 
 __all__ = [
     "WorldCapError", "AtomOccurrence", "EquivalenceReport",
-    "WORLD_ATOM_CAP", "WORLD_CHUNK", "DPFL_CONFIG",
+    "WORLD_ATOM_CAP", "WORLD_INSTANCE_CAP", "WORLD_CHUNK", "DPFL_CONFIG",
     "occurrence_census", "semantic_probability",
     "semantic_loss", "dpfl_valuation", "equivalence_report", "world_table",
 ]
 
 WORLD_ATOM_CAP = 20
-WORLD_CHUNK = 2 ** 14  # worlds per array pass
+# world-instance pairs (2**atoms x ground instances) one enumeration may
+# evaluate; a short formula takes about 0.5 s per 10**9 pairs
+WORLD_INSTANCE_CAP = 2 ** 32
+WORLD_CHUNK = 2 ** 14  # most worlds per array pass
 
 DPFL_CONFIG = OperatorConfig(tnorm="product", tconorm="product",
                              implication="reichenbach",
@@ -48,7 +54,7 @@ DPFL_CONFIG = OperatorConfig(tnorm="product", tconorm="product",
 
 
 class WorldCapError(ValueError):
-    """Grounded knowledge base exceeds the exact-enumeration atom cap."""
+    """Grounded knowledge base exceeds an exact-enumeration cap."""
 
 
 def _census(kb: KnowledgeBase, batch: list) -> dict:
@@ -85,6 +91,14 @@ def occurrence_census(kb: KnowledgeBase, batch: list) -> AtomOccurrence:
     return AtomOccurrence(counts, all(v <= 1 for v in counts.values()))
 
 
+def _assignments(terms: tuple, batch: list):
+    """Every assignment of batch objects to the axes ``terms`` names, as
+    a dict from axis to object."""
+    axes = sorted(set(terms))
+    return (dict(zip(axes, combo))
+            for combo in itertools.product(batch, repeat=len(axes)))
+
+
 def _prob_lookup(probs):
     return (LookupInterpretation(probs) if isinstance(probs, dict)
             else probs).score
@@ -94,13 +108,25 @@ def _worlds(kb: KnowledgeBase, probs, batch: list):
     """(atoms, chunks): the appearing atoms, which are the columns of a
     world matrix, and an iterator of (worlds, satisfied, weight) arrays
     per chunk of worlds, worlds being the chunk's boolean (world x atom)
-    matrix.  Refuses more than ``WORLD_ATOM_CAP`` atoms before any world
-    is built."""
-    atoms = list(_census(kb, batch))
-    if len(atoms) > WORLD_ATOM_CAP:
+    matrix.  Refuses more than ``WORLD_ATOM_CAP`` atoms, or more than
+    ``WORLD_INSTANCE_CAP`` world-instance pairs, before the census walks
+    the instances."""
+    programs = [compile_formula(f) for f in kb.formulas()]
+    check_instance_cap(programs, len(batch))
+    instances = sum(len(batch) ** program.n_axes for program in programs)
+    n = len({(instr.atom.pred, tuple(combo[t] for t in instr.terms))
+             for program in programs for instr in program.instrs
+             if instr.op == "atom"  # over the step's own variables only
+             for combo in _assignments(instr.terms, batch)})
+    if n > WORLD_ATOM_CAP:
+        raise WorldCapError(f"{n} ground atoms exceed the {WORLD_ATOM_CAP}-"
+                            f"atom world-enumeration cap")
+    if 2 ** n * instances > WORLD_INSTANCE_CAP:
         raise WorldCapError(
-            f"{len(atoms)} ground atoms exceed the {WORLD_ATOM_CAP}-atom "
-            f"world-enumeration cap")
+            f"2**{n} worlds x {instances} ground instances exceed the "
+            f"{WORLD_INSTANCE_CAP}-pair world-enumeration cap")
+    chunk = max(1, min(WORLD_CHUNK, INSTANCE_CAP // max(instances, 1)))
+    atoms = list(_census(kb, batch))
     score = _prob_lookup(probs)
     p = [float(score(pred, objs)) for pred, objs in atoms]
     b, n = len(batch), len(atoms)
@@ -111,11 +137,10 @@ def _worlds(kb: KnowledgeBase, probs, batch: list):
                                itertools.product(batch, repeat=arity)],
                               dtype=np.intp).reshape((b,) * arity)
                for pred, arity in kb.signature.items()}
-    programs = [compile_formula(f) for f in kb.formulas()]
 
     def chunks():
-        for start in range(0, 2 ** n, WORLD_CHUNK):
-            index = np.arange(start, min(start + WORLD_CHUNK, 2 ** n))
+        for start in range(0, 2 ** n, chunk):
+            index = np.arange(start, min(start + chunk, 2 ** n))
             worlds = np.empty((len(index), n), dtype=bool)
             weight = np.ones(len(index))
             for j, pj in enumerate(p):
@@ -133,7 +158,7 @@ def _worlds(kb: KnowledgeBase, probs, batch: list):
 
 def world_table(kb: KnowledgeBase, probs, batch: list):
     """(atoms, rows) where rows yields (bits, satisfied, probability) per
-    world, building one chunk of ``WORLD_CHUNK`` worlds at a time."""
+    world, building one chunk of worlds at a time."""
     atoms, chunks = _worlds(kb, probs, batch)
     return atoms, (row for worlds, ok, weight in chunks
                    for row in zip(map(tuple, worlds.astype(np.uint8).tolist()),
@@ -172,7 +197,7 @@ def dpfl_valuation(kb: KnowledgeBase, probs, batch: list) -> float:
                         batch)
     log_total = 0.0
     for formula, _ in kb.entries:
-        log_total += valuate(formula, g, DPFL_CONFIG).value
+        log_total += formula_pass(formula, g, DPFL_CONFIG).value
     return math.exp(log_total)
 
 

@@ -11,6 +11,7 @@ numpy.  One training run stays well under a minute.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -20,8 +21,8 @@ import numpy as np
 from .analysis import gradient_quality, labeling_from_atoms
 from .logic import KnowledgeBase, parse_kb
 from .operators import OperatorConfig, parse_operator_config
-from .valuation import Domain, GroundingTable, LookupInterpretation, \
-    build_grounding, dfl_loss
+from .valuation import Domain, LookupInterpretation, build_grounding, \
+    loss_gradient
 
 __all__ = [
     "DIGITS", "TinyModel", "TrainConfig", "SyntheticTask", "MetricsRecord",
@@ -73,10 +74,8 @@ def fuzzy_max_sat(kb: KnowledgeBase, ops: OperatorConfig, *,
     """
     domain = Domain([f"o{i+1}" for i in range(domain_size)])
     batch = list(range(domain_size))
-    atom_keys = []
-    for pred in sorted(kb.signature):
-        for objs in itertools.product(batch, repeat=kb.signature[pred]):
-            atom_keys.append((pred, objs))
+    atom_keys = [(pred, objs) for pred in sorted(kb.signature)
+                 for objs in itertools.product(batch, repeat=kb.signature[pred])]
     if init is None:
         rng = np.random.default_rng(seed)
         values = {k: float(rng.random()) for k in atom_keys}
@@ -86,25 +85,16 @@ def fuzzy_max_sat(kb: KnowledgeBase, ops: OperatorConfig, *,
     best = 0.0 if ops.aggregator == "log_product" else 1.0
     target = -sum(w * best for _, w in kb.entries)
     trajectory = []
-    reached = False
-    for _ in range(steps):
+    for step in range(steps + 1):  # the last valuation takes no step
         g = build_grounding(LookupInterpretation(values), domain,
                             kb.signature, batch)
-        loss = dfl_loss(kb, g, ops)
-        trajectory.append(-loss.value)
-        if loss.value <= target + tol:
-            reached = True
+        loss, grad = loss_gradient(kb, g, ops)
+        trajectory.append(-loss)
+        reached = loss <= target + tol
+        if reached or step == steps:
             break
-        grads = g.tape.backward(loss)
-        for key in atom_keys:
-            v = values[key] - eps * grads[g.nodes[key]]
-            values[key] = min(max(v, 0.0), 1.0)
-    if not reached:
-        g = build_grounding(LookupInterpretation(values), domain,
-                            kb.signature, batch)
-        final = dfl_loss(kb, g, ops)
-        trajectory.append(-final.value)
-        reached = final.value <= target + tol
+        for key, d in zip(atom_keys, grad.tolist()):
+            values[key] = min(max(values[key] - eps * d, 0.0), 1.0)
     return MaxSatResult(values, trajectory, reached)
 
 
@@ -320,17 +310,15 @@ class MetricsRecord:
 
 
 class _BatchInterpretation:
-    """Scores ground atoms from precomputed class/same probability blocks
-    over the current DFL batch (local indices)."""
+    """Truth tables of the ground atoms over the current DFL batch (local
+    indices), sliced from precomputed class/same probability blocks."""
 
     def __init__(self, P, S):
         self.P = P
         self.S = S
 
-    def score(self, pred, objs):
-        if pred == "same":
-            return float(self.S[objs[0], objs[1]])
-        return float(self.P[objs[0], DIGITS.index(pred)])
+    def truth_table(self, pred):
+        return self.S if pred == "same" else self.P[:, DIGITS.index(pred)]
 
 
 def _ce_gradients(model, X, y, grads):
@@ -377,32 +365,42 @@ def _same_bce_gradients(model, X, pos, neg, grads):
 
 
 def _dfl_gradients(model, X_batch, kb, ops, w_dfl, grads):
-    """Fuzzy loss on the tape, chained into model parameters (loss
-    gradient w.r.t. each atom times atom gradient w.r.t. theta)."""
+    """Fuzzy loss and its gradient w.r.t. each atom (``loss_gradient``),
+    chained into model parameters."""
     H = model.hidden(X_batch)
     P = _softmax(H @ model.theta["W2"] + model.theta["b2"])
     Z = model.same_logits(H)
     S = _sigmoid(Z)
     b = len(X_batch)
-    interp = _BatchInterpretation(P, S)
     domain = Domain([f"b{i}" for i in range(b)])
-    g = build_grounding(interp, domain, kb.signature, list(range(b)))
-    loss = dfl_loss(kb, g, ops)
-    atom_adjoints = g.tape.backward(loss)
-    dP = np.zeros_like(P)
-    dZ = np.zeros_like(Z)
-    for (pred, objs), node in g.nodes.items():
-        a = atom_adjoints[node] * w_dfl
-        if a == 0.0:
-            continue
-        if pred == "same":
-            i, j = objs
-            dZ[i, j] += a * S[i, j] * (1.0 - S[i, j])
-        else:
-            dP[objs[0], DIGITS.index(pred)] += a
+    g = build_grounding(_BatchInterpretation(P, S), domain, kb.signature,
+                        list(range(b)))
+    loss, grad = loss_gradient(kb, g, ops)
+    dP, dZ = _atom_adjoints(g, grad * w_dfl, P, S)
     model.class_backward(X_batch, H, P, dP, grads)
     model.same_backward(X_batch, H, dZ, grads)
-    return float(loss.value), g
+    return loss, g
+
+
+@functools.lru_cache(maxsize=16)
+def _class_atoms(layout) -> tuple:
+    """The columns of P that have atoms in ``layout``, and the position of
+    each (batch position, column) atom in the atom vector."""
+    digits = [d for d in DIGITS if d in layout.preds]
+    at = [[layout.preds[d][0] + i for d in digits] for i in range(layout.b)]
+    return ([DIGITS.index(d) for d in digits],
+            np.array(at, dtype=np.intp).reshape(layout.b, len(digits)))
+
+
+def _atom_adjoints(g, a, P, S):
+    """dL/dP and dL/dZ, Z the pair logits, from dL/datom ``a`` over
+    ``g``'s atoms; ``0.0 +`` starts each entry as the tape does."""
+    columns, at = _class_atoms(g.layout)
+    dP = np.zeros_like(P)
+    dP[:, columns] = 0.0 + a[at]
+    same = g.tensor("same", a)
+    dZ = np.zeros_like(S) if same is None else 0.0 + same * S * (1.0 - S)
+    return dP, dZ
 
 
 def evaluate(model: TinyModel, task: SyntheticTask) -> float:

@@ -1,44 +1,52 @@
-"""Valuation engine: grounding construction, array valuation of compiled
-formulas with its backward pass, and the weighted knowledge-base loss.
+"""Valuation engine: groundings as flat atom vectors, array valuation of
+compiled formulas with its backward pass, and the weighted
+knowledge-base loss with its gradient.
 
-Each formula is compiled once (``logic.compile_formula``, cached per
-formula object) into a flat postorder program.  Every quantified
-variable gets its own array axis, so over a batch of b objects a formula
-with d quantified variables is valuated as numpy arrays of b**d ground
-instances, with one array kernel call per connective and per quantified
-variable.  Instances are enumerated in lexicographic batch order.
-Nested quantifier variables aggregate innermost-first, i.e.
-``forall x, y`` becomes A_x(A_y(...)).  The log-product aggregator is
-the one exception: its output lives in (-inf, 0] and may not feed
-another connective, so the whole quantifier block collapses into a
-single flat aggregation over all b**d instances (the two shapes agree
-exactly because log turns the nested product into a sum).
+A grounding holds the clamped truth value of every ground atom in one
+float64 vector: predicates in sorted order, each predicate's atoms in
+``itertools.product(batch, repeat=arity)`` order.  Each formula is
+compiled once (``logic.compile_formula``) into a postorder program with
+one array axis per quantified variable, so over b objects a formula with
+d quantified variables is valuated as arrays of b**d ground instances.
+Programs of one shape run as one stack with a leading formula axis; each
+atom step gathers its instances from the atom vector with one flat index
+array, cached per stack, layout and bound positions.  Nested quantifier
+variables aggregate innermost-first (``forall x, y`` is A_x(A_y(...))),
+except under log-product, whose output lives in (-inf, 0] and may not
+feed another connective: its whole quantifier block is one flat
+aggregation over all b**d instances (equal, as log turns the nested
+product into a sum).
 
 The backward pass runs over the same program in reverse, summing each
-adjoint over the axes its operand was broadcast along, and yields
-d(valuation)/d(atom) for every ground atom.  The formula's valuation is
-then recorded on the grounding's tape as one fused node whose parents
-are the atom leaves, so ``Tape.backward`` from the loss reaches every
-atom.
+adjoint over the axes its operand was broadcast along, and scatters each
+atom step's adjoint into the formula's gradient row, d(valuation)/d(atom)
+over the atom vector.  ``loss_gradient`` sums the rows times -weight in
+reverse knowledge-base order, the order in which ``Tape.backward`` from
+``dfl_loss`` accumulates them, so the two agree bit for bit.  Only
+callers that ask for nodes use the scalar tape: ``valuate`` and
+``dfl_loss`` record each formula as one fused node over the atom leaves,
+which a grounding records when ``nodes``, ``tape`` or ``node()`` is
+first read.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Node, Tape
-from .logic import Instr, KnowledgeBase, ParseError, Program, compile_formula
+from .logic import KnowledgeBase, ParseError, Program, compile_formula
 from .operators import OperatorConfig
 
 __all__ = [
     "SemanticError", "Domain", "LookupInterpretation", "GroundingTable",
     "InstanceCapError", "FormulaPass", "formula_pass", "check_instance_cap",
-    "classical_values", "build_grounding", "valuate",
+    "classical_values", "build_grounding", "valuate", "loss_gradient",
     "dfl_loss", "atom_gradients", "parse_grounding", "CLAMP_EPS",
     "INSTANCE_CAP",
 ]
@@ -58,13 +66,25 @@ class InstanceCapError(ValueError):
     """A valuation would build more ground instances than INSTANCE_CAP."""
 
 
-def check_instance_cap(programs, b: int):
+def check_instance_cap(programs, b: int, atoms: int = 0):
     """Refuse ``programs`` over ``b`` objects, before any array is built,
-    when their ground instances sum past ``INSTANCE_CAP``."""
+    when their ground instances sum past ``INSTANCE_CAP``, or when their
+    gradient rows (one entry per formula and each of ``atoms`` ground
+    atoms) do."""
     total = sum(b ** program.n_axes for program in programs)
     if total > INSTANCE_CAP:
         raise InstanceCapError(f"{total} ground instances exceed the "
                                f"{INSTANCE_CAP}-instance cap")
+    if len(programs) * atoms > INSTANCE_CAP:
+        raise InstanceCapError(f"{len(programs)} formulas x {atoms} ground "
+                               f"atoms exceed the {INSTANCE_CAP}-instance cap")
+
+
+def _atom_text(pred: str, objs, names=None) -> str:
+    """``pred(a,b)``, naming the objects when ``names`` covers them."""
+    if names is not None and all(0 <= i < len(names) for i in objs):
+        objs = [names[i] for i in objs]
+    return f"{pred}({','.join(map(str, objs))})"
 
 
 @dataclass
@@ -96,103 +116,171 @@ class LookupInterpretation:
         try:
             return self.table[(pred, objs)]
         except KeyError:
-            atom = f"{pred}{objs}"
-            if self.names is not None and all(0 <= i < len(self.names)
-                                              for i in objs):
-                atom = f"{pred}({','.join(self.names[i] for i in objs)})"
-            raise SemanticError(
-                f"no probability for ground atom {atom}") from None
+            raise SemanticError(f"no probability for ground atom "
+                                f"{_atom_text(pred, objs, self.names)}") from None
 
 
-@dataclass
+class _Layout:
+    """Where each predicate's atoms sit in an atom vector: ``preds`` maps a
+    predicate to (offset, arity) in sorted order, ``size`` is the length.
+    One object per batch size and signature (``_layout``), so caches key
+    on it by identity."""
+
+    def __init__(self, b: int, arities: tuple):
+        self.b, self.preds, self.size = b, {}, 0
+        for pred, arity in arities:
+            self.preds[pred] = (self.size, arity)
+            self.size += b ** arity
+
+
+_layout = functools.lru_cache(maxsize=64)(_Layout)
+
+
 class GroundingTable:
-    """Tape-backed truth values for every ground atom over a batch.
+    """Truth values of every ground atom over a batch.
 
-    ``tensor(pred)`` views a predicate's atoms as arrays over batch
-    positions.  ``passes`` keeps the latest forward/backward pass of each
-    formula valuated on this grounding (see ``formula_pass``).
+    ``values`` is the atom vector (clamped) and ``raw_values`` the scores
+    before clamping, both laid out by ``layout``; ``keys()`` lists the
+    atoms in that order.  Tape leaves are recorded only when ``nodes``,
+    ``tape`` or ``node()`` is first read.  A table built by hand,
+    ``GroundingTable(nodes, batch, tape)``, takes its values from the
+    given leaves and leaves out of its vector any predicate that lacks an
+    atom over the batch.  ``passes`` keeps the latest forward/backward
+    pass of each formula valuated on this grounding (see
+    ``formula_pass``).
     """
 
-    nodes: dict
-    batch: list
-    tape: Tape
-    raw: dict = field(default_factory=dict)
-    passes: dict = field(default_factory=dict, init=False, repr=False)
-    _tensors: dict = field(default_factory=dict, init=False, repr=False)
-    _positions: dict | None = field(default=None, init=False, repr=False)
+    def __init__(self, nodes: dict, batch: list, tape: Tape,
+                 raw: dict | None = None):
+        arities: dict = {}
+        for pred, objs in nodes:
+            arities.setdefault(pred, len(objs))
+        complete = tuple((pred, arity) for pred, arity in sorted(arities.items())
+                         if all((pred, objs) in nodes for objs in
+                                itertools.product(batch, repeat=arity)))
+        self._setup(batch, _layout(len(batch), complete), None)
+        leaves = [nodes[key] for key in self.keys()]
+        self.values = self.raw_values = np.array([n.value for n in leaves],
+                                                 dtype=float)
+        self._nodes, self._tape, self._raw = nodes, tape, dict(raw or {})
+        self._leaf_idx = np.array([n.idx for n in leaves], dtype=np.intp)
+
+    def _setup(self, batch, layout: _Layout, names):
+        self.batch, self.layout, self.names = list(batch), layout, names
+        self.passes: dict = {}
+        self._nodes = self._tape = self._raw = self._leaf_idx = self._keys = None
+        self._positions = {obj: i for i, obj in enumerate(self.batch)}
 
     def __len__(self):
-        return len(self.nodes)
+        return len(self._nodes) if self._nodes is not None else self.layout.size
+
+    def keys(self) -> list:
+        """Every atom (pred, objs) of the vector, in vector order."""
+        if self._keys is None:
+            self._keys = [(pred, objs) for pred, (_, arity)
+                          in self.layout.preds.items()
+                          for objs in itertools.product(self.batch, repeat=arity)]
+        return self._keys
+
+    def atoms(self):
+        return list(self._nodes if self._nodes is not None else self.keys())
+
+    @property
+    def nodes(self) -> dict:
+        """The tape leaf of every atom, recorded on first read."""
+        if self._nodes is None:
+            if self._tape is None:
+                self._tape = Tape()
+            base = len(self._tape)
+            self._nodes = {key: self._tape.leaf(v, label=f"{key[0]}{key[1]}")
+                           for key, v in zip(self.keys(), self.values.tolist())}
+            self._leaf_idx = np.arange(base, len(self._tape))
+        return self._nodes
+
+    @property
+    def tape(self) -> Tape:
+        self.nodes  # the leaves come first on the tape
+        return self._tape
+
+    @property
+    def raw(self) -> dict:
+        """The score of every atom before clamping."""
+        if self._raw is None:
+            self._raw = dict(zip(self.keys(), self.raw_values.tolist()))
+        return self._raw
 
     def node(self, pred: str, objs: tuple) -> Node:
         try:
             return self.nodes[(pred, tuple(objs))]
         except KeyError:
-            raise _missing(pred, objs) from None
+            raise _missing(pred, objs, self.names) from None
 
-    def atoms(self):
-        return list(self.nodes)
-
-    def tensor(self, pred: str):
-        """(values, tape indices) of ``pred``'s atoms as arrays with one
-        axis of batch positions per argument, or None when the grounding
-        has no atom of ``pred``."""
-        if not self._tensors:
-            arities = {p: len(objs) for p, objs in self.nodes}
-            for p, arity in arities.items():
-                self._tensors[p] = self._tensor(p, arity)
-        return self._tensors.get(pred)
-
-    def _tensor(self, pred: str, arity: int):
-        shape = (len(self.batch),) * arity
-        try:
-            nodes = [self.nodes[(pred, objs)] for objs in
-                     itertools.product(self.batch, repeat=arity)]
-        except KeyError:
-            return None  # the grounding lacks some atom of pred
-        return (np.array([n.value for n in nodes]).reshape(shape),
-                np.array([n.idx for n in nodes]).reshape(shape))
+    def tensor(self, pred: str, vector: np.ndarray | None = None):
+        """``pred``'s slice of the atom vector, or of ``vector`` laid out
+        alike, with one axis of batch positions per argument; None when
+        the vector has no atom of ``pred``."""
+        if pred not in self.layout.preds:
+            return None
+        offset, arity = self.layout.preds[pred]
+        b = len(self.batch)
+        vector = self.values if vector is None else vector
+        return vector[offset:offset + b ** arity].reshape((b,) * arity)
 
     def position(self, obj: int):
         """Batch position of object ``obj``, or None outside the batch."""
-        if self._positions is None:
-            self._positions = {o: i for i, o in enumerate(self.batch)}
         return self._positions.get(obj)
 
 
-def _missing(pred, objs) -> SemanticError:
-    return SemanticError(f"ground atom {pred}{tuple(objs)} missing from "
-                         f"grounding (signature mismatch?)")
+def _missing(pred, objs, names=None) -> SemanticError:
+    return SemanticError(f"ground atom {_atom_text(pred, objs, names)} missing "
+                         f"from grounding (signature mismatch?)")
+
+
+@functools.lru_cache(maxsize=64)
+def _batch_index(batch: tuple, arity: int) -> tuple:
+    return np.ix_(*(np.array(batch),) * arity)
 
 
 def build_grounding(interp, domain: Domain, signature: dict, batch: list,
                     tape: Tape | None = None,
                     clamp_eps: float = CLAMP_EPS) -> GroundingTable:
-    """Score every ground atom over the batch and record it as a tape leaf.
+    """Score every ground atom over the batch into the atom vector.
 
-    Raw scores may stray 1e-6 outside [0, 1] (model arithmetic); anything
-    worse is an error.  Stored values are clamped to [eps, 1-eps], which
-    keeps log-product and Goguen kernels finite.
+    An interpretation that offers ``truth_table(pred)``, the truth values
+    of ``pred`` with one axis of objects per argument, is sliced by the
+    batch, one array expression per predicate; any other is asked for
+    each atom's ``score(pred, objs)``.  Raw scores may stray 1e-6 outside
+    [0, 1] (model arithmetic); anything worse, NaN included, is an error
+    that names the atom.  Stored values are clamped to [eps, 1-eps], which
+    keeps log-product and Goguen kernels finite.  Leaves go on ``tape``
+    when they are first needed.
     """
     if not batch:
         raise SemanticError("batch must be non-empty")
     if len(set(batch)) != len(batch):
         raise SemanticError(f"batch objects must be distinct, got {batch}")
-    tape = tape if tape is not None else Tape()
-    nodes = {}
-    raw_values = {}
-    for pred in sorted(signature):
-        arity = signature[pred]
-        for objs in itertools.product(batch, repeat=arity):
-            raw = float(interp.score(pred, objs))
-            if raw < -1e-6 or raw > 1.0 + 1e-6:
-                raise SemanticError(
-                    f"scorer output {raw!r} for {pred}{objs} is outside [0, 1]")
-            clamped = min(max(raw, clamp_eps), 1.0 - clamp_eps)
-            key = (pred, objs)
-            nodes[key] = tape.leaf(clamped, label=f"{pred}{objs}")
-            raw_values[key] = raw
-    return GroundingTable(nodes, list(batch), tape, raw_values)
+    g = GroundingTable.__new__(GroundingTable)
+    g._setup(batch, _layout(len(batch), tuple(sorted(signature.items()))),
+             domain.names)
+    g._tape = tape
+    table = getattr(interp, "truth_table", None)
+    if table is not None:
+        objs = tuple(batch)
+        raw = np.concatenate([np.zeros(0)] + [  # no signature, no table
+            np.asarray(table(pred), dtype=float)[_batch_index(objs, arity)].ravel()
+            for pred, (_, arity) in g.layout.preds.items()])
+    else:
+        raw = np.array([float(interp.score(pred, objs))
+                        for pred, objs in g.keys()], dtype=float)
+    bad = ~((raw >= -1e-6) & (raw <= 1.0 + 1e-6))
+    if bad.any():
+        k = int(bad.argmax())
+        raise SemanticError(f"scorer output {float(raw[k])!r} for "
+                            f"{_atom_text(*g.keys()[k], g.names)} is outside "
+                            f"[0, 1]")
+    g.raw_values = raw
+    g.values = np.minimum(np.maximum(raw, clamp_eps), 1.0 - clamp_eps)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -202,49 +290,20 @@ def build_grounding(interp, domain: Domain, signature: dict, batch: list,
 class FormulaPass:
     """Forward and backward pass of one formula over one grounding.
 
-    ``leaves`` are the tape indices of the ground atoms the formula reads
-    and ``partials`` d(value)/d(atom) for each.  ``instance_adjoint`` is
-    d(value)/d(body) per ground instance of the root quantifier block,
-    and ``body_partials`` the body's own local partials when it is a
-    binary connective (dI/da and dI/dc for an implication); both
-    broadcast to one axis per quantified variable.  ``node`` is the fused
-    tape node of the valuation.
+    ``row`` is d(value)/d(atom) over the grounding's atom vector.  The
+    pass ran in a stack of formulas, at position ``f``:
+    ``stack_adjoint[f]`` is d(value)/d(body) per ground instance of the
+    root quantifier block, and when the body is a binary connective
+    ``stack_partials`` holds its local partials (dI/da and dI/dc for an
+    implication), each of size F or 1 on the formula axis, then one axis
+    per quantified variable.
     """
 
     value: float
-    leaves: list
-    partials: list
-    instance_adjoint: np.ndarray | None = None
-    body_partials: tuple | None = None
-    node: Node | None = None
-
-
-def _term_index(instr: Instr, g: GroundingTable, n_axes: int, mu: dict):
-    """Index arrays into the atom's predicate tensor, one per argument,
-    each with ``n_axes`` axes, that gather the atom's instances."""
-    positions = []
-    for term in instr.terms:
-        if not isinstance(term, int):
-            if term not in mu:
-                raise SemanticError(f"unbound variable {term!r} in {instr.atom}")
-            if g.position(mu[term]) is None:
-                raise _missing(instr.atom.pred, _example(instr, g, mu))
-            term = -1 - g.position(mu[term])
-        positions.append(term)
-    return _index(len(g.batch), n_axes, tuple(positions))
-
-
-def _atom_table(instr: Instr, g: GroundingTable, mu: dict) -> np.ndarray:
-    """The values of the atom's predicate over the batch."""
-    tensor = g.tensor(instr.atom.pred)
-    if tensor is None or tensor[0].ndim != len(instr.terms):
-        raise _missing(instr.atom.pred, _example(instr, g, mu))
-    return tensor[0]
-
-
-def _example(instr: Instr, g: GroundingTable, mu: dict) -> list:
-    """Objects of one instance of the atom, for error messages."""
-    return [g.batch[0] if isinstance(t, int) else mu[t] for t in instr.terms]
+    row: np.ndarray
+    f: int = 0
+    stack_adjoint: np.ndarray | None = None
+    stack_partials: tuple | None = None
 
 
 @functools.lru_cache(maxsize=1024)
@@ -262,6 +321,54 @@ def _index(b: int, n_axes: int, terms: tuple) -> tuple:
     return tuple(index)
 
 
+# each entry keeps its programs alive: room for a few knowledge bases
+@functools.lru_cache(maxsize=32)
+def _gather_index(programs: tuple, layout: _Layout, fixed: tuple):
+    """Per atom step of a stack of programs, (gather, scatter): the
+    positions in the atom vector of every instance the step reads, with a
+    leading formula axis, and the same positions in the stack's flattened
+    (formula x atom) gradient rows.  ``fixed`` pairs each variable that
+    ``mu`` binds with its batch position (None outside the batch).  The
+    first step that cannot gather is returned instead, as (step, formula,
+    its unbound variable or None)."""
+    b, n_axes = layout.b, programs[0].n_axes
+    bound = dict(fixed)
+    rows = np.arange(len(programs)).reshape((-1,) + (1,) * n_axes) * layout.size
+    out = {}
+    for i, instr in enumerate(programs[0].instrs):  # the same terms throughout
+        if instr.op != "atom":
+            continue
+        terms = []
+        for term in instr.terms:
+            if not isinstance(term, int):
+                if bound.get(term) is None:
+                    return i, 0, None if term in bound else term
+                term = -1 - bound[term]
+            terms.append(term)
+        offsets = []
+        for f, program in enumerate(programs):
+            offset, arity = layout.preds.get(program.instrs[i].atom.pred,
+                                             (0, None))
+            if arity != len(terms):
+                return i, f, None
+            offsets.append(offset)
+        position = 0
+        for ix in _index(b, n_axes, tuple(terms)):
+            position = position * b + ix
+        gather = np.reshape(offsets, rows.shape) + position
+        out[i] = gather, gather + rows
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _stacks(programs: tuple) -> list:
+    """The positions of the programs of each shape, in first-seen order."""
+    stacks: dict = {}
+    for k, program in enumerate(programs):
+        stacks.setdefault(program.shape, []).append(k)
+    return list(stacks.values())
+
+
 _OPERATOR_FIELDS = {"and": ("T", "tnorm"), "or": ("S", "tconorm"),
                     "implies": ("I", "implication"), "forall": ("A", "aggregator")}
 
@@ -276,13 +383,21 @@ def _non_finite(ops: OperatorConfig, op: str, what: str, x) -> ValueError:
 
 def _check_finite(ops: OperatorConfig, op: str, value, partials):
     for what, arr in [("value", value)] + [("partial", p) for p in partials]:
+        if math.isfinite(np.sum(arr)):  # else a non-finite entry, or overflow
+            continue
         finite = np.isfinite(arr)
         if not finite.all():
             raise _non_finite(ops, op, what, np.asarray(arr)[~finite][0])
 
 
 def _move(x: np.ndarray, source: tuple, destination: tuple) -> np.ndarray:
-    return x if source == destination else np.moveaxis(x, source, destination)
+    """``np.moveaxis`` for non-negative axes, without its axis checks."""
+    if source == destination:
+        return x
+    order = [k for k in range(x.ndim) if k not in source]
+    for dest, src in sorted(zip(destination, source)):
+        order.insert(dest, src)
+    return x.transpose(order)
 
 
 def _reduce_to(adjoint: np.ndarray, shape) -> np.ndarray:
@@ -294,36 +409,27 @@ def _reduce_to(adjoint: np.ndarray, shape) -> np.ndarray:
     return adjoint.sum(axis=axes, keepdims=True) if axes else adjoint
 
 
-def _row(x: np.ndarray, f: int) -> np.ndarray:
-    """Formula f's slice of a stacked array (size 1 broadcasts)."""
-    return x[f if len(x) > 1 else 0]
-
-
 def _log_product_error() -> SemanticError:
     return SemanticError(
         "log_product produces a log-space truth value; it may only "
         "appear as the outermost quantifier of a prenex formula")
 
 
-def _stacked_atom(slot: list, g: GroundingTable, n_axes: int, mu: dict):
-    """(index, stacked tensors) for one atom step of a stack of programs:
-    the tensors of each program's predicate, stacked along a leading
-    formula axis, and index arrays that gather the atom's instances."""
-    index = _term_index(slot[0], g, n_axes, mu)  # the same terms throughout
-    tables = {}
-    for instr in slot:
-        if instr.atom.pred not in tables:
-            tables[instr.atom.pred] = _atom_table(instr, g, mu)
-    stacked = np.stack([tables[instr.atom.pred] for instr in slot])
-    formula = np.arange(len(slot)).reshape((-1,) + (1,) * n_axes)
-    return (formula,) + tuple(ix[None] for ix in index), stacked
-
-
-def _stack_pass(programs: list, g, ops, mu) -> list:
+def _stack_pass(programs: tuple, g, ops, mu) -> list:
     """Forward and backward pass of programs of one shape as a stack:
     every array has a leading formula axis, then one axis per quantified
     variable."""
-    b, n_axes, F = len(g.batch), programs[0].n_axes, len(programs)
+    b, F = len(g.batch), len(programs)
+    fixed = tuple((var, g.position(obj)) for var, obj in sorted(mu.items()))
+    index = _gather_index(programs, g.layout, fixed)
+    if isinstance(index, tuple):
+        i, f, unbound = index
+        instr = programs[f].instrs[i]
+        if unbound is not None:
+            raise SemanticError(f"unbound variable {unbound!r} in {instr.atom}")
+        example = [g.batch[0] if isinstance(t, int) else mu[t]
+                   for t in instr.terms]  # the objects of one instance
+        raise _missing(instr.atom.pred, example, g.names)
     instrs = programs[0].instrs
     values: list = [None] * len(instrs)
     local: list = [None] * len(instrs)  # local partials, or forall levels
@@ -334,10 +440,7 @@ def _stack_pass(programs: list, g, ops, mu) -> list:
     for i, instr in enumerate(instrs):
         op = instr.op
         if op == "atom":
-            index, stacked = _stacked_atom([p.instrs[i] for p in programs], g,
-                                           n_axes, mu)
-            local[i] = (index, stacked.shape)
-            values[i] = stacked[index]
+            values[i] = g.values[index[i][0]]
         elif op == "not":
             values[i] = 1.0 - values[instr.args[0]]
         elif op == "forall":
@@ -378,20 +481,18 @@ def _stack_pass(programs: list, g, ops, mu) -> list:
             local[i] = partials
             values[i] = v
     root = len(instrs) - 1
-    grads: list = [{} for _ in programs]  # per formula: predicate -> array
+    rows = np.zeros((F, g.layout.size))
+    flat_rows = rows.reshape(-1)
     adjoints: list = [None] * len(instrs)
     adjoints[root] = np.ones(values[root].shape)
-    outs = [FormulaPass(float(v), [], []) for v in values[root].reshape(F, -1)[:, 0]]
+    outs = [FormulaPass(v, rows[f], f) for f, v in
+            enumerate(values[root].reshape(F, -1)[:, 0].tolist())]
     for i in range(root, -1, -1):
         instr, adj = instrs[i], adjoints[i]
         op = instr.op
         if op == "atom":
-            index, shape = local[i]
-            grad = np.zeros(shape)
-            grad[index] += adj
-            for f, p in enumerate(programs):
-                pred = p.instrs[i].atom.pred
-                grads[f][pred] = grads[f].get(pred, 0.0) + grad[f]
+            # a step reads each atom at most once per formula
+            flat_rows[index[i][1]] += adj
         elif op == "not":
             adjoints[instr.args[0]] = -adj
         elif op == "forall":
@@ -399,25 +500,19 @@ def _stack_pass(programs: list, g, ops, mu) -> list:
                 adj = adj * P
             body = instr.args[0]
             if instr.root:
-                for f, out in enumerate(outs):
-                    out.instance_adjoint = adj[f]
-                    if instrs[body].op in binary:
-                        out.body_partials = tuple(_row(d, f)
-                                                  for d in local[body])
+                partials = local[body] if instrs[body].op in binary else None
+                for out in outs:
+                    out.stack_adjoint, out.stack_partials = adj, partials
             adjoints[body] = _reduce_to(adj, values[body].shape)
         else:
             for arg, partial in zip(instr.args, local[i]):
                 adjoints[arg] = _reduce_to(adj * partial, values[arg].shape)
-    for out, pred_grads in zip(outs, grads):
-        for pred in sorted(pred_grads):
-            out.leaves.extend(g.tensor(pred)[1].ravel().tolist())
-            out.partials.extend(pred_grads[pred].ravel().tolist())
     return outs
 
 
 def formula_pass(f, g: GroundingTable, ops: OperatorConfig) -> FormulaPass:
     """The pass an earlier valuation of ``f`` under ``ops`` left on ``g``,
-    or else a new valuation, recorded on ``g``'s tape."""
+    or else a new one."""
     hit = g.passes.get(id(f))
     if hit is not None and hit[0] is f and hit[1] == ops:
         return hit[2]
@@ -426,26 +521,33 @@ def formula_pass(f, g: GroundingTable, ops: OperatorConfig) -> FormulaPass:
 
 def _valuate(formulas: list, g: GroundingTable, ops: OperatorConfig,
              mu) -> list:
-    """Valuate ``formulas``, one stack per program shape, and record each
-    on the tape in the given order."""
+    """Passes of ``formulas``, one stack per program shape; without ``mu``
+    each is kept on ``g.passes``."""
     mu = dict(mu) if mu else {}
-    programs = [compile_formula(f) for f in formulas]
-    check_instance_cap(programs, len(g.batch))
-    stacks: dict = {}
-    for k, program in enumerate(programs):
-        stacks.setdefault(program.shape, []).append(k)
+    programs = tuple(compile_formula(f) for f in formulas)
+    check_instance_cap(programs, len(g.batch), g.layout.size)
     passes = [None] * len(formulas)
-    for members in stacks.values():
+    for members in _stacks(programs):
         with np.errstate(all="ignore"):
-            stack = _stack_pass([programs[k] for k in members], g, ops, mu)
+            stack = _stack_pass(tuple(programs[k] for k in members), g, ops, mu)
         for k, out in zip(members, stack):
             passes[k] = out
-    for f, out in zip(formulas, passes):
-        out.node = g.tape.record_fused("valuation", out.leaves, out.value,
-                                       out.partials)
-        if not mu:
+    if not mu:
+        for f, out in zip(formulas, passes):
             g.passes[id(f)] = (f, ops, out)
     return passes
+
+
+def _record(g: GroundingTable, formula, out: FormulaPass) -> Node:
+    """``out`` as one fused node on ``g``'s tape whose parents are the
+    leaves of every atom of the predicates ``formula`` reads."""
+    preds = sorted({instr.atom.pred for instr in compile_formula(formula).instrs
+                    if instr.op == "atom"})
+    at = np.concatenate([np.arange(offset, offset + len(g.batch) ** arity)
+                         for offset, arity in map(g.layout.preds.get, preds)])
+    tape = g.tape  # records the leaves, and their indices, first
+    return tape.record_fused("valuation", g._leaf_idx[at].tolist(), out.value,
+                             out.row[at].tolist())
 
 
 def valuate(f, g: GroundingTable, ops: OperatorConfig,
@@ -456,7 +558,7 @@ def valuate(f, g: GroundingTable, ops: OperatorConfig,
     returned tape node's parents are the ground atoms of every predicate
     ``f`` uses, with d(value)/d(atom) as partials.
     """
-    return _valuate([f], g, ops, mu)[0].node
+    return _record(g, f, _valuate([f], g, ops, mu)[0])
 
 
 def classical_values(program: Program, b: int, truth: dict) -> list:
@@ -493,16 +595,37 @@ def classical_values(program: Program, b: int, truth: dict) -> list:
     return out
 
 
+def loss_gradient(kb: KnowledgeBase, g: GroundingTable,
+                  ops: OperatorConfig) -> tuple:
+    """(L, dL/datom over ``g``'s atom vector) for L = -sum over formulas
+    of weight * valuation.
+
+    The weighted rows are summed in reverse knowledge-base order, the
+    order in which ``Tape.backward`` from ``dfl_loss`` accumulates them,
+    so both give the same gradient bit for bit."""
+    grad = np.zeros(g.layout.size)
+    if not kb.entries:
+        return 0.0, grad
+    passes = _valuate(kb.formulas(), g, ops, None)
+    loss = -sum(w * out.value for (_, w), out in zip(kb.entries, passes))
+    if not math.isfinite(loss):
+        raise ValueError(f"loss: non-finite value {loss!r}")
+    for (_, w), out in zip(reversed(kb.entries), reversed(passes)):
+        grad += -w * out.row
+    return loss, grad
+
+
 def dfl_loss(kb: KnowledgeBase, g: GroundingTable,
              ops: OperatorConfig) -> Node:
-    """L = -sum over formulas of weight * valuation; root of the tape.
+    """The loss of ``loss_gradient`` as the root of ``g``'s tape.
 
     The loss node's parents are the formula valuations, in knowledge-base
-    order."""
+    order, each one fused node over the atom leaves."""
     tape = g.tape
     if not kb.entries:
         return tape.leaf(0.0, label="loss")
-    vals = [out.node for out in _valuate(kb.formulas(), g, ops, None)]
+    passes = _valuate(kb.formulas(), g, ops, None)
+    vals = [_record(g, f, out) for f, out in zip(kb.formulas(), passes)]
     weights = [weight for _, weight in kb.entries]
     total = -sum(w * n.value for w, n in zip(weights, vals))
     return tape.record("loss", vals, total, [-w for w in weights])
@@ -516,9 +639,8 @@ def atom_gradients(kb: KnowledgeBase, g: GroundingTable,
     L = -sum w * valuation, so a NEGATIVE entry means descent increases
     that atom.  d(valuation-sum)/datom is the negation of each entry.
     """
-    loss = dfl_loss(kb, g, ops)
-    grads = g.tape.backward(loss)
-    return {key: grads[node] for key, node in g.nodes.items()}
+    grads = dict(zip(g.keys(), loss_gradient(kb, g, ops)[1].tolist()))
+    return {key: grads.get(key, 0.0) for key in g.atoms()}
 
 
 _GROUNDING_LINE = re.compile(

@@ -310,6 +310,42 @@ def test_oracle_world_cap_before_enumeration(tmp_path, capsys):
     assert elapsed < 1.0, elapsed
 
 
+def test_oracle_world_instance_cap_exit_4(tmp_path, capsys):
+    # 20 atoms are within the atom cap, but 2**20 worlds x 10**6
+    # instances are past the world-instance cap; walking the 10**6
+    # instances in Python would take seconds
+    kb = tmp_path / "kb.dfl"
+    kb.write_text("forall a, b, c, d, e, f: "
+                  "p(a) & q(b) -> p(c) | q(d) | p(e) | q(f)\n")
+    grounding = tmp_path / "g.grounding"
+    grounding.write_text("\n".join(f"{pred}(o{i})=0.5" for pred in "pq"
+                                   for i in range(10)))
+    start = time.perf_counter()
+    code = main(["oracle", "compare", "--kb", str(kb), "--grounding",
+                 str(grounding)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "2**20 worlds x 1000000 ground instances exceed" in err
+    assert "Traceback" not in err
+    assert elapsed < 1.0, elapsed
+
+
+def test_eval_prints_positive_zero_gradients(tmp_path, capsys):
+    # under min, p(b) is not the minimum: every partial of p(b) is zero
+    kb = tmp_path / "kb.dfl"
+    kb.write_text("forall x: p(x)\n")
+    grounding = tmp_path / "g.grounding"
+    grounding.write_text("p(a)=0.3\np(b)=0.6\n")
+    code = main(["eval", "--kb", str(kb), "--grounding", str(grounding),
+                 "--ops", "aggregator=min"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "  p(a) dL=-1.0 dVal=1.0\n" in out
+    assert "  p(b) dL=0.0 dVal=-0.0\n" in out
+    assert "dL=-0.0" not in out
+
+
 @pytest.mark.parametrize("command", [["eval"], ["oracle", "compare"]])
 def test_missing_probability_names_objects(tmp_path, capsys, command):
     kb = tmp_path / "kb.dfl"

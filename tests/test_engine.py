@@ -6,6 +6,7 @@ raise the same exceptions."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 import scalar_reference
@@ -16,7 +17,7 @@ from dfl.logic import (And, Atom, ForAll, Implies, KnowledgeBase, Not, Or,
 from dfl.operators import (AGGREGATOR_NAMES, IMPLICATION_NAMES, TCONORM_NAMES,
                            TNORM_NAMES, parse_operator_config)
 from dfl.valuation import (Domain, LookupInterpretation, SemanticError,
-                           build_grounding, dfl_loss, valuate)
+                           build_grounding, dfl_loss, loss_gradient, valuate)
 
 BASE = "tnorm=product tconorm=product implication=reichenbach aggregator=product"
 
@@ -247,3 +248,79 @@ def test_valuation_is_one_fused_node_over_the_atom_leaves():
     parents = g.tape.parents[node.idx]
     assert {idx for idx, _ in parents} <= {leaf.idx for leaf in g.nodes.values()}
     assert all(math.isfinite(d) for _, d in parents)
+
+
+def _random_kb(rng):
+    """Weighted prenex formulas with repeated variables, negations and
+    shared subformulas; one formula appears twice with two weights."""
+    kb = KnowledgeBase(signature=dict(SIGNATURE))
+    for _ in range(3):
+        kb.entries += [(f, rng.uniform(0.1, 4.0)) for f in _random_formulas(rng)[0]]
+    kb.entries.append((kb.entries[0][0], 0.5))
+    return kb
+
+
+def _tape_loss_gradient(kb, g, ops):
+    """(L, dL/datom in vector order) through dfl_loss and Tape.backward."""
+    loss = dfl_loss(kb, g, ops)
+    grads = g.tape.backward(loss)
+    return loss.value, np.array([grads[g.nodes[key]] for key in g.keys()])
+
+
+@pytest.mark.parametrize("override", [
+    "", "aggregator=log_product",
+    "tnorm=godel tconorm=godel implication=kleene_dienes aggregator=min",
+    "tnorm=lukasiewicz implication=lukasiewicz aggregator=mae",
+    "implication=sigmoidal:base=reichenbach,s=9,b0=-0.5 aggregator=log_product",
+    "tnorm=yager:p=2 aggregator=pme:p=2"])
+def test_loss_gradient_is_the_tape_gradient_bit_for_bit(override):
+    ops = parse_operator_config(f"{BASE} {override}")
+    rng = random.Random(f"loss_gradient {override}")
+    for trial in range(6):
+        kb = _random_kb(rng)
+        table = _table(rng, ties=trial % 2 == 1)
+        batch = [[0], [0, 2], [0, 1, 2]][trial % 3]
+        g = _grounding(table, batch)
+        loss, grad = loss_gradient(kb, g, ops)
+        assert len(g.tape) == len(g)  # the tape holds only the leaves
+        tape_loss, tape_grad = _tape_loss_gradient(kb, _grounding(table, batch),
+                                                   ops)
+        assert loss == tape_loss
+        assert grad.tobytes() == tape_grad.tobytes()  # -0.0 differs here
+        g = _grounding(table, batch)
+        nodes = [scalar_reference.valuate(f, g, ops) for f in kb.formulas()]
+        weights = [w for _, w in kb.entries]
+        root = g.tape.record("loss", nodes,
+                             -sum(w * n.value for w, n in zip(weights, nodes)),
+                             [-w for w in weights])
+        adjoints = g.tape.backward(root)
+        assert _close(loss, root.value)
+        for key, d in zip(g.keys(), grad.tolist()):
+            assert _close(d, adjoints[g.nodes[key]]), (override, key)
+
+
+@pytest.mark.parametrize("override", ["", "aggregator=log_product",
+                                      "tnorm=godel aggregator=min"])
+def test_ground_formulas_and_constants_match_scalar_reference(override):
+    # constants are variables that mu binds; a formula of constants only
+    # is ground, with no quantifier axis
+    ops = parse_operator_config(f"{BASE} {override}")
+    rng = random.Random(f"ground {override}")
+    formulas = [Atom("r", ("z", "w")),
+                Not(And(Atom("p", ("z",)), Atom("r", ("z", "z")))),
+                Implies(Atom("q", ("w",)), Or(Atom("p", ("w",)),
+                                              Atom("r", ("w", "z")))),
+                ForAll(("x",), Implies(Atom("r", ("x", "x")),
+                                       Or(Atom("p", ("z",)),
+                                          Not(Atom("r", ("z", "x"))))))]
+    for trial in range(4):
+        table = _table(rng, ties=trial % 2 == 1)
+        batch = [[0, 2], [0, 1, 2]][trial % 2]
+        mu = {"z": batch[-1], "w": batch[0]}
+        for formula in formulas:
+            got = _gradients(valuate, formula, table, batch, ops, mu)
+            want = _gradients(scalar_reference.valuate, formula, table, batch,
+                              ops, mu)
+            assert _close(got[0], want[0]), (override, formula)
+            for key, grad in want[1].items():
+                assert _close(got[1][key], grad), (override, formula, key)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -256,3 +257,27 @@ def test_world_cap_before_enumeration(monkeypatch):
         semantic_probability(kb, probs, list(range(11)))
     with pytest.raises(WorldCapError):
         world_table(kb, probs, list(range(11)))
+
+
+def test_world_arrays_stay_bounded_at_seven_objects():
+    # 14 atoms and 7**4 instances: a chunk of 2**14 worlds would hold
+    # 2**14 x 7**4 entries per step
+    kb = parse_kb("forall a, b, c, d: p(a) & q(b) -> p(c) | q(d)")
+    batch = list(range(7))
+    rng = random.Random(9)
+    probs = {(pred, (i,)): rng.uniform(0.05, 0.95) for pred in "pq"
+             for i in batch}
+    tracemalloc.start()
+    try:
+        exact = semantic_probability(kb, probs, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+    def mixed(pred):  # some atom of pred holds and some does not
+        ps = [probs[(pred, (i,))] for i in batch]
+        return 1.0 - math.prod(ps) - math.prod(1.0 - p for p in ps)
+
+    # the KB fails exactly where both p and q are mixed
+    assert exact == pytest.approx(1.0 - mixed("p") * mixed("q"), abs=1e-12)
+    assert peak < 8 * 2 ** 20, peak  # about 1 MB; 43 MB in chunks of 2**14

@@ -12,6 +12,7 @@ from dfl.trainer import (
     TinyModel,
     TrainConfig,
     _BatchInterpretation,
+    _atom_adjoints,
     _ce_gradients,
     _dfl_gradients,
     _same_bce_gradients,
@@ -25,7 +26,8 @@ from dfl.trainer import (
     semi_supervised_train,
     toy_optimization_rate,
 )
-from dfl.valuation import Domain, build_grounding
+from dfl.valuation import (Domain, SemanticError, build_grounding, dfl_loss,
+                           loss_gradient)
 import scalar_reference
 from scalar_reference import classical_truth
 
@@ -271,6 +273,60 @@ def test_same_pairs_and_bce_match_loop_version(labels):
 
 # ---------------------------------------------------------------------------
 # gradient quality during training
+
+def _readback_loop(g, loss, P, S, w_dfl):
+    """dP and dZ as the trainer read them back from the tape before
+    ``loss_gradient``: one Python step per atom."""
+    adjoints = g.tape.backward(loss)
+    dP = np.zeros_like(P)
+    dZ = np.zeros_like(S)
+    for (pred, objs), node in g.nodes.items():
+        a = adjoints[node] * w_dfl
+        if a == 0.0:
+            continue
+        if pred == "same":
+            i, j = objs
+            dZ[i, j] += a * S[i, j] * (1.0 - S[i, j])
+        else:
+            dP[objs[0], DIGITS.index(pred)] += a
+    return dP, dZ
+
+
+@pytest.mark.parametrize("ops", [OperatorConfig(aggregator="log_product"),
+                                 GODEL, LUK], ids=["log_product", "godel",
+                                                   "lukasiewicz"])
+def test_atom_adjoints_equal_the_readback_loop(ops):
+    rng = np.random.default_rng(4)
+    for formulas, b, w_dfl in [((1, 2, 3), 4, 10.0), ((1, 2, 3), 5, 0.3),
+                               ((3,), 3, 1.0), ((2,), 4, 2.5)]:
+        P = rng.dirichlet(np.ones(10), size=b)
+        S = rng.uniform(0.0, 1.0, size=(b, b))
+        S[0, -1] = 1.0  # a saturated pair: 1 - S is exactly 0
+        kb = digit_kb(formulas)
+        domain = Domain([f"b{i}" for i in range(b)])
+
+        def grounding():
+            return build_grounding(_BatchInterpretation(P, S), domain,
+                                   kb.signature, list(range(b)))
+
+        g = grounding()
+        _, grad = loss_gradient(kb, g, ops)
+        dP, dZ = _atom_adjoints(g, grad * w_dfl, P, S)
+        g = grounding()
+        want_dP, want_dZ = _readback_loop(g, dfl_loss(kb, g, ops), P, S, w_dfl)
+        assert dP.tobytes() == want_dP.tobytes(), formulas
+        assert dZ.tobytes() == want_dZ.tobytes(), formulas
+
+
+def test_batch_interpretation_rejects_non_finite_scores():
+    P = np.full((2, 10), 0.1)
+    P[1, DIGITS.index("three")] = np.nan
+    S = np.full((2, 2), 0.5)
+    kb = digit_kb()
+    with pytest.raises(SemanticError, match=r"nan for three\(b1\) is outside"):
+        build_grounding(_BatchInterpretation(P, S), Domain(["b0", "b1"]),
+                        kb.signature, [0, 1])
+
 
 def test_godel_config_cons_pct_one():
     task = make_task(9, n=600, test_n=100)

@@ -1,7 +1,9 @@
+import itertools
 import math
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from dfl.logic import ForAll, Atom, And, parse_formula, parse_kb, ParseError
@@ -24,7 +26,6 @@ def _uniform_domain(n):
 
 def _const_interp(signature, value):
     table = {}
-    import itertools
     for pred, arity in signature.items():
         for objs in itertools.product(range(10), repeat=arity):
             table[(pred, objs)] = value
@@ -85,6 +86,64 @@ def test_hand_built_grounding_valuates_like_build_grounding():
     del nodes[("q", (2, 0))]
     with pytest.raises(SemanticError, match="missing"):
         valuate(kb.formulas()[0], GroundingTable(nodes, batch, tape), PRODUCT)
+
+
+class _Tables:
+    """An interpretation that offers truth tables instead of scores."""
+
+    def __init__(self, tables):
+        self.tables = tables
+
+    def truth_table(self, pred):
+        return self.tables[pred]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                 1.5, -0.01])
+def test_scorer_errors_name_the_atom_on_both_paths(bad):
+    domain = Domain(["a", "b", "c"])
+    table = {("p", (i,)): 0.5 for i in range(3)}
+    table.update({("r", (i, j)): 0.5 for i in range(3) for j in range(3)})
+    table[("r", (2, 0))] = bad
+    signature = {"p": 1, "r": 2}
+    message = rf"scorer output {bad!r} for r\(c,a\) is outside \[0, 1\]"
+    with pytest.raises(SemanticError, match=message):
+        build_grounding(LookupInterpretation(table), domain, signature,
+                        [0, 1, 2])
+    r = np.full((3, 3), 0.5)
+    r[2, 0] = bad
+    tables = _Tables({"p": np.full(3, 0.5), "r": r})
+    with pytest.raises(SemanticError, match=message):
+        build_grounding(tables, domain, signature, [0, 1, 2])
+    # the batch slices the tables: r(c,a) is outside the batch [1, 0]
+    g = build_grounding(tables, domain, signature, [1, 0])
+    assert g.tensor("r").tolist() == [[0.5, 0.5], [0.5, 0.5]]
+
+
+def test_truth_tables_and_scores_build_the_same_vector():
+    rng = np.random.default_rng(3)
+    tables = {"p": rng.random(4), "r": rng.random((4, 4))}
+    table = {("p", (i,)): float(tables["p"][i]) for i in range(4)}
+    table.update({("r", (i, j)): float(tables["r"][i, j])
+                  for i in range(4) for j in range(4)})
+    signature, batch = {"r": 2, "p": 1}, [3, 0, 2]
+    built = build_grounding(_Tables(tables), _uniform_domain(4), signature, batch)
+    scored = build_grounding(LookupInterpretation(table), _uniform_domain(4),
+                             signature, batch)
+    assert built.values.tobytes() == scored.values.tobytes()
+    assert built.keys() == scored.keys() == [
+        (pred, objs) for pred in ("p", "r")
+        for objs in itertools.product(batch, repeat=signature[pred])]
+    assert built.tensor("r")[0, 1] == max(table[("r", (3, 0))], 1e-7)
+
+
+def test_missing_atom_names_objects():
+    g = build_grounding(_const_interp({"p": 1}, 0.5), Domain(["a", "b"]),
+                        {"p": 1}, [0, 1])
+    with pytest.raises(SemanticError, match=r"ground atom q\(a\) missing"):
+        valuate(parse_formula("forall x: p(x) -> q(x)"), g, PRODUCT)
+    with pytest.raises(SemanticError, match=r"ground atom q\(b\) missing"):
+        g.node("q", (1,))
 
 
 def test_grounding_clamps():
