@@ -5,7 +5,6 @@ tools for derivative quality."""
 
 __version__ = "0.1.0"
 
-from .autodiff import Tape, Node, GradientMap, finite_difference_check
 from .operators import (
     OperatorConfig,
     OperatorError,
@@ -18,6 +17,8 @@ from .operators import (
     implication,
     sigmoidal_implication,
 )
+# after operators: numpy loads once operators.py is compiled (lower peak RSS)
+from .autodiff import Tape, Node, GradientMap, finite_difference_check
 
 __all__ = [
     "Tape",

@@ -1,13 +1,13 @@
-"""Minimal reverse-mode automatic differentiation over scalars.
+"""Minimal reverse-mode automatic differentiation on an append-only tape.
 
-Each node of an append-only tape records its value and the local partial
-derivatives of the output with respect to each input; ``Tape.backward``
-sweeps the tape once in reverse creation order and accumulates adjoints.
-The valuation engine no longer needs it to train: ``valuation.
-loss_gradient`` returns the loss gradient as an array.  The tape serves
-callers that want nodes (``valuation.valuate`` and ``dfl_loss`` record a
-formula as one fused node over the ground-atom leaves with
-``record_fused``), scalar compositions, and ``finite_difference_check``.
+Each node records its value and the local partial derivatives of the
+output with respect to each input; ``Tape.backward`` sweeps the tape once
+in reverse creation order, accumulating adjoints in a float64 array.  A
+``record`` node keeps its edges as a tuple of (parent index, partial)
+pairs; a fused node (``record_fused``, many inputs given by tape index)
+keeps them as two arrays, swept with one ``np.add.at``.  The valuation
+engine records each formula as a fused node over atom leaves recorded in
+bulk (``leaves``); training uses ``valuation.loss_gradient`` instead.
 
 Completed tapes are read-only.  A tape must not be shared between
 threads while nodes are still being recorded; independent evaluations
@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from typing import Callable, Sequence
+
+import numpy as np
 
 __all__ = ["Node", "Tape", "GradientMap", "finite_difference_check"]
 
@@ -46,20 +48,33 @@ class Node:
 class GradientMap:
     """Adjoints of every node reachable from the backward root.
 
-    Nodes the sweep never reached have adjoint 0.  The root always has
-    adjoint exactly 1 (the map is d(root)/d(node); callers pick their
-    own sign convention for losses).
+    Nodes the sweep never reached, or that come after the root, have
+    adjoint 0.  The root always has adjoint exactly 1 (the map is
+    d(root)/d(node); callers pick their own sign convention for losses).
     """
 
-    def __init__(self, adjoints: dict, root_idx: int):
-        self._adjoints = adjoints
-        self.root_idx = root_idx
+    def __init__(self, adjoints: np.ndarray, reached: np.ndarray, root_idx: int):
+        self._adjoints, self._reached, self.root_idx = adjoints, reached, root_idx
 
     def __getitem__(self, node: Node) -> float:
-        return self._adjoints.get(node.idx, 0.0)
+        idx = node.idx
+        return float(self._adjoints[idx]) if idx <= self.root_idx else 0.0
 
     def __len__(self) -> int:
-        return len(self._adjoints)
+        return int(np.count_nonzero(self._reached))
+
+
+class _Edges:
+    """A fused node's edges as two arrays; iterates as the (parent index,
+    partial) pairs of a ``record`` node."""
+
+    __slots__ = ("idx", "partials")
+
+    def __init__(self, idx: np.ndarray, partials: np.ndarray):
+        self.idx, self.partials = idx, partials
+
+    def __iter__(self):
+        return zip(self.idx.tolist(), self.partials.tolist())
 
 
 class Tape:
@@ -69,74 +84,97 @@ class Tape:
 
     def __init__(self):
         self.values: list[float] = []
-        # parents[i] is a tuple of (parent index, local partial) pairs
-        self.parents: list[tuple] = []
+        # parents[i]: node i's (parent index, local partial) pairs, or _Edges
+        self.parents: list = []
         self.labels: list[str] = []
 
     def __len__(self) -> int:
         return len(self.values)
 
+    def _append(self, label: str, value: float, edges) -> Node:
+        self.values.append(value)
+        self.parents.append(edges)
+        self.labels.append(label)
+        return Node(self, len(self.values) - 1)
+
     def leaf(self, value: float, label: str = "leaf") -> Node:
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"leaf value must be finite, got {value!r}")
-        self.values.append(value)
-        self.parents.append(())
-        self.labels.append(label)
-        return Node(self, len(self.values) - 1)
+        return self._append(label, value, ())
 
-    def record(
-        self,
-        label: str,
-        inputs: Sequence[Node],
-        value: float,
-        partials: Sequence[float],
-    ) -> Node:
+    def leaves(self, values, labels: Sequence[str]) -> list:
+        """One leaf per entry of ``values``, labelled by ``labels``."""
+        values = np.asarray(values, dtype=float)
+        if len(labels) != len(values):
+            raise ValueError(f"{len(values)} leaf values but {len(labels)} labels")
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(f"leaf value must be finite, got "
+                             f"{float(values[~finite][0])!r}")
+        base = len(self.values)
+        self.values += values.tolist()
+        self.parents += [()] * len(values)
+        self.labels += labels
+        return [Node(self, idx) for idx in range(base, len(self.values))]
+
+    def record(self, label: str, inputs: Sequence[Node], value: float,
+               partials: Sequence[float]) -> Node:
         if any(node.tape is not self for node in inputs):
             raise ValueError(f"{label}: input node belongs to another tape")
-        return self.record_fused(label, [node.idx for node in inputs], value,
-                                 partials)
-
-    def record_fused(
-        self,
-        label: str,
-        parents: Sequence[int],
-        value: float,
-        partials: Sequence[float],
-    ) -> Node:
-        """``record`` for inputs given by tape index, without one Node
-        per input."""
-        if len(parents) != len(partials):
-            raise ValueError(
-                f"{label}: {len(parents)} inputs but {len(partials)} partials"
-            )
+        if len(inputs) != len(partials):
+            raise ValueError(f"{label}: {len(inputs)} inputs but "
+                             f"{len(partials)} partials")
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"{label}: non-finite value {value!r}")
         if not all(map(math.isfinite, partials)):
             bad = next(d for d in partials if not math.isfinite(d))
             raise ValueError(f"{label}: non-finite partial {bad!r}")
-        if parents and not 0 <= min(parents) <= max(parents) < len(self.values):
+        return self._append(label, value, tuple(
+            zip([node.idx for node in inputs], map(float, partials))))
+
+    def record_fused(self, label: str, parents, value: float, partials) -> Node:
+        """``record`` for inputs given by tape index, as arrays of parent
+        indices and partials, without one Node per input."""
+        parents = np.array(parents, dtype=np.intp)
+        partials = np.array(partials, dtype=float)
+        if len(parents) != len(partials):
+            raise ValueError(f"{label}: {len(parents)} inputs but "
+                             f"{len(partials)} partials")
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"{label}: non-finite value {value!r}")
+        finite = np.isfinite(partials)
+        if not finite.all():
+            raise ValueError(f"{label}: non-finite partial "
+                             f"{float(partials[~finite][0])!r}")
+        if len(parents) and not 0 <= parents.min() <= parents.max() < len(self.values):
             raise ValueError(f"{label}: input index outside the tape")
-        self.values.append(value)
-        self.parents.append(tuple(zip(parents, map(float, partials))))
-        self.labels.append(label)
-        return Node(self, len(self.values) - 1)
+        return self._append(label, value, _Edges(parents, partials))
 
     def backward(self, root: Node) -> GradientMap:
-        """Reverse sweep from ``root``; adjoint(x) = sum over children c of
-        adjoint(c) * partial(c -> x)."""
+        """Reverse sweep from ``root``; adjoint(x) = 0.0 + the sum over
+        children c, latest first, of adjoint(c) * partial(c -> x)."""
         if root.tape is not self:
             raise ValueError("root node belongs to another tape")
-        adjoints = {root.idx: 1.0}
+        adjoints = np.zeros(root.idx + 1)
+        reached = np.zeros(root.idx + 1, dtype=bool)
+        adjoints[root.idx], reached[root.idx] = 1.0, True
         parents = self.parents
         for idx in range(root.idx, -1, -1):
-            a = adjoints.get(idx)
-            if a is None:
+            edges = parents[idx]
+            if not edges or not reached[idx]:
                 continue
-            for parent_idx, partial in parents[idx]:
-                adjoints[parent_idx] = adjoints.get(parent_idx, 0.0) + a * partial
-        return GradientMap(adjoints, root.idx)
+            a = float(adjoints[idx])
+            if type(edges) is tuple:
+                for parent_idx, partial in edges:
+                    adjoints[parent_idx] += a * partial
+                    reached[parent_idx] = True
+            else:  # unbuffered: repeated parents add in order
+                np.add.at(adjoints, edges.idx, a * edges.partials)
+                reached[edges.idx] = True
+        return GradientMap(adjoints, reached, root.idx)
 
     def dump(self) -> str:
         """One node per line: ``id label value [parent:partial ...]``."""
@@ -150,11 +188,8 @@ class Tape:
         return "\n".join(lines)
 
 
-def finite_difference_check(
-    f: Callable[[Tape, list], Node],
-    point: Sequence[float],
-    h: float = 1e-5,
-) -> float:
+def finite_difference_check(f: Callable[[Tape, list], Node],
+                            point: Sequence[float], h: float = 1e-5) -> float:
     """Compare backward() against central differences at ``point``.
 
     ``f`` takes a tape plus one leaf node per coordinate and returns the

@@ -50,6 +50,10 @@ def digit_kb(formulas=(1, 2, 3)) -> KnowledgeBase:
     return parse_kb("\n".join(lines))
 
 
+# parsed once per subset: the valuation caches key on program identity
+_digit_kb = functools.lru_cache(maxsize=8)(digit_kb)
+
+
 # ---------------------------------------------------------------------------
 # fuzzy maximum satisfiability over a lookup table
 
@@ -424,7 +428,7 @@ def semi_supervised_train(task: SyntheticTask, config: TrainConfig):
     rng = np.random.default_rng(config.seed)
     model = TinyModel(task.dim, config.hidden, config.classes,
                       seed=config.seed + 7919)
-    kb = digit_kb(config.formulas)
+    kb = _digit_kb(tuple(config.formulas))
     metrics: list = []
     labeled = task.labeled_idx
     unlabeled = task.unlabeled_idx

@@ -192,8 +192,8 @@ class GroundingTable:
             if self._tape is None:
                 self._tape = Tape()
             base = len(self._tape)
-            self._nodes = {key: self._tape.leaf(v, label=f"{key[0]}{key[1]}")
-                           for key, v in zip(self.keys(), self.values.tolist())}
+            self._nodes = dict(zip(self.keys(), self._tape.leaves(
+                self.values, [f"{pred}{objs}" for pred, objs in self.keys()])))
             self._leaf_idx = np.arange(base, len(self._tape))
         return self._nodes
 
@@ -546,8 +546,8 @@ def _record(g: GroundingTable, formula, out: FormulaPass) -> Node:
     at = np.concatenate([np.arange(offset, offset + len(g.batch) ** arity)
                          for offset, arity in map(g.layout.preds.get, preds)])
     tape = g.tape  # records the leaves, and their indices, first
-    return tape.record_fused("valuation", g._leaf_idx[at].tolist(), out.value,
-                             out.row[at].tolist())
+    return tape.record_fused("valuation", g._leaf_idx[at], out.value,
+                             out.row[at])
 
 
 def valuate(f, g: GroundingTable, ops: OperatorConfig,

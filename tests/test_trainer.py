@@ -124,6 +124,22 @@ def test_determinism():
     assert [repr(m.row()) for m in m1] == [repr(m.row()) for m in m2]
 
 
+
+def test_second_run_hits_the_valuation_caches():
+    from dfl import valuation
+    task = make_task(4, n=600, test_n=200)
+    for formulas in [(1, 2, 3), (2,)]:
+        config = TrainConfig(seed=4, formulas=formulas, **FAST)
+        _, m1 = semi_supervised_train(task, config)
+        before = (valuation._gather_index.cache_info().misses,
+                  valuation._stacks.cache_info().misses)
+        _, m2 = semi_supervised_train(task, config)
+        assert (valuation._gather_index.cache_info().misses,
+                valuation._stacks.cache_info().misses) == before
+        assert [repr(m.row()) for m in m1] == [repr(m.row()) for m in m2]
+    assert digit_kb() is not digit_kb()  # the public parse stays fresh
+
+
 def test_w_dfl_zero_is_supervised_baseline():
     task = make_task(5, n=600, test_n=200)
     _, base = semi_supervised_train(task, TrainConfig(w_dfl=0.0, seed=5, **FAST))

@@ -88,6 +88,38 @@ def test_hand_built_grounding_valuates_like_build_grounding():
         valuate(kb.formulas()[0], GroundingTable(nodes, batch, tape), PRODUCT)
 
 
+
+def test_grounding_leaves_match_per_leaf_recording():
+    from dfl.autodiff import Tape
+    rng = random.Random(5)
+    signature, batch = {"p": 1, "r": 2, "s": 3}, [3, 0, 2]
+    table = {(pred, objs): rng.random() for pred, arity in signature.items()
+             for objs in itertools.product(range(4), repeat=arity)}
+    interp = LookupInterpretation(table)
+    for held in (0, 2):  # a fresh tape, and one that already holds nodes
+        tape = Tape()
+        for k in range(held):
+            tape.leaf(0.5, label=f"before{k}")
+        g = build_grounding(interp, _uniform_domain(4), signature, batch,
+                            tape=tape)
+        reference = Tape()
+        for k in range(held):
+            reference.leaf(0.5, label=f"before{k}")
+        expected = {key: reference.leaf(v, label=f"{key[0]}{key[1]}")
+                    for key, v in zip(g.keys(), g.values.tolist())}
+        assert list(g.nodes) == list(expected) == g.keys()
+        assert [n.idx for n in g.nodes.values()] == [
+            n.idx for n in expected.values()] == list(range(held, len(tape)))
+        assert all(n.tape is tape for n in g.nodes.values())
+        assert tape.values == reference.values
+        assert tape.labels == reference.labels
+        assert tape.parents == reference.parents
+        assert g.tape is tape
+        node = valuate(parse_formula("forall x, y: p(x) -> r(x, y)"), g, PRODUCT)
+        assert {idx for idx, _ in tape.parents[node.idx]} == {
+            g.nodes[key].idx for key in g.keys() if key[0] in ("p", "r")}
+
+
 class _Tables:
     """An interpretation that offers truth tables instead of scores."""
 
