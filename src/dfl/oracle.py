@@ -3,16 +3,34 @@ against the product-configuration fuzzy valuation.
 
 A world assigns {0,1} to every ground atom that each formula's compiled
 program reads over its b**d instances; other atoms marginalize out.
-Worlds are a leading array axis: the programs are evaluated classically
-(``valuation.classical_values``) over ``WORLD_CHUNK`` worlds at a time,
-in ``itertools.product`` order with the first atom as the most
-significant bit.  A world's weight multiplies its atoms' probabilities
-in atom order, and ``math.fsum`` (exactly rounded) sums the satisfying
-weights, so the result depends on neither order nor chunking.  A chunk
-holds at most ``INSTANCE_CAP`` world-instance pairs, so memory stays
-bounded.  The 20-atom cap (about a million worlds) keeps the oracle
-exact rather than sampled, and ``WORLD_INSTANCE_CAP`` bounds its work;
-groundings past either cap are rejected before any world is built.
+Atoms are numbered in first-appearance order and worlds in
+``itertools.product`` order, the first atom being the most significant
+bit of a world's number.
+
+The work splits in two.  A knowledge base's *plan* over a batch does not
+depend on the probabilities: the census of its ground atoms with their
+occurrence counts, the atom and instance counts the caps use, and the
+satisfying worlds as one boolean mask over all 2**n worlds.  The mask
+comes from evaluating the programs classically
+(``valuation.classical_values``) with a leading world axis, over
+``WORLD_CHUNK`` worlds at a time and at most ``INSTANCE_CAP``
+world-instance pairs per chunk, so memory stays bounded.  A few plans
+are cached, keyed on the identity of the compiled programs and on the
+batch: a knowledge base that gains a formula, or is parsed again, gets
+a new plan.  Every call then checks the caps and the probabilities and
+runs a *weight pass* over blocks of at most ``WORLD_CHUNK`` worlds,
+skipping blocks with no satisfying world.  A world's weight multiplies
+its atoms' factors (p or 1 - p) in atom order; a block's weights are
+built as a Kronecker product in that order, which makes the same
+multiplications, so they equal a per-world loop's bit for bit.
+``math.fsum`` (exactly rounded) sums the satisfying weights, so the
+result depends on neither order nor blocking.
+
+The 20-atom cap (about a million worlds) keeps the oracle exact rather
+than sampled, and ``WORLD_INSTANCE_CAP`` bounds its work; a grounding
+past either cap is rejected before its instances are walked or any
+world is built.  A probability that is not a number in [0, 1] is
+rejected, naming its atom, before any world is weighted.
 
 The fuzzy side of the comparison uses product t-norm/t-conorm, the
 Reichenbach implication and the log-product aggregator, exponentiated
@@ -23,6 +41,7 @@ make the fuzzy side drift (the P AND NOT(P AND Q) example).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,8 +51,8 @@ import numpy as np
 from .logic import KnowledgeBase, compile_formula
 from .operators import OperatorConfig
 from .valuation import (INSTANCE_CAP, Domain, LookupInterpretation,
-                        build_grounding, check_instance_cap, classical_values,
-                        formula_pass)
+                        SemanticError, _atom_text, _valuate, build_grounding,
+                        check_instance_cap, classical_values)
 
 __all__ = [
     "WorldCapError", "AtomOccurrence", "EquivalenceReport",
@@ -57,22 +76,93 @@ class WorldCapError(ValueError):
     """Grounded knowledge base exceeds an exact-enumeration cap."""
 
 
-def _census(kb: KnowledgeBase, batch: list) -> dict:
-    """Occurrences of each ground atom (pred, objs) of the grounded KB, in
-    first-appearance order: formulas in KB order, then their instances in
-    lexicographic batch order, then atom steps in program order.  An atom
-    that ignores a quantified variable occurs once per value of it."""
-    programs = [compile_formula(f) for f in kb.formulas()]
-    check_instance_cap(programs, len(batch))
-    counts: dict = {}
-    for program in programs:
-        steps = [(instr.atom.pred, instr.terms) for instr in program.instrs
-                 if instr.op == "atom"]
-        for combo in itertools.product(batch, repeat=program.n_axes):
-            for pred, terms in steps:
-                key = (pred, tuple(combo[axis] for axis in terms))
-                counts[key] = counts.get(key, 0) + 1
-    return counts
+def _assignments(terms: tuple, batch: tuple):
+    """Every assignment of batch objects to the axes ``terms`` names, as
+    a dict from axis to object."""
+    axes = sorted(set(terms))
+    return (dict(zip(axes, combo))
+            for combo in itertools.product(batch, repeat=len(axes)))
+
+
+def _world_bits(start: int, stop: int, n: int) -> np.ndarray:
+    """The boolean (world x atom) matrix of worlds start..stop-1."""
+    index = np.arange(start, stop)
+    bits = np.empty((len(index), n), dtype=bool)
+    for j in range(n):
+        bits[:, j] = (index >> (n - 1 - j)) & 1
+    return bits
+
+
+class _Plan:
+    """What the oracle knows of ``programs`` over ``batch`` before it sees
+    a probability.  Everything but ``instances`` is worked out on first
+    use and kept.  One object per programs and batch (``_plan``)."""
+
+    def __init__(self, programs: tuple, batch: tuple):
+        check_instance_cap(programs, len(batch))
+        self.programs, self.batch = programs, batch
+        self.instances = sum(len(batch) ** p.n_axes for p in programs)
+
+    @functools.cached_property
+    def n_atoms(self) -> int:
+        """The number of ground atoms, counted over each atom step's own
+        variables only, so that the caps can be checked before
+        ``counts`` walks every instance."""
+        return len({(instr.atom.pred, tuple(combo[t] for t in instr.terms))
+                    for program in self.programs for instr in program.instrs
+                    if instr.op == "atom"
+                    for combo in _assignments(instr.terms, self.batch)})
+
+    @functools.cached_property
+    def counts(self) -> dict:
+        """Occurrences of each ground atom (pred, objs), in first-appearance
+        order: formulas in KB order, then their instances in lexicographic
+        batch order, then atom steps in program order.  An atom that
+        ignores a quantified variable occurs once per value of it.
+        Callers copy it before handing it out."""
+        counts: dict = {}
+        for program in self.programs:
+            steps = [(instr.atom.pred, instr.terms) for instr in program.instrs
+                     if instr.op == "atom"]
+            for combo in itertools.product(self.batch, repeat=program.n_axes):
+                for pred, terms in steps:
+                    key = (pred, tuple(combo[axis] for axis in terms))
+                    counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    @functools.cached_property
+    def satisfied(self) -> np.ndarray:
+        """Whether each world satisfies every program, as a boolean mask
+        over the 2**n worlds, evaluated a chunk of worlds at a time."""
+        column = {atom: j for j, atom in enumerate(self.counts)}
+        n, b = len(column), len(self.batch)
+        arities = {instr.atom.pred: len(instr.terms)
+                   for program in self.programs for instr in program.instrs
+                   if instr.op == "atom"}
+        # per predicate, the world column of each ground atom over batch
+        # positions; atoms no instance reads get column 0
+        columns = {pred: np.array([column.get((pred, objs), 0) for objs in
+                                   itertools.product(self.batch, repeat=arity)],
+                                  dtype=np.intp).reshape((b,) * arity)
+                   for pred, arity in arities.items()}
+        chunk = max(1, min(WORLD_CHUNK, INSTANCE_CAP // max(self.instances, 1)))
+        satisfied = np.ones(2 ** n, dtype=bool)
+        for start in range(0, 2 ** n, chunk):
+            worlds = _world_bits(start, min(start + chunk, 2 ** n), n)
+            truth = {pred: worlds[:, cols] for pred, cols in columns.items()}
+            ok = satisfied[start:start + len(worlds)]
+            for program in self.programs:
+                ok &= classical_values(program, b, truth)[-1].reshape(-1)
+        return satisfied
+
+
+# each entry holds a mask of up to 2**WORLD_ATOM_CAP bytes
+_plan = functools.lru_cache(maxsize=8)(_Plan)
+
+
+def _plan_of(kb: KnowledgeBase, batch: list) -> _Plan:
+    return _plan(tuple(compile_formula(f) for f in kb.formulas()),
+                 tuple(batch))
 
 
 @dataclass
@@ -87,16 +177,8 @@ class AtomOccurrence:
 
 
 def occurrence_census(kb: KnowledgeBase, batch: list) -> AtomOccurrence:
-    counts = _census(kb, batch)
+    counts = dict(_plan_of(kb, batch).counts)
     return AtomOccurrence(counts, all(v <= 1 for v in counts.values()))
-
-
-def _assignments(terms: tuple, batch: list):
-    """Every assignment of batch objects to the axes ``terms`` names, as
-    a dict from axis to object."""
-    axes = sorted(set(terms))
-    return (dict(zip(axes, combo))
-            for combo in itertools.product(batch, repeat=len(axes)))
 
 
 def _prob_lookup(probs):
@@ -104,73 +186,84 @@ def _prob_lookup(probs):
             else probs).score
 
 
-def _worlds(kb: KnowledgeBase, probs, batch: list):
-    """(atoms, chunks): the appearing atoms, which are the columns of a
-    world matrix, and an iterator of (worlds, satisfied, weight) arrays
-    per chunk of worlds, worlds being the chunk's boolean (world x atom)
-    matrix.  Refuses more than ``WORLD_ATOM_CAP`` atoms, or more than
-    ``WORLD_INSTANCE_CAP`` world-instance pairs, before the census walks
-    the instances."""
-    programs = [compile_formula(f) for f in kb.formulas()]
-    check_instance_cap(programs, len(batch))
-    instances = sum(len(batch) ** program.n_axes for program in programs)
-    n = len({(instr.atom.pred, tuple(combo[t] for t in instr.terms))
-             for program in programs for instr in program.instrs
-             if instr.op == "atom"  # over the step's own variables only
-             for combo in _assignments(instr.terms, batch)})
+def _weighing(kb: KnowledgeBase, probs, batch: list):
+    """(plan, p): the KB's plan, refused past ``WORLD_ATOM_CAP`` atoms or
+    ``WORLD_INSTANCE_CAP`` world-instance pairs before its census walks
+    the instances, and the probability of each of its atoms, refused
+    unless a number in [0, 1]."""
+    plan = _plan_of(kb, batch)
+    n = plan.n_atoms
     if n > WORLD_ATOM_CAP:
         raise WorldCapError(f"{n} ground atoms exceed the {WORLD_ATOM_CAP}-"
                             f"atom world-enumeration cap")
-    if 2 ** n * instances > WORLD_INSTANCE_CAP:
+    if 2 ** n * plan.instances > WORLD_INSTANCE_CAP:
         raise WorldCapError(
-            f"2**{n} worlds x {instances} ground instances exceed the "
+            f"2**{n} worlds x {plan.instances} ground instances exceed the "
             f"{WORLD_INSTANCE_CAP}-pair world-enumeration cap")
-    chunk = max(1, min(WORLD_CHUNK, INSTANCE_CAP // max(instances, 1)))
-    atoms = list(_census(kb, batch))
     score = _prob_lookup(probs)
-    p = [float(score(pred, objs)) for pred, objs in atoms]
-    b, n = len(batch), len(atoms)
-    # per predicate, the world-matrix column of each ground atom over
-    # batch positions; atoms no instance reads get column 0
-    column = {atom: j for j, atom in enumerate(atoms)}
-    columns = {pred: np.array([column.get((pred, objs), 0) for objs in
-                               itertools.product(batch, repeat=arity)],
-                              dtype=np.intp).reshape((b,) * arity)
-               for pred, arity in kb.signature.items()}
+    p = []
+    for pred, objs in plan.counts:
+        value = float(score(pred, objs))
+        if not 0.0 <= value <= 1.0:  # NaN included
+            raise SemanticError(
+                f"probability {value!r} for ground atom "
+                f"{_atom_text(pred, objs, getattr(probs, 'names', None))} "
+                f"is not in [0, 1]")
+        p.append(value)
+    return plan, p
 
-    def chunks():
-        for start in range(0, 2 ** n, chunk):
-            index = np.arange(start, min(start + chunk, 2 ** n))
-            worlds = np.empty((len(index), n), dtype=bool)
-            weight = np.ones(len(index))
-            for j, pj in enumerate(p):
-                worlds[:, j] = bit = ((index >> (n - 1 - j)) & 1).astype(bool)
-                weight *= np.where(bit, pj, 1.0 - pj)
-            truth = {pred: worlds[:, cols] for pred, cols in columns.items()}
-            satisfied = np.ones(len(index), dtype=bool)
-            for program in programs:
-                root = classical_values(program, b, truth)[-1]
-                satisfied &= root.reshape(-1)
-            yield worlds, satisfied, weight
 
-    return atoms, chunks()
+def _blocks(p: list, satisfied: np.ndarray, live_only: bool):
+    """(start, weight, satisfied) per block of 2**k <= ``WORLD_CHUNK``
+    consecutive worlds, skipping blocks with no satisfying world when
+    ``live_only``.  A world's weight is 1.0 times the factor of each atom
+    in atom order, p_j where atom j holds and 1 - p_j where it does not:
+    a block multiplies its leading atoms' factors once, as Python floats,
+    then the rest as a Kronecker product, which makes the same
+    multiplications in the same order for every world."""
+    n = len(p)
+    k = min(n, WORLD_CHUNK.bit_length() - 1)
+    for block in range(2 ** (n - k)):
+        start = block << k
+        ok = satisfied[start:start + 2 ** k]
+        if live_only and not ok.any():
+            continue
+        head = 1.0
+        for j, pj in enumerate(p[:n - k]):
+            head *= pj if (block >> (n - k - 1 - j)) & 1 else 1.0 - pj
+        weight = np.array([head])
+        for pj in p[n - k:]:
+            # world 2i + bit extends world i; strided writes beat a
+            # broadcast (i, 2) product about fourfold
+            grown = np.empty(2 * len(weight))
+            np.multiply(weight, 1.0 - pj, out=grown[0::2])
+            np.multiply(weight, pj, out=grown[1::2])
+            weight = grown
+        yield start, weight, ok
 
 
 def world_table(kb: KnowledgeBase, probs, batch: list):
     """(atoms, rows) where rows yields (bits, satisfied, probability) per
-    world, building one chunk of worlds at a time."""
-    atoms, chunks = _worlds(kb, probs, batch)
-    return atoms, (row for worlds, ok, weight in chunks
-                   for row in zip(map(tuple, worlds.astype(np.uint8).tolist()),
-                                  ok.tolist(), weight.tolist()))
+    world, one block of worlds at a time."""
+    plan, p = _weighing(kb, probs, batch)
+    satisfied = plan.satisfied
+
+    def rows():
+        for start, weight, ok in _blocks(p, satisfied, live_only=False):
+            bits = _world_bits(start, start + len(weight), len(p))
+            yield from zip(map(tuple, bits.astype(np.uint8).tolist()),
+                           ok.tolist(), weight.tolist())
+
+    return list(plan.counts), rows()
 
 
 def semantic_probability(kb: KnowledgeBase, probs, batch: list) -> float:
     """Probability of sampling a world consistent with the grounded KB
     under independent atom probabilities."""
-    _, chunks = _worlds(kb, probs, batch)
+    plan, p = _weighing(kb, probs, batch)
+    blocks = _blocks(p, plan.satisfied, live_only=True)
     return math.fsum(itertools.chain.from_iterable(
-        weight[ok].tolist() for _, ok, weight in chunks))
+        weight[ok].tolist() for _, weight, ok in blocks))
 
 
 def semantic_loss(kb: KnowledgeBase, probs, batch: list) -> float:
@@ -185,7 +278,7 @@ def dpfl_valuation(kb: KnowledgeBase, probs, batch: list) -> float:
     """Product-config valuation of the KB, exponentiated back to
     probability space.  Formula weights are ignored: the comparison is
     between probabilities, not losses."""
-    appearing = _census(kb, batch)
+    appearing = _plan_of(kb, batch).counts
     score = _prob_lookup(probs)
     # grounding slots the KB never reads get a placeholder value
     table = {(pred, objs): score(pred, objs) if (pred, objs) in appearing
@@ -196,8 +289,8 @@ def dpfl_valuation(kb: KnowledgeBase, probs, batch: list) -> float:
     g = build_grounding(LookupInterpretation(table), domain, kb.signature,
                         batch)
     log_total = 0.0
-    for formula, _ in kb.entries:
-        log_total += formula_pass(formula, g, DPFL_CONFIG).value
+    for out in _valuate(kb.formulas(), g, DPFL_CONFIG, None):
+        log_total += out.value
     return math.exp(log_total)
 
 

@@ -12,7 +12,9 @@ between slots.
 
 It also keeps the oracle's per-world enumeration, which the array
 enumeration in ``dfl.oracle`` is tested against: one dict per world and
-one recursive ``classical_truth`` call per world and ground instance.
+one recursive ``classical_truth`` call per world and ground instance;
+and the oracle's fuzzy side valuated one formula at a time, which the
+stacked ``dfl.oracle.dpfl_valuation`` is tested against.
 ``classical_truth`` is also the per-instance reference for the labels
 that ``dfl.analysis.gradient_quality`` derives over compiled programs.
 """
@@ -25,8 +27,9 @@ from dataclasses import dataclass
 
 from dfl.autodiff import Node
 from dfl.logic import And, Atom, ForAll, Implies, Not, Or
-from dfl.oracle import WORLD_ATOM_CAP, WorldCapError
-from dfl.valuation import LookupInterpretation, SemanticError
+from dfl.oracle import DPFL_CONFIG, WORLD_ATOM_CAP, WorldCapError
+from dfl.valuation import (Domain, LookupInterpretation, SemanticError,
+                           build_grounding, formula_pass)
 from scalar_kernels import (aggregate_kernel, implication_kernel, tconorm_kernel,
                             tnorm_kernel)
 
@@ -253,3 +256,21 @@ def semantic_probability(kb, probs, batch: list) -> float:
     under independent atom probabilities."""
     return math.fsum(weight for _, ok, weight
                      in _enumerate_worlds(kb, probs, batch) if ok)
+
+
+def dpfl_valuation(kb, probs, batch: list) -> float:
+    """Product-config valuation of the KB, one ``formula_pass`` per
+    formula, exponentiated back to probability space."""
+    appearing = occurrence_counts(kb, batch)
+    score = _prob_lookup(probs)
+    table = {(pred, objs): score(pred, objs) if (pred, objs) in appearing
+             else 0.5
+             for pred in sorted(kb.signature)
+             for objs in itertools.product(batch, repeat=kb.signature[pred])}
+    domain = Domain([f"o{i}" for i in range(max(batch) + 1)])
+    g = build_grounding(LookupInterpretation(table), domain, kb.signature,
+                        batch)
+    log_total = 0.0
+    for formula, _ in kb.entries:
+        log_total += formula_pass(formula, g, DPFL_CONFIG).value
+    return math.exp(log_total)

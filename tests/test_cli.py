@@ -291,6 +291,32 @@ def test_oracle_dump_worlds_two_objects(tmp_path, capsys):
     assert capsys.readouterr().out == EXPECTED_SAME_WORLDS
 
 
+def test_oracle_dump_worlds_evaluates_each_chunk_once(tmp_path, capsys,
+                                                      monkeypatch):
+    import dfl.oracle as oracle
+
+    calls = []
+    evaluate = oracle.classical_values
+
+    def counted(program, b, truth):
+        calls.append(program)
+        return evaluate(program, b, truth)
+
+    monkeypatch.setattr(oracle, "classical_values", counted)
+    monkeypatch.setattr(oracle, "WORLD_CHUNK", 4)  # 16 worlds in 4 chunks
+    kb = tmp_path / "kb.dfl"
+    kb.write_text("forall x, y: same(x, y) -> same(y, x)\n")
+    grounding = tmp_path / "g.grounding"
+    grounding.write_text("same(a,a)=0.9\nsame(a,b)=0.3\n"
+                         "same(b,a)=0.6\nsame(b,b)=0.2\n")
+    code = main(["oracle", "compare", "--kb", str(kb), "--grounding",
+                 str(grounding), "--dump-worlds"])
+    assert code == 0
+    assert capsys.readouterr().out == EXPECTED_SAME_WORLDS
+    # the report and the dump share one evaluation of the program
+    assert len(calls) == 4 and len(set(map(id, calls))) == 1
+
+
 def test_oracle_world_cap_before_enumeration(tmp_path, capsys):
     # 7 predicates over 3 objects are 21 atoms; 2 * 3**8 = 13,122 instances
     body = " | ".join(f"p{i % 7}(v{i})" for i in range(8))

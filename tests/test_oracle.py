@@ -6,7 +6,8 @@ import pytest
 
 import dfl.oracle as oracle
 import scalar_reference as reference
-from dfl.logic import And, Atom, ForAll, Implies, Not, Or, KnowledgeBase, parse_kb
+from dfl.logic import (And, Atom, ForAll, Implies, Not, Or, KnowledgeBase,
+                       compile_formula, parse_formula, parse_kb)
 from dfl.oracle import (
     WorldCapError,
     dpfl_valuation,
@@ -16,6 +17,7 @@ from dfl.oracle import (
     semantic_probability,
     world_table,
 )
+from dfl.valuation import InstanceCapError, LookupInterpretation, SemanticError
 
 
 def test_single_atom_cross_entropy():
@@ -195,6 +197,9 @@ def _assert_matches_loop(kb, probs, batch):
         assert type(bits) is tuple and all(type(bit) is int for bit in bits)
         assert type(satisfied) is bool
         assert type(weight) is float
+    # the stacked valuation against one formula_pass per formula
+    assert dpfl_valuation(kb, probs, batch) == reference.dpfl_valuation(
+        kb, probs, batch)
 
 
 @pytest.mark.parametrize("text", [CONNECTED, COMPONENTS],
@@ -235,15 +240,85 @@ def test_ignored_variable_occurs_once_per_value():
                                    ("q", (2,)), ("p", (1,)), ("p", (2,))]
 
 
+def _evaluate_no_program(monkeypatch):
+    def evaluate_nothing(*args, **kwargs):
+        raise AssertionError("a program was evaluated again")
+
+    monkeypatch.setattr(oracle, "classical_values", evaluate_nothing)
+
+
 @pytest.mark.parametrize("chunk", [1, 5, 7, 64])
 def test_chunks_match_loop(monkeypatch, chunk):
     # 2**9 = 512 and 2**7 = 128 worlds: chunks of 5 and of 7 end in a
     # partial chunk, chunks of 64 divide both evenly
+    cases = [("forall x, y: same(x, y) -> same(y, x)", [0, 1, 2]),
+             (COMPONENTS, [0])]
+    cached = [parse_kb(text) for text, _ in cases]
+    for kb, (_, batch) in zip(cached, cases):  # plans in chunks of 2**14
+        semantic_probability(kb, _seeded_probs(kb, batch, 5), batch)
     monkeypatch.setattr(oracle, "WORLD_CHUNK", chunk)
-    for text, batch in [("forall x, y: same(x, y) -> same(y, x)", [0, 1, 2]),
-                        (COMPONENTS, [0])]:
+    for text, batch in cases:
         kb = parse_kb(text)
         _assert_matches_loop(kb, _seeded_probs(kb, batch, 5), batch)
+    # plans built at another chunk size give the same results
+    _evaluate_no_program(monkeypatch)
+    for kb, (_, batch) in zip(cached, cases):
+        _assert_matches_loop(kb, _seeded_probs(kb, batch, 6), batch)
+
+
+@pytest.mark.parametrize("text", [CONNECTED, COMPONENTS],
+                         ids=["connected", "components"])
+def test_new_table_evaluates_no_program(monkeypatch, text):
+    kb = parse_kb(text)
+    batch = [0, 1]
+    semantic_probability(kb, _seeded_probs(kb, batch, 1), batch)
+    _evaluate_no_program(monkeypatch)
+    for seed in (2, 3):
+        probs = _seeded_probs(kb, batch, seed)
+        exact = reference.semantic_probability(kb, probs, batch)
+        assert semantic_probability(kb, probs, batch) == exact
+        assert equivalence_report(kb, probs, batch).exact == exact
+
+
+def test_added_formula_misses_the_cache():
+    kb = parse_kb("forall x: p(x) | q(x)")
+    probs = {("p", (0,)): 0.3, ("q", (0,)): 0.6, ("r", (0,)): 0.9}
+    assert semantic_probability(kb, probs, [0]) == pytest.approx(0.72)
+    kb.add(parse_formula("forall x: ~p(x) | r(x)"))
+    exact = reference.semantic_probability(kb, probs, [0])
+    assert semantic_probability(kb, probs, [0]) == exact
+    assert list(occurrence_census(kb, [0]).counts) == [
+        ("p", (0,)), ("q", (0,)), ("r", (0,))]
+
+
+def test_census_copies_leave_the_plan_alone():
+    kb = parse_kb("forall x: p(x) & ~(p(x) & q(x))")
+    probs = {("p", (0,)): 0.5, ("q", (0,)): 0.5}
+    census = occurrence_census(kb, [0])
+    census.counts[("p", (0,))] = 1
+    census.counts.pop(("q", (0,)))
+    atoms, _ = world_table(kb, probs, [0])
+    atoms.reverse()
+    census = occurrence_census(kb, [0])
+    assert list(census.counts.items()) == [(("p", (0,)), 2), (("q", (0,)), 1)]
+    assert not census.single_occurrence
+    assert world_table(kb, probs, [0])[0] == [("p", (0,)), ("q", (0,))]
+
+
+@pytest.mark.parametrize("value", [math.nan, 1.5, -0.2, math.inf])
+@pytest.mark.parametrize("fn", [semantic_probability, semantic_loss,
+                                world_table, equivalence_report])
+def test_invalid_probability_names_its_atom(monkeypatch, fn, value):
+    def weigh_nothing(*args, **kwargs):
+        raise AssertionError("worlds weighted with an invalid probability")
+
+    monkeypatch.setattr(oracle, "_blocks", weigh_nothing)
+    kb = parse_kb("forall x: raven(x) -> black(x)")
+    probs = {("raven", (0,)): 0.8, ("black", (0,)): value}
+    with pytest.raises(SemanticError, match=r"for ground atom black\(0\) "):
+        fn(kb, probs, [0])
+    with pytest.raises(SemanticError, match=r"for ground atom black\(a\) "):
+        fn(kb, LookupInterpretation(probs, ["a"]), [0])
 
 
 def test_world_cap_before_enumeration(monkeypatch):
@@ -253,10 +328,16 @@ def test_world_cap_before_enumeration(monkeypatch):
     monkeypatch.setattr(oracle, "classical_values", enumerate_nothing)
     kb = parse_kb("forall x, y: p(x) & q(y)")  # 2 * 11 = 22 atoms
     probs = {(pred, (i,)): 0.5 for pred in "pq" for i in range(11)}
-    with pytest.raises(WorldCapError):
-        semantic_probability(kb, probs, list(range(11)))
-    with pytest.raises(WorldCapError):
-        world_table(kb, probs, list(range(11)))
+    wide = parse_kb("forall a, b, c, d, e, f, g: p(a)")  # 8**7 instances
+    for _ in range(2):  # a refusal is not cached: the next call refuses too
+        with pytest.raises(WorldCapError):
+            semantic_probability(kb, probs, list(range(11)))
+        with pytest.raises(WorldCapError):
+            world_table(kb, probs, list(range(11)))
+        with pytest.raises(InstanceCapError):
+            semantic_probability(wide, probs, list(range(8)))
+        with pytest.raises(InstanceCapError):
+            occurrence_census(wide, list(range(8)))
 
 
 def test_world_arrays_stay_bounded_at_seven_objects():
@@ -281,3 +362,22 @@ def test_world_arrays_stay_bounded_at_seven_objects():
     # the KB fails exactly where both p and q are mixed
     assert exact == pytest.approx(1.0 - mixed("p") * mixed("q"), abs=1e-12)
     assert peak < 8 * 2 ** 20, peak  # about 1 MB; 43 MB in chunks of 2**14
+
+
+def test_cached_plan_at_the_atom_cap_stays_small():
+    # 20 atoms over 10 objects: the plan's mask has 2**20 worlds
+    kb = parse_kb("forall x, y: p(x) & q(y) -> p(y)")
+    batch = list(range(10))
+    probs = {(pred, (i,)): 0.5 for pred in "pq" for i in batch}
+    for formula in kb.formulas():
+        compile_formula(formula)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        semantic_probability(kb, probs, batch)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * 2 ** 20, held
+    # so the cache holds at most about 9 MB
+    assert oracle._plan.cache_info().maxsize <= 8
