@@ -291,8 +291,7 @@ def cmd_sweep(args, argv) -> int:
     values = [v for v in args.values.split(",") if v != ""]
     if args.axis == "formula-subset":
         values = [v.replace(":", ",") for v in values]
-    seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
-             else [base.seed])
+    seeds = args.seeds or [base.seed]
     try:
         rows, means = config_sweep(base, args.axis, values, seeds)
     except ValueError as exc:
@@ -346,6 +345,13 @@ def cmd_oracle(args, argv) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dfl",
@@ -370,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fr.add_argument("--n", type=int, default=2)
     p_fr.add_argument("--p", type=float)
     p_fr.add_argument("--samples", type=int, default=1_000_000)
-    p_fr.add_argument("--seed", type=int, required=True)
+    p_fr.add_argument("--seed", type=_seed, required=True)
     p_fr.add_argument("--csv")
 
     p_sp = an_sub.add_parser("single-passing")
@@ -378,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sp.add_argument("--n", type=int, default=2)
     p_sp.add_argument("--p", type=float)
     p_sp.add_argument("--samples", type=int, default=10_000)
-    p_sp.add_argument("--seed", type=int, required=True)
+    p_sp.add_argument("--seed", type=_seed, required=True)
     p_sp.add_argument("--csv")
 
     p_su = an_sub.add_parser("surface")
@@ -407,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--values", required=True,
                       help="comma-separated; for formula-subset use ':' "
                            "inside a value, e.g. 1:2,2:3")
-    p_sw.add_argument("--seeds", help="comma-separated seed list")
+    p_sw.add_argument("--seeds", help="comma-separated seed list",
+                      type=lambda text: [_seed(s) for s in text.split(",")])
     p_sw.add_argument("--csv")
 
     p_or = sub.add_parser("oracle", help="exact semantic-loss comparison")

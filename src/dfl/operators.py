@@ -1035,9 +1035,16 @@ def tnorm_duality_check(name: str, samples: int = 10_000, p: float | None = None
 # ---------------------------------------------------------------------------
 # property audit
 #
-# Points are drawn one by one from the seeded ``random.Random``, in the
-# order a per-point loop draws them, and each law is evaluated with one
-# array call per input length.
+# Points are drawn as arrays from one ``np.random.default_rng(seed)``, law
+# by law in report order, the single-passing probe last.  A norm law and
+# the probe draw ``random(samples * arity)``; an implication law draws
+# ``r``, then ``u``, as long, and a coordinate is 0 where r < 0.15, 1
+# where r < 0.30, else u.  An aggregator law draws ``X = random((samples,
+# 5))`` (0.05 + 0.9 X for log_product) and ``n = integers(2, 6, samples)``;
+# then symmetric permutes each point by the stable sort of its keys
+# ``random((samples, 5))``, monotone raises entry ``integers(0, n)`` by
+# ``random(samples)`` of its distance to 1, and idempotent repeats
+# ``X[i, 0]``.  Each law makes one array call per input length.
 
 def _excess(err):
     """``err`` where positive, else 0 (nan included), as ``max(0, err)``."""
@@ -1055,16 +1062,10 @@ def _verdict(prop, err, tol, witness):
     return (prop, False, witness(worst))
 
 
-def _points(draws, samples, arity):
-    """``samples`` points of ``arity`` coordinates, the next ones that
-    ``draws(k)`` returns in order."""
-    return np.array(draws(samples * arity)).reshape(samples, arity)
-
-
-def _law(prop, draws, arity, samples, expr, tol):
-    """Check a law at sampled points; ``expr`` maps the coordinate arrays
-    to errors."""
-    points = _points(draws, samples, arity)
+def _law(prop, draw, arity, samples, expr, tol):
+    """Check a law at ``samples`` points of ``arity`` coordinates drawn by
+    ``draw(k)``; ``expr`` maps the coordinate arrays to errors."""
+    points = draw(samples * arity).reshape(samples, arity)
     return _verdict(prop, expr(*points.T), tol,
                     lambda i: tuple(points[i].tolist()))
 
@@ -1073,13 +1074,12 @@ def _values(desc: OperatorDescriptor):
     return lambda *xs: desc.array_kernel(*xs)[0]
 
 
-def _row_values(val, rows):
-    """``val`` of each row of inputs, one array call per row length."""
-    out = np.empty(len(rows))
-    lengths = np.array([len(row) for row in rows])
-    for n in np.unique(lengths):
-        at = np.flatnonzero(lengths == n)
-        out[at] = val(np.array([rows[i] for i in at]).T)
+def _row_values(val, X, n):
+    """``val`` of each row ``X[i, :n[i]]``, one array call per length."""
+    out = np.empty(len(X))
+    for k in np.unique(n):
+        at = np.flatnonzero(n == k)
+        out[at] = val(X[at, :k].T)
     return out
 
 
@@ -1089,59 +1089,48 @@ def _audit_binary(desc: OperatorDescriptor, rng, samples, tol):
     neutral = 1.0 if desc.family == "tnorm" else 0.0
     u = rng.random
 
-    def draws(k):
-        return [u() for _ in range(k)]
-
     def mono_err(a, b1, b2):
         return val(a, np.minimum(b1, b2)) - val(a, np.maximum(b1, b2))
 
     return [
-        _law("commutative", draws, 2, samples,
+        _law("commutative", u, 2, samples,
              lambda a, b: abs(val(a, b) - val(b, a)), tol),
-        _law("associative", draws, 3, samples,
+        _law("associative", u, 3, samples,
              lambda a, b, c: abs(val(val(a, b), c) - val(a, val(b, c))), tol),
-        _law("neutral", draws, 1, samples, lambda a: abs(val(neutral, a) - a), tol),
-        _law("idempotent", draws, 1, samples, lambda a: abs(val(a, a) - a), tol),
-        _law("monotone", draws, 3, samples, mono_err, tol),
+        _law("neutral", u, 1, samples, lambda a: abs(val(neutral, a) - a), tol),
+        _law("idempotent", u, 1, samples, lambda a: abs(val(a, a) - a), tol),
+        _law("monotone", u, 3, samples, mono_err, tol),
     ]
 
 
 def _audit_aggregator(desc: OperatorDescriptor, rng, samples, tol):
     val = _values(desc)
-    u = rng.random
     log = desc.name == "log_product"
 
-    def interior(n):
-        return [0.05 + 0.9 * u() for _ in range(n)] if log else [u() for _ in range(n)]
+    def rows():  # point i is X[i, :n[i]]
+        X = rng.random((samples, 5))
+        return (0.05 + 0.9 * X if log else X), rng.integers(2, 6, samples)
 
-    def shuffled(xs):
-        ys = list(xs)
-        rng.shuffle(ys)
-        return ys
+    def law(prop, X, n, err):
+        return _verdict(prop, err, tol, lambda i: X[i, :n[i]].tolist())
 
-    def bumped(xs):
-        i = rng.randrange(len(xs))
-        ys = list(xs)
-        ys[i] = min(1.0, xs[i] + u() * (1.0 - xs[i]))
-        return ys
+    X, n = rows()
+    keys = np.where(np.arange(5) < n[:, None], rng.random((samples, 5)), 1.0)
+    Y = np.take_along_axis(X, np.argsort(keys, axis=1, kind="stable"), axis=1)
+    checks = [law("symmetric", X, n,
+                  abs(_row_values(val, X, n) - _row_values(val, Y, n)))]
 
-    def law(prop, change, expr):
-        # each sample draws its point, then whatever ``change`` draws
-        points, changed = [], []
-        for _ in range(samples):
-            points.append(interior(rng.randint(2, 5)))
-            changed.append(change(points[-1]))
-        err = expr(_row_values(val, points), _row_values(val, changed))
-        return _verdict(prop, err, tol, points.__getitem__)
-
-    checks = [law("symmetric", shuffled, lambda v, w: abs(v - w)),
-              law("monotone", bumped, lambda v, w: v - w)]
+    X, n = rows()
+    hit = np.arange(5) == rng.integers(0, n)[:, None]
+    bump = rng.random((samples, 1))
+    Y = np.where(hit, np.minimum(1.0, X + bump * (1.0 - X)), X)
+    checks.append(law("monotone", X, n,
+                      _row_values(val, X, n) - _row_values(val, Y, n)))
     if not log:
-        points = [[u()] * rng.randint(2, 5) for _ in range(samples)]
-        first = np.array([xs[0] for xs in points])
-        checks.append(_verdict("idempotent",
-                               abs(_row_values(val, points) - first), tol,
-                               points.__getitem__))
+        X, n = rows()
+        X = np.repeat(X[:, :1], 5, axis=1)
+        checks.append(law("idempotent", X, n,
+                          abs(_row_values(val, X, n) - X[:, 0])))
         corners = val(np.array([[0.0, 1.0]] * 3))
         checks.append(("boundary",
                        bool(corners[0] == 0.0 and corners[1] == 1.0), None))
@@ -1150,16 +1139,12 @@ def _audit_aggregator(desc: OperatorDescriptor, rng, samples, tol):
 
 def _audit_implication(desc: OperatorDescriptor, rng, samples, tol):
     val = _values(desc)
-    u = rng.random
 
-    def draws(k):
+    def draw(k):
         # mix exact endpoints in: several table properties only fail on
         # the boundary lines (e.g. Weber's CP at a = 1)
-        out = []
-        for _ in range(k):
-            r = u()
-            out.append(0.0 if r < 0.15 else 1.0 if r < 0.30 else u())
-        return out
+        r, u = rng.random(k), rng.random(k)
+        return np.where(r < 0.15, 0.0, np.where(r < 0.30, 1.0, u))
 
     def mono_err(a1, a2, c1, c2):
         alo, ahi = np.minimum(a1, a2), np.maximum(a1, a2)
@@ -1173,20 +1158,20 @@ def _audit_implication(desc: OperatorDescriptor, rng, samples, tol):
         ("boundary", bool(abs(corners[0] - 1.0) <= tol
                           and abs(corners[1] - 1.0) <= tol
                           and abs(corners[2]) <= tol), None),
-        _law("LN", draws, 1, samples, lambda c: abs(val(1.0, c) - c), tol),
-        _law("EP", draws, 3, samples,
+        _law("LN", draw, 1, samples, lambda c: abs(val(1.0, c) - c), tol),
+        _law("EP", draw, 3, samples,
              lambda a, b, c: abs(val(a, val(b, c)) - val(b, val(a, c))), tol),
-        _law("IP", draws, 1, samples, lambda a: abs(val(a, a) - 1.0), tol),
-        _law("CP", draws, 2, samples,
+        _law("IP", draw, 1, samples, lambda a: abs(val(a, a) - 1.0), tol),
+        _law("CP", draw, 2, samples,
              lambda a, c: abs(val(a, c) - val(1.0 - c, 1.0 - a)), tol),
-        _law("monotone", draws, 4, samples, mono_err, tol),
+        _law("monotone", draw, 4, samples, mono_err, tol),
     ]
 
 
 def _audit_single_passing(desc: OperatorDescriptor, rng, samples):
     arity = {"negation": 1, "tnorm": 2, "tconorm": 2, "implication": 2}.get(
         desc.family, 3)
-    points = _points(lambda k: [rng.random() for _ in range(k)], samples, arity)
+    points = rng.random(samples * arity).reshape(samples, arity)
     violations = np.flatnonzero(desc.live_partials(points) > 1)
     if len(violations):
         return ("single-passing", False, tuple(points[violations[0]].tolist()))
@@ -1202,9 +1187,14 @@ def property_audit(desc: OperatorDescriptor, samples: int = 2000, seed: int = 0,
     norms, symmetry/monotonicity/idempotency/boundary for aggregators,
     and boundary/LN/EP/IP/CP/monotonicity for implications, plus a
     single-passing probe everywhere.  A failure carries the worst
-    sampled counterexample as witness.
+    sampled counterexample as witness (a list for aggregators).  Points
+    come from ``np.random.default_rng(seed)``, seed >= 0: ``samples`` >= 1
+    per law in report order, then ``min(samples, 2000)`` for the probe.
     """
-    rng = random.Random(seed)
+    if samples < 1 or seed < 0:
+        raise ValueError("property audits need samples >= 1 and seed >= 0, "
+                         f"got samples={samples}, seed={seed}")
+    rng = np.random.default_rng(seed)
     if desc.family in ("tnorm", "tconorm"):
         checks = _audit_binary(desc, rng, samples, tol)
     elif desc.family == "aggregator":

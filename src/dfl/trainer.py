@@ -293,6 +293,8 @@ class TrainConfig:
             raise ValueError("w_dfl must be >= 0 and lr/steps positive")
         if not 0 < self.labeled_fraction <= 1:
             raise ValueError("labeled_fraction must be in (0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -471,12 +473,13 @@ def config_sweep(base: TrainConfig, axis: str, values, seeds=None):
     """One full run per (value, seed); returns per-run rows plus per-value
     means.  Run failures are recorded and the sweep continues."""
     seeds = list(seeds) if seeds is not None else [base.seed]
+    # build, and so check, every run's config before the first run
+    configs = [[_apply_axis(base, axis, v, s) for s in seeds] for v in values]
     rows = []
     means = []
-    for value in values:
+    for value, value_configs in zip(values, configs):
         accs = []
-        for seed in seeds:
-            config = _apply_axis(base, axis, value, seed)
+        for seed, config in zip(seeds, value_configs):
             try:
                 task = make_task(seed, n=config.n_points, dim=config.dim,
                                  classes=config.classes,

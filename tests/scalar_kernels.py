@@ -601,71 +601,79 @@ def tnorm_duality_check(name: str, samples: int = 10_000, p: float | None = None
 # ---------------------------------------------------------------------------
 # property audit
 
+def _run(checks, prop, points, expr, tol, *extra):
+    """Append ``prop``'s verdict over ``points``, each paired with its
+    entries of the ``extra`` lists: the first point with the largest
+    ``expr`` is the witness."""
+    worst, witness = 0.0, None
+    for point, *more in zip(points, *extra):
+        err = expr(point, *more)
+        if err > worst:
+            worst, witness = err, point
+    checks.append((prop, worst <= tol, None if worst <= tol else witness))
+
+
+def _tuples(xs, arity):
+    return [tuple(xs[i:i + arity]) for i in range(0, len(xs), arity)]
+
+
 def _audit_binary(desc: OperatorDescriptor, rng, samples, tol):
     """Battery for t-norms / t-conorms."""
     val = _value(desc)
     neutral = 1.0 if desc.family == "tnorm" else 0.0
     checks = []
 
-    def run(prop, gen, expr):
-        worst, witness = 0.0, None
-        for _ in range(samples):
-            point = gen()
-            err = expr(*point)
-            if err > worst:
-                worst, witness = err, point
-        checks.append((prop, worst <= tol, None if worst <= tol else witness))
+    def run(prop, arity, expr):
+        points = _tuples(rng.random(samples * arity).tolist(), arity)
+        _run(checks, prop, points, lambda point: expr(*point), tol)
 
-    u = rng.random
-    run("commutative", lambda: (u(), u()), lambda a, b: abs(val(a, b) - val(b, a)))
-    run("associative", lambda: (u(), u(), u()),
+    run("commutative", 2, lambda a, b: abs(val(a, b) - val(b, a)))
+    run("associative", 3,
         lambda a, b, c: abs(val(val(a, b), c) - val(a, val(b, c))))
-    run("neutral", lambda: (u(),), lambda a: abs(val(neutral, a) - a))
-    run("idempotent", lambda: (u(),), lambda a: abs(val(a, a) - a))
+    run("neutral", 1, lambda a: abs(val(neutral, a) - a))
+    run("idempotent", 1, lambda a: abs(val(a, a) - a))
 
     def mono_err(a, b1, b2):
         lo, hi = (b1, b2) if b1 <= b2 else (b2, b1)
         return max(0.0, val(a, lo) - val(a, hi))
 
-    run("monotone", lambda: (u(), u(), u()), mono_err)
+    run("monotone", 3, mono_err)
     return checks
 
 
 def _audit_aggregator(desc: OperatorDescriptor, rng, samples, tol):
     val = _value(desc)
     checks = []
-    u = rng.random
     log = desc.name == "log_product"
 
-    def run(prop, gen, expr):
-        worst, witness = 0.0, None
-        for _ in range(samples):
-            point = gen()
-            err = expr(point)
-            if err > worst:
-                worst, witness = err, point
-        checks.append((prop, worst <= tol, None if worst <= tol else witness))
+    def rows():
+        X = rng.random((samples, 5)).tolist()
+        n = rng.integers(2, 6, samples).tolist()
+        if log:
+            X = [[0.05 + 0.9 * x for x in row] for row in X]
+        return [row[:k] for row, k in zip(X, n)]
 
-    def perm_err(xs):
-        shuffled = list(xs)
-        rng.shuffle(shuffled)
-        return abs(val(*xs) - val(*shuffled))
+    def perm_err(xs, keys):
+        order = sorted(range(len(xs)), key=keys.__getitem__)
+        return abs(val(*xs) - val(*[xs[i] for i in order]))
 
-    def interior(n):
-        return [0.05 + 0.9 * u() for _ in range(n)] if log else [u() for _ in range(n)]
+    points = rows()
+    _run(checks, "symmetric", points, perm_err, tol,
+         rng.random((samples, 5)).tolist())
 
-    run("symmetric", lambda: interior(rng.randint(2, 5)), perm_err)
-
-    def mono_err(xs):
-        i = rng.randrange(len(xs))
+    def mono_err(xs, i, u):
         bumped = list(xs)
-        bumped[i] = min(1.0, xs[i] + u() * (1.0 - xs[i]))
+        bumped[i] = min(1.0, xs[i] + u * (1.0 - xs[i]))
         return max(0.0, val(*xs) - val(*bumped))
 
-    run("monotone", lambda: interior(rng.randint(2, 5)), mono_err)
+    points = rows()
+    at = rng.integers(0, [len(xs) for xs in points]).tolist()
+    _run(checks, "monotone", points, mono_err, tol, at,
+         rng.random(samples).tolist())
     if not log:
-        run("idempotent", lambda: [u()] * rng.randint(2, 5),
-            lambda xs: abs(val(*xs) - xs[0]))
+        points = [[xs[0]] * len(xs) for xs in rows()]
+        _run(checks, "idempotent", points, lambda xs: abs(val(*xs) - xs[0]),
+             tol)
         checks.append(("boundary",
                        val(0.0, 0.0, 0.0) == 0.0 and val(1.0, 1.0, 1.0) == 1.0,
                        None))
@@ -676,35 +684,23 @@ def _audit_implication(desc: OperatorDescriptor, rng, samples, tol):
     val = _value(desc)
     checks = []
 
-    def u():
+    def run(prop, arity, expr):
         # mix exact endpoints in: several table properties only fail on
         # the boundary lines (e.g. Weber's CP at a = 1)
-        r = rng.random()
-        if r < 0.15:
-            return 0.0
-        if r < 0.30:
-            return 1.0
-        return rng.random()
-
-    def run(prop, gen, expr):
-        worst, witness = 0.0, None
-        for _ in range(samples):
-            point = gen()
-            err = expr(*point)
-            if err > worst:
-                worst, witness = err, point
-        checks.append((prop, worst <= tol, None if worst <= tol else witness))
+        r = rng.random(samples * arity).tolist()
+        u = rng.random(samples * arity).tolist()
+        xs = [0.0 if ri < 0.15 else 1.0 if ri < 0.30 else ui
+              for ri, ui in zip(r, u)]
+        _run(checks, prop, _tuples(xs, arity), lambda point: expr(*point), tol)
 
     checks.append(("boundary",
                    abs(val(0.0, 0.0) - 1.0) <= tol
                    and abs(val(1.0, 1.0) - 1.0) <= tol
                    and abs(val(1.0, 0.0)) <= tol, None))
-    run("LN", lambda: (u(),), lambda c: abs(val(1.0, c) - c))
-    run("EP", lambda: (u(), u(), u()),
-        lambda a, b, c: abs(val(a, val(b, c)) - val(b, val(a, c))))
-    run("IP", lambda: (u(),), lambda a: abs(val(a, a) - 1.0))
-    run("CP", lambda: (u(), u()),
-        lambda a, c: abs(val(a, c) - val(1.0 - c, 1.0 - a)))
+    run("LN", 1, lambda c: abs(val(1.0, c) - c))
+    run("EP", 3, lambda a, b, c: abs(val(a, val(b, c)) - val(b, val(a, c))))
+    run("IP", 1, lambda a: abs(val(a, a) - 1.0))
+    run("CP", 2, lambda a, c: abs(val(a, c) - val(1.0 - c, 1.0 - a)))
 
     def mono_err(a1, a2, c1, c2):
         alo, ahi = (a1, a2) if a1 <= a2 else (a2, a1)
@@ -713,7 +709,7 @@ def _audit_implication(desc: OperatorDescriptor, rng, samples, tol):
         err_c = max(0.0, val(a1, clo) - val(a1, chi))  # increasing in c
         return max(err_a, err_c)
 
-    run("monotone", lambda: (u(), u(), u(), u()), mono_err)
+    run("monotone", 4, mono_err)
     return checks
 
 
@@ -721,12 +717,11 @@ def _audit_single_passing(desc: OperatorDescriptor, rng, samples, tol):
     arity = {"negation": 1, "tnorm": 2, "tconorm": 2, "implication": 2}.get(
         desc.family, 3)
     fn = bind(desc)
-    for _ in range(samples):
-        xs = [rng.random() for _ in range(arity)]
+    for xs in _tuples(rng.random(samples * arity).tolist(), arity):
         _, partials = fn(*xs)
         live = sum(1 for d in partials if abs(d) > 1e-12)
         if live > 1:
-            return ("single-passing", False, tuple(xs))
+            return ("single-passing", False, xs)
     return ("single-passing", True, None)
 
 
@@ -740,8 +735,12 @@ def property_audit(desc: OperatorDescriptor, samples: int = 2000, seed: int = 0,
     and boundary/LN/EP/IP/CP/monotonicity for implications, plus a
     single-passing probe everywhere.  A failure carries the worst
     sampled counterexample as witness.
+
+    The points come from ``np.random.default_rng(seed)`` in the order
+    ``dfl.operators`` documents for its property audit, drawn as arrays
+    and then read one point at a time as Python floats.
     """
-    rng = random.Random(seed)
+    rng = np.random.default_rng(seed)
     if desc.family in ("tnorm", "tconorm"):
         checks = _audit_binary(desc, rng, samples, tol)
     elif desc.family == "aggregator":

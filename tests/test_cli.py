@@ -191,6 +191,42 @@ def test_train_requires_seed(tmp_path, capsys):
     assert main(["train", "--config", str(config)]) == 3
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze", "fractions", "--op", "lukasiewicz_agg", "--samples", "40000",
+     "--seed", "-1"],
+    ["analyze", "single-passing", "--op", "min", "--seed", "-1"],
+    ["sweep", "--axis", "w_dfl", "--values", "1", "--seeds", "5,-1"],
+    ["sweep", "--axis", "w_dfl", "--values", "1", "--seeds", "a"],
+])
+def test_bad_seed_flag_exit_2_before_any_run(tmp_path, capsys, command):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("seed=1\nsteps=10\neval_interval=10\nn_points=300\n"
+                      "test_n=50\n")
+    out = tmp_path / "out.csv"
+    if command[0] == "sweep":
+        command = command + ["--config", str(config)]
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--csv", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    bad = command[command.index("--seeds" if "--seeds" in command
+                                else "--seed") + 1].split(",")[-1]
+    assert f"seed must be a non-negative integer, got '{bad}'" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_negative_config_seed_exit_3(tmp_path, capsys, command):
+    config = tmp_path / "train.cfg"
+    config.write_text("seed=-1\nsteps=10\neval_interval=10\nn_points=300\n"
+                      "test_n=50\n")
+    extra = ["--axis", "w_dfl", "--values", "1"] if command == "sweep" else []
+    assert main([command, "--config", str(config)] + extra) == 3
+    captured = capsys.readouterr()
+    assert "seed must be >= 0, got -1" in captured.err
+    assert captured.out == ""
+
+
 def test_sweep(tmp_path, capsys):
     config = tmp_path / "sweep.cfg"
     config.write_text("seed=1\nsteps=10\neval_interval=10\nn_points=300\n"

@@ -440,6 +440,29 @@ def test_audit_matches_declared_for_catalog():
             assert ok == declared, (desc.family, desc.label(), prop, witness)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_audit_verdicts_match_declared_at_benchmark_samples(seed):
+    # the audit benchmark's check: every verdict of every descriptor,
+    # sigmoidal included, at its sample count
+    for desc in catalog():
+        for prop, ok, witness in property_audit(desc, samples=2000, seed=seed):
+            assert ok == (prop in desc.properties), \
+                (desc.family, desc.label(), prop, witness)
+
+
+def test_audit_reproducible_per_seed():
+    for desc in catalog():
+        assert property_audit(desc, samples=300, seed=9) == \
+            property_audit(desc, samples=300, seed=9), desc.label()
+
+
+@pytest.mark.parametrize("kw,text", [(dict(samples=0), "got samples=0,"),
+                                     (dict(seed=-3), "seed=-3")])
+def test_audit_refuses_bad_samples_and_seed(kw, text):
+    with pytest.raises(ValueError, match=text):
+        property_audit(descriptor("tnorm", "product"), **kw)
+
+
 # ---------------------------------------------------------------------------
 # the array audits return the reports of their per-point loops over the
 # scalar reference kernels: the same verdicts and the same witnesses

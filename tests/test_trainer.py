@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dfl import trainer
 from dfl.analysis import gradient_quality, labeling_from_atoms
 from dfl.logic import Not, parse_kb
 from dfl.operators import OperatorConfig, parse_operator_config
@@ -448,6 +449,16 @@ def test_sweep_s_axis_requires_sigmoidal():
     rows, means = config_sweep(TrainConfig(ops=ops, seed=1, **SWEEP_FAST),
                                "s", [0.01, 9.0])
     assert len(rows) == 2
+
+
+def test_sweep_refuses_bad_seed_before_any_run(monkeypatch):
+    runs = []
+    monkeypatch.setattr(trainer, "semi_supervised_train",
+                        lambda *args: runs.append(args))
+    base = TrainConfig(seed=1, **SWEEP_FAST)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        config_sweep(base, "w_dfl", [1.0], [5, -1])
+    assert runs == []
 
 
 def test_sweep_continues_after_per_run_failure():
