@@ -136,6 +136,14 @@ def _point_chunks(rng, samples: int, n: int):
         yield rng.random((min(POINT_CHUNK, samples - start), n))
 
 
+def _generator(seed: int, what: str):
+    """numpy's PCG64 generator for ``seed``, refusing a negative seed by
+    name before any draw."""
+    if seed < 0:
+        raise ValueError(f"{what} need seed >= 0, got seed={seed}")
+    return np.random.default_rng(seed)
+
+
 def estimate_nonvanishing_fraction(desc: OperatorDescriptor, n: int,
                                    samples: int, seed: int) -> FractionEstimate:
     """Draw uniform points from [0,1]^n and count where at least one
@@ -144,7 +152,7 @@ def estimate_nonvanishing_fraction(desc: OperatorDescriptor, n: int,
         raise ValueError("fraction estimates need samples >= 10_000")
     if desc.family in ("tnorm", "tconorm", "implication") and n != 2:
         raise ValueError(f"{desc.family} kernels are binary; got n={n}")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed, "fraction estimates")
     hits = sum(int(np.count_nonzero(desc.live_partials(X)))
                for X in _point_chunks(rng, samples, n))
     estimate = hits / samples
@@ -193,7 +201,7 @@ def single_passing_audit(op, n: int, samples: int = 10_000, seed: int = 0):
     point; otherwise returns the first violating point as witness."""
     if samples < 10_000:
         raise ValueError("single-passing audits need samples >= 10_000")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed, "single-passing audits")
     if isinstance(op, OperatorDescriptor):
         for X in _point_chunks(rng, samples, n):
             violations = np.flatnonzero(op.live_partials(X) > 1)

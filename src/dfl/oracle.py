@@ -23,8 +23,12 @@ skipping blocks with no satisfying world.  A world's weight multiplies
 its atoms' factors (p or 1 - p) in atom order; a block's weights are
 built as a Kronecker product in that order, which makes the same
 multiplications, so they equal a per-world loop's bit for bit.
-``math.fsum`` (exactly rounded) sums the satisfying weights, so the
-result depends on neither order nor blocking.
+The satisfying weights are summed exactly (``_exact_sum``): each splits
+into an integer mantissa and an exponent, the mantissas add up per
+exponent in float64 without rounding, the bins carry over blocks as one
+Python integer, and a single integer division rounds the total
+correctly.  The result is the float ``math.fsum`` returns, and depends
+on neither order nor blocking.
 
 The 20-atom cap (about a million worlds) keeps the oracle exact rather
 than sampled, and ``WORLD_INSTANCE_CAP`` bounds its work; a grounding
@@ -34,7 +38,8 @@ rejected, naming its atom, before any world is weighted.
 
 The fuzzy side of the comparison uses product t-norm/t-conorm, the
 Reichenbach implication and the log-product aggregator, exponentiated
-back into probability space.  When every ground atom occurs at most
+back into probability space; it needs the formula values only, so it
+runs the valuation's forward pass alone.  When every ground atom occurs at most
 once in the grounded knowledge base the two sides agree; repeated atoms
 make the fuzzy side drift (the P AND NOT(P AND Q) example).
 """
@@ -51,8 +56,9 @@ import numpy as np
 from .logic import KnowledgeBase, compile_formula
 from .operators import OperatorConfig
 from .valuation import (INSTANCE_CAP, Domain, LookupInterpretation,
-                        SemanticError, _atom_text, _valuate, build_grounding,
-                        check_instance_cap, classical_values)
+                        SemanticError, _atom_text, _forward_values,
+                        build_grounding, check_instance_cap,
+                        classical_values)
 
 __all__ = [
     "WorldCapError", "AtomOccurrence", "EquivalenceReport",
@@ -242,6 +248,49 @@ def _blocks(p: list, satisfied: np.ndarray, live_only: bool):
         yield start, weight, ok
 
 
+# a part's mantissas are added as two halves below 2**27 each, per
+# exponent; over at most 2**14 values every bin stays below 2**42, and
+# 11 adjacent bins weighed by powers of two below 2**53, so float64 adds
+# them exactly
+_SUM_CHUNK = 2 ** 14
+_GROUP = 11
+_PLACES = 2.0 ** np.arange(_GROUP)
+# 2**-1126 is a unit of every float: the least mantissa bit of the
+# smallest subnormal, 2**-1074, sits at 2**(-1073 - 53) after frexp
+_ULP_SHIFT = 1073
+_ULP_SCALE = 1 << (_ULP_SHIFT + 53)
+
+
+def _exact_sum(parts) -> float:
+    """The correctly rounded sum of every value in ``parts``, an iterable
+    of 1-d arrays of finite non-negative floats: the float ``math.fsum``
+    returns for them.  Each value is m * 2**(e - 53) with an integer
+    mantissa m < 2**53 (``np.frexp``); the mantissas add up per exponent,
+    as a high and a low half, through ``np.bincount``, the bins carry
+    into one Python integer in units of 2**-1126, and one integer
+    division rounds it."""
+    total = 0
+    for values in parts:
+        for start in range(0, len(values), _SUM_CHUNK):
+            m, e = np.frexp(values[start:start + _SUM_CHUNK])
+            m *= 2.0 ** 53
+            hi = np.floor(m * 2.0 ** -26)
+            lo = m - hi * 2.0 ** 26
+            base = int(e.min())
+            e -= base
+            size = int(e.max()) + 27
+            size += -size % _GROUP
+            # bit j of the part's integer, less its lowest exponent
+            bits = np.bincount(e, lo, minlength=size)
+            bits[26:] += np.bincount(e, hi, minlength=size - 26)
+            groups = (bits.reshape(-1, _GROUP) @ _PLACES).tolist()
+            part = 0
+            for group in reversed(groups):
+                part = (part << _GROUP) + int(group)
+            total += part << (base + _ULP_SHIFT)
+    return total / _ULP_SCALE
+
+
 def world_table(kb: KnowledgeBase, probs, batch: list):
     """(atoms, rows) where rows yields (bits, satisfied, probability) per
     world, one block of worlds at a time."""
@@ -261,9 +310,8 @@ def semantic_probability(kb: KnowledgeBase, probs, batch: list) -> float:
     """Probability of sampling a world consistent with the grounded KB
     under independent atom probabilities."""
     plan, p = _weighing(kb, probs, batch)
-    blocks = _blocks(p, plan.satisfied, live_only=True)
-    return math.fsum(itertools.chain.from_iterable(
-        weight[ok].tolist() for _, weight, ok in blocks))
+    return _exact_sum(weight.compress(ok) for _, weight, ok
+                      in _blocks(p, plan.satisfied, live_only=True))
 
 
 def semantic_loss(kb: KnowledgeBase, probs, batch: list) -> float:
@@ -289,8 +337,8 @@ def dpfl_valuation(kb: KnowledgeBase, probs, batch: list) -> float:
     g = build_grounding(LookupInterpretation(table), domain, kb.signature,
                         batch)
     log_total = 0.0
-    for out in _valuate(kb.formulas(), g, DPFL_CONFIG, None):
-        log_total += out.value
+    for value in _forward_values(kb.formulas(), g, DPFL_CONFIG):
+        log_total += value
     return math.exp(log_total)
 
 

@@ -327,9 +327,9 @@ class _BatchInterpretation:
         return self.S if pred == "same" else self.P[:, DIGITS.index(pred)]
 
 
-def _ce_gradients(model, X, y, grads):
-    # summed (not averaged) cross entropy, matching the summed fuzzy loss
-    H = model.hidden(X)
+def _ce_gradients(model, X, H, y, grads):
+    # summed (not averaged) cross entropy, matching the summed fuzzy loss;
+    # H is model.hidden(X)
     P = _softmax(H @ model.theta["W2"] + model.theta["b2"])
     n = len(y)
     picked = np.clip(P[np.arange(n), y], 1e-12, None)
@@ -352,21 +352,24 @@ def _same_pairs(rng, y_batch):
     return pos, neg
 
 
-def _same_bce_gradients(model, X, pos, neg, grads):
-    H = model.hidden(X)
+def _same_bce_gradients(model, X, H, pos, neg, grads, loss=True):
+    """Add the same-pair BCE gradient to ``grads``, H being
+    model.hidden(X); return the loss, or None unless ``loss``."""
     Z = model.same_logits(H)
     S = _sigmoid(Z)
     pairs = np.concatenate([np.reshape(pos, (-1, 2)), np.reshape(neg, (-1, 2))])
     if not len(pairs):
-        return 0.0
+        return 0.0 if loss else None
     positive = np.arange(len(pairs)) < len(pos)
     s = np.clip(S[pairs[:, 0], pairs[:, 1]], 1e-12, 1 - 1e-12)
-    # math.log and an in-order cumulative sum keep the loss bit-identical
-    # to summing the pair terms one by one
-    terms = list(map(math.log, np.where(positive, s, 1 - s).tolist()))
     dZ = np.zeros_like(Z)
     dZ[pairs[:, 0], pairs[:, 1]] = s - positive
     model.same_backward(X, H, dZ, grads)
+    if not loss:
+        return None
+    # math.log and an in-order cumulative sum keep the loss bit-identical
+    # to summing the pair terms one by one
+    terms = list(map(math.log, np.where(positive, s, 1 - s).tolist()))
     return -float(np.cumsum(terms)[-1])
 
 
@@ -441,10 +444,16 @@ def semi_supervised_train(task: SyntheticTask, config: TrainConfig):
         else:
             sup_idx = labeled
         X_sup, y_sup = task.X[sup_idx], task.y[sup_idx]
+        record = step % config.eval_interval == 0 or step == config.steps
         grads = model.zero_grads()
-        loss_sup = _ce_gradients(model, X_sup, y_sup, grads)
+        H_sup = model.hidden(X_sup)
+        loss_sup = _ce_gradients(model, X_sup, H_sup, y_sup, grads)
         pos, neg = _same_pairs(rng, y_sup)
-        loss_sup += _same_bce_gradients(model, X_sup, pos, neg, grads)
+        # the pair loss is only reported, on recording steps
+        loss_bce = _same_bce_gradients(model, X_sup, H_sup, pos, neg, grads,
+                                       loss=record)
+        if record:
+            loss_sup += loss_bce
         loss_dfl = 0.0
         batch_global = None
         grounding = None
@@ -457,7 +466,7 @@ def semi_supervised_train(task: SyntheticTask, config: TrainConfig):
                 model, task.X[batch_global], kb, config.ops, config.w_dfl,
                 grads)
         model.apply_step(grads, config.lr)
-        if step % config.eval_interval == 0 or step == config.steps:
+        if record:
             if grounding is not None:
                 quality = gradient_quality(kb, grounding, config.ops,
                                            _quality_labels(task, batch_global))

@@ -17,12 +17,20 @@ feed another connective: its whole quantifier block is one flat
 aggregation over all b**d instances (equal, as log turns the nested
 product into a sum).
 
-The backward pass runs over the same program in reverse, summing each
+A stack runs in two passes that read one schedule, cached per stack,
+batch size and log-space flag: every step's array shape, the broadcast
+and transposes of each aggregation, and the axes each adjoint sums
+over.  The forward pass (``_forward``) computes every step's array and
+local partials, checking that each is finite.  The backward pass
+(``_backward``) runs over the same program in reverse, summing each
 adjoint over the axes its operand was broadcast along, and scatters each
 atom step's adjoint into the formula's gradient row, d(valuation)/d(atom)
-over the atom vector.  ``loss_gradient`` sums the rows times -weight in
-reverse knowledge-base order, the order in which ``Tape.backward`` from
-``dfl_loss`` accumulates them, so the two agree bit for bit.  Only
+over the atom vector.  ``_valuate`` runs both; ``_forward_values``, for
+callers that need only the values (the oracle), stops after the
+forward pass.  ``loss_gradient`` adds the rows times -weight one after
+another, in reverse knowledge-base order, the order in which
+``Tape.backward`` from ``dfl_loss`` accumulates them, so the two agree
+bit for bit.  Only
 callers that ask for nodes use the scalar tape: ``valuate`` and
 ``dfl_loss`` record each formula as one fused node over the atom leaves,
 which a grounding records when ``nodes``, ``tape`` or ``node()`` is
@@ -382,31 +390,39 @@ def _non_finite(ops: OperatorConfig, op: str, what: str, x) -> ValueError:
 
 
 def _check_finite(ops: OperatorConfig, op: str, value, partials):
+    """Raise the tape's error for the first non-finite entry of ``value``,
+    then of each partial.  One sum over them all is finite when every
+    entry is; only when it is not (a non-finite entry, or overflow) are
+    the arrays searched one by one."""
+    total = np.add.reduce(value, axis=None)
+    for partial in partials:
+        total += np.add.reduce(partial, axis=None)
+    if math.isfinite(total):
+        return
     for what, arr in [("value", value)] + [("partial", p) for p in partials]:
-        if math.isfinite(np.sum(arr)):  # else a non-finite entry, or overflow
-            continue
         finite = np.isfinite(arr)
         if not finite.all():
             raise _non_finite(ops, op, what, np.asarray(arr)[~finite][0])
 
 
-def _move(x: np.ndarray, source: tuple, destination: tuple) -> np.ndarray:
-    """``np.moveaxis`` for non-negative axes, without its axis checks."""
-    if source == destination:
-        return x
-    order = [k for k in range(x.ndim) if k not in source]
+def _order(ndim: int, source: tuple, destination: tuple) -> tuple:
+    """The transpose order of ``np.moveaxis(x, source, destination)`` for
+    an ``x`` of ``ndim`` axes and non-negative axes."""
+    order = [k for k in range(ndim) if k not in source]
     for dest, src in sorted(zip(destination, source)):
         order.insert(dest, src)
-    return x.transpose(order)
+    return tuple(order)
 
 
-def _reduce_to(adjoint: np.ndarray, shape) -> np.ndarray:
-    """Sum ``adjoint`` over the axes an operand of ``shape`` was broadcast
-    along, except the leading formula axis: each formula of a stack keeps
-    its own adjoint."""
-    axes = tuple(k for k, (n, m) in enumerate(zip(adjoint.shape, shape))
-                 if k and m == 1 and n != 1)
-    return adjoint.sum(axis=axes, keepdims=True) if axes else adjoint
+def _spread_axes(shape: tuple, wide: tuple) -> tuple:
+    """The axes, past the leading formula axis, along which an operand
+    of ``shape`` is broadcast to ``wide``: its adjoint sums over them, as
+    each formula of a stack keeps its own."""
+    return tuple(k for k in range(1, len(wide)) if shape[k] == 1 != wide[k])
+
+
+def _sum_over(adjoint: np.ndarray, axes: tuple) -> np.ndarray:
+    return np.add.reduce(adjoint, axis=axes, keepdims=True) if axes else adjoint
 
 
 def _log_product_error() -> SemanticError:
@@ -415,11 +431,71 @@ def _log_product_error() -> SemanticError:
         "appear as the outermost quantifier of a prenex formula")
 
 
-def _stack_pass(programs: tuple, g, ops, mu) -> list:
-    """Forward and backward pass of programs of one shape as a stack:
-    every array has a leading formula axis, then one axis per quantified
-    variable."""
-    b, F = len(g.batch), len(programs)
+_CONNECTIVES = ("and", "or", "implies")
+
+
+class _Schedule:
+    """What a stack pass of ``programs`` over ``b`` objects does that no
+    value changes: every step's array shape (``shapes``); per quantifier
+    step the shape its body is broadcast to (``spread``, None when the
+    body has it) and the transposes and shapes of its aggregation
+    (``moves``); per connective and quantifier step the axes along which
+    each operand's adjoint sums (``sums``).  ``log_error`` is the first
+    quantifier step whose log-product output would feed a connective, or
+    None.  One object per programs, batch size and log-space flag
+    (``_schedule``)."""
+
+    def __init__(self, programs: tuple, b: int, log_space: bool):
+        instrs = programs[0].instrs
+        ndim = 1 + programs[0].n_axes
+        self.log_space, self.log_error = log_space, None
+        self.shapes: list = []
+        self.spread, self.moves, self.sums = ([None] * len(instrs)
+                                              for _ in range(3))
+        for i, instr in enumerate(instrs):
+            args = [self.shapes[k] for k in instr.args]
+            if instr.op == "atom":
+                axes = {t + 1 for t in instr.terms if isinstance(t, int)}
+                shape = (len(programs),) + tuple(
+                    b if k in axes else 1 for k in range(1, ndim))
+            elif instr.op == "not":
+                shape = args[0]
+            elif instr.op == "forall":
+                if log_space and not instr.root and self.log_error is None:
+                    self.log_error = i
+                axes = tuple(k + 1 for k in instr.axes)
+                full = tuple(b if k in axes else n
+                             for k, n in enumerate(args[0]))
+                shape = tuple(1 if k in axes else n for k, n in enumerate(full))
+                self.spread[i] = None if full == args[0] else full
+                self.sums[i] = (_spread_axes(args[0], full),)
+                if log_space:
+                    # one flat aggregation over every instance of the block
+                    head = tuple(range(len(axes)))
+                    order = _order(ndim, axes, head)
+                    moved = tuple(full[k] for k in order)
+                    self.moves[i] = (order, (-1,) + moved[len(axes):], moved,
+                                     _order(ndim, head, axes))
+                else:
+                    levels, level = [], list(full)
+                    for k in reversed(axes):  # innermost first
+                        level[k] = 1
+                        levels.append((_order(ndim, (k,), (0,)),
+                                       _order(ndim, (0,), (k,)), tuple(level)))
+                    self.moves[i] = levels
+            else:
+                shape = np.broadcast_shapes(*args)
+                self.sums[i] = tuple(_spread_axes(arg, shape) for arg in args)
+            self.shapes.append(shape)
+
+
+# each entry keeps its programs alive, as ``_gather_index`` does
+_schedule = functools.lru_cache(maxsize=32)(_Schedule)
+
+
+def _gathers(programs: tuple, g: GroundingTable, mu: dict):
+    """``_gather_index`` of a stack on ``g`` under ``mu``, or the
+    SemanticError of the first step that cannot gather."""
     fixed = tuple((var, g.position(obj)) for var, obj in sorted(mu.items()))
     index = _gather_index(programs, g.layout, fixed)
     if isinstance(index, tuple):
@@ -430,13 +506,21 @@ def _stack_pass(programs: tuple, g, ops, mu) -> list:
         example = [g.batch[0] if isinstance(t, int) else mu[t]
                    for t in instr.terms]  # the objects of one instance
         raise _missing(instr.atom.pred, example, g.names)
+    return index
+
+
+def _forward(programs: tuple, plan: _Schedule, g: GroundingTable, ops,
+             index: dict) -> tuple:
+    """(values, local) of a stack of programs of one shape: every step's
+    array, with a leading formula axis and then one axis per quantified
+    variable, and per connective its local partials, per quantifier its
+    aggregation partials (outermost first)."""
     instrs = programs[0].instrs
     values: list = [None] * len(instrs)
-    local: list = [None] * len(instrs)  # local partials, or forall levels
+    local: list = [None] * len(instrs)
     kernels = ops.arrays
     binary = {"and": kernels.tnorm, "or": kernels.tconorm,
               "implies": kernels.implication}
-    log_space = ops.aggregator == "log_product"
     for i, instr in enumerate(instrs):
         op = instr.op
         if op == "atom":
@@ -444,33 +528,25 @@ def _stack_pass(programs: tuple, g, ops, mu) -> list:
         elif op == "not":
             values[i] = 1.0 - values[instr.args[0]]
         elif op == "forall":
-            if log_space and not instr.root:
+            if i == plan.log_error:
                 raise _log_product_error()
-            axes = tuple(k + 1 for k in instr.axes)
-            body = values[instr.args[0]]
-            shape = list(body.shape)
-            for k in axes:
-                shape[k] = b
-            X = np.broadcast_to(body, shape)
-            if log_space:
-                # one flat aggregation over every instance of the block
-                head = tuple(range(len(axes)))
-                moved = _move(X, axes, head)
-                v, P = kernels.aggregate(
-                    moved.reshape((-1,) + moved.shape[len(axes):]))
+            X = values[instr.args[0]]
+            if plan.spread[i] is not None:
+                X = np.broadcast_to(X, plan.spread[i])
+            if plan.log_space:
+                order, flat, moved, back = plan.moves[i]
+                v, P = kernels.aggregate(X.transpose(order).reshape(flat))
                 _check_finite(ops, op, v, [P])
-                levels = [_move(P.reshape(moved.shape), head, axes)]
-                for k in axes:
-                    shape[k] = 1
-                v = v.reshape(shape)
+                levels = [P.reshape(moved).transpose(back)]
+                v = v.reshape(plan.shapes[i])
             else:
                 levels = []
                 v = X
-                for k in reversed(axes):  # innermost first
-                    agg, P = kernels.aggregate(_move(v, (k,), (0,)))
+                for front, back, shape in plan.moves[i]:
+                    agg, P = kernels.aggregate(v.transpose(front))
                     _check_finite(ops, op, agg, [P])
-                    levels.append(_move(P, (0,), (k,)))
-                    v = np.expand_dims(agg, k)
+                    levels.append(P.transpose(back))
+                    v = agg.reshape(shape)
                 levels.reverse()
             local[i] = levels
             values[i] = v
@@ -480,13 +556,26 @@ def _stack_pass(programs: tuple, g, ops, mu) -> list:
             _check_finite(ops, op, v, partials)
             local[i] = partials
             values[i] = v
-    root = len(instrs) - 1
+    return values, local
+
+
+def _root_values(values: list, F: int) -> list:
+    """Each formula's value, as a Python float, from a stack's arrays."""
+    return values[-1].reshape(F, -1)[:, 0].tolist()
+
+
+def _backward(programs: tuple, plan: _Schedule, g: GroundingTable,
+              index: dict, values: list, local: list) -> list:
+    """The backward pass over a stack's forward arrays, in reverse
+    program order: one ``FormulaPass`` per program."""
+    instrs = programs[0].instrs
+    F, root = len(programs), len(instrs) - 1
     rows = np.zeros((F, g.layout.size))
     flat_rows = rows.reshape(-1)
     adjoints: list = [None] * len(instrs)
-    adjoints[root] = np.ones(values[root].shape)
-    outs = [FormulaPass(v, rows[f], f) for f, v in
-            enumerate(values[root].reshape(F, -1)[:, 0].tolist())]
+    adjoints[root] = np.ones(plan.shapes[root])
+    outs = [FormulaPass(v, rows[f], f)
+            for f, v in enumerate(_root_values(values, F))]
     for i in range(root, -1, -1):
         instr, adj = instrs[i], adjoints[i]
         op = instr.op
@@ -500,14 +589,31 @@ def _stack_pass(programs: tuple, g, ops, mu) -> list:
                 adj = adj * P
             body = instr.args[0]
             if instr.root:
-                partials = local[body] if instrs[body].op in binary else None
+                partials = (local[body] if instrs[body].op in _CONNECTIVES
+                            else None)
                 for out in outs:
                     out.stack_adjoint, out.stack_partials = adj, partials
-            adjoints[body] = _reduce_to(adj, values[body].shape)
+            adjoints[body] = _sum_over(adj, plan.sums[i][0])
         else:
-            for arg, partial in zip(instr.args, local[i]):
-                adjoints[arg] = _reduce_to(adj * partial, values[arg].shape)
+            for arg, partial, axes in zip(instr.args, local[i], plan.sums[i]):
+                adjoints[arg] = _sum_over(adj * partial, axes)
     return outs
+
+
+def _forward_stacks(formulas: list, g: GroundingTable, ops: OperatorConfig,
+                    mu):
+    """Per stack of ``formulas`` of one program shape: (the positions of
+    its formulas, its programs, schedule and gather indices, and its
+    forward arrays)."""
+    mu = dict(mu) if mu else {}
+    programs = tuple(compile_formula(f) for f in formulas)
+    check_instance_cap(programs, len(g.batch), g.layout.size)
+    log_space = ops.aggregator == "log_product"
+    for members in _stacks(programs):
+        stack = tuple(programs[k] for k in members)
+        index = _gathers(stack, g, mu)
+        plan = _schedule(stack, len(g.batch), log_space)
+        yield members, stack, plan, index, _forward(stack, plan, g, ops, index)
 
 
 def formula_pass(f, g: GroundingTable, ops: OperatorConfig) -> FormulaPass:
@@ -523,19 +629,31 @@ def _valuate(formulas: list, g: GroundingTable, ops: OperatorConfig,
              mu) -> list:
     """Passes of ``formulas``, one stack per program shape; without ``mu``
     each is kept on ``g.passes``."""
-    mu = dict(mu) if mu else {}
-    programs = tuple(compile_formula(f) for f in formulas)
-    check_instance_cap(programs, len(g.batch), g.layout.size)
     passes = [None] * len(formulas)
-    for members in _stacks(programs):
-        with np.errstate(all="ignore"):
-            stack = _stack_pass(tuple(programs[k] for k in members), g, ops, mu)
-        for k, out in zip(members, stack):
-            passes[k] = out
+    with np.errstate(all="ignore"):
+        for members, stack, plan, index, (values, local) in _forward_stacks(
+                formulas, g, ops, mu):
+            outs = _backward(stack, plan, g, index, values, local)
+            for k, out in zip(members, outs):
+                passes[k] = out
     if not mu:
         for f, out in zip(formulas, passes):
             g.passes[id(f)] = (f, ops, out)
     return passes
+
+
+def _forward_values(formulas: list, g: GroundingTable, ops: OperatorConfig,
+                   mu: dict | None = None) -> list:
+    """The value of each of ``formulas`` under ``g``, ``ops`` and ``mu``,
+    as ``_valuate`` finds it, from the forward pass alone: no gradient
+    row, adjoint or pass is built or kept."""
+    out = [None] * len(formulas)
+    with np.errstate(all="ignore"):
+        for members, stack, _, _, (values, _) in _forward_stacks(
+                formulas, g, ops, mu):
+            for k, value in zip(members, _root_values(values, len(stack))):
+                out[k] = value
+    return out
 
 
 def _record(g: GroundingTable, formula, out: FormulaPass) -> Node:
@@ -600,19 +718,23 @@ def loss_gradient(kb: KnowledgeBase, g: GroundingTable,
     """(L, dL/datom over ``g``'s atom vector) for L = -sum over formulas
     of weight * valuation.
 
-    The weighted rows are summed in reverse knowledge-base order, the
-    order in which ``Tape.backward`` from ``dfl_loss`` accumulates them,
-    so both give the same gradient bit for bit."""
-    grad = np.zeros(g.layout.size)
+    The weighted rows are summed one after another onto zeros, in
+    reverse knowledge-base order, the order in which ``Tape.backward``
+    from ``dfl_loss`` accumulates them, so both give the same gradient
+    bit for bit."""
     if not kb.entries:
-        return 0.0, grad
+        return 0.0, np.zeros(g.layout.size)
     passes = _valuate(kb.formulas(), g, ops, None)
     loss = -sum(w * out.value for (_, w), out in zip(kb.entries, passes))
     if not math.isfinite(loss):
         raise ValueError(f"loss: non-finite value {loss!r}")
-    for (_, w), out in zip(reversed(kb.entries), reversed(passes)):
-        grad += -w * out.row
-    return loss, grad
+    terms = np.empty((len(passes) + 1, g.layout.size))
+    terms[0] = 0.0
+    np.multiply(np.array([-w for _, w in reversed(kb.entries)])[:, None],
+                [out.row for out in reversed(passes)], out=terms[1:])
+    # accumulate adds down the rows in order; np.add.reduce and np.sum
+    # would add them pairwise, which rounds differently
+    return loss, np.add.accumulate(terms, axis=0)[-1]
 
 
 def dfl_loss(kb: KnowledgeBase, g: GroundingTable,

@@ -108,6 +108,21 @@ def test_fraction_estimate_requires_enough_samples():
         estimate_nonvanishing_fraction(descriptor("tnorm", "product"), 2, 100, 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda seed: estimate_nonvanishing_fraction(
+        descriptor("tnorm", "product"), 2, 10_000, seed),
+    lambda seed: single_passing_audit(descriptor("tnorm", "product"), 2,
+                                      seed=seed),
+    lambda seed: single_passing_audit(
+        composed(descriptor("tnorm", "godel"),
+                 [descriptor("tnorm", "godel")] * 2), 4, seed=seed),
+], ids=["fraction", "single_passing", "single_passing_callable"])
+def test_negative_seed_is_refused_by_name(call):
+    with pytest.raises(ValueError, match=r"need seed >= 0, got seed=-1$"):
+        call(-1)
+    call(0)  # the smallest seed still runs
+
+
 def test_fraction_estimate_reproducible():
     a = _estimate("aggregator", "lukasiewicz", 3, seed=7)
     b = _estimate("aggregator", "lukasiewicz", 3, seed=7)

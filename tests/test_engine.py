@@ -5,6 +5,7 @@ raise the same exceptions."""
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from dfl.logic import (And, Atom, ForAll, Implies, KnowledgeBase, Not, Or,
 from dfl.operators import (AGGREGATOR_NAMES, IMPLICATION_NAMES, TCONORM_NAMES,
                            TNORM_NAMES, parse_operator_config)
 from dfl.valuation import (Domain, LookupInterpretation, SemanticError,
-                           build_grounding, dfl_loss, loss_gradient, valuate)
+                           _forward_values, _valuate, build_grounding,
+                           dfl_loss, loss_gradient, valuate)
 
 BASE = "tnorm=product tconorm=product implication=reichenbach aggregator=product"
 
@@ -135,6 +137,36 @@ def test_engine_matches_scalar_reference(override):
                 assert _close(got[1][key], grad), (override, formula, key)
 
 
+def _values_or_error(fn, formulas, table, batch, ops, mu):
+    try:
+        return [value.hex() for value in fn(formulas, _grounding(table, batch),
+                                            ops, mu)]
+    except (SemanticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("override", CONFIGS)
+def test_forward_values_are_the_pass_values_bit_for_bit(override):
+    ops = parse_operator_config(f"{BASE} {override}")
+    rng = random.Random(f"forward {override}")
+    for trial in range(6):
+        table = _table(rng, ties=trial % 2 == 1)
+        prenex, nested, free = _random_formulas(rng)
+        batch = [[0], [0, 2], [0, 1, 2]][trial % 3]
+        # prenex + [free] stacks formulas of one shape, [nested] raises
+        # under log_product, and free needs mu
+        cases = [(prenex, None), (prenex + prenex[::-1], None),
+                 ([nested], None)]
+        cases += [([free] + prenex, {"z": obj}) for obj in batch[:2]]
+        for formulas, mu in cases:
+            want = _values_or_error(
+                lambda *args: [out.value for out in _valuate(*args)],
+                formulas, table, batch, ops, mu)
+            got = _values_or_error(_forward_values, formulas, table, batch,
+                                   ops, mu)
+            assert got == want, (override, formulas)
+
+
 def test_log_product_under_a_connective_is_rejected_by_both():
     ops = parse_operator_config("aggregator=log_product")
     _, nested, _ = _random_formulas(random.Random(1))
@@ -176,8 +208,15 @@ def test_non_finite_valuations_raise_value_error(config, q, batch):
     for valuate_fn in (valuate, scalar_reference.valuate):
         g = build_grounding(LookupInterpretation(table), domain,
                             {"p": 1, "q": 1}, batch, clamp_eps=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as raised:
             valuate_fn(formula, g, ops)
+        if valuate_fn is valuate:
+            message = str(raised.value)
+    # the forward pass alone raises the same error
+    g = build_grounding(LookupInterpretation(table), domain,
+                        {"p": 1, "q": 1}, batch, clamp_eps=0.0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _forward_values([formula], g, ops)
 
 
 def _reference_quality(kb, g, ops, atom_fn):
@@ -297,6 +336,36 @@ def test_loss_gradient_is_the_tape_gradient_bit_for_bit(override):
         assert _close(loss, root.value)
         for key, d in zip(g.keys(), grad.tolist()):
             assert _close(d, adjoints[g.nodes[key]]), (override, key)
+
+
+@pytest.mark.parametrize("override", ["", "tnorm=godel aggregator=min"])
+def test_loss_gradient_adds_many_rows_in_tape_order(override):
+    # with one atom every row is one column, where np.sum and np.add.reduce
+    # would add the rows pairwise; 12 formulas and spread weights make
+    # pairwise and in-order sums differ
+    ops = parse_operator_config(f"{BASE} {override}")
+    rng = random.Random(f"one atom {override}")
+    bodies = [Atom("p", ("x",)), Not(Atom("p", ("x",))),
+              Or(Atom("p", ("x",)), Not(Atom("p", ("x",)))),
+              Implies(Atom("p", ("x",)), And(Atom("p", ("x",)),
+                                             Atom("p", ("x",))))]
+    for trial in range(20):
+        kb = KnowledgeBase(signature={"p": 1})
+        kb.entries = [(ForAll(("x",), rng.choice(bodies)),
+                       rng.choice([1.0, 1e-3, 7.0]) * rng.uniform(0.1, 9.0))
+                      for _ in range(12)]
+        table = {("p", (0,)): rng.random()}
+
+        def grounding():
+            return build_grounding(LookupInterpretation(table), Domain(["a"]),
+                                   {"p": 1}, [0])
+
+        g = grounding()
+        loss, grad = loss_gradient(kb, g, ops)
+        assert len(grad) == 1
+        tape_loss, tape_grad = _tape_loss_gradient(kb, grounding(), ops)
+        assert loss == tape_loss
+        assert grad.tobytes() == tape_grad.tobytes()
 
 
 @pytest.mark.parametrize("override", ["", "aggregator=log_product",

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import dfl.oracle as oracle
@@ -381,3 +382,58 @@ def test_cached_plan_at_the_atom_cap_stays_small():
     assert held <= 1.1 * 2 ** 20, held
     # so the cache holds at most about 9 MB
     assert oracle._plan.cache_info().maxsize <= 8
+
+
+def _fsum(parts):
+    return math.fsum(x for part in parts for x in part.tolist())
+
+
+@pytest.mark.parametrize("parts", [
+    [np.zeros(7)],  # every world weighs 0 at p in {0, 1}
+    [np.array([0.0, 1.0, 0.0, 1.0, 1.0])],
+    [np.array([5e-324])],
+    [np.full(3, 5e-324), np.array([2.2250738585072014e-308, 0.0])],
+    [np.array([1.0, 5e-324, 1e-300, 2.0 ** -1022])],  # 1074 binades
+    [np.array([2.0 ** -k for k in range(0, 1075, 7)])],
+    [np.array([1.0] + [2.0 ** -60] * 3 + [2.0 ** -53])],  # ties to even
+    [np.full(2 ** 14, 0.1), np.array([0.7])],  # 2**14 + 1 over two blocks
+    [np.full(2 ** 14, 1.0 - 2.0 ** -53)],  # every mantissa bit set
+    [np.full(2 ** 14 + 1, 5e-324)],  # past one bincount part
+    [np.full(1000, 0.3)],
+    [np.array([0.123456789])],
+    [],
+    [np.zeros(0), np.zeros(0)],
+], ids=["zeros", "zeros-ones", "subnormal", "subnormals", "spread",
+        "spread-every-7", "ties", "two-blocks", "full-mantissas",
+        "long-subnormal", "all-equal", "one", "no-parts", "no-values"])
+def test_exact_sum_is_fsum_bit_for_bit(parts):
+    got = oracle._exact_sum(iter(parts))
+    assert type(got) is float
+    assert got.hex() == _fsum(parts).hex()
+
+
+def test_exact_sum_is_fsum_on_random_weights():
+    rng = np.random.default_rng(13)
+    for trial in range(300):
+        n = int(rng.integers(1, 3000))
+        kind = trial % 4
+        if kind == 0:  # products of 14 factors, as world weights are
+            values = rng.uniform(0.05, 0.95, (n, 14)).prod(axis=1)
+        elif kind == 1:
+            values = rng.random(n) ** int(rng.integers(1, 80))
+        elif kind == 2:  # any binade, subnormals included
+            values = np.ldexp(rng.random(n), -rng.integers(0, 1075, n))
+        else:
+            values = np.where(rng.random(n) < 0.4, 0.0, rng.random(n))
+        parts = np.array_split(values, int(rng.integers(1, 5)))
+        assert oracle._exact_sum(parts) == _fsum(parts), trial
+
+
+def test_probabilities_zero_and_one_match_loop():
+    kb = parse_kb("forall x: p(x) | q(x) -> r(x)")
+    batch = [0, 1]
+    for values in [(0.0, 1.0), (1.0, 1.0), (0.0, 0.0), (1e-300, 1.0 - 1e-16)]:
+        rng = random.Random(str(values))
+        probs = {atom: rng.choice(values + (0.5,))
+                 for atom in reference.occurrence_counts(kb, batch)}
+        _assert_matches_loop(kb, probs, batch)

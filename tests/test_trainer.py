@@ -160,19 +160,20 @@ def test_gradient_step_identity():
     X_sup, y_sup = task.X[sup_idx], task.y[sup_idx]
     batch = task.unlabeled_idx[:4]
     w_dfl = 10.0
+    H_sup = model.hidden(X_sup)
 
     g_sup = model.zero_grads()
-    _ce_gradients(model, X_sup, y_sup, g_sup)
+    _ce_gradients(model, X_sup, H_sup, y_sup, g_sup)
     g_same = model.zero_grads()
     pos, neg = _same_pairs(rng, y_sup)
-    _same_bce_gradients(model, X_sup, pos, neg, g_same)
+    _same_bce_gradients(model, X_sup, H_sup, pos, neg, g_same)
     g_dfl = model.zero_grads()
     _dfl_gradients(model, task.X[batch], kb, OperatorConfig(
         aggregator="log_product"), 1.0, g_dfl)
 
     combined = model.zero_grads()
-    _ce_gradients(model, X_sup, y_sup, combined)
-    _same_bce_gradients(model, X_sup, pos, neg, combined)
+    _ce_gradients(model, X_sup, H_sup, y_sup, combined)
+    _same_bce_gradients(model, X_sup, H_sup, pos, neg, combined)
     _dfl_gradients(model, task.X[batch], kb, OperatorConfig(
         aggregator="log_product"), w_dfl, combined)
 
@@ -280,12 +281,18 @@ def test_same_pairs_and_bce_match_loop_version(labels):
     assert [tuple(p) for p in neg.tolist()] == loop_neg
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
     grads, loop_grads = model.zero_grads(), model.zero_grads()
-    loss = _same_bce_gradients(model, X, pos, neg, grads)
+    loss = _same_bce_gradients(model, X, model.hidden(X), pos, neg, grads)
     loop_loss = _loop_same_bce_gradients(model, X, loop_pos, loop_neg,
                                          loop_grads)
     assert loss == loop_loss
     for key in model.PARAMS:
         assert np.array_equal(grads[key], loop_grads[key]), key
+    # steps that record no loss add the same gradient
+    quiet = model.zero_grads()
+    assert _same_bce_gradients(model, X, model.hidden(X), pos, neg, quiet,
+                               loss=False) is None
+    for key in model.PARAMS:
+        assert np.array_equal(quiet[key], grads[key]), key
 
 
 # ---------------------------------------------------------------------------
