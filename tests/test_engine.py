@@ -153,8 +153,8 @@ def test_forward_values_are_the_pass_values_bit_for_bit(override):
         table = _table(rng, ties=trial % 2 == 1)
         prenex, nested, free = _random_formulas(rng)
         batch = [[0], [0, 2], [0, 1, 2]][trial % 3]
-        # prenex + [free] stacks formulas of one shape, [nested] raises
-        # under log_product, and free needs mu
+        # prenex twice stacks formulas of one shape, [nested] raises under
+        # log_product, and free needs mu
         cases = [(prenex, None), (prenex + prenex[::-1], None),
                  ([nested], None)]
         cases += [([free] + prenex, {"z": obj}) for obj in batch[:2]]
