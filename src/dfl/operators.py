@@ -1,12 +1,19 @@
 """Fuzzy operator catalog: values plus analytic partial derivatives.
 
-Each operator is defined once, as an array kernel returning
+Each operator is one row of ``_REGISTRY``, keyed by (family, name): its
+array kernel, its parameter rule, its declared properties and its
+nondifferentiable locus, as text and as a predicate.  A kernel returns
 ``(value, partials)`` where ``partials[i]`` is the derivative of the
 value with respect to input i.  Binary kernels (t-norms, t-conorms,
 implications) broadcast their two inputs and their partials broadcast
 against the value; aggregators reduce the first axis of one array and
-return one partial per input.  ``tnorm_array`` and its siblings run a
-kernel on checked arrays, ``OperatorConfig.arrays`` binds a
+return one partial per input.
+
+Everything else reads the rows.  ``_bind`` checks a name and its
+parameter and binds the kernel; the sigmoidal implication, which warps
+a base implication, is the one operator without a row.  ``descriptor``
+and ``catalog`` build descriptors, ``tnorm_array`` and its siblings run
+a kernel on checked arrays, ``OperatorConfig.arrays`` binds a
 configuration's kernels once for the valuation engine, and the scalar
 API (``tnorm``, ``tnorm_kernel``, ``OperatorDescriptor.kernel`` and so
 on) runs the same kernel at one point and returns floats.  The property
@@ -33,8 +40,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import asdict, dataclass, field
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -370,103 +377,267 @@ def _ia_yager_r(a, c, p):
                   scale * (1.0 - c) ** (p - 1.0)))
 
 
-_TNORMS = {"godel": _ta_godel, "product": _ta_product,
-           "lukasiewicz": _ta_lukasiewicz, "drastic": _ta_drastic,
-           "nilpotent": _ta_nilpotent, "yager": _ta_yager}
-_TCONORMS = {"godel": _sa_godel, "product": _sa_product,
-             "lukasiewicz": _sa_lukasiewicz, "drastic": _sa_drastic,
-             "nilpotent": _sa_nilpotent, "yager": _sa_yager}
-# name -> (kernel, parameter rule): None takes no p, "yager" needs p >= 1,
-# "positive" needs p > 0 and a number is the fixed p of an alias
-_AGGREGATORS = {
-    "min": (_aa_min, None),
-    "max": (_aa_max, None),
-    "product": (_aa_product, None),
-    "log_product": (_aa_log_product, None),
-    "lukasiewicz": (_aa_lukasiewicz, None),
-    "bounded_sum": (_aa_bounded_sum, None),
-    "prob_sum": (_aa_prob_sum, None),
-    "yager": (_aa_yager, "yager"),
-    "nilpotent": (_aa_nilpotent, None),
-    "pme": (_aa_pme, "positive"),
-    "pmean": (_aa_pmean, "positive"),
-    "mae": (_aa_pme, 1.0),
-    "rmse": (_aa_pme, 2.0),
-}
-# name -> (kernel, whether it needs p >= 1)
-_IMPLICATIONS = {
-    "kleene_dienes": (_ia_kleene_dienes, False),
-    "reichenbach": (_ia_reichenbach, False),
-    "lukasiewicz": (_ia_lukasiewicz, False),
-    "dubois_prade": (_ia_dubois_prade, False),
-    "fodor": (_ia_fodor, False),
-    "godel": (_ia_godel, False),
-    "goguen": (_ia_goguen, False),
-    "weber": (_ia_weber, False),
-    "yager_s": (_ia_yager_s, True),
-    "yager_r": (_ia_yager_r, True),
-}
+# ---------------------------------------------------------------------------
+# loci
+#
+# A row's ``near(xs, margin, p)`` answers: is this point too close to a
+# kink or a derivative singularity for a central-difference check at
+# h=1e-5?  Steepness guards (for 1/x-style partials) use a fixed band.
+# Loci that several rows share, or that take more than one expression,
+# are the ``_l_*`` functions below; the rest are written in their row.
 
-TNORM_NAMES = tuple(_TNORMS)
-TCONORM_NAMES = tuple(_TCONORMS)
-AGGREGATOR_NAMES = tuple(_AGGREGATORS)
-IMPLICATION_NAMES = tuple(_IMPLICATIONS) + ("sigmoidal",)
+_GUARD = 0.05
+
+
+def _near(u, margin):
+    return abs(u) < margin
+
+
+def _l_none(xs, m, p):
+    return False
+
+
+def _l_tie(xs, m, p):
+    return _near(xs[0] - xs[1], m)
+
+
+def _l_sum1(xs, m, p):
+    return _near(math.fsum(xs) - 1.0, m)
+
+
+def _l_tie_or_sum1(xs, m, p):
+    return _near(xs[0] - xs[1], m) or _near(math.fsum(xs) - 1.0, m)
+
+
+def _l_yager_t(xs, m, p):
+    srad = math.fsum((1.0 - x) ** p for x in xs)
+    return _near(srad - 1.0, m) or srad < _GUARD
+
+
+def _l_yager_s(xs, m, p):
+    srad = math.fsum(x ** p for x in xs)
+    return _near(srad - 1.0, m) or srad < _GUARD
+
+
+def _l_min_tie(xs, m, p):
+    ys = sorted(xs)
+    return len(ys) > 1 and _near(ys[0] - ys[1], m)
+
+
+def _l_max_tie(xs, m, p):
+    ys = sorted(xs)
+    return len(ys) > 1 and _near(ys[-1] - ys[-2], m)
+
+
+def _l_nilpotent_agg(xs, m, p):
+    ys = sorted(xs)
+    return _near(ys[0] + ys[1] - 1.0, m) or (
+        len(ys) > 1 and _near(ys[0] - ys[1], m))
+
+
+def _l_pme(xs, m, p):
+    srad = math.fsum((1.0 - x) ** p for x in xs)
+    if p > 1.0 and srad / len(xs) < _GUARD:
+        return True
+    if p < 1.0 and any(x > 1.0 - _GUARD for x in xs):
+        return True
+    return False
+
+
+def _l_pmean(xs, m, p):
+    srad = math.fsum(x ** p for x in xs)
+    if p > 1.0 and srad / len(xs) < _GUARD:
+        return True
+    if p < 1.0 and any(x < _GUARD for x in xs):
+        return True
+    return False
+
+
+def _l_yager_s_impl(xs, m, p):
+    a, c = xs
+    u = (1.0 - a) ** p + c ** p
+    return _near(u - 1.0, m) or u < _GUARD
+
+
+def _l_yager_r_impl(xs, m, p):
+    a, c = xs
+    if _near(a - c, m):
+        return True
+    u = (1.0 - c) ** p - (1.0 - a) ** p
+    return a > c and abs(u) < _GUARD
 
 
 # ---------------------------------------------------------------------------
-# names and parameters
+# the registry: one row per catalog operator
 
-def _lookup(table: dict, kind: str, name: str):
-    entry = table.get(name)
-    if entry is None:
-        raise OperatorError(f"unknown {kind} {name!r}")
-    return entry
+class _Row(NamedTuple):
+    """One operator.  ``kernel(*xs, p)`` is its array kernel.  ``rule`` is
+    its parameter: None takes no p, ">= 1" and "> 0" require such a p, and
+    a number is the fixed p of an alias.  ``properties`` are its declared
+    properties, and ``at_p1`` the ones it has only at p = 1, where the
+    Yager implications are Lukasiewicz's.  ``locus`` is where finite
+    differences must stay away from, and ``near`` its predicate."""
 
-
-def _need_p(name: str, p):
-    if p is None:
-        raise OperatorError(f"{name} requires parameter p")
-    p = float(p)
-    if p < 1.0:
-        raise OperatorError(f"{name} requires p >= 1, got {p}")
-    return p
-
-
-def _norm_p(kind: str, name: str, p):
-    """The parameter a t-norm or t-conorm runs with (only Yager takes one)."""
-    if name == "yager":
-        return _need_p(f"yager {kind}", p)
-    if p is not None:
-        raise OperatorError(f"{kind} {name} takes no parameter p")
-    return None
+    kernel: Callable
+    rule: object
+    properties: str
+    locus: str
+    near: Callable
+    at_p1: str = ""
 
 
-def _aggregator_p(name: str, p_rule, p):
-    """The parameter an aggregator runs with, by its rule in _AGGREGATORS."""
-    if p_rule is None:
+# the properties every member of a family has by definition
+_NORM = "commutative associative neutral monotone "
+_AGG = "symmetric monotone boundary "
+_IMPL = "boundary monotone "
+
+# a t-conorm shares its t-norm's properties except left-continuity, and
+# its locus where the kernels are self-dual
+_REGISTRY = {
+    ("negation", "classic"): _Row(
+        _negation, None, "strict strong boundary single-passing", "none",
+        _l_none),
+    ("tnorm", "godel"): _Row(
+        _ta_godel, None,
+        _NORM + "idempotent continuous left-continuous single-passing",
+        "a = b", _l_tie),
+    ("tnorm", "product"): _Row(
+        _ta_product, None, _NORM + "strict continuous left-continuous",
+        "none", _l_none),
+    ("tnorm", "lukasiewicz"): _Row(
+        _ta_lukasiewicz, None, _NORM + "continuous left-continuous",
+        "a + b = 1", _l_sum1),
+    ("tnorm", "drastic"): _Row(
+        _ta_drastic, None, _NORM + "single-passing", "a = 1 or b = 1",
+        lambda xs, m, p: xs[0] > 1.0 - m or xs[1] > 1.0 - m),
+    ("tnorm", "nilpotent"): _Row(
+        _ta_nilpotent, None, _NORM + "left-continuous single-passing",
+        "a + b = 1 or a = b", _l_tie_or_sum1),
+    ("tnorm", "yager"): _Row(
+        _ta_yager, ">= 1", _NORM + "continuous left-continuous",
+        "(1-a)^p + (1-b)^p = 1, or -> 0", _l_yager_t),
+    ("tconorm", "godel"): _Row(
+        _sa_godel, None, _NORM + "idempotent continuous single-passing",
+        "a = b", _l_tie),
+    ("tconorm", "product"): _Row(
+        _sa_product, None, _NORM + "strict continuous", "none", _l_none),
+    ("tconorm", "lukasiewicz"): _Row(
+        _sa_lukasiewicz, None, _NORM + "continuous", "a + b = 1", _l_sum1),
+    ("tconorm", "drastic"): _Row(
+        _sa_drastic, None, _NORM + "single-passing", "a = 0 or b = 0",
+        lambda xs, m, p: xs[0] < m or xs[1] < m),
+    ("tconorm", "nilpotent"): _Row(
+        _sa_nilpotent, None, _NORM + "single-passing", "a + b = 1 or a = b",
+        _l_tie_or_sum1),
+    ("tconorm", "yager"): _Row(
+        _sa_yager, ">= 1", _NORM + "continuous", "a^p + b^p = 1, or -> 0",
+        _l_yager_s),
+    ("aggregator", "min"): _Row(
+        _aa_min, None, _AGG + "idempotent single-passing",
+        "tie of two smallest", _l_min_tie),
+    ("aggregator", "max"): _Row(
+        _aa_max, None, _AGG + "idempotent single-passing",
+        "tie of two largest", _l_max_tie),
+    ("aggregator", "product"): _Row(_aa_product, None, _AGG, "none", _l_none),
+    ("aggregator", "log_product"): _Row(
+        _aa_log_product, None, "symmetric monotone",
+        "x = 0 (singular 1/x partials)",
+        lambda xs, m, p: any(x < _GUARD for x in xs)),
+    ("aggregator", "lukasiewicz"): _Row(
+        _aa_lukasiewicz, None, _AGG, "sum = n-1",
+        lambda xs, m, p: _near(math.fsum(xs) - (len(xs) - 1), m)),
+    ("aggregator", "bounded_sum"): _Row(
+        _aa_bounded_sum, None, _AGG, "sum = 1", _l_sum1),
+    ("aggregator", "prob_sum"): _Row(_aa_prob_sum, None, _AGG, "none", _l_none),
+    ("aggregator", "yager"): _Row(
+        _aa_yager, ">= 1", _AGG, "sum (1-x)^p = 1, or -> 0", _l_yager_t),
+    ("aggregator", "nilpotent"): _Row(
+        _aa_nilpotent, None, _AGG + "single-passing",
+        "two smallest sum to 1, or tie", _l_nilpotent_agg),
+    ("aggregator", "pme"): _Row(
+        _aa_pme, "> 0", _AGG + "idempotent", "radicand -> 0", _l_pme),
+    ("aggregator", "pmean"): _Row(
+        _aa_pmean, "> 0", _AGG + "idempotent", "radicand -> 0", _l_pmean),
+    ("aggregator", "mae"): _Row(
+        _aa_pme, 1.0, _AGG + "idempotent", "none", _l_none),
+    ("aggregator", "rmse"): _Row(
+        _aa_pme, 2.0, _AGG + "idempotent", "radicand -> 0", _l_pme),
+    ("implication", "kleene_dienes"): _Row(
+        _ia_kleene_dienes, None, _IMPL + "LN EP CP single-passing",
+        "1 - a = c", lambda xs, m, p: _near(1.0 - xs[0] - xs[1], m)),
+    ("implication", "reichenbach"): _Row(
+        _ia_reichenbach, None, _IMPL + "LN EP CP", "none", _l_none),
+    ("implication", "lukasiewicz"): _Row(
+        _ia_lukasiewicz, None, _IMPL + "LN EP IP CP", "a = c", _l_tie),
+    ("implication", "dubois_prade"): _Row(
+        _ia_dubois_prade, None, _IMPL + "LN EP IP CP single-passing",
+        "a = 1 or c = 0", lambda xs, m, p: xs[0] > 1.0 - m or xs[1] < m),
+    ("implication", "fodor"): _Row(
+        _ia_fodor, None, _IMPL + "LN EP IP CP single-passing",
+        "a = c or 1 - a = c",
+        lambda xs, m, p: (_near(xs[0] - xs[1], m)
+                          or _near(1.0 - xs[0] - xs[1], m))),
+    ("implication", "godel"): _Row(
+        _ia_godel, None, _IMPL + "LN EP IP single-passing", "a = c", _l_tie),
+    ("implication", "goguen"): _Row(
+        _ia_goguen, None, _IMPL + "LN EP IP", "a = c, singular a -> 0",
+        # 1/a and c/a^2 partials: third derivatives defeat h=1e-5
+        # central differences once a is small
+        lambda xs, m, p: _near(xs[0] - xs[1], m) or xs[0] < 0.15),
+    ("implication", "weber"): _Row(
+        _ia_weber, None, _IMPL + "LN EP IP single-passing", "a = 1",
+        lambda xs, m, p: xs[0] > 1.0 - m),
+    ("implication", "yager_s"): _Row(
+        _ia_yager_s, ">= 1", _IMPL + "LN EP CP",
+        "(1-a)^p + c^p = 1, or -> 0", _l_yager_s_impl, at_p1="IP"),
+    ("implication", "yager_r"): _Row(
+        _ia_yager_r, ">= 1", _IMPL + "LN EP IP",
+        "a = c (singular for p > 1)", _l_yager_r_impl, at_p1="CP"),
+}
+
+_KINDS = {"negation": "negation", "tnorm": "t-norm", "tconorm": "t-conorm",
+          "aggregator": "aggregator", "implication": "implication"}
+
+
+def _names(family: str) -> tuple:
+    return tuple(name for fam, name in _REGISTRY if fam == family)
+
+
+TNORM_NAMES = _names("tnorm")
+TCONORM_NAMES = _names("tconorm")
+AGGREGATOR_NAMES = _names("aggregator")
+IMPLICATION_NAMES = _names("implication") + ("sigmoidal",)
+
+
+# ---------------------------------------------------------------------------
+# names, parameters and binding
+
+def _row(family: str, name: str) -> _Row:
+    row = _REGISTRY.get((family, name))
+    if row is None:
+        if family not in _KINDS:
+            raise OperatorError(f"unknown family {family!r}")
+        raise OperatorError(f"unknown {_KINDS[family]} {name!r}")
+    return row
+
+
+def _checked_p(family: str, name: str, p):
+    """The parameter (family, name) runs with, by its row's rule; the name
+    is checked first.  Messages keep the config grammar's words."""
+    rule = _row(family, name).rule
+    kind = _KINDS[family]
+    if rule is None or isinstance(rule, float):
         if p is not None:
-            raise OperatorError(f"{name} takes no parameter p")
-        return None
-    if p_rule == "yager":
-        return _need_p("yager aggregator", p)
-    if p_rule == "positive":
-        if p is None:
-            raise OperatorError(f"{name} requires parameter p")
-        p = float(p)
-        if p <= 0.0:
-            raise OperatorError(f"{name} requires p > 0, got {p}")
-        return p
-    if p is not None:  # fixed-p alias (mae/rmse)
-        raise OperatorError(f"{name} takes no parameter p")
-    return p_rule
-
-
-def _implication_p(name: str, needs_p: bool, p):
-    if needs_p:
-        return _need_p(name, p)
-    if p is not None:
-        raise OperatorError(f"implication {name} takes no parameter p")
-    return None
+            who = name if family == "aggregator" else f"{kind} {name}"
+            raise OperatorError(f"{who} takes no parameter p")
+        return rule
+    who = f"yager {kind}" if name == "yager" else name
+    if p is None:
+        raise OperatorError(f"{who} requires parameter p")
+    p = float(p)
+    if p < 1.0 if rule == ">= 1" else p <= 0.0:
+        raise OperatorError(f"{who} requires p {rule}, got {p}")
+    return p
 
 
 def _sigmoidal_scaling(base, s, b0):
@@ -490,9 +661,6 @@ def _sigmoidal_scaling(base, s, b0):
     return s, b0, (1.0 + e_top) / denom, 1.0 + e_bot
 
 
-# ---------------------------------------------------------------------------
-# binding
-
 class ArrayKernels(NamedTuple):
     """Array kernels with their operators and parameters resolved, and
     without input checks: callers pass values already in [0, 1] and run
@@ -504,29 +672,16 @@ class ArrayKernels(NamedTuple):
     aggregate: Callable
 
 
-def _bind(fn, p):
-    return lambda *xs: fn(*xs, p)
-
-
-def _bind_tnorm(name: str, p) -> Callable:
-    return _bind(_lookup(_TNORMS, "t-norm", name), _norm_p("t-norm", name, p))
-
-
-def _bind_tconorm(name: str, p) -> Callable:
-    return _bind(_lookup(_TCONORMS, "t-conorm", name),
-                 _norm_p("t-conorm", name, p))
-
-
-def _bind_aggregator(name: str, p) -> Callable:
-    fn, p_rule = _lookup(_AGGREGATORS, "aggregator", name)
-    return _bind(fn, _aggregator_p(name, p_rule, p))
-
-
-def _bind_implication(name: str, p=None, s=None, b0=None, base=None) -> Callable:
-    if name == "sigmoidal":
+def _bind(family: str, name: str, p=None, s=None, b0=None,
+          base=None) -> Callable:
+    """The array kernel of (family, name) with its name, then its
+    parameters checked and bound.  The sigmoidal implication has no row:
+    it warps the kernel of its base."""
+    if (family, name) == ("implication", "sigmoidal"):
         return _bind_sigmoidal(base, s, b0, p)
-    fn, needs_p = _lookup(_IMPLICATIONS, "implication", name)
-    return _bind(fn, _implication_p(name, needs_p, p))
+    kernel = _row(family, name).kernel
+    p = _checked_p(family, name, p)
+    return lambda *xs: kernel(*xs, p)
 
 
 def _bind_sigmoidal(base, s, b0, p) -> Callable:
@@ -537,7 +692,7 @@ def _bind_sigmoidal(base, s, b0, p) -> Callable:
     an increasing map sending I=0 to 0 and I=1 to 1.
     """
     s, b0, d, h = _sigmoidal_scaling(base, s, b0)
-    base_fn = _bind_implication(base, p=p)
+    base_fn = _bind("implication", base, p)
 
     def kernel(a, c):
         iv, (dia, dic) = base_fn(a, c)
@@ -561,26 +716,29 @@ def _run_checked(kernel, *xs):
         return kernel(*xs)
 
 
-def tnorm_array(name: str, a, b, p: float | None = None):
-    return _run_checked(_bind_tnorm(name, p), a, b)
-
-
-def tconorm_array(name: str, a, b, p: float | None = None):
-    return _run_checked(_bind_tconorm(name, p), a, b)
-
-
-def aggregate_array(name: str, X, p: float | None = None):
-    """Aggregate over the first axis of ``X``."""
-    kernel = _bind_aggregator(name, p)
+def _reduce_checked(kernel, X):
     if np.ndim(X) == 0 or len(X) == 0:
         raise OperatorError("aggregate requires at least one input")
     return _run_checked(kernel, X)
 
 
+def tnorm_array(name: str, a, b, p: float | None = None):
+    return _run_checked(_bind("tnorm", name, p), a, b)
+
+
+def tconorm_array(name: str, a, b, p: float | None = None):
+    return _run_checked(_bind("tconorm", name, p), a, b)
+
+
+def aggregate_array(name: str, X, p: float | None = None):
+    """Aggregate over the first axis of ``X``."""
+    return _reduce_checked(_bind("aggregator", name, p), X)
+
+
 def implication_array(name: str, a, c, p: float | None = None,
                       s: float | None = None, b0: float | None = None,
                       base: str | None = None):
-    return _run_checked(_bind_implication(name, p, s, b0, base), a, c)
+    return _run_checked(_bind("implication", name, p, s, b0, base), a, c)
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +755,14 @@ def _scalar(kernel, *xs):
     return float(value), tuple(map(float, partials))
 
 
+def _reduce_scalar(kernel, xs: Sequence[float]):
+    X = np.array([_check_unit(x) for x in xs])
+    if not len(X):
+        raise OperatorError("aggregate requires at least one input")
+    value, partials = _scalar(kernel, X)
+    return value, list(partials)
+
+
 def negation_kernel(a: float):
     return _scalar(_negation, _unit(a))
 
@@ -606,7 +772,7 @@ def negation(a: float) -> float:
 
 
 def tnorm_kernel(name: str, a: float, b: float, p: float | None = None):
-    return _scalar(_bind_tnorm(name, p), _unit(a), _unit(b))
+    return _scalar(_bind("tnorm", name, p), _unit(a), _unit(b))
 
 
 def tnorm(name: str, a: float, b: float, p: float | None = None) -> float:
@@ -614,7 +780,7 @@ def tnorm(name: str, a: float, b: float, p: float | None = None) -> float:
 
 
 def tconorm_kernel(name: str, a: float, b: float, p: float | None = None):
-    return _scalar(_bind_tconorm(name, p), _unit(a), _unit(b))
+    return _scalar(_bind("tconorm", name, p), _unit(a), _unit(b))
 
 
 def tconorm(name: str, a: float, b: float, p: float | None = None) -> float:
@@ -622,12 +788,7 @@ def tconorm(name: str, a: float, b: float, p: float | None = None) -> float:
 
 
 def aggregate_kernel(name: str, xs: Sequence[float], p: float | None = None):
-    kernel = _bind_aggregator(name, p)
-    X = np.array([_check_unit(x) for x in xs])
-    if not len(X):
-        raise OperatorError("aggregate requires at least one input")
-    value, partials = _scalar(kernel, X)
-    return value, list(partials)
+    return _reduce_scalar(_bind("aggregator", name, p), xs)
 
 
 def aggregate(name: str, xs: Sequence[float], p: float | None = None) -> float:
@@ -637,7 +798,8 @@ def aggregate(name: str, xs: Sequence[float], p: float | None = None) -> float:
 def implication_kernel(name: str, a: float, c: float, p: float | None = None,
                        s: float | None = None, b0: float | None = None,
                        base: str | None = None):
-    return _scalar(_bind_implication(name, p, s, b0, base), _unit(a), _unit(c))
+    return _scalar(_bind("implication", name, p, s, b0, base), _unit(a),
+                   _unit(c))
 
 
 def implication(name: str, a: float, c: float, p: float | None = None,
@@ -672,8 +834,9 @@ def sigmoidal_implication(base: str, s: float, b0: float, a: float, c: float,
 
 @dataclass(frozen=True)
 class OperatorDescriptor:
-    """Catalog entry: family, name, parameters, declared properties and
-    the locus finite differences must stay away from."""
+    """Catalog entry: family, name, parameters, declared properties, the
+    locus finite differences must stay away from, and the bound array
+    kernel.  Build one with ``descriptor``."""
 
     family: str
     name: str
@@ -681,6 +844,7 @@ class OperatorDescriptor:
     properties: frozenset = frozenset()
     locus: str = "none"
     near_locus: Callable = field(default=lambda xs, margin: False, repr=False)
+    bound: Callable | None = field(default=None, repr=False)
 
     @property
     def p(self):
@@ -693,34 +857,16 @@ class OperatorDescriptor:
         return self.name
 
     def kernel(self, *xs):
-        kw = dict(self.params)
-        if self.family == "negation":
-            return negation_kernel(*xs)
-        if self.family == "tnorm":
-            return tnorm_kernel(self.name, xs[0], xs[1], kw.get("p"))
-        if self.family == "tconorm":
-            return tconorm_kernel(self.name, xs[0], xs[1], kw.get("p"))
         if self.family == "aggregator":
-            return aggregate_kernel(self.name, xs, kw.get("p"))
-        if self.family == "implication":
-            return implication_kernel(self.name, xs[0], xs[1], **kw)
-        raise OperatorError(f"unknown family {self.family!r}")
+            return _reduce_scalar(self.bound, xs)
+        return _scalar(self.bound, *map(_unit, xs))
 
     def array_kernel(self, *xs):
         """``kernel`` over arrays: binary kernels take two broadcastable
         arrays, aggregators one array reduced over its first axis."""
-        kw = dict(self.params)
-        if self.family == "negation":
-            return _run_checked(_negation, xs[0])
-        if self.family == "tnorm":
-            return tnorm_array(self.name, xs[0], xs[1], kw.get("p"))
-        if self.family == "tconorm":
-            return tconorm_array(self.name, xs[0], xs[1], kw.get("p"))
         if self.family == "aggregator":
-            return aggregate_array(self.name, xs[0], kw.get("p"))
-        if self.family == "implication":
-            return implication_array(self.name, xs[0], xs[1], **kw)
-        raise OperatorError(f"unknown family {self.family!r}")
+            return _reduce_checked(self.bound, xs[0])
+        return _run_checked(self.bound, *xs)
 
     def value(self, *xs) -> float:
         return self.kernel(*xs)[0]
@@ -739,255 +885,36 @@ class OperatorDescriptor:
         return live
 
 
-def _near(u, margin):
-    return abs(u) < margin
-
-
-def _mk_locus(kind: str, p=None):
-    # Each predicate answers: is this point too close to a kink or a
-    # derivative singularity for a central-difference check at h=1e-5?
-    # Steepness guards (for 1/a-style partials) use a fixed 0.05 band.
-    guard = 0.05
-    if kind == "tie":
-        return lambda xs, m: _near(xs[0] - xs[1], m)
-    if kind == "sum1":
-        return lambda xs, m: _near(math.fsum(xs) - 1.0, m)
-    if kind == "luk-agg":
-        return lambda xs, m: _near(math.fsum(xs) - (len(xs) - 1), m)
-    if kind == "tie-or-sum1":
-        return lambda xs, m: _near(xs[0] - xs[1], m) or _near(math.fsum(xs) - 1.0, m)
-    if kind == "nilp-agg":
-        def pred(xs, m):
-            ys = sorted(xs)
-            return _near(ys[0] + ys[1] - 1.0, m) or (
-                len(ys) > 1 and _near(ys[0] - ys[1], m))
-        return pred
-    if kind == "min-tie":
-        def pred(xs, m):
-            ys = sorted(xs)
-            return len(ys) > 1 and _near(ys[0] - ys[1], m)
-        return pred
-    if kind == "max-tie":
-        def pred(xs, m):
-            ys = sorted(xs)
-            return len(ys) > 1 and _near(ys[-1] - ys[-2], m)
-        return pred
-    if kind == "drastic-t":
-        return lambda xs, m: xs[0] > 1.0 - m or xs[1] > 1.0 - m
-    if kind == "drastic-s":
-        return lambda xs, m: xs[0] < m or xs[1] < m
-    if kind == "yager-t":
-        def pred(xs, m):
-            srad = math.fsum((1.0 - x) ** p for x in xs)
-            return _near(srad - 1.0, m) or srad < guard
-        return pred
-    if kind == "yager-s":
-        def pred(xs, m):
-            srad = math.fsum(x ** p for x in xs)
-            return _near(srad - 1.0, m) or srad < guard
-        return pred
-    if kind == "pme":
-        def pred(xs, m):
-            srad = math.fsum((1.0 - x) ** p for x in xs)
-            if p > 1.0 and srad / len(xs) < guard:
-                return True
-            if p < 1.0 and any(x > 1.0 - guard for x in xs):
-                return True
-            return False
-        return pred
-    if kind == "pmean":
-        def pred(xs, m):
-            srad = math.fsum(x ** p for x in xs)
-            if p > 1.0 and srad / len(xs) < guard:
-                return True
-            if p < 1.0 and any(x < guard for x in xs):
-                return True
-            return False
-        return pred
-    if kind == "kd":
-        return lambda xs, m: _near(1.0 - xs[0] - xs[1], m)
-    if kind == "a=c":
-        return lambda xs, m: _near(xs[0] - xs[1], m)
-    if kind == "fodor":
-        return lambda xs, m: _near(xs[0] - xs[1], m) or _near(1.0 - xs[0] - xs[1], m)
-    if kind == "goguen":
-        # 1/a and c/a^2 partials: third derivatives defeat h=1e-5
-        # central differences once a is small
-        return lambda xs, m: _near(xs[0] - xs[1], m) or xs[0] < 0.15
-    if kind == "yager-rimpl":
-        def pred(xs, m):
-            a, c = xs
-            if _near(a - c, m):
-                return True
-            u = (1.0 - c) ** p - (1.0 - a) ** p
-            return a > c and abs(u) < guard
-        return pred
-    if kind == "yager-simpl":
-        def pred(xs, m):
-            a, c = xs
-            u = (1.0 - a) ** p + c ** p
-            return _near(u - 1.0, m) or u < guard
-        return pred
-    if kind == "weber":
-        return lambda xs, m: xs[0] > 1.0 - m
-    if kind == "dubois":
-        return lambda xs, m: xs[0] > 1.0 - m or xs[1] < m
-    if kind == "log-product":
-        return lambda xs, m: any(x < guard for x in xs)
-    if kind == "none":
-        return lambda xs, m: False
-    raise ValueError(kind)
-
-
-_T_DEFINITIONAL = frozenset({"commutative", "associative", "neutral", "monotone"})
-_I_DEFINITIONAL = frozenset({"boundary", "monotone"})
-
-
-def _norm_descriptor(family, name, p=None):
-    """A t-norm or its dual t-conorm: they share their properties, except
-    that only t-norms are declared left-continuous, and their loci are
-    mirrored where the kernels are not self-dual."""
-    extra = {
-        "godel": {"idempotent", "continuous", "left-continuous", "single-passing"},
-        "product": {"strict", "continuous", "left-continuous"},
-        "lukasiewicz": {"continuous", "left-continuous"},
-        "drastic": {"single-passing"},
-        "nilpotent": {"left-continuous", "single-passing"},
-        "yager": {"continuous", "left-continuous"},
-    }[name]
-    if family == "tconorm":
-        extra = extra - {"left-continuous"}
-    locus = {
-        "godel": ("a = b", _mk_locus("tie")),
-        "product": ("none", _mk_locus("none")),
-        "lukasiewicz": ("a + b = 1", _mk_locus("sum1")),
-        "drastic": (("a = 1 or b = 1", _mk_locus("drastic-t")) if family == "tnorm"
-                    else ("a = 0 or b = 0", _mk_locus("drastic-s"))),
-        "nilpotent": ("a + b = 1 or a = b", _mk_locus("tie-or-sum1")),
-        "yager": (("(1-a)^p + (1-b)^p = 1, or -> 0", _mk_locus("yager-t", p))
-                  if family == "tnorm"
-                  else ("a^p + b^p = 1, or -> 0", _mk_locus("yager-s", p))),
-    }[name]
-    params = (("p", p),) if name == "yager" else ()
-    return OperatorDescriptor(family, name, params,
-                              _T_DEFINITIONAL | frozenset(extra),
-                              locus[0], locus[1])
-
-
-def _aggregator_descriptor(name, p=None):
-    extra = {
-        "min": {"idempotent", "single-passing"},
-        "max": {"idempotent", "single-passing"},
-        "product": set(),
-        "log_product": set(),
-        "lukasiewicz": set(),
-        "bounded_sum": set(),
-        "prob_sum": set(),
-        "yager": set(),
-        "nilpotent": {"single-passing"},
-        "pme": {"idempotent"},
-        "pmean": {"idempotent"},
-        "mae": {"idempotent"},
-        "rmse": {"idempotent"},
-    }[name]
-    locus = {
-        "min": ("tie of two smallest", _mk_locus("min-tie")),
-        "max": ("tie of two largest", _mk_locus("max-tie")),
-        "product": ("none", _mk_locus("none")),
-        "log_product": ("x = 0 (singular 1/x partials)", _mk_locus("log-product")),
-        "lukasiewicz": ("sum = n-1", _mk_locus("luk-agg")),
-        "bounded_sum": ("sum = 1", _mk_locus("sum1")),
-        "prob_sum": ("none", _mk_locus("none")),
-        "yager": ("sum (1-x)^p = 1, or -> 0", _mk_locus("yager-t", p)),
-        "nilpotent": ("two smallest sum to 1, or tie", _mk_locus("nilp-agg")),
-        "pme": ("radicand -> 0", _mk_locus("pme", p)),
-        "pmean": ("radicand -> 0", _mk_locus("pmean", p)),
-        "mae": ("none", _mk_locus("none")),
-        "rmse": ("radicand -> 0", _mk_locus("pme", 2.0)),
-    }[name]
-    params = (("p", p),) if p is not None else ()
-    base_props = {"symmetric", "monotone"}
-    if name != "log_product":
-        base_props.add("boundary")
-    return OperatorDescriptor("aggregator", name, params,
-                              frozenset(base_props) | frozenset(extra),
-                              locus[0], locus[1])
-
-
-def _implication_descriptor(name, p=None, s=None, b0=None, base=None):
-    extra = {
-        "kleene_dienes": {"LN", "EP", "CP", "single-passing"},
-        "reichenbach": {"LN", "EP", "CP"},
-        "lukasiewicz": {"LN", "EP", "IP", "CP"},
-        "dubois_prade": {"LN", "EP", "IP", "CP", "single-passing"},
-        "fodor": {"LN", "EP", "IP", "CP", "single-passing"},
-        "godel": {"LN", "EP", "IP", "single-passing"},
-        "goguen": {"LN", "EP", "IP"},
-        "weber": {"LN", "EP", "IP", "single-passing"},
-        "yager_s": {"LN", "EP", "CP"},
-        "yager_r": {"LN", "EP", "IP"},
-        "sigmoidal": set(),
-    }[name]
-    if name == "yager_s" and p is not None and p <= 1.0:
-        extra = extra | {"IP"}
-    if name == "yager_r" and p == 1.0:
-        extra = extra | {"CP"}
-    locus = {
-        "kleene_dienes": ("1 - a = c", _mk_locus("kd")),
-        "reichenbach": ("none", _mk_locus("none")),
-        "lukasiewicz": ("a = c", _mk_locus("a=c")),
-        "dubois_prade": ("a = 1 or c = 0", _mk_locus("dubois")),
-        "fodor": ("a = c or 1 - a = c", _mk_locus("fodor")),
-        "godel": ("a = c", _mk_locus("a=c")),
-        "goguen": ("a = c, singular a -> 0", _mk_locus("goguen")),
-        "weber": ("a = 1", _mk_locus("weber")),
-        "yager_s": ("(1-a)^p + c^p = 1, or -> 0", _mk_locus("yager-simpl", p)),
-        "yager_r": ("a = c (singular for p > 1)", _mk_locus("yager-rimpl", p)),
-    }
+def descriptor(family: str, name: str, p=None, s=None, b0=None,
+               base=None) -> OperatorDescriptor:
+    """The catalog entry of (family, name) at these parameters, read from
+    its registry row; an unknown name or a bad parameter raises
+    ``OperatorError`` as binding the kernel does.  A sigmoidal
+    implication keeps its base's locus and its CP and IP."""
+    bound = _bind(family, name, p, s, b0, base)
+    p_param = (("p", p),) if p is not None else ()
     if name == "sigmoidal":
-        base_desc = _implication_descriptor(base, p=p)
-        loc = (base_desc.locus, base_desc.near_locus)
-        params = (("base", base), ("s", s), ("b0", b0)) + (
-            (("p", p),) if p is not None else ())
-        if "CP" in base_desc.properties:
-            extra = {"CP"}
-        if "IP" in base_desc.properties:
-            extra = set(extra) | {"IP"}
-    else:
-        loc = locus[name]
-        params = (("p", p),) if p is not None else ()
-    return OperatorDescriptor("implication", name, params,
-                              _I_DEFINITIONAL | frozenset(extra), loc[0], loc[1])
-
-
-def descriptor(family: str, name: str, **params) -> OperatorDescriptor:
-    if family == "negation":
-        return OperatorDescriptor("negation", "classic", (),
-                                  frozenset({"strict", "strong", "boundary",
-                                             "single-passing"}),
-                                  "none", _mk_locus("none"))
-    if family in ("tnorm", "tconorm"):
-        return _norm_descriptor(family, name, params.get("p"))
-    if family == "aggregator":
-        return _aggregator_descriptor(name, params.get("p"))
-    if family == "implication":
-        return _implication_descriptor(name, **params)
-    raise OperatorError(f"unknown family {family!r}")
+        inner = descriptor(family, base, p)
+        return OperatorDescriptor(
+            family, name, (("base", base), ("s", s), ("b0", b0)) + p_param,
+            frozenset(_IMPL.split()) | (inner.properties & {"CP", "IP"}),
+            inner.locus, inner.near_locus, bound)
+    row = _REGISTRY[family, name]
+    p = _checked_p(family, name, p)
+    properties = row.properties + " " + (row.at_p1 if p == 1.0 else "")
+    return OperatorDescriptor(family, name, p_param,
+                              frozenset(properties.split()), row.locus,
+                              partial(row.near, p=p), bound)
 
 
 def catalog(yager_ps=(1.0, 2.0, 5.0), pme_ps=(0.5, 1.0, 2.0)) -> list:
-    """Every catalog operator at representative parameter values."""
-    ps = {"yager": yager_ps, "yager_s": yager_ps, "yager_r": yager_ps,
-          "pme": pme_ps, "pmean": pme_ps}
-    out = [descriptor("negation", "classic")]
-    for family, names in [("tnorm", TNORM_NAMES), ("tconorm", TCONORM_NAMES),
-                          ("aggregator", AGGREGATOR_NAMES),
-                          ("implication", tuple(_IMPLICATIONS))]:
-        for name in names:
-            if name in ps:
-                out += [descriptor(family, name, p=p) for p in ps[name]]
-            else:
-                out.append(descriptor(family, name))
+    """Every registry row, at ``yager_ps`` where its rule is p >= 1 and
+    at ``pme_ps`` where it is p > 0, then the sigmoidal warp of
+    Reichenbach at three steepnesses."""
+    ps = {">= 1": yager_ps, "> 0": pme_ps}
+    out = [descriptor(family, name, p=p)
+           for (family, name), row in _REGISTRY.items()
+           for p in ps.get(row.rule, (None,))]
     for s in (0.01, 9.0, 20.0):
         out.append(descriptor("implication", "sigmoidal",
                               base="reichenbach", s=s, b0=-0.5))
@@ -997,37 +924,22 @@ def catalog(yager_ps=(1.0, 2.0, 5.0), pme_ps=(0.5, 1.0, 2.0)) -> list:
 # ---------------------------------------------------------------------------
 # duality
 
-_DUALITY_EXCLUDE = {
-    "godel": _mk_locus("tie"),
-    "product": _mk_locus("none"),
-    "lukasiewicz": _mk_locus("sum1"),
-    "drastic": lambda xs, m: min(xs) < m or max(xs) > 1.0 - m,
-    "nilpotent": _mk_locus("tie-or-sum1"),
-    "yager": None,  # filled per-p below
-}
-
-
 def tnorm_duality_check(name: str, samples: int = 10_000, p: float | None = None,
                         seed: int = 0) -> float:
     """Max abs error of S(a,b) = 1 - T(1-a, 1-b) and d_S(a,b) = d_T(1-a, 1-b)
-    over uniform samples, skipping subgradient tie loci."""
-    if name not in _TNORMS:
-        raise OperatorError(f"unknown t-norm {name!r}")
-    exclude = _DUALITY_EXCLUDE[name]
-    if name == "yager":
-        p = _need_p("yager", p)
-        yag_t = _mk_locus("yager-t", p)
-        yag_s = _mk_locus("yager-s", p)
-        exclude = lambda xs, m: yag_t([1 - xs[0], 1 - xs[1]], m) or yag_s(xs, m)
+    over uniform samples, skipping points near the t-norm's locus at
+    (1-a, 1-b) or the t-conorm's at (a, b)."""
+    t, s = descriptor("tnorm", name, p=p), descriptor("tconorm", name, p=p)
     rng = random.Random(seed)
     points = []
     while len(points) < samples:
         a, b = rng.random(), rng.random()
-        if not exclude((a, b), 1e-9):
+        if not (t.near_locus((1.0 - a, 1.0 - b), 1e-9)
+                or s.near_locus((a, b), 1e-9)):
             points.append((a, b))
     a, b = np.array(points).reshape(-1, 2).T
-    sv, (dsa, _) = tconorm_array(name, a, b, p)
-    tv, (dta, _) = tnorm_array(name, 1.0 - a, 1.0 - b, p)
+    sv, (dsa, _) = s.array_kernel(a, b)
+    tv, (dta, _) = t.array_kernel(1.0 - a, 1.0 - b)
     return max(float(np.max(np.abs(sv - (1.0 - tv)), initial=0.0)),
                float(np.max(np.abs(dsa - dta), initial=0.0)))
 
@@ -1217,9 +1129,6 @@ def property_audit(desc: OperatorDescriptor, samples: int = 2000, seed: int = 0,
 #   implication=sigmoidal:base=reichenbach,s=9,b0=-0.5
 #   aggregator=log_product
 
-_CONFIG_KEYS = ("tnorm", "tconorm", "implication", "aggregator", "negation")
-
-
 @dataclass(frozen=True)
 class OperatorConfig:
     """The (N, T, S, I, A) selection with parameters."""
@@ -1236,42 +1145,46 @@ class OperatorConfig:
     aggregator: str = "product"
     aggregator_p: float | None = None
 
+    # each scalar kernel binds its own operator only, so a bad entry
+    # elsewhere in the configuration does not fail it
     def tnorm_kernel(self, a, b):
-        return tnorm_kernel(self.tnorm, a, b, self.tnorm_p)
+        return _scalar(_bind("tnorm", self.tnorm, self.tnorm_p),
+                       _unit(a), _unit(b))
 
     def tconorm_kernel(self, a, b):
-        return tconorm_kernel(self.tconorm, a, b, self.tconorm_p)
+        return _scalar(_bind("tconorm", self.tconorm, self.tconorm_p),
+                       _unit(a), _unit(b))
 
     def implication_kernel(self, a, c):
-        return implication_kernel(self.implication, a, c, p=self.implication_p,
-                                  s=self.sigmoid_s, b0=self.sigmoid_b0,
-                                  base=self.sigmoid_base)
+        return _scalar(_bind("implication", self.implication, self.implication_p,
+                             self.sigmoid_s, self.sigmoid_b0, self.sigmoid_base),
+                       _unit(a), _unit(c))
 
     def aggregate_kernel(self, xs):
-        return aggregate_kernel(self.aggregator, xs, self.aggregator_p)
+        return _reduce_scalar(
+            _bind("aggregator", self.aggregator, self.aggregator_p), xs)
 
     @cached_property
     def arrays(self) -> ArrayKernels:
         """This configuration's array kernels, bound once."""
         return ArrayKernels(
-            _bind_tnorm(self.tnorm, self.tnorm_p),
-            _bind_tconorm(self.tconorm, self.tconorm_p),
-            _bind_implication(self.implication, self.implication_p,
-                              self.sigmoid_s, self.sigmoid_b0,
-                              self.sigmoid_base),
-            _bind_aggregator(self.aggregator, self.aggregator_p))
+            _bind("tnorm", self.tnorm, self.tnorm_p),
+            _bind("tconorm", self.tconorm, self.tconorm_p),
+            _bind("implication", self.implication, self.implication_p,
+                  self.sigmoid_s, self.sigmoid_b0, self.sigmoid_base),
+            _bind("aggregator", self.aggregator, self.aggregator_p))
 
     def describe(self) -> str:
-        parts = [f"tnorm={self.tnorm}" + (f":p={self.tnorm_p}" if self.tnorm_p else ""),
-                 f"tconorm={self.tconorm}" + (f":p={self.tconorm_p}" if self.tconorm_p else "")]
-        if self.implication == "sigmoidal":
-            parts.append(f"implication=sigmoidal:base={self.sigmoid_base},"
-                         f"s={self.sigmoid_s},b0={self.sigmoid_b0}")
-        else:
-            parts.append(f"implication={self.implication}"
-                         + (f":p={self.implication_p}" if self.implication_p else ""))
-        parts.append(f"aggregator={self.aggregator}"
-                     + (f":p={self.aggregator_p}" if self.aggregator_p else ""))
+        """This configuration in the grammar ``parse_operator_config`` reads."""
+        sigmoid = ((("base", self.sigmoid_base), ("s", self.sigmoid_s),
+                    ("b0", self.sigmoid_b0))
+                   if self.implication == "sigmoidal" else ())
+        parts = []
+        for key, params in [("tnorm", ()), ("tconorm", ()),
+                            ("implication", sigmoid), ("aggregator", ())]:
+            params += (("p", getattr(self, f"{key}_p")),)
+            text = ",".join(f"{k}={v}" for k, v in params if v is not None)
+            parts.append(f"{key}={getattr(self, key)}" + (f":{text}" if text else ""))
         return " ".join(parts)
 
     def validate(self) -> "OperatorConfig":
@@ -1299,42 +1212,20 @@ def _parse_params(text: str, where: str) -> dict:
     return params
 
 
-_CONFIG_NAMES = {"tnorm": (_TNORMS, "t-norm"), "tconorm": (_TCONORMS, "t-conorm"),
-                 "aggregator": (_AGGREGATORS, "aggregator"),
-                 "implication": (_IMPLICATIONS, "implication")}
-
-
-def _config_name(key: str, name: str):
-    try:
-        _lookup(*_CONFIG_NAMES[key], name)
-    except OperatorError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def parse_operator_config(text: str, base: OperatorConfig | None = None) -> OperatorConfig:
     """Parse assignments like ``tnorm=yager:p=2``.
 
     Assignments are separated by whitespace, semicolons or newlines.
     Unknown keys are errors.
     """
-    cfg = dict(
-        tnorm=(base.tnorm if base else "product", base.tnorm_p if base else None),
-        tconorm=(base.tconorm if base else "product", base.tconorm_p if base else None),
-        aggregator=(base.aggregator if base else "product",
-                    base.aggregator_p if base else None),
-    )
-    impl = dict(name=base.implication if base else "reichenbach",
-                p=base.implication_p if base else None,
-                s=base.sigmoid_s if base else None,
-                b0=base.sigmoid_b0 if base else None,
-                base=base.sigmoid_base if base else None)
+    cfg = asdict(base or OperatorConfig())
     tokens = text.replace(";", " ").split()
     for token in tokens:
         if "=" not in token:
             raise ConfigError(f"expected key=value, got {token!r}")
         key, _, rest = token.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _KINDS:
             raise ConfigError(f"unknown operator key {key!r}")
         name, _, param_text = rest.partition(":")
         name = name.strip()
@@ -1343,36 +1234,33 @@ def parse_operator_config(text: str, base: OperatorConfig | None = None) -> Oper
             if name != "classic":
                 raise ConfigError(f"unknown negation {name!r} (only 'classic')")
             continue
-        # names are checked per token, parameters once ``validate`` binds
-        if key in cfg:
-            _config_name(key, name)
-            cfg[key] = (name, params.get("p"))
-        elif key == "implication":
-            if name == "sigmoidal":
-                impl.update(name=name, p=params.get("p", impl["p"]),
-                            s=params.get("s"), b0=params.get("b0", -0.5),
-                            base=params.get("base"))
-                if impl["base"] is None:
-                    raise ConfigError("sigmoidal implication needs base=<name>")
-                if impl["base"] not in _IMPLICATIONS:
-                    raise ConfigError(f"unknown sigmoidal base {impl['base']!r}")
-                if impl["s"] is None:
-                    raise ConfigError("sigmoidal implication needs s=<positive>")
-            else:
-                _config_name(key, name)
-                impl.update(name=name, p=params.get("p"), s=None, b0=None, base=None)
-        if key != "implication":
+        # names and parameter keys are checked per token, parameter values
+        # once ``validate`` binds
+        sigmoidal = (key, name) == ("implication", "sigmoidal")
+        if not sigmoidal:
+            try:
+                _row(key, name)
+            except OperatorError as exc:
+                raise ConfigError(str(exc)) from None
             for pk in params:
                 if pk != "p":
                     raise ConfigError(f"{token!r}: parameter {pk!r} not valid here")
-    out = OperatorConfig(
-        tnorm=cfg["tnorm"][0], tnorm_p=cfg["tnorm"][1],
-        tconorm=cfg["tconorm"][0], tconorm_p=cfg["tconorm"][1],
-        implication=impl["name"], implication_p=impl["p"],
-        sigmoid_base=impl["base"], sigmoid_s=impl["s"], sigmoid_b0=impl["b0"],
-        aggregator=cfg["aggregator"][0], aggregator_p=cfg["aggregator"][1],
-    )
+        if sigmoidal:
+            cfg.update(implication=name,
+                       implication_p=params.get("p", cfg["implication_p"]),
+                       sigmoid_s=params.get("s"), sigmoid_b0=params.get("b0", -0.5),
+                       sigmoid_base=params.get("base"))
+            if cfg["sigmoid_base"] is None:
+                raise ConfigError("sigmoidal implication needs base=<name>")
+            if ("implication", cfg["sigmoid_base"]) not in _REGISTRY:
+                raise ConfigError(f"unknown sigmoidal base {cfg['sigmoid_base']!r}")
+            if cfg["sigmoid_s"] is None:
+                raise ConfigError("sigmoidal implication needs s=<positive>")
+            continue
+        if key == "implication":
+            cfg.update(sigmoid_s=None, sigmoid_b0=None, sigmoid_base=None)
+        cfg.update({key: name, f"{key}_p": params.get("p")})
     try:
-        return out.validate()
+        return OperatorConfig(**cfg).validate()
     except OperatorError as exc:
         raise ConfigError(str(exc)) from None

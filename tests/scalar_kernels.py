@@ -18,10 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from dfl.operators import (OperatorDescriptor, OperatorError, _DUALITY_EXCLUDE,
-                           _aggregator_p, _check_unit, _implication_p,
-                           _mk_locus, _need_p, _norm_p, _pow,
-                           _sigmoidal_scaling)
+from dfl.operators import (OperatorDescriptor, OperatorError, _check_unit,
+                           _checked_p, _pow, _sigmoidal_scaling, descriptor)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +108,7 @@ def tnorm_kernel(name: str, a: float, b: float, p: float | None = None):
         raise OperatorError(f"unknown t-norm {name!r}")
     _check_unit(a)
     _check_unit(b)
-    return fn(a, b, _norm_p("t-norm", name, p))
+    return fn(a, b, _checked_p("tnorm", name, p))
 
 
 def tnorm(name: str, a: float, b: float, p: float | None = None) -> float:
@@ -190,7 +188,7 @@ def tconorm_kernel(name: str, a: float, b: float, p: float | None = None):
         raise OperatorError(f"unknown t-conorm {name!r}")
     _check_unit(a)
     _check_unit(b)
-    return fn(a, b, _norm_p("t-conorm", name, p))
+    return fn(a, b, _checked_p("tconorm", name, p))
 
 
 def tconorm(name: str, a: float, b: float, p: float | None = None) -> float:
@@ -325,33 +323,32 @@ def _a_pmean(xs, p):
 
 
 _AGGREGATORS = {
-    "min": (_a_min, None),
-    "max": (_a_max, None),
-    "product": (_a_product, None),
-    "log_product": (_a_log_product, None),
-    "lukasiewicz": (_a_lukasiewicz, None),
-    "bounded_sum": (_a_bounded_sum, None),
-    "prob_sum": (_a_prob_sum, None),
-    "yager": (_a_yager, "yager"),
-    "nilpotent": (_a_nilpotent, None),
-    "pme": (_a_pme, "positive"),
-    "pmean": (_a_pmean, "positive"),
-    "mae": (_a_pme, 1.0),
-    "rmse": (_a_pme, 2.0),
+    "min": _a_min,
+    "max": _a_max,
+    "product": _a_product,
+    "log_product": _a_log_product,
+    "lukasiewicz": _a_lukasiewicz,
+    "bounded_sum": _a_bounded_sum,
+    "prob_sum": _a_prob_sum,
+    "yager": _a_yager,
+    "nilpotent": _a_nilpotent,
+    "pme": _a_pme,
+    "pmean": _a_pmean,
+    "mae": _a_pme,  # the library's rule fixes p = 1
+    "rmse": _a_pme,  # and p = 2
 }
 
 
 def aggregate_kernel(name: str, xs: Sequence[float], p: float | None = None):
-    entry = _AGGREGATORS.get(name)
-    if entry is None:
+    fn = _AGGREGATORS.get(name)
+    if fn is None:
         raise OperatorError(f"unknown aggregator {name!r}")
-    fn, p_rule = entry
     xs = [float(x) for x in xs]
     if not xs:
         raise OperatorError("aggregate requires at least one input")
     for x in xs:
         _check_unit(x)
-    return fn(xs, _aggregator_p(name, p_rule, p))
+    return fn(xs, _checked_p("aggregator", name, p))
 
 
 def aggregate(name: str, xs: Sequence[float], p: float | None = None) -> float:
@@ -443,16 +440,16 @@ def _i_yager_r(a, c, p):
 
 
 _IMPLICATIONS = {
-    "kleene_dienes": (_i_kleene_dienes, False),
-    "reichenbach": (_i_reichenbach, False),
-    "lukasiewicz": (_i_lukasiewicz, False),
-    "dubois_prade": (_i_dubois_prade, False),
-    "fodor": (_i_fodor, False),
-    "godel": (_i_godel, False),
-    "goguen": (_i_goguen, False),
-    "weber": (_i_weber, False),
-    "yager_s": (_i_yager_s, True),
-    "yager_r": (_i_yager_r, True),
+    "kleene_dienes": _i_kleene_dienes,
+    "reichenbach": _i_reichenbach,
+    "lukasiewicz": _i_lukasiewicz,
+    "dubois_prade": _i_dubois_prade,
+    "fodor": _i_fodor,
+    "godel": _i_godel,
+    "goguen": _i_goguen,
+    "weber": _i_weber,
+    "yager_s": _i_yager_s,
+    "yager_r": _i_yager_r,
 }
 
 
@@ -461,13 +458,12 @@ def implication_kernel(name: str, a: float, c: float, p: float | None = None,
                        base: str | None = None):
     if name == "sigmoidal":
         return sigmoidal_kernel(base, s, b0, a, c, p=p)
-    entry = _IMPLICATIONS.get(name)
-    if entry is None:
+    fn = _IMPLICATIONS.get(name)
+    if fn is None:
         raise OperatorError(f"unknown implication {name!r}")
-    fn, needs_p = entry
     _check_unit(a)
     _check_unit(c)
-    return fn(a, c, _implication_p(name, needs_p, p))
+    return fn(a, c, _checked_p("implication", name, p))
 
 
 def implication(name: str, a: float, c: float, p: float | None = None,
@@ -551,19 +547,19 @@ def bind(desc):
     if desc.family == "negation":
         return negation_kernel
     if desc.family == "aggregator":
-        agg, p_rule = _AGGREGATORS[desc.name]
-        p = _aggregator_p(desc.name, p_rule, kw.get("p"))
+        agg = _AGGREGATORS[desc.name]
+        p = _checked_p("aggregator", desc.name, kw.get("p"))
         return lambda *xs: agg(xs, p)
     if desc.family == "implication":
         name = kw["base"] if desc.name == "sigmoidal" else desc.name
-        fn, needs_p = _IMPLICATIONS[name]
-        p = _implication_p(name, needs_p, kw.get("p"))
+        fn = _IMPLICATIONS[name]
+        p = _checked_p("implication", name, kw.get("p"))
         if desc.name == "sigmoidal":
             return _warp(lambda a, c: fn(a, c, p),
                          *_sigmoidal_scaling(name, kw["s"], kw["b0"]))
     else:
         fn = (_TNORMS if desc.family == "tnorm" else _TCONORMS)[desc.name]
-        p = _norm_p(desc.family, desc.name, kw.get("p"))
+        p = _checked_p(desc.family, desc.name, kw.get("p"))
     return lambda a, b: fn(a, b, p)
 
 
@@ -575,21 +571,18 @@ def _value(desc):
 def tnorm_duality_check(name: str, samples: int = 10_000, p: float | None = None,
                         seed: int = 0) -> float:
     """Max abs error of S(a,b) = 1 - T(1-a, 1-b) and d_S(a,b) = d_T(1-a, 1-b)
-    over uniform samples, skipping subgradient tie loci."""
+    over uniform samples, skipping points near the library's t-norm locus
+    at (1-a, 1-b) or its t-conorm locus at (a, b)."""
     if name not in _TNORMS:
         raise OperatorError(f"unknown t-norm {name!r}")
-    exclude = _DUALITY_EXCLUDE[name]
-    if name == "yager":
-        p = _need_p("yager", p)
-        yag_t = _mk_locus("yager-t", p)
-        yag_s = _mk_locus("yager-s", p)
-        exclude = lambda xs, m: yag_t([1 - xs[0], 1 - xs[1]], m) or yag_s(xs, m)
+    t_locus = descriptor("tnorm", name, p=p).near_locus
+    s_locus = descriptor("tconorm", name, p=p).near_locus
     rng = random.Random(seed)
     worst = 0.0
     taken = 0
     while taken < samples:
         a, b = rng.random(), rng.random()
-        if exclude((a, b), 1e-9):
+        if t_locus((1.0 - a, 1.0 - b), 1e-9) or s_locus((a, b), 1e-9):
             continue
         taken += 1
         sv, (dsa, _) = tconorm_kernel(name, a, b, p)

@@ -136,6 +136,32 @@ def test_analyze_surface(capsys, tmp_path):
     assert len(lines) == 26  # header + 25 grid rows
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["fractions", "--op", "foo_agg"], "unknown aggregator 'foo'"),
+    (["fractions", "--op", "foo_tnorm"], "unknown t-norm 'foo'"),
+    (["fractions", "--op", "sigmoidal"],
+     "sigmoidal implication requires a base implication"),
+    (["fractions", "--op", "sigmoidal_impl"],
+     "sigmoidal implication requires a base implication"),
+    (["fractions", "--op", "godel_tnorm", "--p", "2"],
+     "t-norm godel takes no parameter p"),
+    (["single-passing", "--op", "foo_impl"], "unknown implication 'foo'"),
+    (["single-passing", "--op", "yager_tnorm"],
+     "yager t-norm requires parameter p"),
+    (["surface", "--op", "foo_impl"], "unknown implication 'foo_impl'"),
+    (["surface", "--op", "sigmoidal"],
+     "sigmoidal implication requires a base implication"),
+    (["surface", "--op", "godel", "--p", "2"],
+     "implication godel takes no parameter p"),
+])
+def test_analyze_bad_operator_exit_3(capsys, argv, message):
+    seed = [] if argv[0] == "surface" else ["--seed", "1"]
+    assert main(["analyze"] + argv + seed) == 3
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_quality(capsys, tmp_path, scene_files):
     kb, grounding = scene_files
     labels = tmp_path / "labels.grounding"

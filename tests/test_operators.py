@@ -1,9 +1,11 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
+from dfl import operators
 from dfl.autodiff import finite_difference_check
 from dfl.operators import (
     OperatorError,
@@ -519,11 +521,52 @@ def test_parse_operator_config_errors():
             ("implication=kd implication=godel", "unknown implication 'kd'")]:
         with pytest.raises(ConfigError, match=message):
             parse_operator_config(text)
+    # parameters a non-sigmoidal implication does not take are refused,
+    # not dropped
+    with pytest.raises(ConfigError, match="parameter 's' not valid here"):
+        parse_operator_config("implication=reichenbach:s=3,base=godel")
 
 
 def test_config_describe_roundtrip():
-    text = ("tnorm=godel tconorm=godel implication=kleene_dienes "
-            "aggregator=pme:p=2")
-    cfg = parse_operator_config(text)
-    again = parse_operator_config(cfg.describe())
-    assert cfg == again
+    texts = ["tnorm=godel tconorm=godel implication=kleene_dienes "
+             "aggregator=pme:p=2",
+             "implication=sigmoidal:base=yager_s,s=9,p=2"]
+    # every catalog operator the grammar names, at its catalog parameters
+    for desc in catalog():
+        if desc.family != "negation":
+            params = ",".join(f"{k}={v}" for k, v in desc.params)
+            texts.append(f"{desc.family}={desc.name}"
+                         + (f":{params}" if params else ""))
+    for text in texts:
+        cfg = parse_operator_config(text)
+        assert parse_operator_config(cfg.describe()) == cfg, text
+
+
+# ---------------------------------------------------------------------------
+# the registry
+
+def test_every_registry_row_is_in_the_catalog():
+    listed = {(desc.family, desc.name) for desc in catalog()}
+    assert listed == set(operators._REGISTRY) | {("implication", "sigmoidal")}
+
+
+@pytest.mark.parametrize("family,name,kw,message", [
+    ("aggregator", "foo", {}, "unknown aggregator 'foo'"),
+    ("tnorm", "foo", {}, "unknown t-norm 'foo'"),
+    ("tconorm", "foo", {}, "unknown t-conorm 'foo'"),
+    ("implication", "foo", {}, "unknown implication 'foo'"),
+    ("negation", "foo", {}, "unknown negation 'foo'"),
+    ("foo", "product", {}, "unknown family 'foo'"),
+    ("implication", "sigmoidal", {}, "requires a base implication"),
+    ("implication", "sigmoidal", dict(base="foo", s=9.0),
+     "unknown implication 'foo'"),
+    ("tnorm", "godel", dict(p=2.0), "t-norm godel takes no parameter p"),
+    ("tnorm", "yager", {}, "yager t-norm requires parameter p"),
+    ("aggregator", "mae", dict(p=1.0), "mae takes no parameter p"),
+    ("aggregator", "pme", dict(p=0.0), "pme requires p > 0, got 0.0"),
+    ("implication", "yager_r", dict(p=0.5), "yager_r requires p >= 1, got 0.5"),
+])
+def test_descriptor_refuses_unknown_names_and_bad_parameters(family, name, kw,
+                                                             message):
+    with pytest.raises(OperatorError, match=re.escape(message)):
+        descriptor(family, name, **kw)
