@@ -23,8 +23,8 @@ import numpy as np
 from .logic import compile_formula
 from .operators import (OperatorConfig, OperatorDescriptor, aggregate_array,
                         descriptor, implication_array, implication_kernel)
-from .valuation import (CLAMP_EPS, GroundingTable, classical_values,
-                        formula_pass)
+from .valuation import (CLAMP_EPS, GroundingTable, _gathers, _stacks,
+                        _valuate, classical_values)
 from .autodiff import Tape
 
 __all__ = [
@@ -245,41 +245,47 @@ def gradient_quality(kb, g: GroundingTable, ops: OperatorConfig,
     """Per-step |cons|, |ant| and the cons%/cu_cons%/cu_ant% ratios.
 
     ``labels`` gives the {0,1} data truth of every ground atom (see
-    ``labeling_from_atoms``); the truth of each antecedent and consequent
-    instance follows from it over the formula's compiled program.  Each
+    ``labeling_from_atoms``), asked once per atom of each predicate that
+    an implication-bodied formula reads, into one boolean vector laid
+    out like ``g.values``; the truth of each antecedent and consequent
+    instance follows from it over the compiled programs, one stack of
+    programs of one shape at a time (``classical_values``).  Each
     instance's antecedent and consequent derivatives come from the
-    backward pass of the formula's valuation on ``g`` (run here if no
-    earlier valuation under ``ops`` left one).  Formulas whose quantifier
+    stack's backward pass on ``g``: the passes an earlier valuation under
+    ``ops`` left, when the whole stack shares one, or else one new
+    valuation of the stack.  Each formula's totals are sums over its own
+    instances, added in knowledge-base order.  Formulas whose quantifier
     body is not an implication are skipped.  Ratios with a zero
     denominator are returned as nan.
     """
-    truth: dict = {}
-    total_cons = total_ant = total_cu_cons = total_cu_ant = 0.0
-    used = skipped = 0
-    for formula, _ in kb.entries:
-        program = compile_formula(formula)
-        body = program.body
-        if body is None or program.instrs[body].op != "implies":
-            skipped += 1
+    formulas = kb.formulas()
+    programs = tuple(compile_formula(f) for f in formulas)
+    used = [program.body is not None
+            and program.instrs[program.body].op == "implies"
+            for program in programs]
+    truth = _atom_truth([p for p, u in zip(programs, used) if u], g,
+                        labels.atom_fn)
+    sums = [None] * len(formulas)  # per formula: cons, ant, cu_cons, cu_ant
+    for members in _stacks(programs):
+        if not used[members[0]]:  # one shape, so one body, per stack
             continue
-        used += 1
-        run = formula_pass(formula, g, ops)
-        adj = run.stack_adjoint[run.f]
-        da, dc = (d[run.f if len(d) > 1 else 0] for d in run.stack_partials)
-        shape = _instance_shape(program, len(g.batch))
-        d_cons = np.broadcast_to(adj * dc, shape)
-        d_ant = np.broadcast_to(-(adj * da), shape)
-        ante, cons = program.instrs[body].args
-        for instr in program.instrs:
-            if instr.op == "atom" and instr.atom.pred not in truth:
-                truth[instr.atom.pred] = _atom_truth(instr.atom.pred, g,
-                                                     labels.atom_fn)
-        holds = classical_values(program, len(g.batch), truth)
-        cons_true, ante_false = holds[cons], ~holds[ante]
-        total_cons += float(d_cons.sum())
-        total_ant += float(d_ant.sum())
-        total_cu_cons += float((cons_true * d_cons).sum())
-        total_cu_ant += float((ante_false * d_ant).sum())
+        stack = tuple(programs[k] for k in members)
+        adj, (da, dc) = _stack_derivatives([formulas[k] for k in members],
+                                           g, ops)
+        ante, cons = stack[0].instrs[stack[0].body].args
+        holds = classical_values(stack[0], len(g.batch), truth,
+                                 _gathers(stack, g, {}))
+        d_cons, d_ant = adj * dc, -(adj * da)
+        rows = [_row_sums(x) for x in (d_cons, d_ant, holds[cons] * d_cons,
+                                       ~holds[ante] * d_ant)]
+        for f, k in enumerate(members):
+            sums[k] = [row[f] for row in rows]
+    total_cons = total_ant = total_cu_cons = total_cu_ant = 0.0
+    for cons_k, ant_k, cu_cons_k, cu_ant_k in filter(None, sums):
+        total_cons += cons_k
+        total_ant += ant_k
+        total_cu_cons += cu_cons_k
+        total_cu_ant += cu_ant_k
     denom = total_cons + total_ant
     return GradientQuality(
         cons_magnitude=total_cons,
@@ -287,25 +293,60 @@ def gradient_quality(kb, g: GroundingTable, ops: OperatorConfig,
         cons_pct=total_cons / denom if denom > 0 else float("nan"),
         cu_cons_pct=total_cu_cons / total_cons if total_cons > 0 else float("nan"),
         cu_ant_pct=total_cu_ant / total_ant if total_ant > 0 else float("nan"),
-        formulas_used=used,
-        formulas_skipped=skipped,
+        formulas_used=sum(used),
+        formulas_skipped=len(used) - sum(used),
     )
 
 
-def _instance_shape(program, b: int) -> tuple:
-    """One axis per quantified variable; size b on the root block's."""
-    shape = [1] * program.n_axes
-    for axis in program.instrs[-1].axes:
-        shape[axis] = b
-    return tuple(shape)
+def _stack_derivatives(formulas: list, g: GroundingTable,
+                       ops: OperatorConfig) -> tuple:
+    """(d(value)/d(body), (dI/da, dI/dc)) per ground instance of a stack
+    of implication-bodied ``formulas`` of one shape, each on a leading
+    formula axis: read from the passes an earlier valuation under ``ops``
+    left on ``g`` when all share one stack adjoint, else from one new
+    valuation of the stack."""
+    hits = [g.passes.get(id(f)) for f in formulas]
+    if all(hit is not None and hit[0] is f and hit[1] == ops
+           for f, hit in zip(formulas, hits)) and len(
+               {id(hit[2].stack_adjoint) for hit in hits}) == 1:
+        runs = [hit[2] for hit in hits]
+    else:
+        runs = _valuate(formulas, g, ops, None)
+    adj, partials = runs[0].stack_adjoint, runs[0].stack_partials
+    at = [run.f for run in runs]
+    if at != list(range(len(adj))):  # a subset of the stack, or repeats
+        adj = adj[at]
+        partials = tuple(d[at] if len(d) > 1 else d for d in partials)
+    return adj, partials
 
 
-def _atom_truth(pred, g: GroundingTable, atom_fn) -> np.ndarray:
-    """Data label of every ground atom of ``pred`` over the batch."""
-    arity = g.tensor(pred).ndim
-    labels = [bool(atom_fn(pred, objs))
-              for objs in itertools.product(g.batch, repeat=arity)]
-    return np.array(labels, dtype=bool).reshape((len(g.batch),) * arity)
+def _row_sums(x: np.ndarray) -> list:
+    """The sum of each formula's instances of a stack array, as floats,
+    each taken in the memory order of the formula's slice, as ``sum``
+    of that slice alone takes it."""
+    order = sorted(range(1, x.ndim), key=lambda k: -abs(x.strides[k]))
+    return x.transpose([0] + order).reshape(len(x), -1).sum(axis=1).tolist()
+
+
+def _atom_truth(programs, g: GroundingTable, atom_fn) -> np.ndarray:
+    """Data labels over ``g``'s atom vector of every atom of each
+    predicate that ``programs`` read, in the order they first read them;
+    False elsewhere."""
+    truth = np.zeros(g.layout.size, dtype=bool)
+    seen = set()
+    for program in programs:
+        for instr in program.instrs:
+            if instr.op != "atom" or instr.atom.pred in seen:
+                continue
+            pred = instr.atom.pred
+            seen.add(pred)
+            if pred not in g.layout.preds:  # the gather names it
+                continue
+            offset, arity = g.layout.preds[pred]
+            truth[offset:offset + len(g.batch) ** arity] = [
+                bool(atom_fn(pred, objs))
+                for objs in itertools.product(g.batch, repeat=arity)]
+    return truth
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ in reverse creation order, accumulating adjoints in a float64 array.  A
 pairs; a fused node (``record_fused``, many inputs given by tape index)
 keeps them as two arrays, swept with one ``np.add.at``.  The valuation
 engine records each formula as a fused node over atom leaves recorded in
-bulk (``leaves``); training uses ``valuation.loss_gradient`` instead.
+bulk (``leaf_range``), which builds no Node and makes each leaf's label
+only when ``labels``, ``Node.label`` or ``dump`` first reads it; training
+uses ``valuation.loss_gradient`` instead.
 
 Completed tapes are read-only.  A tape must not be shared between
 threads while nodes are still being recorded; independent evaluations
@@ -16,6 +18,7 @@ should each build their own tape.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Callable, Sequence
 
@@ -39,7 +42,7 @@ class Node:
 
     @property
     def label(self) -> str:
-        return self.tape.labels[self.idx]
+        return self.tape.label(self.idx)
 
     def __repr__(self) -> str:
         return f"Node({self.idx}, {self.value!r}, {self.label})"
@@ -80,21 +83,43 @@ class _Edges:
 class Tape:
     """Append-only record of a scalar computation."""
 
-    __slots__ = ("values", "parents", "labels")
+    __slots__ = ("values", "parents", "_labels", "_pending")
 
     def __init__(self):
         self.values: list[float] = []
         # parents[i]: node i's (parent index, local partial) pairs, or _Edges
         self.parents: list = []
-        self.labels: list[str] = []
+        # _labels[i] is None while node i's label waits in a _pending
+        # (start, stop, label_of) block, which makes it from i - start
+        self._labels: list = []
+        self._pending: list = []
 
     def __len__(self) -> int:
         return len(self.values)
 
+    @property
+    def labels(self) -> list:
+        """Every node's label; pending leaf labels are made on this read."""
+        for start, stop, label_of in self._pending:
+            self._labels[start:stop] = [
+                label_of(k) if label is None else label
+                for k, label in enumerate(self._labels[start:stop])]
+        self._pending.clear()
+        return self._labels
+
+    def label(self, idx: int) -> str:
+        """Node ``idx``'s label, made alone if it is still pending."""
+        label = self._labels[idx]
+        if label is None:
+            k = bisect.bisect_right(self._pending, idx, key=lambda blk: blk[0])
+            start, _, label_of = self._pending[k - 1]
+            label = self._labels[idx] = label_of(idx - start)
+        return label
+
     def _append(self, label: str, value: float, edges) -> Node:
         self.values.append(value)
         self.parents.append(edges)
-        self.labels.append(label)
+        self._labels.append(label)
         return Node(self, len(self.values) - 1)
 
     def leaf(self, value: float, label: str = "leaf") -> Node:
@@ -103,20 +128,30 @@ class Tape:
             raise ValueError(f"leaf value must be finite, got {value!r}")
         return self._append(label, value, ())
 
-    def leaves(self, values, labels: Sequence[str]) -> list:
-        """One leaf per entry of ``values``, labelled by ``labels``."""
+    def leaf_range(self, values, label_of: Callable[[int], str]) -> range:
+        """One leaf per entry of ``values``, recorded without a Node
+        handle; leaf k's label is ``label_of(k)``, made when first read.
+        Returns the leaves' tape indices."""
         values = np.asarray(values, dtype=float)
-        if len(labels) != len(values):
-            raise ValueError(f"{len(values)} leaf values but {len(labels)} labels")
         finite = np.isfinite(values)
         if not finite.all():
             raise ValueError(f"leaf value must be finite, got "
                              f"{float(values[~finite][0])!r}")
         base = len(self.values)
-        self.values += values.tolist()
-        self.parents += [()] * len(values)
-        self.labels += labels
-        return [Node(self, idx) for idx in range(base, len(self.values))]
+        if len(values):
+            self.values += values.tolist()
+            self.parents += [()] * len(values)
+            self._labels += [None] * len(values)
+            self._pending.append((base, len(self.values), label_of))
+        return range(base, len(self.values))
+
+    def leaves(self, values, labels: Sequence[str]) -> list:
+        """One leaf per entry of ``values``, labelled by ``labels``."""
+        values = np.asarray(values, dtype=float)
+        if len(labels) != len(values):
+            raise ValueError(f"{len(values)} leaf values but {len(labels)} labels")
+        return [Node(self, idx)
+                for idx in self.leaf_range(values, list(labels).__getitem__)]
 
     def record(self, label: str, inputs: Sequence[Node], value: float,
                partials: Sequence[float]) -> Node:
@@ -178,10 +213,10 @@ class Tape:
 
     def dump(self) -> str:
         """One node per line: ``id label value [parent:partial ...]``."""
-        lines = []
+        lines, labels = [], self.labels
         for idx in range(len(self.values)):
             parts = " ".join(f"{p}:{d!r}" for p, d in self.parents[idx])
-            line = f"{idx} {self.labels[idx]} {self.values[idx]!r}"
+            line = f"{idx} {labels[idx]} {self.values[idx]!r}"
             if parts:
                 line += " " + parts
             lines.append(line)

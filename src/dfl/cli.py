@@ -184,14 +184,19 @@ def cmd_analyze(args, argv) -> int:
                  "" if witness is None else " ".join(map(_fmt, witness))]]
     elif args.mode == "surface":
         from .analysis import derivative_surface
-        kw = {}
+        kw = dict(p=args.p)
         if args.op.startswith("sigmoidal:"):
             cfg = parse_operator_config(f"implication={args.op}")
-            kw = dict(s=cfg.sigmoid_s, b0=cfg.sigmoid_b0, base=cfg.sigmoid_base)
+            if cfg.implication_p is not None and args.p is not None:
+                print(f"error: p is given twice: in --op {args.op} and as "
+                      f"--p {args.p!r}", file=sys.stderr)
+                return EXIT_INPUT
+            kw = dict(p=cfg.implication_p if args.p is None else args.p,
+                      s=cfg.sigmoid_s, b0=cfg.sigmoid_b0, base=cfg.sigmoid_base)
             name = "sigmoidal"
         else:
             name = args.op
-        surf = derivative_surface(name, args.step, p=args.p, **kw)
+        surf = derivative_surface(name, args.step, **kw)
         header = ["a", "c", "d_Ic", "d_Inot_a"]
         rows = [[_fmt(a), _fmt(c), _fmt(dic), _fmt(dna)]
                 for a, c, dic, dna in surf]

@@ -621,17 +621,20 @@ def _row(family: str, name: str) -> _Row:
     return row
 
 
+def _no_parameter(family: str, name: str, key: str) -> OperatorError:
+    who = name if family == "aggregator" else f"{_KINDS[family]} {name}"
+    return OperatorError(f"{who} takes no parameter {key}")
+
+
 def _checked_p(family: str, name: str, p):
     """The parameter (family, name) runs with, by its row's rule; the name
     is checked first.  Messages keep the config grammar's words."""
     rule = _row(family, name).rule
-    kind = _KINDS[family]
     if rule is None or isinstance(rule, float):
         if p is not None:
-            who = name if family == "aggregator" else f"{kind} {name}"
-            raise OperatorError(f"{who} takes no parameter p")
+            raise _no_parameter(family, name, "p")
         return rule
-    who = f"yager {kind}" if name == "yager" else name
+    who = f"yager {_KINDS[family]}" if name == "yager" else name
     if p is None:
         raise OperatorError(f"{who} requires parameter p")
     p = float(p)
@@ -676,10 +679,13 @@ def _bind(family: str, name: str, p=None, s=None, b0=None,
           base=None) -> Callable:
     """The array kernel of (family, name) with its name, then its
     parameters checked and bound.  The sigmoidal implication has no row:
-    it warps the kernel of its base."""
+    it warps the kernel of its base, and it alone takes s, b0 and base."""
     if (family, name) == ("implication", "sigmoidal"):
         return _bind_sigmoidal(base, s, b0, p)
     kernel = _row(family, name).kernel
+    for key, value in (("s", s), ("b0", b0), ("base", base)):
+        if value is not None:
+            raise _no_parameter(family, name, key)
     p = _checked_p(family, name, p)
     return lambda *xs: kernel(*xs, p)
 
@@ -1233,6 +1239,9 @@ def parse_operator_config(text: str, base: OperatorConfig | None = None) -> Oper
         if key == "negation":
             if name != "classic":
                 raise ConfigError(f"unknown negation {name!r} (only 'classic')")
+            if params:
+                raise ConfigError(f"{token!r}: parameter "
+                                  f"{next(iter(params))!r} not valid here")
             continue
         # names and parameter keys are checked per token, parameter values
         # once ``validate`` binds

@@ -32,9 +32,11 @@ another, in reverse knowledge-base order, the order in which
 ``Tape.backward`` from ``dfl_loss`` accumulates them, so the two agree
 bit for bit.  Only
 callers that ask for nodes use the scalar tape: ``valuate`` and
-``dfl_loss`` record each formula as one fused node over the atom leaves,
-which a grounding records when ``nodes``, ``tape`` or ``node()`` is
-first read.
+``dfl_loss`` record each formula as one fused node over the atom leaves.
+A grounding records its leaves on the tape in bulk when ``tape`` is
+first read, without a Node handle or a label; the handles are built when
+``nodes`` or ``node()`` is first read, and each label when the tape
+first reads it.
 """
 
 from __future__ import annotations
@@ -149,8 +151,12 @@ class GroundingTable:
 
     ``values`` is the atom vector (clamped) and ``raw_values`` the scores
     before clamping, both laid out by ``layout``; ``keys()`` lists the
-    atoms in that order.  Tape leaves are recorded only when ``nodes``,
-    ``tape`` or ``node()`` is first read.  A table built by hand,
+    atoms in that order.  Tape leaves are recorded only when ``tape`` is
+    first read (``nodes`` and ``node()`` read it), as one bulk block of
+    the atom vector; ``_leaf_idx`` holds their tape indices.  Their Node
+    handles are built on the first read of ``nodes`` or ``node()`` and
+    kept, and each label, ``f"{pred}{objs}"``, is made when the tape
+    first reads it.  A table built by hand,
     ``GroundingTable(nodes, batch, tape)``, takes its values from the
     given leaves and leaves out of its vector any predicate that lacks an
     atom over the batch.  ``passes`` keeps the latest forward/backward
@@ -195,19 +201,25 @@ class GroundingTable:
 
     @property
     def nodes(self) -> dict:
-        """The tape leaf of every atom, recorded on first read."""
+        """The tape leaf of every atom; the handles are built on first read."""
         if self._nodes is None:
-            if self._tape is None:
-                self._tape = Tape()
-            base = len(self._tape)
-            self._nodes = dict(zip(self.keys(), self._tape.leaves(
-                self.values, [f"{pred}{objs}" for pred, objs in self.keys()])))
-            self._leaf_idx = np.arange(base, len(self._tape))
+            tape = self.tape
+            self._nodes = dict(zip(self.keys(), [
+                Node(tape, idx) for idx in self._leaf_idx.tolist()]))
         return self._nodes
 
     @property
     def tape(self) -> Tape:
-        self.nodes  # the leaves come first on the tape
+        """The tape, with the atom vector recorded on it as leaves, in
+        bulk and without Node handles, on first read."""
+        if self._leaf_idx is None:
+            if self._tape is None:
+                self._tape = Tape()
+            # the labeller holds no reference to the table, so the table
+            # and its tape form no cycle
+            leaves = self._tape.leaf_range(self.values, functools.partial(
+                _atom_label, self.layout, self.batch))
+            self._leaf_idx = np.arange(leaves.start, leaves.stop)
         return self._tape
 
     @property
@@ -239,6 +251,20 @@ class GroundingTable:
         return self._positions.get(obj)
 
 
+def _atom_label(layout: _Layout, batch: list, k: int) -> str:
+    """``f"{pred}{objs}"`` of atom ``k`` of an atom vector laid out by
+    ``layout`` over ``batch``: the tape label of its leaf."""
+    for pred, (offset, arity) in layout.preds.items():
+        if k < offset + layout.b ** arity:
+            break
+    k -= offset
+    objs = []
+    for _ in range(arity):
+        k, position = divmod(k, layout.b)
+        objs.append(batch[position])
+    return f"{pred}{tuple(reversed(objs))}"
+
+
 def _missing(pred, objs, names=None) -> SemanticError:
     return SemanticError(f"ground atom {_atom_text(pred, objs, names)} missing "
                          f"from grounding (signature mismatch?)")
@@ -249,6 +275,15 @@ def _batch_index(batch: tuple, arity: int) -> tuple:
     return np.ix_(*(np.array(batch),) * arity)
 
 
+@functools.lru_cache(maxsize=64)
+def _lookup_keys(layout: _Layout, batch: tuple) -> tuple:
+    """The table keys of every atom of ``layout`` over ``batch``, in vector
+    order (``GroundingTable.keys``), for lookups alone: a batch of equal
+    objects of another type shares them."""
+    return tuple((pred, objs) for pred, (_, arity) in layout.preds.items()
+                 for objs in itertools.product(batch, repeat=arity))
+
+
 def build_grounding(interp, domain: Domain, signature: dict, batch: list,
                     tape: Tape | None = None,
                     clamp_eps: float = CLAMP_EPS) -> GroundingTable:
@@ -256,8 +291,9 @@ def build_grounding(interp, domain: Domain, signature: dict, batch: list,
 
     An interpretation that offers ``truth_table(pred)``, the truth values
     of ``pred`` with one axis of objects per argument, is sliced by the
-    batch, one array expression per predicate; any other is asked for
-    each atom's ``score(pred, objs)``.  Raw scores may stray 1e-6 outside
+    batch, one array expression per predicate; a ``LookupInterpretation``
+    is read from its table in one pass; any other is asked for each
+    atom's ``score(pred, objs)``.  Raw scores may stray 1e-6 outside
     [0, 1] (model arithmetic); anything worse, NaN included, is an error
     that names the atom.  Stored values are clamped to [eps, 1-eps], which
     keeps log-product and Goguen kernels finite.  Leaves go on ``tape``
@@ -272,12 +308,20 @@ def build_grounding(interp, domain: Domain, signature: dict, batch: list,
              domain.names)
     g._tape = tape
     table = getattr(interp, "truth_table", None)
+    raw = None
     if table is not None:
         objs = tuple(batch)
         raw = np.concatenate([np.zeros(0)] + [  # no signature, no table
             np.asarray(table(pred), dtype=float)[_batch_index(objs, arity)].ravel()
             for pred, (_, arity) in g.layout.preds.items()])
-    else:
+    elif getattr(type(interp), "score", None) is LookupInterpretation.score:
+        try:
+            raw = np.fromiter(map(interp.table.__getitem__,
+                                  _lookup_keys(g.layout, tuple(batch))),
+                              dtype=float, count=g.layout.size)
+        except KeyError:  # score names the first missing atom
+            pass
+    if raw is None:
         raw = np.array([float(interp.score(pred, objs))
                         for pred, objs in g.keys()], dtype=float)
     bad = ~((raw >= -1e-6) & (raw <= 1.0 + 1e-6))
@@ -679,17 +723,24 @@ def valuate(f, g: GroundingTable, ops: OperatorConfig,
     return _record(g, f, _valuate([f], g, ops, mu)[0])
 
 
-def classical_values(program: Program, b: int, truth: dict) -> list:
+def classical_values(program: Program, b: int, truth,
+                     index: dict | None = None) -> list:
     """Boolean truth of every step of ``program`` over a batch of ``b``
     objects: ``truth`` maps each predicate to a boolean array whose last
     axes are batch positions, like ``GroundingTable.tensor``.  Any leading
     axes (a world axis, say) are kept in front of the program's own.
-    Quantifiers hold where every instance holds."""
+    With ``index``, the ``_gather_index`` of a stack of programs shaped
+    like ``program`` on a grounding, ``truth`` is one boolean vector laid
+    out like the grounding's atom vector instead, and each atom step
+    gathers every formula of the stack from it, on a leading formula
+    axis.  Quantifiers hold where every instance holds."""
     n_axes = program.n_axes
     out: list = []
-    for instr in program.instrs:
+    for i, instr in enumerate(program.instrs):
         args = [out[k] for k in instr.args]
-        if instr.op == "atom":
+        if index is not None and instr.op == "atom":
+            value = truth[index[i][0]]
+        elif instr.op == "atom":
             if not all(isinstance(t, int) for t in instr.terms):
                 raise SemanticError(f"unbound variable in {instr.atom}")
             value = truth[instr.atom.pred][

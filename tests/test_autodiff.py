@@ -325,10 +325,35 @@ def test_leaves_record_in_bulk_like_leaf():
     assert all(type(v) is float for v in bulk.values)
 
 
+def test_leaf_range_makes_each_label_once_when_first_read():
+    tape = Tape()
+    tape.leaf(0.9, label="first")
+    made = []
+
+    def label_of(k):
+        made.append(k)
+        return f"x{k}"
+
+    assert tape.leaf_range(np.array([0.5, 0.25, 0.125]), label_of) == range(1, 4)
+    assert tape.leaf_range([], label_of) == range(4, 4)
+    assert len(tape) == 4 and tape.parents == [()] * 4 and made == []
+    assert Node(tape, 2).label == "x1" and Node(tape, 2).label == "x1"
+    assert made == [1]
+    tape.record_fused("f", [3, 1], 0.5, [1.0, 2.0])
+    assert tape.leaf_range([0.75], lambda k: f"y{k}") == range(5, 6)
+    assert Node(tape, 5).label == "y0" and Node(tape, 4).label == "f"
+    assert tape.labels == ["first", "x0", "x1", "x2", "f", "y0"]
+    assert made == [1, 0, 2]
+    assert tape.dump().splitlines()[1:3] == ["1 x0 0.5", "2 x1 0.25"]
+    assert made == [1, 0, 2]
+
+
 def test_leaves_refusals():
     tape = Tape()
     with pytest.raises(ValueError, match="leaf value must be finite, got nan"):
         tape.leaves([0.5, float("nan")], ["a", "b"])
     with pytest.raises(ValueError, match="2 leaf values but 1 labels"):
         tape.leaves([0.5, 0.25], ["a"])
+    with pytest.raises(ValueError, match="leaf value must be finite, got inf"):
+        tape.leaf_range([0.5, float("inf")], str)
     assert len(tape) == 0 and tape.leaves([], []) == []

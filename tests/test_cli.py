@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from dfl.analysis import derivative_surface
 from dfl.cli import main
 
 SCENE_LABELS = """\
@@ -136,6 +137,23 @@ def test_analyze_surface(capsys, tmp_path):
     assert len(lines) == 26  # header + 25 grid rows
 
 
+def test_analyze_surface_reads_p_from_the_sigmoidal_op(capsys, tmp_path):
+    out = str(tmp_path / "surface.csv")
+    op = "sigmoidal:base=yager_s,s=9,p=2"
+    assert main(["analyze", "surface", "--op", op, "--step", "0.25",
+                 "--csv", out]) == 0
+    rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
+    expected = derivative_surface("sigmoidal", 0.25, p=2.0, s=9.0, b0=-0.5,
+                                  base="yager_s")
+    assert rows == [[repr(x) for x in row] for row in expected]
+    capsys.readouterr()
+    assert main(["analyze", "surface", "--op", op, "--p", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: p is given twice: in --op {op} and as "
+                            f"--p 3.0\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv,message", [
     (["fractions", "--op", "foo_agg"], "unknown aggregator 'foo'"),
     (["fractions", "--op", "foo_tnorm"], "unknown t-norm 'foo'"),
@@ -209,6 +227,14 @@ aggregator=log_product
     assert open(a, "rb").read() == open(b, "rb").read()
     header = open(a).read().splitlines()[0]
     assert header == "step,loss_sup,loss_dfl,accuracy,cons_pct,cu_cons_pct,cu_ant_pct"
+
+
+def test_train_refuses_a_negation_parameter(tmp_path, capsys):
+    config = tmp_path / "train.cfg"
+    config.write_text("seed=3\nsteps=5\nnegation=classic:p=2\n")
+    assert main(["train", "--config", str(config)]) == 3
+    assert ("error: 'negation=classic:p=2': parameter 'p' not valid here"
+            in capsys.readouterr().err)
 
 
 def test_train_requires_seed(tmp_path, capsys):

@@ -3,6 +3,8 @@
 gradient-quality metrics agree to 1e-12 under every operator, and both
 raise the same exceptions."""
 
+import dataclasses
+import itertools
 import math
 import random
 import re
@@ -12,14 +14,16 @@ import pytest
 
 import scalar_reference
 from scalar_reference import classical_truth
-from dfl.analysis import gradient_quality, labeling_from_atoms
+from dfl.analysis import GradientQuality, gradient_quality, labeling_from_atoms
+from dfl.autodiff import Node
 from dfl.logic import (And, Atom, ForAll, Implies, KnowledgeBase, Not, Or,
-                       compile_formula)
+                       compile_formula, parse_formula)
 from dfl.operators import (AGGREGATOR_NAMES, IMPLICATION_NAMES, TCONORM_NAMES,
                            TNORM_NAMES, parse_operator_config)
 from dfl.valuation import (Domain, LookupInterpretation, SemanticError,
                            _forward_values, _valuate, build_grounding,
-                           dfl_loss, loss_gradient, valuate)
+                           classical_values, dfl_loss, formula_pass,
+                           loss_gradient, valuate)
 
 BASE = "tnorm=product tconorm=product implication=reichenbach aggregator=product"
 
@@ -262,6 +266,145 @@ def test_gradient_quality_matches_per_instance_reference(override, batch):
         kb, _grounding(table, batch), ops, atom_fn)
     assert _close(got.cons_magnitude, cons) and _close(got.ant_magnitude, ant)
     assert _close(got.cu_cons_pct, cu_cons) and _close(got.cu_ant_pct, cu_ant)
+
+
+def _per_formula_quality(kb, g, ops, labels):
+    """``gradient_quality`` one formula at a time: each formula's own pass
+    (``formula_pass``), per-predicate label arrays lifted over its program
+    alone, and its sums taken one formula at a time."""
+    truth: dict = {}
+    total_cons = total_ant = total_cu_cons = total_cu_ant = 0.0
+    used = skipped = 0
+    b = len(g.batch)
+    for formula, _ in kb.entries:
+        program = compile_formula(formula)
+        body = program.body
+        if body is None or program.instrs[body].op != "implies":
+            skipped += 1
+            continue
+        used += 1
+        run = formula_pass(formula, g, ops)
+        adj = run.stack_adjoint[run.f]
+        da, dc = (d[run.f if len(d) > 1 else 0] for d in run.stack_partials)
+        shape = [1] * program.n_axes
+        for axis in program.instrs[-1].axes:
+            shape[axis] = b
+        d_cons = np.broadcast_to(adj * dc, tuple(shape))
+        d_ant = np.broadcast_to(-(adj * da), tuple(shape))
+        ante, cons = program.instrs[body].args
+        for instr in program.instrs:
+            pred = instr.atom.pred if instr.op == "atom" else None
+            if pred is not None and pred not in truth:
+                arity = g.tensor(pred).ndim
+                truth[pred] = np.array(
+                    [bool(labels.atom_fn(pred, objs))
+                     for objs in itertools.product(g.batch, repeat=arity)],
+                    dtype=bool).reshape((b,) * arity)
+        holds = classical_values(program, b, truth)
+        cons_true, ante_false = holds[cons], ~holds[ante]
+        total_cons += float(d_cons.sum())
+        total_ant += float(d_ant.sum())
+        total_cu_cons += float((cons_true * d_cons).sum())
+        total_cu_ant += float((ante_false * d_ant).sum())
+    denom = total_cons + total_ant
+    nan = float("nan")
+    return GradientQuality(
+        total_cons, total_ant, total_cons / denom if denom > 0 else nan,
+        total_cu_cons / total_cons if total_cons > 0 else nan,
+        total_cu_ant / total_ant if total_ant > 0 else nan, used, skipped)
+
+
+_SAME_SHAPE = ["forall x, y: p(x) & r(x, y) -> q(y)",
+               "forall x, y: q(x) & r(x, y) -> p(y)",
+               "forall x, y: p(x) & r(x, y) -> p(y)",
+               "forall x: p(x) -> q(x)", "forall x: q(x) -> q(x)",
+               "forall x: p(x) -> ~q(x)",
+               "forall x, y: p(x) | q(y)", "forall x, y: q(x) | p(y)"]
+
+
+def _quality_kb(rng):
+    """``_random_kb`` (mixed shapes, non-implication bodies and a formula
+    object added twice) with stacks of several implication-bodied
+    formulas of one shape interleaved."""
+    kb = _random_kb(rng)
+    for text in _SAME_SHAPE:
+        kb.entries.insert(rng.randrange(len(kb.entries) + 1),
+                          (parse_formula(text), rng.uniform(0.1, 4.0)))
+    return kb
+
+
+def _fields(quality):
+    return [("nan" if isinstance(v, float) and math.isnan(v) else v)
+            for v in dataclasses.astuple(quality)]
+
+
+def _leave_passes(how, kb, g, ops, other):
+    if how == "dfl_loss":
+        dfl_loss(kb, g, ops)
+    elif how == "loss_gradient":
+        loss_gradient(kb, g, ops)
+    elif how == "formula_pass":
+        for f in kb.formulas():
+            formula_pass(f, g, ops)
+    elif how == "other ops":
+        dfl_loss(kb, g, other)
+    elif how == "some":  # a subset of one stack, then the rest singly
+        _valuate(kb.formulas()[::2], g, ops, None)
+        formula_pass(kb.formulas()[1], g, ops)
+
+
+@pytest.mark.parametrize("override", CONFIGS)
+@pytest.mark.parametrize("batch", [[0], [0, 1, 2]])
+def test_gradient_quality_is_the_per_formula_quality_bit_for_bit(override,
+                                                                 batch):
+    ops = parse_operator_config(f"{BASE} {override}")
+    other = parse_operator_config("implication=godel aggregator=min")
+    rng = random.Random(f"quality {override} {batch}")
+    for trial in range(2):
+        kb = _quality_kb(rng)
+        table = _table(rng, ties=trial == 1)
+        labels = {key: rng.random() < 0.5 for key in table}
+        labeling = labeling_from_atoms(lambda pred, objs: labels[(pred, objs)])
+        try:
+            want = _fields(_per_formula_quality(kb, _grounding(table, batch),
+                                                ops, labeling))
+        except (SemanticError, ValueError) as exc:
+            want = type(exc), str(exc)
+        for how in ("none", "dfl_loss", "loss_gradient", "formula_pass",
+                    "other ops", "some"):
+            g = _grounding(table, batch)
+            try:
+                _leave_passes(how, kb, g, ops, other)
+                got = _fields(gradient_quality(kb, g, ops, labeling))
+            except (SemanticError, ValueError) as exc:
+                got = type(exc), str(exc)
+            assert got == want, (how, override)
+
+
+def test_gradient_quality_builds_no_leaf_nodes(monkeypatch):
+    ops = parse_operator_config(BASE)
+    rng = random.Random(7)
+    kb, table = _quality_kb(rng), _table(rng)
+    g = _grounding(table, [0, 1, 2])
+    built = []
+    original = Node.__init__
+
+    def counted(self, tape, idx):
+        built.append(idx)
+        original(self, tape, idx)
+
+    monkeypatch.setattr(Node, "__init__", counted)
+    loss = dfl_loss(kb, g, ops)
+    nodes = len(g.tape)
+    grads = g.tape.backward(loss)
+    gradient_quality(kb, g, ops, labeling_from_atoms(lambda p, o: 1))
+    monkeypatch.undo()
+    # one fused node per formula and the loss; no leaf handle, no label
+    assert sorted(built) == list(range(len(g), nodes))
+    assert nodes == len(g) + len(kb) + 1 == loss.idx + 1
+    assert g.tape._labels[:len(g)] == [None] * len(g)
+    assert [grads[g.nodes[key]] for key in g.keys()] == list(
+        _tape_loss_gradient(kb, _grounding(table, [0, 1, 2]), ops)[1])
 
 
 def test_formulas_compile_once_into_postorder_programs():

@@ -8,6 +8,7 @@ import pytest
 from dfl import operators
 from dfl.autodiff import finite_difference_check
 from dfl.operators import (
+    OperatorConfig,
     OperatorError,
     ConfigError,
     aggregate,
@@ -17,6 +18,7 @@ from dfl.operators import (
     d_Inot_a,
     descriptor,
     implication,
+    implication_array,
     implication_kernel,
     negation,
     parse_operator_config,
@@ -525,6 +527,9 @@ def test_parse_operator_config_errors():
     # not dropped
     with pytest.raises(ConfigError, match="parameter 's' not valid here"):
         parse_operator_config("implication=reichenbach:s=3,base=godel")
+    with pytest.raises(ConfigError, match=re.escape(
+            "'negation=classic:p=2': parameter 'p' not valid here")):
+        parse_operator_config("negation=classic:p=2")
 
 
 def test_config_describe_roundtrip():
@@ -565,8 +570,32 @@ def test_every_registry_row_is_in_the_catalog():
     ("aggregator", "mae", dict(p=1.0), "mae takes no parameter p"),
     ("aggregator", "pme", dict(p=0.0), "pme requires p > 0, got 0.0"),
     ("implication", "yager_r", dict(p=0.5), "yager_r requires p >= 1, got 0.5"),
+    ("implication", "godel", dict(s=9.0, base="lukasiewicz"),
+     "implication godel takes no parameter s"),
+    ("implication", "reichenbach", dict(b0=-0.5),
+     "implication reichenbach takes no parameter b0"),
+    ("implication", "yager_s", dict(p=2.0, base="godel"),
+     "implication yager_s takes no parameter base"),
+    ("tnorm", "product", dict(s=9.0), "t-norm product takes no parameter s"),
+    ("aggregator", "mae", dict(base="godel"), "mae takes no parameter base"),
 ])
 def test_descriptor_refuses_unknown_names_and_bad_parameters(family, name, kw,
                                                              message):
     with pytest.raises(OperatorError, match=re.escape(message)):
         descriptor(family, name, **kw)
+
+
+@pytest.mark.parametrize("kw", [dict(s=9.0), dict(b0=-0.5),
+                                dict(base="lukasiewicz")])
+def test_only_the_sigmoidal_implication_takes_s_b0_and_base(kw):
+    key = next(iter(kw))
+    message = f"implication godel takes no parameter {key}"
+    for call in (lambda: implication_kernel("godel", 0.3, 0.6, **kw),
+                 lambda: implication_array("godel", np.array([0.3]),
+                                           np.array([0.6]), **kw)):
+        with pytest.raises(OperatorError, match=re.escape(message)):
+            call()
+    with pytest.raises(OperatorError, match=re.escape(message)):
+        OperatorConfig(implication="godel", **{
+            {"s": "sigmoid_s", "b0": "sigmoid_b0",
+             "base": "sigmoid_base"}[key]: kw[key]}).validate()

@@ -169,6 +169,38 @@ def test_truth_tables_and_scores_build_the_same_vector():
     assert built.tensor("r")[0, 1] == max(table[("r", (3, 0))], 1e-7)
 
 
+class _Scorer:
+    """A table asked one atom at a time."""
+
+    def __init__(self, interp):
+        self.score = interp.score
+
+
+def test_lookup_table_is_read_like_one_score_per_atom():
+    rng = random.Random(11)
+    signature, batch = {"r": 2, "p": 1}, [3, 0, 2]
+    table = {(pred, objs): rng.random() for pred, arity in signature.items()
+             for objs in itertools.product(range(4), repeat=arity)}
+    table[("p", (0,))] = 1  # an int, read as 1.0 either way
+    names = [f"o{i}" for i in range(4)]
+    for interp in (LookupInterpretation(table, names),
+                   _Scorer(LookupInterpretation(table, names))):
+        g = build_grounding(interp, _uniform_domain(4), signature, batch)
+        assert g.raw_values.tolist() == [float(table[key]) for key in g.keys()]
+    # a missing atom falls back to the per-atom path, which names it
+    for missing in [("r", (0, 2)), ("p", (2,))]:
+        partial = {k: v for k, v in table.items() if k != missing}
+        messages = set()
+        for interp in (LookupInterpretation(partial, names),
+                       _Scorer(LookupInterpretation(partial, names))):
+            with pytest.raises(SemanticError) as excinfo:
+                build_grounding(interp, _uniform_domain(4), signature, batch)
+            messages.add(str(excinfo.value))
+        pred, objs = missing
+        assert messages == {f"no probability for ground atom "
+                            f"{pred}({','.join(names[i] for i in objs)})"}
+
+
 def test_missing_atom_names_objects():
     g = build_grounding(_const_interp({"p": 1}, 0.5), Domain(["a", "b"]),
                         {"p": 1}, [0, 1])
