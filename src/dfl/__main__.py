@@ -1,0 +1,8 @@
+"""``python -m dfl``: the ``dfl`` command line (``dfl.cli``)."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,7 +25,7 @@ import time
 from . import __version__
 from .logic import ParseError, parse_kb
 from .operators import (ConfigError, OperatorConfig, OperatorError,
-                        descriptor, parse_operator_config)
+                        _parse_params, descriptor, parse_operator_config)
 from .valuation import (InstanceCapError, SemanticError, build_grounding,
                         formula_pass, loss_gradient, parse_grounding)
 
@@ -186,13 +186,17 @@ def cmd_analyze(args, argv) -> int:
         from .analysis import derivative_surface
         kw = dict(p=args.p)
         if args.op.startswith("sigmoidal:"):
-            cfg = parse_operator_config(f"implication={args.op}")
-            if cfg.implication_p is not None and args.p is not None:
+            text = f"implication={args.op}"
+            if args.p is not None and "p" in _parse_params(
+                    args.op.partition(":")[2], text):
                 print(f"error: p is given twice: in --op {args.op} and as "
                       f"--p {args.p!r}", file=sys.stderr)
                 return EXIT_INPUT
-            kw = dict(p=cfg.implication_p if args.p is None else args.p,
-                      s=cfg.sigmoid_s, b0=cfg.sigmoid_b0, base=cfg.sigmoid_base)
+            # --p is the base's p: a yager base is checked with it
+            cfg = parse_operator_config(text, OperatorConfig(
+                implication_p=args.p))
+            kw = dict(p=cfg.implication_p, s=cfg.sigmoid_s,
+                      b0=cfg.sigmoid_b0, base=cfg.sigmoid_base)
             name = "sigmoidal"
         else:
             name = args.op
@@ -333,12 +337,13 @@ def cmd_oracle(args, argv) -> int:
     kb = parse_kb(kb_text)
     domain, interp, _ = parse_grounding(grounding_text)
     batch = list(range(len(domain)))
+    if args.dump_worlds:  # refused past the caps before anything prints
+        atoms, rows = world_table(kb, interp, batch)
     report = equivalence_report(kb, interp, batch)
     print(f"exact={_fmt(report.exact)} dpfl={_fmt(report.dpfl)} "
           f"gap={_fmt(report.gap)} "
           f"single_occurrence={str(report.single_occurrence).lower()}")
     if args.dump_worlds:
-        atoms, rows = world_table(kb, interp, batch)
         names = [f"{p}({','.join(domain.names[i] for i in objs)})"
                  for p, objs in atoms]
         print("worlds " + " ".join(names))

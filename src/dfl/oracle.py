@@ -3,45 +3,70 @@ against the product-configuration fuzzy valuation.
 
 A world assigns {0,1} to every ground atom that each formula's compiled
 program reads over its b**d instances; other atoms marginalize out.
-Atoms are numbered in first-appearance order and worlds in
-``itertools.product`` order, the first atom being the most significant
-bit of a world's number.
+Atoms are numbered in first-appearance order (the *census*) and worlds
+in ``itertools.product`` order, the first atom being the most
+significant bit of a world's number.
+
+Ground instances that share no atom are independent, so the knowledge
+base's probability is the product of the probabilities of the connected
+components of the graph that joins each instance to the atoms it reads
+(exact weighted model counting, as in Semantic Loss, Xu et al. 2018).
+Components are ordered by their first atom in the census and keep
+census order within; a connected knowledge base is the one-component
+case.
 
 The work splits in two.  A knowledge base's *plan* over a batch does not
-depend on the probabilities: the census of its ground atoms with their
-occurrence counts, the atom and instance counts the caps use, and the
-satisfying worlds as one boolean mask over all 2**n worlds.  The mask
-comes from evaluating the programs classically
-(``valuation.classical_values``) with a leading world axis, over
-``WORLD_CHUNK`` worlds at a time and at most ``INSTANCE_CAP``
-world-instance pairs per chunk, so memory stays bounded.  A few plans
-are cached, keyed on the identity of the compiled programs and on the
-batch: a knowledge base that gains a formula, or is parsed again, gets
-a new plan.  Every call then checks the caps and the probabilities and
-runs a *weight pass* over blocks of at most ``WORLD_CHUNK`` worlds,
-skipping blocks with no satisfying world.  A world's weight multiplies
-its atoms' factors (p or 1 - p) in atom order; a block's weights are
-built as a Kronecker product in that order, which makes the same
-multiplications, so they equal a per-world loop's bit for bit.
+depend on the probabilities.  It holds the census, with occurrence
+counts, and the components with their atom and instance counts, all
+found with array operations over the positions the compiled programs'
+gather indices read (``valuation._gather_index``): a union-find over
+those positions, with no Python step per ground instance.  It holds,
+per component, the satisfying worlds as one boolean mask over its 2**k
+worlds, from evaluating the programs classically
+(``valuation.classical_values``) with a leading world axis over the
+component's instances, ``WORLD_CHUNK`` worlds at a time and at most
+``INSTANCE_CAP`` world-instance pairs per chunk, so memory stays
+bounded.  A few plans are cached, keyed on the identity of the compiled
+programs and on the batch: a knowledge base that gains a formula, or is
+parsed again, gets a new plan.
+
+Every call then checks the caps and the probabilities and runs a
+*weight pass* per component over blocks of at most ``WORLD_CHUNK``
+worlds, skipping blocks with no satisfying world.  A world's weight
+multiplies its atoms' factors (p or 1 - p) in atom order; a block's
+weights are built as a Kronecker product in that order, which makes the
+same multiplications, so they equal a per-world loop's bit for bit.
 The satisfying weights are summed exactly (``_exact_sum``): each splits
 into an integer mantissa and an exponent, the mantissas add up per
 exponent in float64 without rounding, the bins carry over blocks as one
 Python integer, and a single integer division rounds the total
 correctly.  The result is the float ``math.fsum`` returns, and depends
-on neither order nor blocking.
+on neither order nor blocking.  A component of fewer than 64 worlds is
+weighed in Python floats and summed with ``math.fsum``, which gives the
+same float without numpy's per-call cost.  The probability is 1.0 times
+each component's sum, in component order.  On a connected knowledge
+base that is the exact sum over all worlds; otherwise it differs from
+that sum by a few roundings (under 1e-15 relative on the tested
+knowledge bases).
 
-The 20-atom cap (about a million worlds) keeps the oracle exact rather
-than sampled, and ``WORLD_INSTANCE_CAP`` bounds its work; a grounding
-past either cap is rejected before its instances are walked or any
-world is built.  A probability that is not a number in [0, 1] is
-rejected, naming its atom, before any world is weighted.
+The caps bound the worlds a plan stores, not the atoms: the components'
+2**k summed must stay within 2**``WORLD_ATOM_CAP`` (about a million
+worlds, which keeps the oracle exact rather than sampled), and their
+2**k x instances summed within ``WORLD_INSTANCE_CAP``, which bounds the
+work.  A grounding past either cap is rejected before any world is
+built.  ``world_table`` lists every world of the knowledge base, so it
+applies both caps to the whole of it, as to one component.  A
+probability that is not a number in [0, 1] is rejected, naming its atom,
+before any world is weighted.
 
 The fuzzy side of the comparison uses product t-norm/t-conorm, the
 Reichenbach implication and the log-product aggregator, exponentiated
 back into probability space; it needs the formula values only, so it
-runs the valuation's forward pass alone.  When every ground atom occurs at most
-once in the grounded knowledge base the two sides agree; repeated atoms
-make the fuzzy side drift (the P AND NOT(P AND Q) example).
+runs the valuation's forward pass alone, on an atom vector into which
+the checked probabilities are scattered through an index the plan
+keeps per signature.  When every ground atom occurs at most once in the
+grounded knowledge base the two sides agree; repeated atoms make the
+fuzzy side drift (the P AND NOT(P AND Q) example).
 """
 
 from __future__ import annotations
@@ -55,10 +80,10 @@ import numpy as np
 
 from .logic import KnowledgeBase, compile_formula
 from .operators import OperatorConfig
-from .valuation import (INSTANCE_CAP, Domain, LookupInterpretation,
-                        SemanticError, _atom_text, _forward_values,
-                        build_grounding, check_instance_cap,
-                        classical_values)
+from .valuation import (INSTANCE_CAP, GroundingTable, LookupInterpretation,
+                        SemanticError, _atom_key, _atom_text, _check_batch,
+                        _forward_values, _gather_index, _index, _layout,
+                        check_instance_cap, classical_values)
 
 __all__ = [
     "WorldCapError", "AtomOccurrence", "EquivalenceReport",
@@ -82,14 +107,6 @@ class WorldCapError(ValueError):
     """Grounded knowledge base exceeds an exact-enumeration cap."""
 
 
-def _assignments(terms: tuple, batch: tuple):
-    """Every assignment of batch objects to the axes ``terms`` names, as
-    a dict from axis to object."""
-    axes = sorted(set(terms))
-    return (dict(zip(axes, combo))
-            for combo in itertools.product(batch, repeat=len(axes)))
-
-
 def _world_bits(start: int, stop: int, n: int) -> np.ndarray:
     """The boolean (world x atom) matrix of worlds start..stop-1."""
     index = np.arange(start, stop)
@@ -99,25 +116,96 @@ def _world_bits(start: int, stop: int, n: int) -> np.ndarray:
     return bits
 
 
+def _restrict(array: np.ndarray, grid: tuple) -> np.ndarray:
+    """``array``, with a leading formula axis of 1 and then one axis of 1
+    or b batch positions per quantified variable, at the positions
+    ``grid`` lists per variable."""
+    zero = np.zeros(1, dtype=np.intp)
+    return array[np.ix_(zero, *(positions if size > 1 else zero for size,
+                                positions in zip(array.shape[1:], grid)))]
+
+
+def _union(label: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each node's component over the edges (u, v), named by its smallest
+    node: larger roots are hooked under smaller ones and every node is
+    pointed at its root, until no edge joins two roots."""
+    while True:
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
+        lu, lv = label[u], label[v]
+        apart = lu != lv
+        if not apart.any():
+            return label
+        # a root that several edges hook takes any one of them; the rest
+        # join it on a later round
+        lu, lv = lu[apart], lv[apart]
+        label[np.maximum(lu, lv)] = np.minimum(lu, lv)
+
+
 class _Plan:
     """What the oracle knows of ``programs`` over ``batch`` before it sees
     a probability.  Everything but ``instances`` is worked out on first
     use and kept.  One object per programs and batch (``_plan``)."""
 
     def __init__(self, programs: tuple, batch: tuple):
+        _check_batch(batch)
         check_instance_cap(programs, len(batch))
         self.programs, self.batch = programs, batch
         self.instances = sum(len(batch) ** p.n_axes for p in programs)
+        self._scatters: dict = {}
 
     @functools.cached_property
-    def n_atoms(self) -> int:
-        """The number of ground atoms, counted over each atom step's own
-        variables only, so that the caps can be checked before
-        ``counts`` walks every instance."""
-        return len({(instr.atom.pred, tuple(combo[t] for t in instr.terms))
-                    for program in self.programs for instr in program.instrs
-                    if instr.op == "atom"
-                    for combo in _assignments(instr.terms, self.batch)})
+    def layout(self):
+        """The atom vector of every predicate the programs read."""
+        arities = {instr.atom.pred: len(instr.terms)
+                   for program in self.programs for instr in program.instrs
+                   if instr.op == "atom"}
+        return _layout(len(self.batch), tuple(sorted(arities.items())))
+
+    @functools.cached_property
+    def gathers(self) -> list:
+        """Per program, (step, positions) of each atom step in program
+        order: where in ``layout``'s vector the step reads each instance,
+        on a leading formula axis of 1 and one axis per variable, of size
+        1 where the step does not depend on it (``_gather_index``)."""
+        return [[(i, gather) for i, (gather, _) in
+                 _gather_index((program,), self.layout, ()).items()]
+                for program in self.programs]
+
+    @functools.cached_property
+    def _census(self) -> tuple:
+        """(atoms, counts): the vector position of every ground atom the
+        programs read, in first-appearance order, and its occurrences.
+        Reads are numbered by formula, then instance in lexicographic
+        batch order, then step; a step first reads each of its atoms
+        where every variable it ignores is at position 0, and an atom's
+        least number places it."""
+        b, size = len(self.batch), self.layout.size
+        first = np.full(size, np.iinfo(np.int64).max)
+        counts = np.zeros(size, dtype=np.int64)
+        base = 0
+        for program, steps in zip(self.programs, self.gathers):
+            n = program.n_axes
+            for j, (_, gather) in enumerate(steps):
+                number = sum(ix * b ** (n - 1 - k) for k, ix
+                             in enumerate(_index(b, n, tuple(range(n))))
+                             if gather.shape[k + 1] > 1)
+                # each entry is one atom, read once per value of the
+                # variables the step ignores
+                at = gather.ravel()
+                first[at] = np.minimum(first[at], (base + j + len(steps) * (
+                    np.broadcast_to(number, gather.shape[1:]))).ravel())
+                counts[at] += b ** n // gather.size
+            base += b ** n * len(steps)
+        atoms = np.flatnonzero(counts)
+        # sorted in Python: numpy's sort kernels would add their code to
+        # the process's memory for a one-off sort of the atoms
+        atoms = atoms[sorted(range(len(atoms)),
+                             key=first[atoms].tolist().__getitem__)]
+        return atoms, counts[atoms]
 
     @functools.cached_property
     def counts(self) -> dict:
@@ -126,43 +214,133 @@ class _Plan:
         batch order, then atom steps in program order.  An atom that
         ignores a quantified variable occurs once per value of it.
         Callers copy it before handing it out."""
-        counts: dict = {}
-        for program in self.programs:
-            steps = [(instr.atom.pred, instr.terms) for instr in program.instrs
-                     if instr.op == "atom"]
-            for combo in itertools.product(self.batch, repeat=program.n_axes):
-                for pred, terms in steps:
-                    key = (pred, tuple(combo[axis] for axis in terms))
-                    counts[key] = counts.get(key, 0) + 1
-        return counts
+        atoms, counts = self._census
+        return {_atom_key(self.layout, self.batch, k): count for k, count
+                in zip(atoms.tolist(), counts.tolist())}
+
+    @property
+    def n_atoms(self) -> int:
+        return len(self._census[0])
 
     @functools.cached_property
-    def satisfied(self) -> np.ndarray:
-        """Whether each world satisfies every program, as a boolean mask
-        over the 2**n worlds, evaluated a chunk of worlds at a time."""
-        column = {atom: j for j, atom in enumerate(self.counts)}
-        n, b = len(column), len(self.batch)
-        arities = {instr.atom.pred: len(instr.terms)
-                   for program in self.programs for instr in program.instrs
-                   if instr.op == "atom"}
-        # per predicate, the world column of each ground atom over batch
-        # positions; atoms no instance reads get column 0
-        columns = {pred: np.array([column.get((pred, objs), 0) for objs in
-                                   itertools.product(self.batch, repeat=arity)],
-                                  dtype=np.intp).reshape((b,) * arity)
-                   for pred, arity in arities.items()}
-        chunk = max(1, min(WORLD_CHUNK, INSTANCE_CAP // max(self.instances, 1)))
-        satisfied = np.ones(2 ** n, dtype=bool)
-        for start in range(0, 2 ** n, chunk):
-            worlds = _world_bits(start, min(start + chunk, 2 ** n), n)
-            truth = {pred: worlds[:, cols] for pred, cols in columns.items()}
-            ok = satisfied[start:start + len(worlds)]
-            for program in self.programs:
-                ok &= classical_values(program, b, truth)[-1].reshape(-1)
-        return satisfied
+    def _components(self) -> tuple:
+        """(parts, where, instances): the atoms of each connected component
+        of the atom-instance graph, as positions in the census; the
+        component of each vector position (-1 where no program reads);
+        and the ground instances of each component.  Every atom an
+        instance reads is joined to the instance's first; components are
+        ordered by their first atom in the census, and keep census order
+        within."""
+        atoms = self._census[0]
+        label = np.arange(self.layout.size)
+        for steps in self.gathers:  # one atom step's edges at a time
+            for _, gather in steps[1:]:
+                u, v = np.broadcast_arrays(steps[0][1], gather)
+                label = _union(label, u.ravel(), v.ravel())
+        rank: dict = {}
+        part = [rank.setdefault(root, len(rank))
+                for root in label[atoms].tolist()]
+        parts: list = [[] for _ in rank]
+        for j, c in enumerate(part):
+            parts[c].append(j)
+        where = np.full(self.layout.size, -1)
+        where[atoms] = part
+        b, instances = len(self.batch), np.zeros(len(parts), dtype=np.int64)
+        for program, steps in zip(self.programs, self.gathers):
+            head = steps[0][1]
+            instances += (np.bincount(where[head.ravel()], minlength=len(parts))
+                          * (b ** program.n_axes // head.size))
+        return parts, where, instances.tolist()
+
+    @functools.cached_property
+    def masks(self) -> list:
+        """Per component, whether each of its 2**k worlds satisfies every
+        ground instance in it, as a boolean mask.  Each program that has
+        instances in the component is evaluated (``classical_values``)
+        with a leading world axis, over the grid of the batch positions
+        that those instances take per variable, and holds where every one
+        of them in the grid does; the grid's other instances read only
+        other components' atoms, whose columns are arbitrary.  Worlds go
+        ``WORLD_CHUNK`` at a time, fewer when the grids hold more than
+        ``INSTANCE_CAP`` world-instance pairs per chunk."""
+        parts, where, _ = self._components
+        atoms, b = self._census[0], len(self.batch)
+        column = np.zeros(self.layout.size, dtype=np.intp)
+        for part in parts:
+            column[atoms[part]] = np.arange(len(part))
+        # per program, the entries of its first atom step that each
+        # component's instances read (None: all of them)
+        groups = []
+        for steps in self.gathers:
+            part = where[steps[0][1].ravel()]
+            members: dict = {int(part[0]): None}
+            if not (part == part[0]).all():
+                members = {}
+                for e, c in enumerate(part.tolist()):
+                    members.setdefault(c, []).append(e)
+            groups.append(members)
+        everywhere = np.arange(b)
+        masks = []
+        for c, part in enumerate(parts):
+            runs, cells = [], 0
+            for program, steps, members in zip(self.programs, self.gathers,
+                                               groups):
+                if c not in members:
+                    continue
+                head = steps[0][1]
+                grid = (everywhere,) * program.n_axes
+                if members[c] is not None:
+                    at = np.unravel_index(members[c], head.shape)
+                    grid = tuple(
+                        np.flatnonzero(np.bincount(at[k + 1], minlength=b))
+                        if head.shape[k + 1] > 1 else everywhere
+                        for k in range(program.n_axes))
+                cells += math.prod(map(len, grid))
+                index = {i: ((Ellipsis, column[_restrict(gather, grid)]),)
+                         for i, gather in steps}
+                inside = where[_restrict(head, grid)] == c
+                runs.append((program, index,
+                             None if inside.all() else inside[None]))
+            worlds = 2 ** len(part)
+            chunk = max(1, min(WORLD_CHUNK, INSTANCE_CAP // max(cells, 1)))
+            mask = np.ones(worlds, dtype=bool)
+            for start in range(0, worlds, chunk):
+                truth = _world_bits(start, min(start + chunk, worlds),
+                                    len(part))
+                ok = mask[start:start + len(truth)]
+                for program, index, inside in runs:
+                    values = classical_values(program, b, truth, index)
+                    if inside is None:
+                        ok &= values[-1].reshape(-1)
+                    else:
+                        fails = ~values[program.body] & inside
+                        ok &= ~fails.any(axis=tuple(range(1, fails.ndim)))
+            masks.append(mask)
+        return masks
+
+    @functools.cached_property
+    def holds(self) -> list:
+        """Each mask of fewer than ``_SMALL`` worlds as a list, else None."""
+        return [mask.tolist() if len(mask) < _SMALL else None
+                for mask in self.masks]
+
+    def scatter(self, signature: dict) -> tuple:
+        """(layout, at): the atom vector of ``signature`` over the batch,
+        and the position in it of each atom of the census."""
+        key = tuple(sorted(signature.items()))
+        if key not in self._scatters:
+            layout = _layout(len(self.batch), key)
+            preds = self.layout.preds
+            offsets = np.array([offset for offset, _ in preds.values()])
+            shift = np.array([layout.preds[pred][0] for pred in preds]
+                             ) - offsets
+            atoms = self._census[0]
+            at = atoms + shift[np.searchsorted(offsets, atoms, "right") - 1]
+            self._scatters[key] = layout, at
+        return self._scatters[key]
 
 
-# each entry holds a mask of up to 2**WORLD_ATOM_CAP bytes
+# each entry holds masks of up to 2**WORLD_ATOM_CAP bytes in all
 _plan = functools.lru_cache(maxsize=8)(_Plan)
 
 
@@ -192,20 +370,35 @@ def _prob_lookup(probs):
             else probs).score
 
 
-def _weighing(kb: KnowledgeBase, probs, batch: list):
-    """(plan, p): the KB's plan, refused past ``WORLD_ATOM_CAP`` atoms or
-    ``WORLD_INSTANCE_CAP`` world-instance pairs before its census walks
-    the instances, and the probability of each of its atoms, refused
-    unless a number in [0, 1]."""
-    plan = _plan_of(kb, batch)
-    n = plan.n_atoms
-    if n > WORLD_ATOM_CAP:
-        raise WorldCapError(f"{n} ground atoms exceed the {WORLD_ATOM_CAP}-"
-                            f"atom world-enumeration cap")
-    if 2 ** n * plan.instances > WORLD_INSTANCE_CAP:
+def _check_caps(atoms: list, instances: list):
+    """Refuse, before any world is built, independent parts of ``atoms``
+    ground atoms and ``instances`` ground instances each whose worlds sum
+    past 2**``WORLD_ATOM_CAP``, or whose world-instance pairs sum past
+    ``WORLD_INSTANCE_CAP``."""
+    worlds = sum(2 ** k for k in atoms)
+    if worlds > 2 ** WORLD_ATOM_CAP:
+        if len(atoms) == 1:
+            raise WorldCapError(f"{atoms[0]} ground atoms exceed the "
+                                f"{WORLD_ATOM_CAP}-atom world-enumeration cap")
         raise WorldCapError(
-            f"2**{n} worlds x {plan.instances} ground instances exceed the "
-            f"{WORLD_INSTANCE_CAP}-pair world-enumeration cap")
+            f"{len(atoms)} independent components of {sum(atoms)} ground "
+            f"atoms have {worlds} worlds, past the 2**{WORLD_ATOM_CAP}-world "
+            f"enumeration cap")
+    pairs = sum(2 ** k * m for k, m in zip(atoms, instances))
+    if pairs > WORLD_INSTANCE_CAP:
+        if len(atoms) == 1:
+            raise WorldCapError(
+                f"2**{atoms[0]} worlds x {instances[0]} ground instances "
+                f"exceed the {WORLD_INSTANCE_CAP}-pair world-enumeration cap")
+        raise WorldCapError(
+            f"{pairs} world-instance pairs over {len(atoms)} independent "
+            f"components exceed the {WORLD_INSTANCE_CAP}-pair "
+            f"world-enumeration cap")
+
+
+def _weighing(plan: _Plan, probs) -> list:
+    """The probability of each atom of the census, refused unless a
+    number in [0, 1]."""
     score = _prob_lookup(probs)
     p = []
     for pred, objs in plan.counts:
@@ -216,23 +409,22 @@ def _weighing(kb: KnowledgeBase, probs, batch: list):
                 f"{_atom_text(pred, objs, getattr(probs, 'names', None))} "
                 f"is not in [0, 1]")
         p.append(value)
-    return plan, p
+    return p
 
 
-def _blocks(p: list, satisfied: np.ndarray, live_only: bool):
-    """(start, weight, satisfied) per block of 2**k <= ``WORLD_CHUNK``
-    consecutive worlds, skipping blocks with no satisfying world when
-    ``live_only``.  A world's weight is 1.0 times the factor of each atom
-    in atom order, p_j where atom j holds and 1 - p_j where it does not:
-    a block multiplies its leading atoms' factors once, as Python floats,
-    then the rest as a Kronecker product, which makes the same
-    multiplications in the same order for every world."""
+def _blocks(p: list, live: np.ndarray | None = None):
+    """(start, weight) per block of 2**k <= ``WORLD_CHUNK`` consecutive
+    worlds, skipping blocks in which the mask ``live`` holds nowhere.  A
+    world's weight is 1.0 times the factor of each atom in atom order,
+    p_j where atom j holds and 1 - p_j where it does not: a block
+    multiplies its leading atoms' factors once, as Python floats, then
+    the rest as a Kronecker product, which makes the same multiplications
+    in the same order for every world."""
     n = len(p)
     k = min(n, WORLD_CHUNK.bit_length() - 1)
     for block in range(2 ** (n - k)):
         start = block << k
-        ok = satisfied[start:start + 2 ** k]
-        if live_only and not ok.any():
+        if live is not None and not live[start:start + 2 ** k].any():
             continue
         head = 1.0
         for j, pj in enumerate(p[:n - k]):
@@ -245,7 +437,26 @@ def _blocks(p: list, satisfied: np.ndarray, live_only: bool):
             np.multiply(weight, 1.0 - pj, out=grown[0::2])
             np.multiply(weight, pj, out=grown[1::2])
             weight = grown
-        yield start, weight, ok
+        yield start, weight
+
+
+# a component of fewer worlds is weighed in Python floats and summed with
+# math.fsum: numpy's per-call cost would exceed the work
+_SMALL = 64
+
+
+def _satisfying_sum(p: list, mask: np.ndarray, holds: list | None) -> float:
+    """The exact sum of the weights of the worlds ``mask`` marks, the
+    worlds of atoms with probabilities ``p``; ``holds`` is the mask as a
+    list when it is small."""
+    if holds is None:
+        return _exact_sum(weight.compress(mask[start:start + len(weight)])
+                          for start, weight in _blocks(p, mask))
+    weights = [1.0]
+    for pj in p:  # the multiplications ``_blocks`` makes
+        qj = 1.0 - pj
+        weights = [x for w in weights for x in (w * qj, w * pj)]
+    return math.fsum(itertools.compress(weights, holds))
 
 
 # a part's mantissas are added as two halves below 2**27 each, per
@@ -293,13 +504,19 @@ def _exact_sum(parts) -> float:
 
 def world_table(kb: KnowledgeBase, probs, batch: list):
     """(atoms, rows) where rows yields (bits, satisfied, probability) per
-    world, one block of worlds at a time."""
-    plan, p = _weighing(kb, probs, batch)
-    satisfied = plan.satisfied
+    world, one block of worlds at a time.  It lists every world of the
+    knowledge base, so the caps apply to the whole of it."""
+    plan = _plan_of(kb, batch)
+    _check_caps([plan.n_atoms], [plan.instances])
+    p = _weighing(plan, probs)
+    masks = list(zip(plan._components[0], plan.masks))
 
     def rows():
-        for start, weight, ok in _blocks(p, satisfied, live_only=False):
+        for start, weight in _blocks(p):
             bits = _world_bits(start, start + len(weight), len(p))
+            ok = np.ones(len(weight), dtype=bool)
+            for part, mask in masks:
+                ok &= mask[bits[:, part] @ (1 << np.arange(len(part))[::-1])]
             yield from zip(map(tuple, bits.astype(np.uint8).tolist()),
                            ok.tolist(), weight.tolist())
 
@@ -308,10 +525,16 @@ def world_table(kb: KnowledgeBase, probs, batch: list):
 
 def semantic_probability(kb: KnowledgeBase, probs, batch: list) -> float:
     """Probability of sampling a world consistent with the grounded KB
-    under independent atom probabilities."""
-    plan, p = _weighing(kb, probs, batch)
-    return _exact_sum(weight.compress(ok) for _, weight, ok
-                      in _blocks(p, plan.satisfied, live_only=True))
+    under independent atom probabilities: the product, in component
+    order, of each component's exact sum of satisfying weights."""
+    plan = _plan_of(kb, batch)
+    parts, _, instances = plan._components
+    _check_caps(list(map(len, parts)), instances)
+    p = _weighing(plan, probs)
+    prob = 1.0
+    for part, mask, holds in zip(parts, plan.masks, plan.holds):
+        prob *= _satisfying_sum([p[j] for j in part], mask, holds)
+    return prob
 
 
 def semantic_loss(kb: KnowledgeBase, probs, batch: list) -> float:
@@ -326,16 +549,11 @@ def dpfl_valuation(kb: KnowledgeBase, probs, batch: list) -> float:
     """Product-config valuation of the KB, exponentiated back to
     probability space.  Formula weights are ignored: the comparison is
     between probabilities, not losses."""
-    appearing = _plan_of(kb, batch).counts
-    score = _prob_lookup(probs)
-    # grounding slots the KB never reads get a placeholder value
-    table = {(pred, objs): score(pred, objs) if (pred, objs) in appearing
-             else 0.5
-             for pred in sorted(kb.signature)
-             for objs in itertools.product(batch, repeat=kb.signature[pred])}
-    domain = Domain([f"o{i}" for i in range(max(batch) + 1)])
-    g = build_grounding(LookupInterpretation(table), domain, kb.signature,
-                        batch)
+    plan = _plan_of(kb, batch)
+    layout, at = plan.scatter(kb.signature)
+    raw = np.full(layout.size, 0.5)  # slots the KB never reads
+    raw[at] = _weighing(plan, probs)
+    g = GroundingTable._empty(batch, layout, None)._score(raw)
     log_total = 0.0
     for value in _forward_values(kb.formulas(), g, DPFL_CONFIG):
         log_total += value

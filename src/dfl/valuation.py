@@ -90,6 +90,14 @@ def check_instance_cap(programs, b: int, atoms: int = 0):
                                f"atoms exceed the {INSTANCE_CAP}-instance cap")
 
 
+def _check_batch(batch):
+    """Refuse an empty batch or one that repeats an object."""
+    if not batch:
+        raise SemanticError("batch must be non-empty")
+    if len(set(batch)) != len(batch):
+        raise SemanticError(f"batch objects must be distinct, got {batch}")
+
+
 def _atom_text(pred: str, objs, names=None) -> str:
     """``pred(a,b)``, naming the objects when ``names`` covers them."""
     if names is not None and all(0 <= i < len(names) for i in objs):
@@ -185,6 +193,22 @@ class GroundingTable:
         self._nodes = self._tape = self._raw = self._leaf_idx = self._keys = None
         self._positions = {obj: i for i, obj in enumerate(self.batch)}
 
+    @classmethod
+    def _empty(cls, batch, layout: _Layout, names, tape: Tape | None = None):
+        """A table of ``batch`` laid out by ``layout`` whose atom vector
+        ``_score`` fills."""
+        g = cls.__new__(cls)
+        g._setup(batch, layout, names)
+        g._tape = tape
+        return g
+
+    def _score(self, raw: np.ndarray, clamp_eps: float = CLAMP_EPS):
+        """Take ``raw`` as the scores of the atom vector and store them
+        clamped to [eps, 1-eps]."""
+        self.raw_values = raw
+        self.values = np.minimum(np.maximum(raw, clamp_eps), 1.0 - clamp_eps)
+        return self
+
     def __len__(self):
         return len(self._nodes) if self._nodes is not None else self.layout.size
 
@@ -251,9 +275,9 @@ class GroundingTable:
         return self._positions.get(obj)
 
 
-def _atom_label(layout: _Layout, batch: list, k: int) -> str:
-    """``f"{pred}{objs}"`` of atom ``k`` of an atom vector laid out by
-    ``layout`` over ``batch``: the tape label of its leaf."""
+def _atom_key(layout: _Layout, batch, k: int) -> tuple:
+    """(pred, objs) of atom ``k`` of an atom vector laid out by ``layout``
+    over ``batch``."""
     for pred, (offset, arity) in layout.preds.items():
         if k < offset + layout.b ** arity:
             break
@@ -262,7 +286,13 @@ def _atom_label(layout: _Layout, batch: list, k: int) -> str:
     for _ in range(arity):
         k, position = divmod(k, layout.b)
         objs.append(batch[position])
-    return f"{pred}{tuple(reversed(objs))}"
+    return pred, tuple(reversed(objs))
+
+
+def _atom_label(layout: _Layout, batch: list, k: int) -> str:
+    """``f"{pred}{objs}"`` of atom ``k``: the tape label of its leaf."""
+    pred, objs = _atom_key(layout, batch, k)
+    return f"{pred}{objs}"
 
 
 def _missing(pred, objs, names=None) -> SemanticError:
@@ -299,14 +329,10 @@ def build_grounding(interp, domain: Domain, signature: dict, batch: list,
     keeps log-product and Goguen kernels finite.  Leaves go on ``tape``
     when they are first needed.
     """
-    if not batch:
-        raise SemanticError("batch must be non-empty")
-    if len(set(batch)) != len(batch):
-        raise SemanticError(f"batch objects must be distinct, got {batch}")
-    g = GroundingTable.__new__(GroundingTable)
-    g._setup(batch, _layout(len(batch), tuple(sorted(signature.items()))),
-             domain.names)
-    g._tape = tape
+    _check_batch(batch)
+    g = GroundingTable._empty(
+        batch, _layout(len(batch), tuple(sorted(signature.items()))),
+        domain.names, tape)
     table = getattr(interp, "truth_table", None)
     raw = None
     if table is not None:
@@ -330,9 +356,7 @@ def build_grounding(interp, domain: Domain, signature: dict, batch: list,
         raise SemanticError(f"scorer output {float(raw[k])!r} for "
                             f"{_atom_text(*g.keys()[k], g.names)} is outside "
                             f"[0, 1]")
-    g.raw_values = raw
-    g.values = np.minimum(np.maximum(raw, clamp_eps), 1.0 - clamp_eps)
-    return g
+    return g._score(raw, clamp_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -729,11 +753,13 @@ def classical_values(program: Program, b: int, truth,
     objects: ``truth`` maps each predicate to a boolean array whose last
     axes are batch positions, like ``GroundingTable.tensor``.  Any leading
     axes (a world axis, say) are kept in front of the program's own.
-    With ``index``, the ``_gather_index`` of a stack of programs shaped
-    like ``program`` on a grounding, ``truth`` is one boolean vector laid
-    out like the grounding's atom vector instead, and each atom step
-    gathers every formula of the stack from it, on a leading formula
-    axis.  Quantifiers hold where every instance holds."""
+    With ``index``, each atom step ``i`` reads ``truth[index[i][0]]``
+    instead: for the ``_gather_index`` of a stack of programs shaped like
+    ``program`` on a grounding, ``truth`` is one boolean vector laid out
+    like the grounding's atom vector, and each atom step gathers every
+    formula of the stack from it, on a leading formula axis; an index
+    ``(Ellipsis, columns)`` reads columns of a ``truth`` matrix and keeps
+    its leading axes.  Quantifiers hold where every instance holds."""
     n_axes = program.n_axes
     out: list = []
     for i, instr in enumerate(program.instrs):

@@ -12,9 +12,11 @@ between slots.
 
 It also keeps the oracle's per-world enumeration, which the array
 enumeration in ``dfl.oracle`` is tested against: one dict per world and
-one recursive ``classical_truth`` call per world and ground instance;
-and the oracle's fuzzy side valuated one formula at a time, which the
-stacked ``dfl.oracle.dpfl_valuation`` is tested against.
+one recursive ``classical_truth`` call per world and ground instance,
+over the whole knowledge base or over each independent component
+(``factored_probability``); and the oracle's fuzzy side valuated one
+formula at a time, which the stacked ``dfl.oracle.dpfl_valuation`` is
+tested against.
 ``classical_truth`` is also the per-instance reference for the labels
 that ``dfl.analysis.gradient_quality`` derives over compiled programs.
 """
@@ -190,6 +192,15 @@ def ground_instances(kb, batch: list):
     return out
 
 
+def _read_atoms(node, mu) -> list:
+    """The ground atoms one instance of a body reads, in step order."""
+    if isinstance(node, Atom):
+        return [(node.pred, tuple(mu[a] for a in node.args))]
+    if isinstance(node, Not):
+        return _read_atoms(node.child, mu)
+    return _read_atoms(node.lhs, mu) + _read_atoms(node.rhs, mu)
+
+
 def _appearing_atoms(kb, batch: list):
     """Ground atoms of the grounded KB in first-appearance order, plus
     per-atom occurrence counts."""
@@ -225,15 +236,10 @@ def _prob_lookup(probs):
     return probs.score
 
 
-def _enumerate_worlds(kb, probs, batch: list):
-    atoms, _ = _appearing_atoms(kb, batch)
-    if len(atoms) > WORLD_ATOM_CAP:
-        raise WorldCapError(
-            f"{len(atoms)} ground atoms exceed the {WORLD_ATOM_CAP}-atom "
-            f"world-enumeration cap")
-    score = _prob_lookup(probs)
-    p = [float(score(pred, objs)) for pred, objs in atoms]
-    instances = ground_instances(kb, batch)
+def _worlds(atoms: list, p: list, instances: list):
+    """(bits, satisfied, weight) of every world over ``atoms``, whose
+    probabilities are ``p``: one dict per world and one
+    ``classical_truth`` call per instance."""
     for bits in itertools.product((0, 1), repeat=len(atoms)):
         world = dict(zip(atoms, bits))
         atom_fn = lambda pred, objs: world[(pred, objs)]
@@ -243,6 +249,17 @@ def _enumerate_worlds(kb, probs, batch: list):
         for pi, bit in zip(p, bits):
             weight *= pi if bit else (1.0 - pi)
         yield bits, satisfied, weight
+
+
+def _enumerate_worlds(kb, probs, batch: list):
+    atoms, _ = _appearing_atoms(kb, batch)
+    if len(atoms) > WORLD_ATOM_CAP:
+        raise WorldCapError(
+            f"{len(atoms)} ground atoms exceed the {WORLD_ATOM_CAP}-atom "
+            f"world-enumeration cap")
+    score = _prob_lookup(probs)
+    p = [float(score(pred, objs)) for pred, objs in atoms]
+    return _worlds(atoms, p, ground_instances(kb, batch))
 
 
 def world_table(kb, probs, batch: list):
@@ -256,6 +273,47 @@ def semantic_probability(kb, probs, batch: list) -> float:
     under independent atom probabilities."""
     return math.fsum(weight for _, ok, weight
                      in _enumerate_worlds(kb, probs, batch) if ok)
+
+
+def components(kb, batch: list) -> list:
+    """(atoms, instances) of each connected component of the graph that
+    joins every ground instance to the atoms it reads, found by a
+    union-find over the instances one at a time.  Components are ordered
+    by their first atom in first-appearance order, and list their atoms
+    in that order."""
+    atoms, _ = _appearing_atoms(kb, batch)
+    parent = {atom: atom for atom in atoms}
+
+    def find(atom):
+        while parent[atom] != atom:
+            atom = parent[atom]
+        return atom
+
+    instances = [(body, mu, _read_atoms(body, mu))
+                 for body, mu in ground_instances(kb, batch)]
+    for _, _, read in instances:
+        for atom in read[1:]:
+            root = find(atom)
+            if root != find(read[0]):
+                parent[root] = find(read[0])
+    parts: dict = {}  # root -> (atoms, instances), in first-atom order
+    for atom in atoms:
+        parts.setdefault(find(atom), ([], []))[0].append(atom)
+    for body, mu, read in instances:
+        parts[find(read[0])][1].append((body, mu))
+    return list(parts.values())
+
+
+def factored_probability(kb, probs, batch: list) -> float:
+    """1.0 times, in component order, each component's ``math.fsum`` of
+    the weights of its satisfying worlds, enumerated one at a time."""
+    score = _prob_lookup(probs)
+    prob = 1.0
+    for atoms, instances in components(kb, batch):
+        p = [float(score(pred, objs)) for pred, objs in atoms]
+        prob *= math.fsum(weight for _, ok, weight
+                          in _worlds(atoms, p, instances) if ok)
+    return prob
 
 
 def dpfl_valuation(kb, probs, batch: list) -> float:

@@ -146,6 +146,11 @@ def test_analyze_surface_reads_p_from_the_sigmoidal_op(capsys, tmp_path):
     expected = derivative_surface("sigmoidal", 0.25, p=2.0, s=9.0, b0=-0.5,
                                   base="yager_s")
     assert rows == [[repr(x) for x in row] for row in expected]
+    # --p gives the yager base its p
+    assert main(["analyze", "surface", "--op", "sigmoidal:base=yager_s,s=9",
+                 "--p", "2", "--step", "0.25", "--csv", out]) == 0
+    rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
+    assert rows == [[repr(x) for x in row] for row in expected]
     capsys.readouterr()
     assert main(["analyze", "surface", "--op", op, "--p", "3"]) == 2
     captured = capsys.readouterr()
@@ -317,8 +322,9 @@ def test_oracle_compare(tmp_path, capsys):
 
 
 def test_oracle_world_cap_exit_4(tmp_path, capsys):
+    # one instance reads all 21 atoms: one component past the cap
     kb = tmp_path / "kb.dfl"
-    kb.write_text("\n".join(f"forall x: p{i}(x)" for i in range(21)))
+    kb.write_text("forall x: " + " | ".join(f"p{i}(x)" for i in range(21)))
     grounding = tmp_path / "g.grounding"
     grounding.write_text("\n".join(f"p{i}(o1)=0.5" for i in range(21)))
     code = main(["oracle", "compare", "--kb", str(kb), "--grounding",
@@ -326,9 +332,47 @@ def test_oracle_world_cap_exit_4(tmp_path, capsys):
     assert code == 4
 
 
-# the whole `dfl oracle compare --dump-worlds` output for a two-object KB
+def test_oracle_dump_worlds_keeps_the_whole_cap(tmp_path, capsys):
+    # 21 independent atoms: the probability multiplies 21 components, but
+    # the dump would list 2**21 worlds
+    kb = tmp_path / "kb.dfl"
+    kb.write_text("\n".join(f"forall x: p{i}(x)" for i in range(21)))
+    grounding = tmp_path / "g.grounding"
+    grounding.write_text("\n".join(f"p{i}(o1)=0.5" for i in range(21)))
+    argv = ["oracle", "compare", "--kb", str(kb), "--grounding", str(grounding)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(f"exact={0.5 ** 21!r} ")
+    assert main(argv + ["--dump-worlds"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "21 ground atoms exceed the 20-atom" in captured.err
+
+
+def test_python_m_dfl_runs_the_command_line(tmp_path):
+    import subprocess
+    import sys
+
+    import dfl
+
+    kb = tmp_path / "kb.dfl"
+    kb.write_text("forall x: p(x) | q(x)\n")
+    grounding = tmp_path / "g.grounding"
+    grounding.write_text("p(a)=0.5\nq(a)=0.5\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dfl.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "dfl", "oracle", "compare", "--kb", str(kb),
+         "--grounding", str(grounding)], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("exact=0.75 dpfl=0.75 ")
+
+
+# the whole `dfl oracle compare --dump-worlds` output for a two-object KB;
+# its components are {same(a,a)}, {same(a,b), same(b,a)} and {same(b,b)},
+# and exact is 1.0 * 1.0 * fsum(0.7 * 0.4, 0.3 * 0.6) * 1.0
 EXPECTED_SAME_WORLDS = (
-    "exact=0.46 dpfl=0.39014976 gap=0.06985024000000001 single_occurrence=false\n"
+    "exact=0.45999999999999996 dpfl=0.39014976 gap=0.06985023999999995 "
+    "single_occurrence=false\n"
     "worlds same(a,a) same(a,b) same(b,a) same(b,b)\n"
     "0000 1 0.022399999999999996\n"
     "0001 1 0.005599999999999999\n"
@@ -386,9 +430,9 @@ def test_oracle_dump_worlds_evaluates_each_chunk_once(tmp_path, capsys,
     calls = []
     evaluate = oracle.classical_values
 
-    def counted(program, b, truth):
+    def counted(program, b, truth, index):
         calls.append(program)
-        return evaluate(program, b, truth)
+        return evaluate(program, b, truth, index)
 
     monkeypatch.setattr(oracle, "classical_values", counted)
     monkeypatch.setattr(oracle, "WORLD_CHUNK", 4)  # 16 worlds in 4 chunks
@@ -401,8 +445,9 @@ def test_oracle_dump_worlds_evaluates_each_chunk_once(tmp_path, capsys,
                  str(grounding), "--dump-worlds"])
     assert code == 0
     assert capsys.readouterr().out == EXPECTED_SAME_WORLDS
-    # the report and the dump share one evaluation of the program
-    assert len(calls) == 4 and len(set(map(id, calls))) == 1
+    # the report and the dump share one evaluation of the program: one
+    # chunk for each of the 2, 4 and 2 worlds of the three components
+    assert len(calls) == 3 and len(set(map(id, calls))) == 1
 
 
 def test_oracle_world_cap_before_enumeration(tmp_path, capsys):

@@ -94,11 +94,17 @@ def test_world_count_is_two_to_the_atoms():
 
 
 def test_world_cap():
-    lines = "\n".join(f"forall x: p{i}(x)" for i in range(21))
-    kb = parse_kb(lines)
+    # one instance reads all 21 atoms: one component past the cap
+    kb = parse_kb("forall x: " + " | ".join(f"p{i}(x)" for i in range(21)))
     probs = {(f"p{i}", (0,)): 0.5 for i in range(21)}
-    with pytest.raises(WorldCapError):
+    with pytest.raises(WorldCapError, match="21 ground atoms exceed"):
         semantic_loss(kb, probs, [0])
+    # 21 independent atoms are 21 components of 2 worlds each, but the
+    # world table lists all 2**21 worlds of the knowledge base
+    independent = parse_kb("\n".join(f"forall x: p{i}(x)" for i in range(21)))
+    assert semantic_probability(independent, probs, [0]) == 0.5 ** 21
+    with pytest.raises(WorldCapError, match="21 ground atoms exceed"):
+        world_table(independent, probs, [0])
 
 
 def test_monotone_kbs():
@@ -187,9 +193,17 @@ def _assert_matches_loop(kb, probs, batch):
     census = occurrence_census(kb, batch).counts
     assert list(census.items()) == list(counts.items())
     ref_atoms, ref_rows = reference.world_table(kb, probs, batch)
+    got = semantic_probability(kb, probs, batch)
+    assert got == reference.factored_probability(kb, probs, batch)
     # reference.semantic_probability, without enumerating the worlds twice
     exact = math.fsum(weight for _, ok, weight in ref_rows if ok)
-    assert semantic_probability(kb, probs, batch) == exact
+    if len(reference.components(kb, batch)) == 1:
+        assert got == exact
+    else:
+        # a product of rounded sums against one rounded sum of rounded
+        # products: over n <= 20 atoms each side rounds about 2n times,
+        # each by at most 2**-53 relative
+        assert abs(got - exact) <= 1e-13 * exact, (got, exact)
     atoms, rows = world_table(kb, probs, batch)
     rows = list(rows)
     assert atoms == ref_atoms
@@ -276,7 +290,7 @@ def test_new_table_evaluates_no_program(monkeypatch, text):
     _evaluate_no_program(monkeypatch)
     for seed in (2, 3):
         probs = _seeded_probs(kb, batch, seed)
-        exact = reference.semantic_probability(kb, probs, batch)
+        exact = reference.factored_probability(kb, probs, batch)
         assert semantic_probability(kb, probs, batch) == exact
         assert equivalence_report(kb, probs, batch).exact == exact
 
@@ -308,7 +322,8 @@ def test_census_copies_leave_the_plan_alone():
 
 @pytest.mark.parametrize("value", [math.nan, 1.5, -0.2, math.inf])
 @pytest.mark.parametrize("fn", [semantic_probability, semantic_loss,
-                                world_table, equivalence_report])
+                                world_table, dpfl_valuation,
+                                equivalence_report])
 def test_invalid_probability_names_its_atom(monkeypatch, fn, value):
     def weigh_nothing(*args, **kwargs):
         raise AssertionError("worlds weighted with an invalid probability")
@@ -339,6 +354,53 @@ def test_world_cap_before_enumeration(monkeypatch):
             semantic_probability(wide, probs, list(range(8)))
         with pytest.raises(InstanceCapError):
             occurrence_census(wide, list(range(8)))
+
+
+def test_independent_components_multiply():
+    # 20 objects, each the one component of its 10 atoms: 200 atoms
+    body = ("(p0(x) | p1(x)) & (p2(x) -> p3(x)) & ~(p4(x) & p5(x)) & "
+            "(p6(x) | p7(x) | ~p8(x) | p9(x))")
+    kb = parse_kb(f"forall x: {body}")
+    batch = list(range(20))
+    probs = _seeded_probs(kb, batch, 8)
+    assert len(occurrence_census(kb, batch).counts) == 200
+    parts = reference.components(kb, batch)
+    assert [len(atoms) for atoms, _ in parts] == [10] * 20
+    got = semantic_probability(kb, probs, batch)
+    assert got == reference.factored_probability(kb, probs, batch)
+    assert 0.0 < got < 1.0
+
+
+def test_stored_world_cap_before_enumeration(monkeypatch):
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("worlds enumerated past the stored-world cap")
+
+    monkeypatch.setattr(oracle, "classical_values", enumerate_nothing)
+    # two components of 20 atoms: 2 * 2**20 worlds to store
+    body = " & ".join(f"p{i}(x)" for i in range(20))
+    kb = parse_kb(f"forall x: {body}")
+    probs = {(f"p{i}", (o,)): 0.5 for i in range(20) for o in (0, 1)}
+    with pytest.raises(WorldCapError, match="2 independent components of 40 "
+                                           "ground atoms have 2097152 worlds"):
+        semantic_probability(kb, probs, [0, 1])
+    # two components of 19 atoms read by 2**13 instances each, as 13
+    # variables go unread: 2**20 worlds, but 2**33 world-instance pairs
+    quantifier = "forall x, " + ", ".join(f"v{i}" for i in range(13))
+    body = " & ".join(f"p{i}(x)" for i in range(19))
+    kb = parse_kb(f"{quantifier}: {body}")
+    with pytest.raises(WorldCapError, match="8589934592 world-instance pairs "
+                                           "over 2 independent components"):
+        semantic_probability(kb, probs, [0, 1])
+
+
+def test_batch_objects_must_be_distinct():
+    kb = parse_kb("forall x: p(x)")
+    probs = {("p", (0,)): 0.5}
+    for fn in (semantic_probability, dpfl_valuation, world_table):
+        with pytest.raises(SemanticError, match="distinct"):
+            fn(kb, probs, [0, 0])
+    with pytest.raises(SemanticError, match="distinct"):
+        occurrence_census(kb, [0, 0])
 
 
 def test_world_arrays_stay_bounded_at_seven_objects():
