@@ -116,7 +116,9 @@ def _pow(base: float, exp: float) -> float:
 
 def _unit_array(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if not (x >= 0.0).all() or not (x <= 1.0).all():
+    # two reductions, which propagate nan; the entry-by-entry search runs
+    # only to name the first bad entry
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
         bad = x[~((x >= 0.0) & (x <= 1.0))][0]
         raise OperatorError(f"input must be in [0, 1], got {float(bad)!r}")
     return x

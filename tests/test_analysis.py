@@ -272,13 +272,72 @@ def test_single_passing_audit_matches_loop(desc):
 def test_single_passing_audit_chunks_match_loop(monkeypatch, family, name,
                                                 params, n):
     # over several chunks the points, verdict and witness stay the loop's:
-    # 45k samples span three chunks, and at 7 rows a chunk the Lukasiewicz
-    # aggregator's first violation (row 23 at seed 3) lies in the fourth
+    # 45k samples span several chunks, and at 7 values a chunk (2 rows at
+    # n=3) the Lukasiewicz aggregator's first violation (row 23 at seed 3)
+    # lies in the twelfth
     desc = descriptor(family, name, **params)
     expected = scalar_kernels.single_passing_audit(desc, n, 45_000, seed=3)
     assert single_passing_audit(desc, n, 45_000, seed=3) == expected
     monkeypatch.setattr(analysis, "POINT_CHUNK", 7)
     assert single_passing_audit(desc, n, 45_000, seed=3) == expected
+
+
+@pytest.mark.parametrize("family, name, params, n, seed", [
+    # the first violating rows: 5, 23, 189 and 11, past the first chunk
+    # of a 7-value budget
+    ("tnorm", "lukasiewicz", {}, 2, 29),
+    ("aggregator", "lukasiewicz", {}, 3, 3),
+    ("aggregator", "lukasiewicz", {}, 5, 5),
+    ("aggregator", "yager", {"p": 2.0}, 5, 5),
+    ("aggregator", "min", {}, 5, 5),
+])
+def test_audits_do_not_depend_on_the_chunk_size(monkeypatch, family, name,
+                                                params, n, seed):
+    desc = descriptor(family, name, **params)
+
+    def audits():
+        return (estimate_nonvanishing_fraction(desc, n, 10_000, seed),
+                single_passing_audit(desc, n, 10_000, seed))
+
+    expected = audits()
+    assert expected[1][0] == (name == "min")
+    for chunk in (7, 10 ** 7):
+        monkeypatch.setattr(analysis, "POINT_CHUNK", chunk)
+        assert audits() == expected, chunk
+
+
+@pytest.mark.parametrize("chunk, n", [
+    (7, 1), (7, 3), (7, 9), (analysis.POINT_CHUNK, 2),
+    (analysis.POINT_CHUNK, 5), (10 ** 7, 3)])
+def test_point_chunks_keep_the_value_budget_and_the_stream(monkeypatch,
+                                                           chunk, n):
+    monkeypatch.setattr(analysis, "POINT_CHUNK", chunk)
+    chunks = list(analysis._point_chunks(np.random.default_rng(4), 30_001, n))
+    rows = max(1, chunk // n)
+    assert [len(X) for X in chunks[:-1]] == [rows] * (len(chunks) - 1)
+    assert all(X.size <= max(chunk, n) for X in chunks)
+    assert np.array_equal(np.concatenate(chunks),
+                          np.random.default_rng(4).random((30_001, n)))
+
+
+@pytest.mark.parametrize("family, name, n, message", [
+    ("implication", "reichenbach", 3, "implication kernels are binary; got n=3"),
+    ("tnorm", "product", 1, "tnorm kernels are binary; got n=1"),
+    ("tconorm", "godel", -1, "tconorm kernels are binary; got n=-1"),
+    ("negation", "classic", 2, "negation kernels are unary; got n=2"),
+    ("aggregator", "lukasiewicz", 0, "aggregator kernels need n >= 1; got n=0"),
+    ("aggregator", "min", -1, "aggregator kernels need n >= 1; got n=-1"),
+])
+def test_audits_refuse_a_dimension_the_kernel_cannot_take(monkeypatch, family,
+                                                          name, n, message):
+    def no_draw(*args):
+        raise AssertionError("points drawn before the arity check")
+
+    monkeypatch.setattr(analysis, "_point_chunks", no_draw)
+    desc = descriptor(family, name)
+    for audit in (estimate_nonvanishing_fraction, single_passing_audit):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            audit(desc, n, 10_000, 0)
 
 
 # ---------------------------------------------------------------------------

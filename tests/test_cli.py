@@ -171,6 +171,12 @@ def test_analyze_surface_reads_p_from_the_sigmoidal_op(capsys, tmp_path):
     (["single-passing", "--op", "foo_impl"], "unknown implication 'foo'"),
     (["single-passing", "--op", "yager_tnorm"],
      "yager t-norm requires parameter p"),
+    (["single-passing", "--op", "reichenbach", "--n", "3"],
+     "implication kernels are binary; got n=3"),
+    (["fractions", "--op", "lukasiewicz_agg", "--n", "0"],
+     "aggregator kernels need n >= 1; got n=0"),
+    (["fractions", "--op", "product_tnorm", "--n", "-1"],
+     "tnorm kernels are binary; got n=-1"),
     (["surface", "--op", "foo_impl"], "unknown implication 'foo_impl'"),
     (["surface", "--op", "sigmoidal"],
      "sigmoidal implication requires a base implication"),

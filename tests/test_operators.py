@@ -12,6 +12,7 @@ from dfl.operators import (
     OperatorError,
     ConfigError,
     aggregate,
+    aggregate_array,
     aggregate_kernel,
     catalog,
     d_Ic,
@@ -599,3 +600,80 @@ def test_only_the_sigmoidal_implication_takes_s_b0_and_base(kw):
         OperatorConfig(implication="godel", **{
             {"s": "sigmoid_s", "b0": "sigmoid_b0",
              "base": "sigmoid_base"}[key]: kw[key]}).validate()
+
+
+# ---------------------------------------------------------------------------
+# the array entry points refuse inputs outside [0, 1] by their first bad
+# entry in C order
+
+# (entry point, takes scalar and 0-d inputs): each calls one kernel on the
+# array ``x``, with 0.5 as a binary kernel's other operand
+ARRAY_ENTRIES = {
+    "tnorm_array": (lambda x: tnorm_array("product", x, 0.5), True),
+    "tnorm_array_second": (lambda x: tnorm_array("product", 0.5, x), True),
+    "aggregate_array": (lambda x: aggregate_array("min", x), False),
+    "descriptor_implication": (lambda x: descriptor(
+        "implication", "reichenbach").array_kernel(x, 0.5), True),
+    "descriptor_negation": (lambda x: descriptor(
+        "negation", "classic").array_kernel(x), True),
+    "descriptor_aggregator": (lambda x: descriptor(
+        "aggregator", "lukasiewicz").array_kernel(x), False),
+}
+
+
+def _shaped(bad):
+    """``bad`` alone, as a scalar and in 0-d, 1-d and 2-d arrays, paired
+    with whether an aggregator can take that shape."""
+    return [(bad, False), (np.array(bad), False),
+            (np.array([0.5, bad, 0.25]), True),
+            (np.array([[0.5, 0.25], [bad, 0.75]]), True)]
+
+
+@pytest.mark.parametrize("entry", ARRAY_ENTRIES)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-3,
+                                 1.0 + 1e-3])
+def test_array_entries_refuse_inputs_outside_the_unit_interval(entry, bad):
+    call, scalars = ARRAY_ENTRIES[entry]
+    message = f"input must be in [0, 1], got {bad!r}"
+    for x, reducible in _shaped(bad):
+        if scalars or reducible:
+            with pytest.raises(OperatorError, match=re.escape(message)):
+                call(x)
+
+
+@pytest.mark.parametrize("entry", ARRAY_ENTRIES)
+def test_array_entries_name_the_first_bad_entry_in_c_order(entry):
+    call, _ = ARRAY_ENTRIES[entry]
+    # column-major order would meet -0.5 and 2.0 first
+    for x, first in ((np.array([[0.5, 1.5], [-0.5, 0.25]]), 1.5),
+                     (np.array([[0.5, math.nan], [2.0, 0.0]]), math.nan),
+                     (np.array([[0.0, 1.0], [-math.inf, 2.0]]), -math.inf)):
+        with pytest.raises(OperatorError,
+                           match=re.escape(f"got {first!r}") + "$"):
+            call(x)
+
+
+@pytest.mark.parametrize("entry", ARRAY_ENTRIES)
+def test_array_entries_take_signed_zero_and_the_unit_bounds(entry):
+    call, scalars = ARRAY_ENTRIES[entry]
+    for x, reducible in _shaped(-0.0) + _shaped(0.0) + _shaped(1.0):
+        if scalars or reducible:
+            call(x)
+    call(np.array([[-0.0, 0.0], [1.0, 0.5]]))
+
+
+def test_array_entries_on_empty_inputs():
+    value, partials = tnorm_array("product", np.zeros((0, 3)),
+                                  np.zeros((0, 3)))
+    assert value.shape == (0, 3)
+    assert [d.shape for d in partials] == [(0, 3), (0, 3)]
+    value, (da, db) = tnorm_array("product", [], 0.5)
+    assert value.shape == db.shape == (0,) and float(da) == 0.5
+    value, (d,) = descriptor("negation", "classic").array_kernel([])
+    assert value.shape == d.shape == (0,)
+    value, partials = aggregate_array("lukasiewicz", np.zeros((2, 0)))
+    assert value.shape == (0,)
+    assert [d.shape for d in partials] == [(0,), (0,)]
+    for X in ([], np.zeros((0, 3))):  # no input to aggregate
+        with pytest.raises(OperatorError, match="at least one input"):
+            aggregate_array("min", X)
