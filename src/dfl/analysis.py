@@ -23,11 +23,12 @@ import numpy as np
 from .logic import compile_formula
 from .operators import (OperatorConfig, OperatorDescriptor, aggregate_array,
                         descriptor, implication_array, implication_kernel)
-from .valuation import (CLAMP_EPS, GroundingTable, _gathers, _stacks,
+from .valuation import (CLAMP_EPS, GroundingTable, _gathers, _plan_for,
                         _valuate, classical_values)
 from .autodiff import Tape
 
 __all__ = [
+    "AnalysisCapError", "SAMPLE_CAP", "SURFACE_CELL_CAP",
     "FractionEstimate", "GradientQuality",
     "estimate_nonvanishing_fraction", "single_passing_audit", "composed",
     "gradient_quality", "labeling_from_atoms",
@@ -38,6 +39,15 @@ __all__ = [
 ]
 
 PARTIAL_EPS = 1e-12
+# float64 values one Monte-Carlo audit may draw, samples x point dimension
+SAMPLE_CAP = 10 ** 9
+# cells of one surface grid: step 0.001 (1001**2 cells) is admitted
+SURFACE_CELL_CAP = 2 ** 20
+
+
+class AnalysisCapError(ValueError):
+    """An analysis would draw more values, or evaluate more grid cells,
+    than its cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +169,14 @@ def _check_arity(desc: OperatorDescriptor, n: int):
         raise ValueError(f"{desc.family} kernels are binary; got n={n}")
 
 
+def _check_samples(samples: int, n: int):
+    """Refuse, before any draw, ``samples`` points of ``n`` coordinates
+    past ``SAMPLE_CAP`` values."""
+    if samples * n > SAMPLE_CAP:
+        raise AnalysisCapError(f"{samples} samples x {n} inputs exceed the "
+                               f"{SAMPLE_CAP}-value sampling cap")
+
+
 def _generator(seed: int, what: str):
     """numpy's PCG64 generator for ``seed``, refusing a negative seed by
     name before any draw."""
@@ -174,6 +192,7 @@ def estimate_nonvanishing_fraction(desc: OperatorDescriptor, n: int,
     if samples < 10_000:
         raise ValueError("fraction estimates need samples >= 10_000")
     _check_arity(desc, n)
+    _check_samples(samples, n)
     rng = _generator(seed, "fraction estimates")
     hits = sum(int(np.count_nonzero(desc.live_partials(X)))
                for X in _point_chunks(rng, samples, n))
@@ -226,11 +245,13 @@ def single_passing_audit(op, n: int, samples: int = 10_000, seed: int = 0):
     rng = _generator(seed, "single-passing audits")
     if isinstance(op, OperatorDescriptor):
         _check_arity(op, n)
+        _check_samples(samples, n)
         for X in _point_chunks(rng, samples, n):
             violations = np.flatnonzero(op.live_partials(X) > 1)
             if len(violations):
                 return False, tuple(X[violations[0]].tolist())
         return True, None
+    _check_samples(samples, n)
     for _ in range(samples):
         xs = rng.random(n).tolist()
         _, partials = op(xs)
@@ -270,7 +291,8 @@ def gradient_quality(kb, g: GroundingTable, ops: OperatorConfig,
     ``labels`` gives the {0,1} data truth of every ground atom (see
     ``labeling_from_atoms``), asked once per atom of each predicate that
     an implication-bodied formula reads, into one boolean vector laid
-    out like ``g.values``; the truth of each antecedent and consequent
+    out like ``g.values``, before the instance cap is checked over the
+    whole knowledge base; the truth of each antecedent and consequent
     instance follows from it over the compiled programs, one stack of
     programs of one shape at a time (``classical_values``).  Each
     instance's antecedent and consequent derivatives come from the
@@ -289,19 +311,19 @@ def gradient_quality(kb, g: GroundingTable, ops: OperatorConfig,
     truth = _atom_truth([p for p, u in zip(programs, used) if u], g,
                         labels.atom_fn)
     sums = [None] * len(formulas)  # per formula: cons, ant, cu_cons, cu_ant
-    for members in _stacks(programs):
-        if not used[members[0]]:  # one shape, so one body, per stack
+    for stack in _plan_for(formulas, g, ops).stacks:
+        if not used[stack.members[0]]:  # one shape, so one body, per stack
             continue
-        stack = tuple(programs[k] for k in members)
-        adj, (da, dc) = _stack_derivatives([formulas[k] for k in members],
-                                           g, ops)
-        ante, cons = stack[0].instrs[stack[0].body].args
-        holds = classical_values(stack[0], len(g.batch), truth,
-                                 _gathers(stack, g, {}))
+        adj, (da, dc) = _stack_derivatives(
+            [formulas[k] for k in stack.members], g, ops)
+        program = stack.programs[0]
+        ante, cons = program.instrs[program.body].args
+        holds = classical_values(program, len(g.batch), truth,
+                                 _gathers(stack, g, None))
         d_cons, d_ant = adj * dc, -(adj * da)
         rows = [_row_sums(x) for x in (d_cons, d_ant, holds[cons] * d_cons,
                                        ~holds[ante] * d_ant)]
-        for f, k in enumerate(members):
+        for f, k in enumerate(stack.members):
             sums[k] = [row[f] for row in rows]
     total_cons = total_ant = total_cu_cons = total_cu_ant = 0.0
     for cons_k, ant_k, cu_cons_k, cu_ant_k in filter(None, sums):
@@ -377,8 +399,15 @@ def _atom_truth(programs, g: GroundingTable, atom_fn) -> np.ndarray:
 
 def _grid(step: float):
     """The (a, c) points of a grid of ``step`` over the unit square, ``a``
-    varying slowest."""
-    count = round(1.0 / step)
+    varying slowest; a step that is not a positive number, or a grid past
+    ``SURFACE_CELL_CAP`` cells, is refused before any work."""
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"grid step must be a positive number, got {step!r}")
+    count = 1.0 / step  # inf for a subnormal step
+    if count >= 2 ** 31 or (round(count) + 1) ** 2 > SURFACE_CELL_CAP:
+        raise AnalysisCapError(f"a grid of step {step!r} has more than "
+                               f"{SURFACE_CELL_CAP} cells, the surface cap")
+    count = round(count)
     if abs(count * step - 1.0) > 1e-9:
         raise ValueError(f"grid step {step} does not divide 1")
     axis = [i * step for i in range(count + 1)]

@@ -8,7 +8,8 @@ command with identical inputs and seed reproduces the CSV byte for
 byte (wall clock lives only in the manifest).
 
 Exit codes: 0 success, 2 input error, 3 semantic/config error,
-4 resource cap exceeded (world atoms or ground instances).
+4 resource cap exceeded (world atoms, ground instances, Monte-Carlo
+samples or surface grid cells).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -37,6 +39,10 @@ EXIT_SEMANTIC = 3
 EXIT_CAP = 4
 
 
+class InputError(Exception):
+    """A file the command cannot read as UTF-8 text."""
+
+
 def _setup_logging():
     level = {"debug": logging.DEBUG, "info": logging.INFO}.get(
         os.environ.get("DFL_LOG", "").lower(), logging.WARNING)
@@ -49,7 +55,10 @@ def _read(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise FileNotFoundError(f"cannot read {path}: {exc}") from None
+        raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text ({exc.reason} "
+                         f"at byte {exc.start})") from None
 
 
 def _write_csv(path: str, header, rows):
@@ -362,6 +371,14 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _step(text: str) -> float:
+    step = float(text)  # argparse reports a ValueError as an invalid value
+    if not (math.isfinite(step) and step > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"step must be a positive number, got {text!r}")
+    return step
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dfl",
@@ -400,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_su = an_sub.add_parser("surface")
     p_su.add_argument("--op", required=True)
     p_su.add_argument("--p", type=float)
-    p_su.add_argument("--step", type=float, default=0.25)
+    p_su.add_argument("--step", type=_step, default=0.25)
     p_su.add_argument("--csv")
 
     p_qu = an_sub.add_parser("quality")
@@ -437,11 +454,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call of ``main`` and reused: parsing keeps no state
+# in the parser, and no action has a mutable default
+_parser = None
+
+
 def main(argv=None) -> int:
+    global _parser
     _setup_logging()
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    from .analysis import AnalysisCapError
     from .oracle import WorldCapError
     try:
         if args.command == "eval":
@@ -454,11 +479,11 @@ def main(argv=None) -> int:
             return cmd_sweep(args, argv)
         if args.command == "oracle":
             return cmd_oracle(args, argv)
-        parser.error(f"unknown command {args.command!r}")
-    except (ParseError, FileNotFoundError) as exc:
+        _parser.error(f"unknown command {args.command!r}")
+    except (ParseError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (WorldCapError, InstanceCapError) as exc:
+    except (WorldCapError, InstanceCapError, AnalysisCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (SemanticError, OperatorError, ConfigError, ValueError) as exc:

@@ -19,7 +19,7 @@ The work splits in two.  A knowledge base's *plan* over a batch does not
 depend on the probabilities.  It holds the census, with occurrence
 counts, and the components with their atom and instance counts, all
 found with array operations over the positions the compiled programs'
-gather indices read (``valuation._gather_index``): a union-find over
+gather indices read (the valuation plan's): a union-find over
 those positions, with no Python step per ground instance.  It holds,
 per component, the satisfying worlds as one boolean mask over its 2**k
 worlds, from evaluating the programs classically
@@ -28,7 +28,7 @@ component's instances, ``WORLD_CHUNK`` worlds at a time and at most
 ``INSTANCE_CAP`` world-instance pairs per chunk, so memory stays
 bounded.  A few plans are cached, keyed on the identity of the compiled
 programs and on the batch: a knowledge base that gains a formula, or is
-parsed again, gets a new plan.
+parsed again, gets a new plan.  It extends the valuation's plan.
 
 Every call then checks the caps and the probabilities and runs a
 *weight pass* per component over blocks of at most ``WORLD_CHUNK``
@@ -62,9 +62,9 @@ before any world is weighted.
 The fuzzy side of the comparison uses product t-norm/t-conorm, the
 Reichenbach implication and the log-product aggregator, exponentiated
 back into probability space; it needs the formula values only, so it
-runs the valuation's forward pass alone, on an atom vector into which
-the checked probabilities are scattered through an index the plan
-keeps per signature.  When every ground atom occurs at most once in the
+runs the valuation's forward pass alone, on the plan, over the plan's
+atom vector with the checked probabilities at the census positions.
+When every ground atom occurs at most once in the
 grounded knowledge base the two sides agree; repeated atoms make the
 fuzzy side drift (the P AND NOT(P AND Q) example).
 """
@@ -81,8 +81,8 @@ import numpy as np
 from .logic import KnowledgeBase, compile_formula
 from .operators import OperatorConfig
 from .valuation import (INSTANCE_CAP, GroundingTable, LookupInterpretation,
-                        SemanticError, _atom_key, _atom_text, _check_batch,
-                        _forward_values, _gather_index, _index, _layout,
+                        Plan, SemanticError, _atom_key, _atom_text,
+                        _check_batch, _forward_values, _index, _layout,
                         check_instance_cap, classical_values)
 
 __all__ = [
@@ -145,35 +145,37 @@ def _union(label: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         label[np.maximum(lu, lv)] = np.minimum(lu, lv)
 
 
-class _Plan:
+class _Plan(Plan):
     """What the oracle knows of ``programs`` over ``batch`` before it sees
-    a probability.  Everything but ``instances`` is worked out on first
-    use and kept.  One object per programs and batch (``_plan``)."""
+    a probability, starting from their valuation plan under
+    ``DPFL_CONFIG`` on the atom vector of every predicate they read.
+    What is not a valuation plan's is worked out on first use and kept,
+    but ``instances``.  One object per programs and batch (``_plan``)."""
 
     def __init__(self, programs: tuple, batch: tuple):
         _check_batch(batch)
         check_instance_cap(programs, len(batch))
-        self.programs, self.batch = programs, batch
-        self.instances = sum(len(batch) ** p.n_axes for p in programs)
-        self._scatters: dict = {}
-
-    @functools.cached_property
-    def layout(self):
-        """The atom vector of every predicate the programs read."""
         arities = {instr.atom.pred: len(instr.terms)
-                   for program in self.programs for instr in program.instrs
+                   for program in programs for instr in program.instrs
                    if instr.op == "atom"}
-        return _layout(len(self.batch), tuple(sorted(arities.items())))
+        super().__init__(programs, _layout(len(batch), tuple(sorted(
+            arities.items()))), True)
+        self.batch = batch
+        self.instances = sum(len(batch) ** p.n_axes for p in programs)
 
     @functools.cached_property
     def gathers(self) -> list:
         """Per program, (step, positions) of each atom step in program
         order: where in ``layout``'s vector the step reads each instance,
         on a leading formula axis of 1 and one axis per variable, of size
-        1 where the step does not depend on it (``_gather_index``)."""
-        return [[(i, gather) for i, (gather, _) in
-                 _gather_index((program,), self.layout, ()).items()]
-                for program in self.programs]
+        1 where the step does not depend on it: the program's row of its
+        stack's gather index."""
+        gathers: list = [None] * len(self.programs)
+        for stack in self.stacks:
+            for f, k in enumerate(stack.members):
+                gathers[k] = [(i, gather[f:f + 1])
+                              for i, (gather, _) in stack.index.items()]
+        return gathers
 
     @functools.cached_property
     def _census(self) -> tuple:
@@ -323,21 +325,6 @@ class _Plan:
         """Each mask of fewer than ``_SMALL`` worlds as a list, else None."""
         return [mask.tolist() if len(mask) < _SMALL else None
                 for mask in self.masks]
-
-    def scatter(self, signature: dict) -> tuple:
-        """(layout, at): the atom vector of ``signature`` over the batch,
-        and the position in it of each atom of the census."""
-        key = tuple(sorted(signature.items()))
-        if key not in self._scatters:
-            layout = _layout(len(self.batch), key)
-            preds = self.layout.preds
-            offsets = np.array([offset for offset, _ in preds.values()])
-            shift = np.array([layout.preds[pred][0] for pred in preds]
-                             ) - offsets
-            atoms = self._census[0]
-            at = atoms + shift[np.searchsorted(offsets, atoms, "right") - 1]
-            self._scatters[key] = layout, at
-        return self._scatters[key]
 
 
 # each entry holds masks of up to 2**WORLD_ATOM_CAP bytes in all
@@ -550,12 +537,11 @@ def dpfl_valuation(kb: KnowledgeBase, probs, batch: list) -> float:
     probability space.  Formula weights are ignored: the comparison is
     between probabilities, not losses."""
     plan = _plan_of(kb, batch)
-    layout, at = plan.scatter(kb.signature)
-    raw = np.full(layout.size, 0.5)  # slots the KB never reads
-    raw[at] = _weighing(plan, probs)
-    g = GroundingTable._empty(batch, layout, None)._score(raw)
+    raw = np.full(plan.layout.size, 0.5)  # slots the KB never reads
+    raw[plan._census[0]] = _weighing(plan, probs)
+    g = GroundingTable._empty(batch, plan.layout, None)._score(raw)
     log_total = 0.0
-    for value in _forward_values(kb.formulas(), g, DPFL_CONFIG):
+    for value in _forward_values(kb.formulas(), g, DPFL_CONFIG, plan=plan):
         log_total += value
     return math.exp(log_total)
 

@@ -21,8 +21,8 @@ import numpy as np
 from .analysis import gradient_quality, labeling_from_atoms
 from .logic import KnowledgeBase, parse_kb
 from .operators import OperatorConfig, parse_operator_config
-from .valuation import Domain, LookupInterpretation, build_grounding, \
-    loss_gradient
+from .valuation import Domain, LookupInterpretation, _layout, \
+    build_grounding, loss_gradient
 
 __all__ = [
     "DIGITS", "TinyModel", "TrainConfig", "SyntheticTask", "MetricsRecord",
@@ -50,7 +50,7 @@ def digit_kb(formulas=(1, 2, 3)) -> KnowledgeBase:
     return parse_kb("\n".join(lines))
 
 
-# parsed once per subset: the valuation caches key on program identity
+# parsed once per subset: valuation plans key on program identity
 _digit_kb = functools.lru_cache(maxsize=8)(digit_kb)
 
 
@@ -232,7 +232,7 @@ class TinyModel:
             pos += size
 
     def zero_grads(self):
-        return {k: np.zeros_like(self.theta[k]) for k in self.PARAMS}
+        return {k: np.zeros(self.theta[k].shape) for k in self.PARAMS}
 
     # backward helpers --------------------------------------------------
     def _back_through_hidden(self, X, H, dH, grads):
@@ -289,6 +289,10 @@ class TrainConfig:
     test_n: int = 1000
 
     def __post_init__(self):
+        for key in ("lr", "w_dfl", "noise", "labeled_fraction"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be a finite number, got "
+                                 f"{getattr(self, key)!r}")
         if self.w_dfl < 0 or self.lr <= 0 or self.steps <= 0:
             raise ValueError("w_dfl must be >= 0 and lr/steps positive")
         if not 0 < self.labeled_fraction <= 1:
@@ -334,19 +338,25 @@ def _ce_gradients(model, X, H, y, grads):
     n = len(y)
     picked = np.clip(P[np.arange(n), y], 1e-12, None)
     loss = -float(np.log(picked).sum())
-    dP = np.zeros_like(P)
+    dP = np.zeros(P.shape)
     dP[np.arange(n), y] = -1.0 / picked
     model.class_backward(X, H, P, dP, grads)
     return loss
 
 
-def _same_pairs(rng, y_batch):
-    """Ordered labeled pairs as (k, 2) index arrays in row-major order,
-    with negatives undersampled 1:1."""
+def _pair_pool(y_batch) -> tuple:
+    """Every ordered labeled pair as (k, 2) index arrays in row-major
+    order: (same-class pairs, different-class pairs)."""
     y = np.asarray(y_batch)
     same = y[:, None] == y[None, :]
-    pos = np.argwhere(same)
-    neg = np.argwhere(~same)
+    return np.argwhere(same), np.argwhere(~same)
+
+
+def _same_pairs(rng, y_batch, pool=None):
+    """Ordered labeled pairs as (k, 2) index arrays in row-major order,
+    with negatives undersampled 1:1; ``pool`` is ``_pair_pool(y_batch)``
+    when the caller keeps it."""
+    pos, neg = _pair_pool(y_batch) if pool is None else pool
     if len(neg) > len(pos):
         neg = neg[rng.choice(len(neg), size=len(pos), replace=False)]
     return pos, neg
@@ -356,13 +366,12 @@ def _same_bce_gradients(model, X, H, pos, neg, grads, loss=True):
     """Add the same-pair BCE gradient to ``grads``, H being
     model.hidden(X); return the loss, or None unless ``loss``."""
     Z = model.same_logits(H)
-    S = _sigmoid(Z)
     pairs = np.concatenate([np.reshape(pos, (-1, 2)), np.reshape(neg, (-1, 2))])
     if not len(pairs):
         return 0.0 if loss else None
     positive = np.arange(len(pairs)) < len(pos)
-    s = np.clip(S[pairs[:, 0], pairs[:, 1]], 1e-12, 1 - 1e-12)
-    dZ = np.zeros_like(Z)
+    s = np.clip(_sigmoid(Z[pairs[:, 0], pairs[:, 1]]), 1e-12, 1 - 1e-12)
+    dZ = np.zeros(Z.shape)
     dZ[pairs[:, 0], pairs[:, 1]] = s - positive
     model.same_backward(X, H, dZ, grads)
     if not loss:
@@ -373,25 +382,31 @@ def _same_bce_gradients(model, X, H, pos, neg, grads, loss=True):
     return -float(np.cumsum(terms)[-1])
 
 
-def _dfl_gradients(model, X_batch, kb, ops, w_dfl, grads):
+def _batch_frame(b: int, kb) -> tuple:
+    """The Domain, batch list and ``_class_atoms`` of a DFL batch of ``b``
+    objects under ``kb``."""
+    return (Domain([f"b{i}" for i in range(b)]), list(range(b)),
+            _class_atoms(_layout(b, tuple(sorted(kb.signature.items())))))
+
+
+def _dfl_gradients(model, X_batch, kb, ops, w_dfl, grads, frame=None):
     """Fuzzy loss and its gradient w.r.t. each atom (``loss_gradient``),
-    chained into model parameters."""
+    chained into model parameters; ``frame`` is the batch's
+    ``_batch_frame`` when the caller keeps it."""
     H = model.hidden(X_batch)
     P = _softmax(H @ model.theta["W2"] + model.theta["b2"])
     Z = model.same_logits(H)
     S = _sigmoid(Z)
-    b = len(X_batch)
-    domain = Domain([f"b{i}" for i in range(b)])
+    domain, batch, classes = frame or _batch_frame(len(X_batch), kb)
     g = build_grounding(_BatchInterpretation(P, S), domain, kb.signature,
-                        list(range(b)))
+                        batch)
     loss, grad = loss_gradient(kb, g, ops)
-    dP, dZ = _atom_adjoints(g, grad * w_dfl, P, S)
+    dP, dZ = _atom_adjoints(g, grad * w_dfl, P, S, classes)
     model.class_backward(X_batch, H, P, dP, grads)
     model.same_backward(X_batch, H, dZ, grads)
     return loss, g
 
 
-@functools.lru_cache(maxsize=16)
 def _class_atoms(layout) -> tuple:
     """The columns of P that have atoms in ``layout``, and the position of
     each (batch position, column) atom in the atom vector."""
@@ -401,14 +416,15 @@ def _class_atoms(layout) -> tuple:
             np.array(at, dtype=np.intp).reshape(layout.b, len(digits)))
 
 
-def _atom_adjoints(g, a, P, S):
+def _atom_adjoints(g, a, P, S, classes=None):
     """dL/dP and dL/dZ, Z the pair logits, from dL/datom ``a`` over
-    ``g``'s atoms; ``0.0 +`` starts each entry as the tape does."""
-    columns, at = _class_atoms(g.layout)
-    dP = np.zeros_like(P)
+    ``g``'s atoms; ``classes`` is ``_class_atoms(g.layout)`` when the
+    caller keeps it.  ``0.0 +`` starts each entry as the tape does."""
+    columns, at = classes or _class_atoms(g.layout)
+    dP = np.zeros(P.shape)
     dP[:, columns] = 0.0 + a[at]
     same = g.tensor("same", a)
-    dZ = np.zeros_like(S) if same is None else 0.0 + same * S * (1.0 - S)
+    dZ = np.zeros(S.shape) if same is None else 0.0 + same * S * (1.0 - S)
     return dP, dZ
 
 
@@ -437,18 +453,21 @@ def semi_supervised_train(task: SyntheticTask, config: TrainConfig):
     metrics: list = []
     labeled = task.labeled_idx
     unlabeled = task.unlabeled_idx
+    pool = None  # the pairs of the labeled set, when it is every batch
+    if len(labeled) <= config.sup_batch:
+        X_sup, y_sup = task.X[labeled], task.y[labeled]
+        pool = _pair_pool(y_sup)
+    frame = _batch_frame(min(config.dfl_batch, len(unlabeled)), kb)
     for step in range(1, config.steps + 1):
-        if len(labeled) > config.sup_batch:
+        if pool is None:
             sup_idx = labeled[rng.choice(len(labeled), size=config.sup_batch,
                                          replace=False)]
-        else:
-            sup_idx = labeled
-        X_sup, y_sup = task.X[sup_idx], task.y[sup_idx]
+            X_sup, y_sup = task.X[sup_idx], task.y[sup_idx]
         record = step % config.eval_interval == 0 or step == config.steps
         grads = model.zero_grads()
         H_sup = model.hidden(X_sup)
         loss_sup = _ce_gradients(model, X_sup, H_sup, y_sup, grads)
-        pos, neg = _same_pairs(rng, y_sup)
+        pos, neg = _same_pairs(rng, y_sup, pool)
         # the pair loss is only reported, on recording steps
         loss_bce = _same_bce_gradients(model, X_sup, H_sup, pos, neg, grads,
                                        loss=record)
@@ -464,7 +483,7 @@ def semi_supervised_train(task: SyntheticTask, config: TrainConfig):
             batch_global = unlabeled[np.sort(pick)]
             loss_dfl, grounding = _dfl_gradients(
                 model, task.X[batch_global], kb, config.ops, config.w_dfl,
-                grads)
+                grads, frame)
         model.apply_step(grads, config.lr)
         if record:
             if grounding is not None:

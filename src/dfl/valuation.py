@@ -8,37 +8,35 @@ float64 vector: predicates in sorted order, each predicate's atoms in
 compiled once (``logic.compile_formula``) into a postorder program with
 one array axis per quantified variable, so over b objects a formula with
 d quantified variables is valuated as arrays of b**d ground instances.
-Programs of one shape run as one stack with a leading formula axis; each
-atom step gathers its instances from the atom vector with one flat index
-array, cached per stack, layout and bound positions.  Nested quantifier
-variables aggregate innermost-first (``forall x, y`` is A_x(A_y(...))),
-except under log-product, whose output lives in (-inf, 0] and may not
-feed another connective: its whole quantifier block is one flat
-aggregation over all b**d instances (equal, as log turns the nested
-product into a sum).
+Nested quantifier variables aggregate innermost-first (``forall x, y``
+is A_x(A_y(...))), except under log-product, whose output lives in
+(-inf, 0] and may not feed another connective: its whole quantifier
+block is one flat aggregation over all b**d instances.
 
-A stack runs in two passes that read one schedule, cached per stack,
-batch size and log-space flag: every step's array shape, the broadcast
-and transposes of each aggregation, and the axes each adjoint sums
-over.  The forward pass (``_forward``) computes every step's array and
-local partials, checking that each is finite.  The backward pass
-(``_backward``) runs over the same program in reverse, summing each
-adjoint over the axes its operand was broadcast along, and scatters each
-atom step's adjoint into the formula's gradient row, d(valuation)/d(atom)
-over the atom vector.  ``_valuate`` runs both; ``_forward_values``, for
-callers that need only the values (the oracle), stops after the
-forward pass.  ``loss_gradient`` adds the rows times -weight one after
-another, in reverse knowledge-base order, the order in which
+What no truth value changes is compiled once per tuple of programs,
+layout and log-space flag into a cached ``Plan``: programs of one shape
+form a stack, run as one pass with a leading formula axis, and each
+stack holds every step's array shape, the transposes of each
+aggregation, the axes each adjoint sums over, and its gather index (the
+flat atom-vector position of every instance each atom step reads, and
+its position in the stack's gradient rows) or the error of the first
+step that cannot gather; the plan also holds each formula's atom slice.  Only a valuation under ``mu`` gathers afresh.
+The instance cap is checked on every call, before the plan is sought.
+
+The forward pass (``_forward``) computes every step's array and local
+partials, checking that each is finite; the backward pass (``_backward``)
+runs in reverse, summing each adjoint over the axes its operand was
+broadcast along, and scatters each atom step's adjoint into the
+formula's gradient row, d(valuation)/d(atom).  ``_forward_values`` (the
+oracle's) stops after the forward pass.  ``loss_gradient`` adds the rows
+times -weight in reverse knowledge-base order, the order in which
 ``Tape.backward`` from ``dfl_loss`` accumulates them, so the two agree
-bit for bit.  Only
-callers that ask for nodes use the scalar tape: ``valuate`` and
-``dfl_loss`` record each formula as one fused node over the atom leaves.
-A grounding records its leaves on the tape in bulk when ``tape`` is
-first read, without a Node handle or a label; the handles are built when
-``nodes`` or ``node()`` is first read, and each label when the tape
-first reads it.
+bit for bit.  Only ``valuate`` and ``dfl_loss`` use the scalar tape,
+recording each formula as one fused node over the atom leaves, which a
+grounding records in bulk when ``tape`` is first read; Node handles are
+built when ``nodes`` or ``node()`` is first read, each label when the
+tape first reads it.
 """
-
 from __future__ import annotations
 
 import functools
@@ -141,7 +139,7 @@ class LookupInterpretation:
 class _Layout:
     """Where each predicate's atoms sit in an atom vector: ``preds`` maps a
     predicate to (offset, arity) in sorted order, ``size`` is the length.
-    One object per batch size and signature (``_layout``), so caches key
+    One object per batch size and signature (``_layout``), so plans key
     on it by identity."""
 
     def __init__(self, b: int, arities: tuple):
@@ -149,6 +147,16 @@ class _Layout:
         for pred, arity in arities:
             self.preds[pred] = (self.size, arity)
             self.size += b ** arity
+        self._lookup = (None, None)
+
+    def lookup_keys(self, batch: tuple) -> tuple:
+        """The table keys of every atom over ``batch`` in vector order, kept
+        for the last batch: for lookups alone, as equal objects share them."""
+        if self._lookup[0] != batch:
+            self._lookup = batch, tuple(
+                (pred, objs) for pred, (_, arity) in self.preds.items()
+                for objs in itertools.product(batch, repeat=arity))
+        return self._lookup[1]
 
 
 _layout = functools.lru_cache(maxsize=64)(_Layout)
@@ -300,20 +308,6 @@ def _missing(pred, objs, names=None) -> SemanticError:
                          f"from grounding (signature mismatch?)")
 
 
-@functools.lru_cache(maxsize=64)
-def _batch_index(batch: tuple, arity: int) -> tuple:
-    return np.ix_(*(np.array(batch),) * arity)
-
-
-@functools.lru_cache(maxsize=64)
-def _lookup_keys(layout: _Layout, batch: tuple) -> tuple:
-    """The table keys of every atom of ``layout`` over ``batch``, in vector
-    order (``GroundingTable.keys``), for lookups alone: a batch of equal
-    objects of another type shares them."""
-    return tuple((pred, objs) for pred, (_, arity) in layout.preds.items()
-                 for objs in itertools.product(batch, repeat=arity))
-
-
 def build_grounding(interp, domain: Domain, signature: dict, batch: list,
                     tape: Tape | None = None,
                     clamp_eps: float = CLAMP_EPS) -> GroundingTable:
@@ -321,7 +315,9 @@ def build_grounding(interp, domain: Domain, signature: dict, batch: list,
 
     An interpretation that offers ``truth_table(pred)``, the truth values
     of ``pred`` with one axis of objects per argument, is sliced by the
-    batch, one array expression per predicate; a ``LookupInterpretation``
+    batch, one array expression per predicate (none when the batch is
+    ``range(b)`` and the table has b objects per axis); a
+    ``LookupInterpretation``
     is read from its table in one pass; any other is asked for each
     atom's ``score(pred, objs)``.  Raw scores may stray 1e-6 outside
     [0, 1] (model arithmetic); anything worse, NaN included, is an error
@@ -336,23 +332,28 @@ def build_grounding(interp, domain: Domain, signature: dict, batch: list,
     table = getattr(interp, "truth_table", None)
     raw = None
     if table is not None:
-        objs = tuple(batch)
-        raw = np.concatenate([np.zeros(0)] + [  # no signature, no table
-            np.asarray(table(pred), dtype=float)[_batch_index(objs, arity)].ravel()
-            for pred, (_, arity) in g.layout.preds.items()])
+        b = len(batch)
+        whole = batch == list(range(b))
+        parts = [np.zeros(0)]  # no signature, no table
+        for pred, (_, arity) in g.layout.preds.items():
+            part = np.asarray(table(pred), dtype=float)
+            if not (whole and part.shape == (b,) * arity):
+                part = part[np.ix_(*(np.array(batch),) * arity)]
+            parts.append(part.reshape(-1))
+        raw = np.concatenate(parts)
     elif getattr(type(interp), "score", None) is LookupInterpretation.score:
         try:
             raw = np.fromiter(map(interp.table.__getitem__,
-                                  _lookup_keys(g.layout, tuple(batch))),
+                                  g.layout.lookup_keys(tuple(batch))),
                               dtype=float, count=g.layout.size)
         except KeyError:  # score names the first missing atom
             pass
     if raw is None:
         raw = np.array([float(interp.score(pred, objs))
                         for pred, objs in g.keys()], dtype=float)
-    bad = ~((raw >= -1e-6) & (raw <= 1.0 + 1e-6))
-    if bad.any():
-        k = int(bad.argmax())
+    # two reductions, which propagate NaN; the search runs on a failure
+    if raw.size and not (raw.min() >= -1e-6 and raw.max() <= 1.0 + 1e-6):
+        k = int((~((raw >= -1e-6) & (raw <= 1.0 + 1e-6))).argmax())
         raise SemanticError(f"scorer output {float(raw[k])!r} for "
                             f"{_atom_text(*g.keys()[k], g.names)} is outside "
                             f"[0, 1]")
@@ -362,7 +363,7 @@ def build_grounding(interp, domain: Domain, signature: dict, batch: list,
 # ---------------------------------------------------------------------------
 # array valuation
 
-@dataclass
+@dataclass(slots=True)
 class FormulaPass:
     """Forward and backward pass of one formula over one grounding.
 
@@ -382,7 +383,6 @@ class FormulaPass:
     stack_partials: tuple | None = None
 
 
-@functools.lru_cache(maxsize=1024)
 def _index(b: int, n_axes: int, terms: tuple) -> tuple:
     """Index arrays with ``n_axes`` axes, one per term: 0..b-1 laid along
     axis k for a term k >= 0, the fixed position -1 - k for k < 0."""
@@ -397,8 +397,6 @@ def _index(b: int, n_axes: int, terms: tuple) -> tuple:
     return tuple(index)
 
 
-# each entry keeps its programs alive: room for a few knowledge bases
-@functools.lru_cache(maxsize=32)
 def _gather_index(programs: tuple, layout: _Layout, fixed: tuple):
     """Per atom step of a stack of programs, (gather, scatter): the
     positions in the atom vector of every instance the step reads, with a
@@ -434,15 +432,6 @@ def _gather_index(programs: tuple, layout: _Layout, fixed: tuple):
         gather = np.reshape(offsets, rows.shape) + position
         out[i] = gather, gather + rows
     return out
-
-
-@functools.lru_cache(maxsize=16)
-def _stacks(programs: tuple) -> list:
-    """The positions of the programs of each shape, in first-seen order."""
-    stacks: dict = {}
-    for k, program in enumerate(programs):
-        stacks.setdefault(program.shape, []).append(k)
-    return list(stacks.values())
 
 
 _OPERATOR_FIELDS = {"and": ("T", "tnorm"), "or": ("S", "tconorm"),
@@ -502,20 +491,24 @@ def _log_product_error() -> SemanticError:
 _CONNECTIVES = ("and", "or", "implies")
 
 
-class _Schedule:
-    """What a stack pass of ``programs`` over ``b`` objects does that no
-    value changes: every step's array shape (``shapes``); per quantifier
-    step the shape its body is broadcast to (``spread``, None when the
-    body has it) and the transposes and shapes of its aggregation
+class _Stack:
+    """The programs of one shape in a plan (``members``: their positions
+    among the plan's programs, also as the index array ``rows``) and what
+    a pass over them does that no value changes: its ``_gather_index``
+    without ``mu`` (``index``); every step's array shape (``shapes``); per
+    quantifier step the shape its body is broadcast to (``spread``, None
+    when the body has it) and the transposes and shapes of its aggregation
     (``moves``); per connective and quantifier step the axes along which
     each operand's adjoint sums (``sums``).  ``log_error`` is the first
     quantifier step whose log-product output would feed a connective, or
-    None.  One object per programs, batch size and log-space flag
-    (``_schedule``)."""
+    None."""
 
-    def __init__(self, programs: tuple, b: int, log_space: bool):
-        instrs = programs[0].instrs
-        ndim = 1 + programs[0].n_axes
+    def __init__(self, members: list, programs: tuple, layout: _Layout,
+                 log_space: bool):
+        self.members, self.programs, self.layout = members, programs, layout
+        self.rows = np.array(members, dtype=np.intp)
+        self.index = _gather_index(programs, layout, ())
+        instrs, b, ndim = programs[0].instrs, layout.b, 1 + programs[0].n_axes
         self.log_space, self.log_error = log_space, None
         self.shapes: list = []
         self.spread, self.moves, self.sums = ([None] * len(instrs)
@@ -557,18 +550,55 @@ class _Schedule:
             self.shapes.append(shape)
 
 
-# each entry keeps its programs alive, as ``_gather_index`` does
-_schedule = functools.lru_cache(maxsize=32)(_Schedule)
+class Plan:
+    """What valuating ``programs`` on atom vectors laid out by ``layout``
+    needs that no truth value changes: the stacks of programs of one
+    shape, in first-seen order, and each program's atom slice.  One
+    object per programs, layout and log-space flag (``_plan``), built only
+    after the instance cap admits the programs."""
+
+    def __init__(self, programs: tuple, layout: _Layout, log_space: bool):
+        self.programs, self.layout = programs, layout
+        shapes: dict = {}
+        for k, program in enumerate(programs):
+            shapes.setdefault(program.shape, []).append(k)
+        self.stacks = [_Stack(members, tuple(programs[k] for k in members),
+                              layout, log_space)
+                       for members in shapes.values()]
+
+    @functools.cached_property
+    def atoms(self) -> list:
+        """Per program, the atom-vector positions of every atom of the
+        predicates it reads: the parents of its fused tape node."""
+        spans = {pred: np.arange(offset, offset + self.layout.b ** arity)
+                 for pred, (offset, arity) in self.layout.preds.items()}
+        return [np.concatenate([spans[pred] for pred in sorted(
+            {instr.atom.pred for instr in p.instrs if instr.op == "atom"})])
+            for p in self.programs]
 
 
-def _gathers(programs: tuple, g: GroundingTable, mu: dict):
-    """``_gather_index`` of a stack on ``g`` under ``mu``, or the
+# each entry keeps its programs alive: room for a few knowledge bases
+_plan = functools.lru_cache(maxsize=16)(Plan)
+
+
+def _plan_for(formulas: list, g: GroundingTable, ops: OperatorConfig,
+              plan: Plan | None = None) -> Plan:
+    """The plan of ``formulas`` on ``g`` under ``ops`` (``plan``, when the
+    caller has it), after the instance cap is checked."""
+    programs = plan.programs if plan else tuple(map(compile_formula, formulas))
+    check_instance_cap(programs, len(g.batch), g.layout.size)
+    return plan or _plan(programs, g.layout, ops.aggregator == "log_product")
+
+
+def _gathers(stack: _Stack, g: GroundingTable, mu):
+    """The gather index of ``stack`` on ``g`` under ``mu``, or the
     SemanticError of the first step that cannot gather."""
-    fixed = tuple((var, g.position(obj)) for var, obj in sorted(mu.items()))
-    index = _gather_index(programs, g.layout, fixed)
+    index = stack.index if not mu else _gather_index(
+        stack.programs, g.layout,
+        tuple((var, g.position(obj)) for var, obj in sorted(mu.items())))
     if isinstance(index, tuple):
         i, f, unbound = index
-        instr = programs[f].instrs[i]
+        instr = stack.programs[f].instrs[i]
         if unbound is not None:
             raise SemanticError(f"unbound variable {unbound!r} in {instr.atom}")
         example = [g.batch[0] if isinstance(t, int) else mu[t]
@@ -577,13 +607,12 @@ def _gathers(programs: tuple, g: GroundingTable, mu: dict):
     return index
 
 
-def _forward(programs: tuple, plan: _Schedule, g: GroundingTable, ops,
-             index: dict) -> tuple:
+def _forward(stack: _Stack, g: GroundingTable, ops, index: dict) -> tuple:
     """(values, local) of a stack of programs of one shape: every step's
     array, with a leading formula axis and then one axis per quantified
     variable, and per connective its local partials, per quantifier its
     aggregation partials (outermost first)."""
-    instrs = programs[0].instrs
+    instrs = stack.programs[0].instrs
     values: list = [None] * len(instrs)
     local: list = [None] * len(instrs)
     kernels = ops.arrays
@@ -596,21 +625,21 @@ def _forward(programs: tuple, plan: _Schedule, g: GroundingTable, ops,
         elif op == "not":
             values[i] = 1.0 - values[instr.args[0]]
         elif op == "forall":
-            if i == plan.log_error:
+            if i == stack.log_error:
                 raise _log_product_error()
             X = values[instr.args[0]]
-            if plan.spread[i] is not None:
-                X = np.broadcast_to(X, plan.spread[i])
-            if plan.log_space:
-                order, flat, moved, back = plan.moves[i]
+            if stack.spread[i] is not None:
+                X = np.broadcast_to(X, stack.spread[i])
+            if stack.log_space:
+                order, flat, moved, back = stack.moves[i]
                 v, P = kernels.aggregate(X.transpose(order).reshape(flat))
                 _check_finite(ops, op, v, [P])
                 levels = [P.reshape(moved).transpose(back)]
-                v = v.reshape(plan.shapes[i])
+                v = v.reshape(stack.shapes[i])
             else:
                 levels = []
                 v = X
-                for front, back, shape in plan.moves[i]:
+                for front, back, shape in stack.moves[i]:
                     agg, P = kernels.aggregate(v.transpose(front))
                     _check_finite(ops, op, agg, [P])
                     levels.append(P.transpose(back))
@@ -619,9 +648,12 @@ def _forward(programs: tuple, plan: _Schedule, g: GroundingTable, ops,
             local[i] = levels
             values[i] = v
         else:
-            v, partials = binary[op](values[instr.args[0]],
-                                     values[instr.args[1]])
-            _check_finite(ops, op, v, partials)
+            a, c = values[instr.args[0]], values[instr.args[1]]
+            v, partials = binary[op](a, c)
+            # a partial that is an operand (the product t-norm's, say) was
+            # checked as a value: it is finite, so the first error is the same
+            _check_finite(ops, op, v, [d for d in partials
+                                       if d is not a and d is not c])
             local[i] = partials
             values[i] = v
     return values, local
@@ -632,16 +664,17 @@ def _root_values(values: list, F: int) -> list:
     return values[-1].reshape(F, -1)[:, 0].tolist()
 
 
-def _backward(programs: tuple, plan: _Schedule, g: GroundingTable,
-              index: dict, values: list, local: list) -> list:
+def _backward(stack: _Stack, g: GroundingTable, index: dict, values: list,
+              local: list) -> tuple:
     """The backward pass over a stack's forward arrays, in reverse
-    program order: one ``FormulaPass`` per program."""
-    instrs = programs[0].instrs
-    F, root = len(programs), len(instrs) - 1
+    program order: (the gradient rows, formulas x atoms, and one
+    ``FormulaPass`` per program)."""
+    instrs = stack.programs[0].instrs
+    F, root = len(stack.programs), len(instrs) - 1
     rows = np.zeros((F, g.layout.size))
     flat_rows = rows.reshape(-1)
     adjoints: list = [None] * len(instrs)
-    adjoints[root] = np.ones(plan.shapes[root])
+    adjoints[root] = np.ones(stack.shapes[root])
     outs = [FormulaPass(v, rows[f], f)
             for f, v in enumerate(_root_values(values, F))]
     for i in range(root, -1, -1):
@@ -661,27 +694,11 @@ def _backward(programs: tuple, plan: _Schedule, g: GroundingTable,
                             else None)
                 for out in outs:
                     out.stack_adjoint, out.stack_partials = adj, partials
-            adjoints[body] = _sum_over(adj, plan.sums[i][0])
+            adjoints[body] = _sum_over(adj, stack.sums[i][0])
         else:
-            for arg, partial, axes in zip(instr.args, local[i], plan.sums[i]):
+            for arg, partial, axes in zip(instr.args, local[i], stack.sums[i]):
                 adjoints[arg] = _sum_over(adj * partial, axes)
-    return outs
-
-
-def _forward_stacks(formulas: list, g: GroundingTable, ops: OperatorConfig,
-                    mu):
-    """Per stack of ``formulas`` of one program shape: (the positions of
-    its formulas, its programs, schedule and gather indices, and its
-    forward arrays)."""
-    mu = dict(mu) if mu else {}
-    programs = tuple(compile_formula(f) for f in formulas)
-    check_instance_cap(programs, len(g.batch), g.layout.size)
-    log_space = ops.aggregator == "log_product"
-    for members in _stacks(programs):
-        stack = tuple(programs[k] for k in members)
-        index = _gathers(stack, g, mu)
-        plan = _schedule(stack, len(g.batch), log_space)
-        yield members, stack, plan, index, _forward(stack, plan, g, ops, index)
+    return rows, outs
 
 
 def formula_pass(f, g: GroundingTable, ops: OperatorConfig) -> FormulaPass:
@@ -694,15 +711,19 @@ def formula_pass(f, g: GroundingTable, ops: OperatorConfig) -> FormulaPass:
 
 
 def _valuate(formulas: list, g: GroundingTable, ops: OperatorConfig,
-             mu) -> list:
+             mu, plan: Plan | None = None, rows=None) -> list:
     """Passes of ``formulas``, one stack per program shape; without ``mu``
-    each is kept on ``g.passes``."""
+    each is kept on ``g.passes``.  ``plan`` is theirs, when given, and
+    ``rows(stack, its gradient rows)`` is called per stack."""
     passes = [None] * len(formulas)
     with np.errstate(all="ignore"):
-        for members, stack, plan, index, (values, local) in _forward_stacks(
-                formulas, g, ops, mu):
-            outs = _backward(stack, plan, g, index, values, local)
-            for k, out in zip(members, outs):
+        for stack in _plan_for(formulas, g, ops, plan).stacks:
+            index = _gathers(stack, g, mu)
+            stack_rows, outs = _backward(stack, g, index,
+                                         *_forward(stack, g, ops, index))
+            if rows is not None:
+                rows(stack, stack_rows)
+            for k, out in zip(stack.members, outs):
                 passes[k] = out
     if not mu:
         for f, out in zip(formulas, passes):
@@ -711,26 +732,24 @@ def _valuate(formulas: list, g: GroundingTable, ops: OperatorConfig,
 
 
 def _forward_values(formulas: list, g: GroundingTable, ops: OperatorConfig,
-                   mu: dict | None = None) -> list:
+                    mu: dict | None = None, plan: Plan | None = None) -> list:
     """The value of each of ``formulas`` under ``g``, ``ops`` and ``mu``,
     as ``_valuate`` finds it, from the forward pass alone: no gradient
-    row, adjoint or pass is built or kept."""
+    row, adjoint or pass is built or kept.  ``plan`` is theirs, when
+    given."""
     out = [None] * len(formulas)
     with np.errstate(all="ignore"):
-        for members, stack, _, _, (values, _) in _forward_stacks(
-                formulas, g, ops, mu):
-            for k, value in zip(members, _root_values(values, len(stack))):
+        for stack in _plan_for(formulas, g, ops, plan).stacks:
+            values, _ = _forward(stack, g, ops, _gathers(stack, g, mu))
+            for k, value in zip(stack.members,
+                                _root_values(values, len(stack.members))):
                 out[k] = value
     return out
 
 
-def _record(g: GroundingTable, formula, out: FormulaPass) -> Node:
+def _record(g: GroundingTable, at: np.ndarray, out: FormulaPass) -> Node:
     """``out`` as one fused node on ``g``'s tape whose parents are the
-    leaves of every atom of the predicates ``formula`` reads."""
-    preds = sorted({instr.atom.pred for instr in compile_formula(formula).instrs
-                    if instr.op == "atom"})
-    at = np.concatenate([np.arange(offset, offset + len(g.batch) ** arity)
-                         for offset, arity in map(g.layout.preds.get, preds)])
+    leaves of the atoms at ``at``, the atom slice of its formula."""
     tape = g.tape  # records the leaves, and their indices, first
     return tape.record_fused("valuation", g._leaf_idx[at], out.value,
                              out.row[at])
@@ -744,7 +763,9 @@ def valuate(f, g: GroundingTable, ops: OperatorConfig,
     returned tape node's parents are the ground atoms of every predicate
     ``f`` uses, with d(value)/d(atom) as partials.
     """
-    return _record(g, f, _valuate([f], g, ops, mu)[0])
+    plan = _plan_for([f], g, ops)
+    out = _valuate([f], g, ops, mu, plan)[0]
+    return _record(g, plan.atoms[0], out)
 
 
 def classical_values(program: Program, b: int, truth,
@@ -801,14 +822,17 @@ def loss_gradient(kb: KnowledgeBase, g: GroundingTable,
     bit for bit."""
     if not kb.entries:
         return 0.0, np.zeros(g.layout.size)
-    passes = _valuate(kb.formulas(), g, ops, None)
+    n = len(kb.entries)
+    weights = np.array([-w for _, w in kb.entries])
+    terms = np.zeros((n + 1, g.layout.size))  # formula k's row at n - k
+
+    def weigh(stack, rows):
+        terms[n - stack.rows] = weights[stack.rows, None] * rows
+
+    passes = _valuate(kb.formulas(), g, ops, None, rows=weigh)
     loss = -sum(w * out.value for (_, w), out in zip(kb.entries, passes))
     if not math.isfinite(loss):
         raise ValueError(f"loss: non-finite value {loss!r}")
-    terms = np.empty((len(passes) + 1, g.layout.size))
-    terms[0] = 0.0
-    np.multiply(np.array([-w for _, w in reversed(kb.entries)])[:, None],
-                [out.row for out in reversed(passes)], out=terms[1:])
     # accumulate adds down the rows in order; np.add.reduce and np.sum
     # would add them pairwise, which rounds differently
     return loss, np.add.accumulate(terms, axis=0)[-1]
@@ -823,8 +847,10 @@ def dfl_loss(kb: KnowledgeBase, g: GroundingTable,
     tape = g.tape
     if not kb.entries:
         return tape.leaf(0.0, label="loss")
-    passes = _valuate(kb.formulas(), g, ops, None)
-    vals = [_record(g, f, out) for f, out in zip(kb.formulas(), passes)]
+    formulas = kb.formulas()
+    plan = _plan_for(formulas, g, ops)
+    passes = _valuate(formulas, g, ops, None, plan)
+    vals = [_record(g, at, out) for at, out in zip(plan.atoms, passes)]
     weights = [weight for _, weight in kb.entries]
     total = -sum(w * n.value for w, n in zip(weights, vals))
     return tape.record("loss", vals, total, [-w for w in weights])

@@ -278,6 +278,102 @@ def test_bad_seed_flag_exit_2_before_any_run(tmp_path, capsys, command):
     assert captured.out == "" and not out.exists()
 
 
+_KB = b"forall x: p(x)\n"
+_GROUNDING = b"p(a)=0.5\n"
+_NOT_UTF8 = b"\xff\xfe"
+
+
+@pytest.mark.parametrize("argv, files, code, message", [
+    (["analyze", "surface", "--op", "reichenbach", "--step", "0"], {}, 2,
+     "step must be a positive number, got '0'"),
+    (["analyze", "surface", "--op", "reichenbach", "--step", "-0.25"], {}, 2,
+     "step must be a positive number, got '-0.25'"),
+    (["analyze", "surface", "--op", "reichenbach", "--step", "nan"], {}, 2,
+     "step must be a positive number, got 'nan'"),
+    (["analyze", "surface", "--op", "reichenbach", "--step", "inf"], {}, 2,
+     "step must be a positive number, got 'inf'"),
+    (["analyze", "surface", "--op", "reichenbach", "--step", "1e-9"], {}, 4,
+     "a grid of step 1e-09 has more than 1048576 cells"),
+    (["analyze", "surface", "--op", "reichenbach", "--step", "1e-320"], {}, 4,
+     "a grid of step 1e-320 has more than 1048576 cells"),
+    (["analyze", "fractions", "--op", "reichenbach", "--samples",
+      "100000000000000", "--seed", "1"], {}, 4,
+     "100000000000000 samples x 2 inputs exceed the 1000000000-value"),
+    (["analyze", "single-passing", "--op", "min", "--n", "4", "--samples",
+      "300000000", "--seed", "1"], {}, 4,
+     "300000000 samples x 4 inputs exceed the 1000000000-value"),
+    (["train", "--config", "{cfg}"], {"cfg": b"seed=1\nlr=nan\n"}, 3,
+     "lr must be a finite number, got nan"),
+    (["train", "--config", "{cfg}"], {"cfg": b"seed=1\nw_dfl=inf\n"}, 3,
+     "w_dfl must be a finite number, got inf"),
+    (["train", "--config", "{cfg}"], {"cfg": b"seed=1\nnoise=nan\n"}, 3,
+     "noise must be a finite number, got nan"),
+    (["train", "--config", "{cfg}"],
+     {"cfg": b"seed=1\nlabeled_fraction=nan\n"}, 3,
+     "labeled_fraction must be a finite number, got nan"),
+    (["sweep", "--config", "{cfg}", "--axis", "w_dfl", "--values", "1,-inf"],
+     {"cfg": b"seed=1\n"}, 3, "w_dfl must be a finite number, got -inf"),
+    (["train", "--config", "{cfg}"], {"cfg": b"seed=1\n" + _NOT_UTF8}, 2,
+     "not UTF-8 text"),
+    (["eval", "--kb", "{kb}", "--grounding", "{g}"],
+     {"kb": _KB + _NOT_UTF8, "g": _GROUNDING}, 2, "not UTF-8 text"),
+    (["eval", "--kb", "{kb}", "--grounding", "{g}"],
+     {"kb": _KB, "g": _NOT_UTF8 + _GROUNDING}, 2, "not UTF-8 text"),
+    (["analyze", "quality", "--kb", "{kb}", "--grounding", "{g}", "--labels",
+      "{labels}"], {"kb": _KB, "g": _GROUNDING, "labels": _NOT_UTF8}, 2,
+     "not UTF-8 text"),
+    (["oracle", "compare", "--kb", "{kb}", "--grounding", "{g}"],
+     {"kb": _NOT_UTF8, "g": _GROUNDING}, 2, "not UTF-8 text"),
+])
+def test_refusals_exit_with_their_code_before_any_output(tmp_path, capsys,
+                                                         argv, files, code,
+                                                         message):
+    paths = {}
+    for name, data in files.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        paths[name] = str(path)
+    out = tmp_path / "out.csv"
+    argv = [arg.format(**paths) for arg in argv]
+    if argv[0] != "oracle":  # the one command without a CSV
+        argv += ["--csv", str(out)]
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse refuses a flag
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code, captured.err
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_sampling_and_surface_caps_refuse_before_any_work(monkeypatch):
+    from dfl import analysis
+    from dfl.operators import descriptor
+
+    def no_draw(*args):
+        raise AssertionError("points were drawn")
+
+    monkeypatch.setattr(analysis, "SAMPLE_CAP", 20_000)
+    desc = descriptor("tnorm", "product")
+    analysis.estimate_nonvanishing_fraction(desc, 2, 10_000, 1)
+    analysis.single_passing_audit(desc, 2, 10_000, 1)
+    monkeypatch.setattr(analysis, "_point_chunks", no_draw)
+    for audit in (analysis.estimate_nonvanishing_fraction,
+                  analysis.single_passing_audit):
+        with pytest.raises(analysis.AnalysisCapError,
+                           match="10001 samples x 2 inputs"):
+            audit(desc, 2, 10_001, 1)
+    monkeypatch.setattr(analysis, "SURFACE_CELL_CAP", 25)
+    assert len(derivative_surface("reichenbach", 0.25)) == 25
+    with pytest.raises(analysis.AnalysisCapError, match="more than 25 cells"):
+        derivative_surface("reichenbach", 0.2)
+    for step in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="grid step must be a positive"):
+            derivative_surface("reichenbach", step)
+
+
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_negative_config_seed_exit_3(tmp_path, capsys, command):
     config = tmp_path / "train.cfg"

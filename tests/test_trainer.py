@@ -5,7 +5,7 @@ import pytest
 
 from dfl import trainer
 from dfl.analysis import gradient_quality, labeling_from_atoms
-from dfl.logic import Not, parse_kb
+from dfl.logic import Not, parse_formula, parse_kb
 from dfl.operators import OperatorConfig, parse_operator_config
 from dfl.trainer import (
     DIGITS,
@@ -16,6 +16,7 @@ from dfl.trainer import (
     _atom_adjoints,
     _ce_gradients,
     _dfl_gradients,
+    _pair_pool,
     _same_bce_gradients,
     _same_pairs,
     config_sweep,
@@ -132,13 +133,39 @@ def test_second_run_hits_the_valuation_caches():
     for formulas in [(1, 2, 3), (2,)]:
         config = TrainConfig(seed=4, formulas=formulas, **FAST)
         _, m1 = semi_supervised_train(task, config)
-        before = (valuation._gather_index.cache_info().misses,
-                  valuation._stacks.cache_info().misses)
+        before = valuation._plan.cache_info().misses
         _, m2 = semi_supervised_train(task, config)
-        assert (valuation._gather_index.cache_info().misses,
-                valuation._stacks.cache_info().misses) == before
+        assert valuation._plan.cache_info().misses == before
         assert [repr(m.row()) for m in m1] == [repr(m.row()) for m in m2]
     assert digit_kb() is not digit_kb()  # the public parse stays fresh
+
+
+def test_train_run_builds_one_plan_and_reuses_it():
+    from dfl import valuation
+    task = make_task(12, n=600, test_n=200)
+    config = TrainConfig(seed=12, steps=20, eval_interval=10, n_points=600,
+                         test_n=200, dfl_batch=5)
+    valuation._plan.cache_clear()
+    semi_supervised_train(task, config)
+    info = valuation._plan.cache_info()
+    # the first step builds the plan; the other 19 steps and both quality
+    # evaluations reuse it
+    assert (info.misses, info.hits, info.currsize) == (1, 21, 1)
+    # a knowledge base that gains a formula gets a plan of its own
+    kb = parse_kb("forall x, y: one(x) & same(x, y) -> one(y)")
+    P = np.full((3, 10), 0.1)
+    S = np.full((3, 3), 0.5)
+
+    def misses():
+        g = build_grounding(_BatchInterpretation(P, S),
+                            Domain(["b0", "b1", "b2"]), kb.signature,
+                            [0, 1, 2])
+        loss_gradient(kb, g, OperatorConfig(aggregator="log_product"))
+        return valuation._plan.cache_info().misses
+
+    assert misses() == misses() == 2
+    kb.add(parse_formula("forall x, y: same(x, y) -> same(y, x)"))
+    assert misses() == 3
 
 
 def test_w_dfl_zero_is_supervised_baseline():
@@ -234,6 +261,20 @@ def test_same_pairs_undersampling():
     assert len(neg) == len(pos)
     assert all(y[i] == y[j] for i, j in pos)
     assert all(y[i] != y[j] for i, j in neg)
+
+
+@pytest.mark.parametrize("labels", [
+    "task", [0, 0, 1, 2, 3, 4, 5, 6], [0, 0, 0, 0], [0, 1, 2, 3]])
+def test_same_pairs_from_a_pool_match_pairs_from_scratch(labels):
+    task = make_task(0)
+    y = task.y[task.labeled_idx] if labels == "task" else np.array(labels)
+    pool = _pair_pool(y)
+    rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(3):  # the pool is reused, not used up
+        pooled, fresh = _same_pairs(rng_a, y, pool), _same_pairs(rng_b, y)
+        for got, want in zip(pooled, fresh):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 def _loop_same_pairs(rng, y_batch):
