@@ -10,12 +10,7 @@ from .operators import (
     OperatorError,
     ConfigError,
     parse_operator_config,
-    negation,
-    tnorm,
-    tconorm,
-    aggregate,
-    implication,
-    sigmoidal_implication,
+    descriptor,
 )
 # after operators: numpy loads once operators.py is compiled (lower peak RSS)
 from .autodiff import Tape, Node, GradientMap, finite_difference_check
@@ -29,11 +24,6 @@ __all__ = [
     "OperatorError",
     "ConfigError",
     "parse_operator_config",
-    "negation",
-    "tnorm",
-    "tconorm",
-    "aggregate",
-    "implication",
-    "sigmoidal_implication",
+    "descriptor",
     "__version__",
 ]

@@ -21,11 +21,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from .logic import compile_formula
-from .operators import (OperatorConfig, OperatorDescriptor, aggregate_array,
-                        descriptor, implication_array, implication_kernel)
+from .operators import (OperatorConfig, OperatorDescriptor, OperatorError,
+                        _arity_error, _count_live, descriptor)
 from .valuation import (CLAMP_EPS, GroundingTable, _gathers, _plan_for,
                         _valuate, classical_values)
-from .autodiff import Tape
 
 __all__ = [
     "AnalysisCapError", "SAMPLE_CAP", "SURFACE_CELL_CAP",
@@ -38,7 +37,6 @@ __all__ = [
     "yager_p2_fraction_candidates",
 ]
 
-PARTIAL_EPS = 1e-12
 # float64 values one Monte-Carlo audit may draw, samples x point dimension
 SAMPLE_CAP = 10 ** 9
 # cells of one surface grid: step 0.001 (1001**2 cells) is admitted
@@ -155,20 +153,6 @@ def _point_chunks(rng, samples: int, n: int):
         yield rng.random((min(rows, samples - start), n))
 
 
-def _check_arity(desc: OperatorDescriptor, n: int):
-    """Refuse a point dimension ``n`` that ``desc``'s kernel cannot take,
-    before any draw: t-norms, t-conorms and implications are binary, the
-    negation unary, and an aggregator takes n >= 1 inputs."""
-    if desc.family == "aggregator":
-        if n < 1:
-            raise ValueError(f"aggregator kernels need n >= 1; got n={n}")
-    elif desc.family == "negation":
-        if n != 1:
-            raise ValueError(f"negation kernels are unary; got n={n}")
-    elif n != 2:
-        raise ValueError(f"{desc.family} kernels are binary; got n={n}")
-
-
 def _check_samples(samples: int, n: int):
     """Refuse, before any draw, ``samples`` points of ``n`` coordinates
     past ``SAMPLE_CAP`` values."""
@@ -191,7 +175,7 @@ def estimate_nonvanishing_fraction(desc: OperatorDescriptor, n: int,
     partial is nonzero (threshold 1e-12)."""
     if samples < 10_000:
         raise ValueError("fraction estimates need samples >= 10_000")
-    _check_arity(desc, n)
+    desc.check_arity(n)
     _check_samples(samples, n)
     rng = _generator(seed, "fraction estimates")
     hits = sum(int(np.count_nonzero(desc.live_partials(X)))
@@ -213,51 +197,43 @@ def estimate_nonvanishing_fraction(desc: OperatorDescriptor, n: int,
 # single-passing
 
 def composed(outer: OperatorDescriptor, inners: list):
-    """Point function for outer(inner_1(xs_1), ..., inner_k(xs_k)); the
-    input vector is split between the inner operators in order."""
-    arities = []
-    for inner in inners:
-        arities.append(2 if inner.family in ("tnorm", "tconorm", "implication")
-                       else None)
+    """Point function for outer(inner_1(xs_1), ..., inner_k(xs_k)): the n
+    inputs split into k equal parts, in order, one per inner operator.
+    Its ``live_partials(X)`` counts the chained partials of each point."""
+    outer.check_arity(len(inners))
+    k = len(inners)
 
-    def fn(xs):
-        tape = Tape()
-        leaves = [tape.leaf(x) for x in xs]
-        per = len(xs) // len(inners)
-        nodes = []
-        for i, inner in enumerate(inners):
-            part = leaves[i * per:(i + 1) * per]
-            v, partials = inner.kernel(*[n.value for n in part])
-            nodes.append(tape.record(inner.label(), part, v, partials))
-        v, partials = outer.kernel(*[n.value for n in nodes])
-        root = tape.record(outer.label(), nodes, v, partials)
-        grads = tape.backward(root)
-        return root.value, [grads[leaf] for leaf in leaves]
+    def check_arity(n: int):
+        if n % k or any(_arity_error(inner.family, n // k) for inner in inners):
+            raise OperatorError(f"n does not split into {k} equal parts "
+                                f"that the inner operators take; got n={n}")
 
-    return fn
+    def live_partials(X) -> np.ndarray:
+        columns = np.ascontiguousarray(np.asarray(X).T)  # one row per input
+        per = len(columns) // k
+        runs = [inner.on_columns(columns[i * per:(i + 1) * per])
+                for i, inner in enumerate(inners)]
+        _, partials = outer.on_columns(np.array([value for value, _ in runs]))
+        return _count_live([d_outer * d for d_outer, (_, ds)
+                            in zip(partials, runs) for d in ds], len(X))
+
+    return SimpleNamespace(check_arity=check_arity,
+                           live_partials=live_partials)
 
 
 def single_passing_audit(op, n: int, samples: int = 10_000, seed: int = 0):
-    """True iff at most one input has |partial| > 1e-12 at every sampled
-    point; otherwise returns the first violating point as witness."""
+    """True iff at most one input of ``op``, a descriptor or ``composed``,
+    has |partial| > 1e-12 at every sampled point; otherwise returns the
+    first violating point as witness."""
     if samples < 10_000:
         raise ValueError("single-passing audits need samples >= 10_000")
     rng = _generator(seed, "single-passing audits")
-    if isinstance(op, OperatorDescriptor):
-        _check_arity(op, n)
-        _check_samples(samples, n)
-        for X in _point_chunks(rng, samples, n):
-            violations = np.flatnonzero(op.live_partials(X) > 1)
-            if len(violations):
-                return False, tuple(X[violations[0]].tolist())
-        return True, None
+    op.check_arity(n)
     _check_samples(samples, n)
-    for _ in range(samples):
-        xs = rng.random(n).tolist()
-        _, partials = op(xs)
-        live = sum(1 for d in partials if abs(d) > PARTIAL_EPS)
-        if live > 1:
-            return False, tuple(xs)
+    for X in _point_chunks(rng, samples, n):
+        violations = np.flatnonzero(op.live_partials(X) > 1)
+        if len(violations):
+            return False, tuple(X[violations[0]].tolist())
     return True, None
 
 
@@ -311,7 +287,7 @@ def gradient_quality(kb, g: GroundingTable, ops: OperatorConfig,
     truth = _atom_truth([p for p, u in zip(programs, used) if u], g,
                         labels.atom_fn)
     sums = [None] * len(formulas)  # per formula: cons, ant, cu_cons, cu_ant
-    for stack in _plan_for(formulas, g, ops).stacks:
+    for stack in _plan_for(formulas, g, ops).stacks(ops):
         if not used[stack.members[0]]:  # one shape, so one body, per stack
             continue
         adj, (da, dc) = _stack_derivatives(
@@ -418,9 +394,11 @@ def _grid(step: float):
 def derivative_surface(name: str, step: float, p: float | None = None,
                        s: float | None = None, b0: float | None = None,
                        base: str | None = None) -> list:
-    """Dense (a, c, d_Ic, d_Inot_a) table for an implication kernel."""
+    """Dense (a, c, dI/dc, -dI/da) table for an implication kernel: the
+    derivatives with respect to the consequent and the negated antecedent."""
     a, c = _grid(step)
-    _, (dia, dic) = implication_array(name, a, c, p=p, s=s, b0=b0, base=base)
+    _, (dia, dic) = descriptor("implication", name, p, s, b0,
+                               base).array_kernel(a, c)
     dia, dic = np.broadcast_to(dia, a.shape), np.broadcast_to(dic, a.shape)
     return list(zip(a.tolist(), c.tolist(), dic.tolist(), (-dia).tolist()))
 
@@ -447,12 +425,13 @@ def implication_aggregator_interaction(agg: str, impl: str, step: float,
     if agg not in ("log_product", "rmse"):
         raise ValueError("interaction surfaces are defined for log_product/rmse")
     a, c = _grid(step)
-    companion, _ = implication_kernel("reichenbach", math.sqrt(0.9), 0.0)
-    probed, (dia, _) = implication_array(
-        impl, np.clip(a, CLAMP_EPS, 1.0 - CLAMP_EPS),
-        np.clip(c, CLAMP_EPS, 1.0 - CLAMP_EPS), p=p)
-    _, partials = aggregate_array(agg, np.stack([np.full(a.shape, companion),
-                                                 probed]))
+    companion = descriptor("implication", "reichenbach").value(
+        math.sqrt(0.9), 0.0)
+    probed, (dia, _) = descriptor("implication", impl, p=p).array_kernel(
+        np.clip(a, CLAMP_EPS, 1.0 - CLAMP_EPS),
+        np.clip(c, CLAMP_EPS, 1.0 - CLAMP_EPS))
+    _, partials = descriptor("aggregator", agg).array_kernel(
+        np.stack([np.full(a.shape, companion), probed]))
     # the chain rule in the tape's order: adjoints accumulate from 0.0
     d_ante = 0.0 + partials[1] * dia
     return list(zip(a.tolist(), c.tolist(), (-d_ante).tolist()))

@@ -12,12 +12,12 @@ return one partial per input.
 Everything else reads the rows.  ``_bind`` checks a name and its
 parameter and binds the kernel; the sigmoidal implication, which warps
 a base implication, is the one operator without a row.  ``descriptor``
-and ``catalog`` build descriptors, ``tnorm_array`` and its siblings run
-a kernel on checked arrays, ``OperatorConfig.arrays`` binds a
-configuration's kernels once for the valuation engine, and the scalar
-API (``tnorm``, ``tnorm_kernel``, ``OperatorDescriptor.kernel`` and so
-on) runs the same kernel at one point and returns floats.  The property
-audits draw many points and check each law with one array call.
+is the one way to call an operator: its ``array_kernel`` runs the kernel
+on checked arrays, and its ``kernel`` and ``value`` run it at one point
+and return floats.  ``catalog`` lists the descriptors, and
+``OperatorConfig.arrays`` binds a configuration's kernels once for the
+valuation engine.  The property audits draw many points and check each
+law with one array call.
 
 Inputs must already lie in [0, 1]; nothing is clamped here (the
 valuation layer clamps model outputs before they reach a kernel).  Every
@@ -42,7 +42,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,24 +52,7 @@ __all__ = [
     "OperatorDescriptor",
     "OperatorConfig",
     "ArrayKernels",
-    "negation",
-    "negation_kernel",
-    "tnorm",
-    "tnorm_kernel",
-    "tconorm",
-    "tconorm_kernel",
-    "aggregate",
-    "aggregate_kernel",
-    "implication",
-    "implication_kernel",
-    "sigmoidal_implication",
-    "sigmoidal_kernel",
-    "tnorm_array",
-    "tconorm_array",
-    "aggregate_array",
-    "implication_array",
-    "d_Ic",
-    "d_Inot_a",
+    "descriptor",
     "tnorm_duality_check",
     "property_audit",
     "parse_operator_config",
@@ -317,7 +300,7 @@ def _aa_pme(X, p):
 
 
 # implications: (value, (dI/da, dI/dc)); the derivative with respect to
-# the negated antecedent is d_Inot_a = -dI/da
+# the negated antecedent is -dI/da
 
 def _ia_kleene_dienes(a, c, p):
     return _pick([1.0 - a >= c], [(1.0 - a, -1.0, 0.0)], (c, 0.0, 1.0))
@@ -645,6 +628,10 @@ def _checked_p(family: str, name: str, p):
     return p
 
 
+# the sigmoidal implication's b0 when none is given
+SIGMOID_B0 = -0.5
+
+
 def _sigmoidal_scaling(base, s, b0):
     """Checked (s, b0, d, h) of the sigmoidal warp around ``base``."""
     if base is None:
@@ -654,7 +641,7 @@ def _sigmoidal_scaling(base, s, b0):
     if s is None or float(s) <= 0.0:
         raise OperatorError(f"sigmoidal implication requires s > 0, got {s!r}")
     s = float(s)
-    b0 = -0.5 if b0 is None else float(b0)
+    b0 = SIGMOID_B0 if b0 is None else float(b0)
     try:
         e_top = math.exp(-s * (1.0 + b0))
         e_bot = math.exp(-s * b0)
@@ -716,143 +703,40 @@ def _bind_sigmoidal(base, s, b0, p) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# array entry points
-
-def _run_checked(kernel, *xs):
-    xs = [_unit_array(x) for x in xs]
-    with np.errstate(all="ignore"):
-        return kernel(*xs)
-
-
-def _reduce_checked(kernel, X):
-    if np.ndim(X) == 0 or len(X) == 0:
-        raise OperatorError("aggregate requires at least one input")
-    return _run_checked(kernel, X)
-
-
-def tnorm_array(name: str, a, b, p: float | None = None):
-    return _run_checked(_bind("tnorm", name, p), a, b)
-
-
-def tconorm_array(name: str, a, b, p: float | None = None):
-    return _run_checked(_bind("tconorm", name, p), a, b)
-
-
-def aggregate_array(name: str, X, p: float | None = None):
-    """Aggregate over the first axis of ``X``."""
-    return _reduce_checked(_bind("aggregator", name, p), X)
-
-
-def implication_array(name: str, a, c, p: float | None = None,
-                      s: float | None = None, b0: float | None = None,
-                      base: str | None = None):
-    return _run_checked(_bind("implication", name, p, s, b0, base), a, c)
-
-
-# ---------------------------------------------------------------------------
-# scalar API: the same kernels at one point, as floats
-
-def _unit(x) -> np.float64:
-    return np.float64(_check_unit(x))
-
-
-def _scalar(kernel, *xs):
-    """``kernel``'s value and partials at one point, as floats."""
-    with np.errstate(all="ignore"):
-        value, partials = kernel(*xs)
-    return float(value), tuple(map(float, partials))
-
-
-def _reduce_scalar(kernel, xs: Sequence[float]):
-    X = np.array([_check_unit(x) for x in xs])
-    if not len(X):
-        raise OperatorError("aggregate requires at least one input")
-    value, partials = _scalar(kernel, X)
-    return value, list(partials)
-
-
-def negation_kernel(a: float):
-    return _scalar(_negation, _unit(a))
-
-
-def negation(a: float) -> float:
-    return negation_kernel(a)[0]
-
-
-def tnorm_kernel(name: str, a: float, b: float, p: float | None = None):
-    return _scalar(_bind("tnorm", name, p), _unit(a), _unit(b))
-
-
-def tnorm(name: str, a: float, b: float, p: float | None = None) -> float:
-    return tnorm_kernel(name, a, b, p)[0]
-
-
-def tconorm_kernel(name: str, a: float, b: float, p: float | None = None):
-    return _scalar(_bind("tconorm", name, p), _unit(a), _unit(b))
-
-
-def tconorm(name: str, a: float, b: float, p: float | None = None) -> float:
-    return tconorm_kernel(name, a, b, p)[0]
-
-
-def aggregate_kernel(name: str, xs: Sequence[float], p: float | None = None):
-    return _reduce_scalar(_bind("aggregator", name, p), xs)
-
-
-def aggregate(name: str, xs: Sequence[float], p: float | None = None) -> float:
-    return aggregate_kernel(name, xs, p)[0]
-
-
-def implication_kernel(name: str, a: float, c: float, p: float | None = None,
-                       s: float | None = None, b0: float | None = None,
-                       base: str | None = None):
-    return _scalar(_bind("implication", name, p, s, b0, base), _unit(a),
-                   _unit(c))
-
-
-def implication(name: str, a: float, c: float, p: float | None = None,
-                s: float | None = None, b0: float | None = None,
-                base: str | None = None) -> float:
-    return implication_kernel(name, a, c, p=p, s=s, b0=b0, base=base)[0]
-
-
-def d_Ic(name: str, a: float, c: float, **kw) -> float:
-    """Derivative of the implication with respect to the consequent."""
-    return implication_kernel(name, a, c, **kw)[1][1]
-
-
-def d_Inot_a(name: str, a: float, c: float, **kw) -> float:
-    """Derivative with respect to the negated antecedent (= -dI/da)."""
-    return -implication_kernel(name, a, c, **kw)[1][0]
-
-
-def sigmoidal_kernel(base: str | None, s: float, b0: float, a: float, c: float,
-                     p: float | None = None):
-    """Sigmoid-warped implication of ``base`` (see ``_bind_sigmoidal``)."""
-    return _scalar(_bind_sigmoidal(base, s, b0, p), _unit(a), _unit(c))
-
-
-def sigmoidal_implication(base: str, s: float, b0: float, a: float, c: float,
-                          p: float | None = None) -> float:
-    return sigmoidal_kernel(base, s, b0, a, c, p=p)[0]
-
-
-# ---------------------------------------------------------------------------
 # descriptors
+
+# inputs per call; an aggregator takes any n >= 1
+_ARITY = {"negation": 1, "tnorm": 2, "tconorm": 2, "implication": 2}
+
+
+def _arity_error(family: str, n: int) -> str | None:
+    """Why a kernel of ``family`` cannot take ``n`` inputs, or None:
+    t-norms, t-conorms and implications are binary, the negation unary,
+    and an aggregator takes n >= 1 inputs."""
+    arity = _ARITY.get(family)
+    if arity is None:
+        return None if n >= 1 else f"aggregator kernels need n >= 1; got n={n}"
+    if n == arity:
+        return None
+    return (f"{family} kernels are {'unary' if arity == 1 else 'binary'}; "
+            f"got n={n}")
+
 
 @dataclass(frozen=True)
 class OperatorDescriptor:
     """Catalog entry: family, name, parameters, declared properties, the
     locus finite differences must stay away from, and the bound array
-    kernel.  Build one with ``descriptor``."""
+    kernel.  Build one with ``descriptor``; two compare equal when their
+    family, name, parameters, properties and locus do."""
 
     family: str
     name: str
     params: tuple = ()
     properties: frozenset = frozenset()
     locus: str = "none"
-    near_locus: Callable = field(default=lambda xs, margin: False, repr=False)
-    bound: Callable | None = field(default=None, repr=False)
+    near_locus: Callable = field(default=lambda xs, margin: False, repr=False,
+                                 compare=False)
+    bound: Callable | None = field(default=None, repr=False, compare=False)
 
     @property
     def p(self):
@@ -864,33 +748,61 @@ class OperatorDescriptor:
             return f"{self.name}({inner})"
         return self.name
 
+    def check_arity(self, n: int):
+        """Refuse ``n`` inputs when the kernel cannot take them."""
+        error = _arity_error(self.family, n)
+        if error:
+            raise OperatorError(error)
+
     def kernel(self, *xs):
-        if self.family == "aggregator":
-            return _reduce_scalar(self.bound, xs)
-        return _scalar(self.bound, *map(_unit, xs))
+        """(value, partials) at the point ``xs``, as floats; an
+        aggregator's partials are a list."""
+        self.check_arity(len(xs))
+        xs = [np.float64(_check_unit(x)) for x in xs]
+        with np.errstate(all="ignore"):
+            if self.family == "aggregator":
+                value, partials = self.bound(np.array(xs))
+                return float(value), [float(d) for d in partials]
+            value, partials = self.bound(*xs)
+        return float(value), tuple(map(float, partials))
 
     def array_kernel(self, *xs):
         """``kernel`` over arrays: binary kernels take two broadcastable
         arrays, aggregators one array reduced over its first axis."""
-        if self.family == "aggregator":
-            return _reduce_checked(self.bound, xs[0])
-        return _run_checked(self.bound, *xs)
+        if self.family != "aggregator":
+            self.check_arity(len(xs))
+        elif len(xs) != 1:
+            raise OperatorError("aggregator array kernels take one array of "
+                                f"n >= 1 inputs; got {len(xs)} arrays")
+        elif np.ndim(xs[0]) == 0 or len(xs[0]) == 0:
+            raise OperatorError("aggregate requires at least one input")
+        xs = [_unit_array(x) for x in xs]
+        with np.errstate(all="ignore"):
+            return self.bound(*xs)
 
     def value(self, *xs) -> float:
         return self.kernel(*xs)[0]
 
+    def on_columns(self, columns):
+        """``array_kernel`` of the inputs ``columns``, one row per input."""
+        if self.family == "aggregator":
+            return self.array_kernel(columns)
+        return self.array_kernel(*columns)
+
     def live_partials(self, X) -> np.ndarray:
         """Per row of the (m, n) point array ``X``, how many partials of
         the array kernel exceed 1e-12 in magnitude."""
-        columns = np.ascontiguousarray(np.asarray(X).T)  # one row per input
-        if self.family == "aggregator":
-            _, partials = self.array_kernel(columns)
-        else:
-            _, partials = self.array_kernel(*columns)
-        live = np.zeros(len(X), dtype=int)
-        for partial in partials:
-            live += np.abs(partial) > 1e-12
-        return live
+        _, partials = self.on_columns(np.ascontiguousarray(np.asarray(X).T))
+        return _count_live(partials, len(X))
+
+
+def _count_live(partials, m: int) -> np.ndarray:
+    """Per point of ``m``, how many of ``partials`` exceed 1e-12 in
+    magnitude."""
+    live = np.zeros(m, dtype=int)
+    for partial in partials:
+        live += np.abs(partial) > 1e-12
+    return live
 
 
 def descriptor(family: str, name: str, p=None, s=None, b0=None,
@@ -898,11 +810,13 @@ def descriptor(family: str, name: str, p=None, s=None, b0=None,
     """The catalog entry of (family, name) at these parameters, read from
     its registry row; an unknown name or a bad parameter raises
     ``OperatorError`` as binding the kernel does.  A sigmoidal
-    implication keeps its base's locus and its CP and IP."""
+    implication records the b0 it runs with, and keeps its base's locus
+    and its CP and IP."""
     bound = _bind(family, name, p, s, b0, base)
     p_param = (("p", p),) if p is not None else ()
     if name == "sigmoidal":
         inner = descriptor(family, base, p)
+        b0 = SIGMOID_B0 if b0 is None else b0
         return OperatorDescriptor(
             family, name, (("base", base), ("s", s), ("b0", b0)) + p_param,
             frozenset(_IMPL.split()) | (inner.properties & {"CP", "IP"}),
@@ -1089,8 +1003,7 @@ def _audit_implication(desc: OperatorDescriptor, rng, samples, tol):
 
 
 def _audit_single_passing(desc: OperatorDescriptor, rng, samples):
-    arity = {"negation": 1, "tnorm": 2, "tconorm": 2, "implication": 2}.get(
-        desc.family, 3)
+    arity = _ARITY.get(desc.family, 3)
     points = rng.random(samples * arity).reshape(samples, arity)
     violations = np.flatnonzero(desc.live_partials(points) > 1)
     if len(violations):
@@ -1122,7 +1035,8 @@ def property_audit(desc: OperatorDescriptor, samples: int = 2000, seed: int = 0,
     elif desc.family == "implication":
         checks = _audit_implication(desc, rng, samples, tol)
     elif desc.family == "negation":
-        checks = [("boundary", negation(0.0) == 1.0 and negation(1.0) == 0.0, None)]
+        checks = [("boundary",
+                   desc.value(0.0) == 1.0 and desc.value(1.0) == 0.0, None)]
     else:
         raise OperatorError(f"unknown family {desc.family!r}")
     if desc.name != "log_product":
@@ -1156,21 +1070,19 @@ class OperatorConfig:
     # each scalar kernel binds its own operator only, so a bad entry
     # elsewhere in the configuration does not fail it
     def tnorm_kernel(self, a, b):
-        return _scalar(_bind("tnorm", self.tnorm, self.tnorm_p),
-                       _unit(a), _unit(b))
+        return descriptor("tnorm", self.tnorm, self.tnorm_p).kernel(a, b)
 
     def tconorm_kernel(self, a, b):
-        return _scalar(_bind("tconorm", self.tconorm, self.tconorm_p),
-                       _unit(a), _unit(b))
+        return descriptor("tconorm", self.tconorm, self.tconorm_p).kernel(a, b)
 
     def implication_kernel(self, a, c):
-        return _scalar(_bind("implication", self.implication, self.implication_p,
-                             self.sigmoid_s, self.sigmoid_b0, self.sigmoid_base),
-                       _unit(a), _unit(c))
+        return descriptor("implication", self.implication, self.implication_p,
+                          self.sigmoid_s, self.sigmoid_b0,
+                          self.sigmoid_base).kernel(a, c)
 
     def aggregate_kernel(self, xs):
-        return _reduce_scalar(
-            _bind("aggregator", self.aggregator, self.aggregator_p), xs)
+        return descriptor("aggregator", self.aggregator,
+                          self.aggregator_p).kernel(*xs)
 
     @cached_property
     def arrays(self) -> ArrayKernels:
@@ -1259,7 +1171,8 @@ def parse_operator_config(text: str, base: OperatorConfig | None = None) -> Oper
         if sigmoidal:
             cfg.update(implication=name,
                        implication_p=params.get("p", cfg["implication_p"]),
-                       sigmoid_s=params.get("s"), sigmoid_b0=params.get("b0", -0.5),
+                       sigmoid_s=params.get("s"),
+                       sigmoid_b0=params.get("b0", SIGMOID_B0),
                        sigmoid_base=params.get("base"))
             if cfg["sigmoid_base"] is None:
                 raise ConfigError("sigmoidal implication needs base=<name>")

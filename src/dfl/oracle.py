@@ -159,7 +159,7 @@ class _Plan(Plan):
                    for program in programs for instr in program.instrs
                    if instr.op == "atom"}
         super().__init__(programs, _layout(len(batch), tuple(sorted(
-            arities.items()))), True)
+            arities.items()))))
         self.batch = batch
         self.instances = sum(len(batch) ** p.n_axes for p in programs)
 
@@ -171,10 +171,10 @@ class _Plan(Plan):
         1 where the step does not depend on it: the program's row of its
         stack's gather index."""
         gathers: list = [None] * len(self.programs)
-        for stack in self.stacks:
-            for f, k in enumerate(stack.members):
+        for members, _, index in self.shapes:
+            for f, k in enumerate(members):
                 gathers[k] = [(i, gather[f:f + 1])
-                              for i, (gather, _) in stack.index.items()]
+                              for i, (gather, _) in index.items()]
         return gathers
 
     @functools.cached_property

@@ -13,14 +13,16 @@ is A_x(A_y(...))), except under log-product, whose output lives in
 (-inf, 0] and may not feed another connective: its whole quantifier
 block is one flat aggregation over all b**d instances.
 
-What no truth value changes is compiled once per tuple of programs,
-layout and log-space flag into a cached ``Plan``: programs of one shape
-form a stack, run as one pass with a leading formula axis, and each
-stack holds every step's array shape, the transposes of each
-aggregation, the axes each adjoint sums over, and its gather index (the
+What no truth value changes is compiled once per tuple of programs and
+layout into a cached ``Plan``: programs of one shape form a stack, run
+as one pass with a leading formula axis, with one gather index (the
 flat atom-vector position of every instance each atom step reads, and
 its position in the stack's gradient rows) or the error of the first
-step that cannot gather; the plan also holds each formula's atom slice.  Only a valuation under ``mu`` gathers afresh.
+step that cannot gather.  Per log-space flag, each stack also holds
+every step's array shape, the transposes of each aggregation and the
+axes each adjoint sums over; the stacks of both flags read the same
+gather index.  The plan also holds each formula's atom slice.  Only a
+valuation under ``mu`` gathers afresh.
 The instance cap is checked on every call, before the plan is sought.
 
 The forward pass (``_forward``) computes every step's array and local
@@ -495,19 +497,19 @@ class _Stack:
     """The programs of one shape in a plan (``members``: their positions
     among the plan's programs, also as the index array ``rows``) and what
     a pass over them does that no value changes: its ``_gather_index``
-    without ``mu`` (``index``); every step's array shape (``shapes``); per
-    quantifier step the shape its body is broadcast to (``spread``, None
-    when the body has it) and the transposes and shapes of its aggregation
-    (``moves``); per connective and quantifier step the axes along which
-    each operand's adjoint sums (``sums``).  ``log_error`` is the first
-    quantifier step whose log-product output would feed a connective, or
-    None."""
+    without ``mu`` (``index``, the same object under both log-space
+    flags); every step's array shape (``shapes``); per quantifier step the
+    shape its body is broadcast to (``spread``, None when the body has it)
+    and the transposes and shapes of its aggregation (``moves``); per
+    connective and quantifier step the axes along which each operand's
+    adjoint sums (``sums``).  ``log_error`` is the first quantifier step
+    whose log-product output would feed a connective, or None."""
 
-    def __init__(self, members: list, programs: tuple, layout: _Layout,
-                 log_space: bool):
+    def __init__(self, members: list, programs: tuple, index,
+                 layout: _Layout, log_space: bool):
         self.members, self.programs, self.layout = members, programs, layout
         self.rows = np.array(members, dtype=np.intp)
-        self.index = _gather_index(programs, layout, ())
+        self.index = index
         instrs, b, ndim = programs[0].instrs, layout.b, 1 + programs[0].n_axes
         self.log_space, self.log_error = log_space, None
         self.shapes: list = []
@@ -552,19 +554,31 @@ class _Stack:
 
 class Plan:
     """What valuating ``programs`` on atom vectors laid out by ``layout``
-    needs that no truth value changes: the stacks of programs of one
-    shape, in first-seen order, and each program's atom slice.  One
-    object per programs, layout and log-space flag (``_plan``), built only
-    after the instance cap admits the programs."""
+    needs that no truth value changes: per shape, in first-seen order,
+    the positions and programs of that shape and their gather index; the
+    stacks of each log-space flag, built from them on first use; and each
+    program's atom slice.  One object per programs and layout
+    (``_plan``), built only after the instance cap admits the programs."""
 
-    def __init__(self, programs: tuple, layout: _Layout, log_space: bool):
+    def __init__(self, programs: tuple, layout: _Layout):
         self.programs, self.layout = programs, layout
         shapes: dict = {}
         for k, program in enumerate(programs):
             shapes.setdefault(program.shape, []).append(k)
-        self.stacks = [_Stack(members, tuple(programs[k] for k in members),
-                              layout, log_space)
-                       for members in shapes.values()]
+        self.shapes = []  # (members, their programs, their gather index)
+        for members in shapes.values():
+            stacked = tuple(programs[k] for k in members)
+            self.shapes.append((members, stacked,
+                                _gather_index(stacked, layout, ())))
+        self._stacks: dict = {}
+
+    def stacks(self, ops: OperatorConfig) -> list:
+        """The stacks under ``ops``'s log-space flag, one per shape."""
+        log_space = ops.aggregator == "log_product"
+        if log_space not in self._stacks:
+            self._stacks[log_space] = [_Stack(*shape, self.layout, log_space)
+                                       for shape in self.shapes]
+        return self._stacks[log_space]
 
     @functools.cached_property
     def atoms(self) -> list:
@@ -587,7 +601,7 @@ def _plan_for(formulas: list, g: GroundingTable, ops: OperatorConfig,
     caller has it), after the instance cap is checked."""
     programs = plan.programs if plan else tuple(map(compile_formula, formulas))
     check_instance_cap(programs, len(g.batch), g.layout.size)
-    return plan or _plan(programs, g.layout, ops.aggregator == "log_product")
+    return plan or _plan(programs, g.layout)
 
 
 def _gathers(stack: _Stack, g: GroundingTable, mu):
@@ -717,7 +731,7 @@ def _valuate(formulas: list, g: GroundingTable, ops: OperatorConfig,
     ``rows(stack, its gradient rows)`` is called per stack."""
     passes = [None] * len(formulas)
     with np.errstate(all="ignore"):
-        for stack in _plan_for(formulas, g, ops, plan).stacks:
+        for stack in _plan_for(formulas, g, ops, plan).stacks(ops):
             index = _gathers(stack, g, mu)
             stack_rows, outs = _backward(stack, g, index,
                                          *_forward(stack, g, ops, index))
@@ -739,7 +753,7 @@ def _forward_values(formulas: list, g: GroundingTable, ops: OperatorConfig,
     given."""
     out = [None] * len(formulas)
     with np.errstate(all="ignore"):
-        for stack in _plan_for(formulas, g, ops, plan).stacks:
+        for stack in _plan_for(formulas, g, ops, plan).stacks(ops):
             values, _ = _forward(stack, g, ops, _gathers(stack, g, mu))
             for k, value in zip(stack.members,
                                 _root_values(values, len(stack.members))):

@@ -1,4 +1,15 @@
+import functools
+
 import pytest
+
+from dfl.operators import descriptor
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def op(family, name, p=None, s=None, b0=None, base=None):
+    """``descriptor(family, name, ...)``, built once per argument tuple."""
+    return descriptor(family, name, p, s, b0, base)
+
 
 SCENE_KB = "forall x, y: chair(x) & partOf(y, x) -> cushion(y) | armRest(y)\n"
 

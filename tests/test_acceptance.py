@@ -15,7 +15,7 @@ from dfl.analysis import (estimate_nonvanishing_fraction,
 from dfl.autodiff import finite_difference_check
 from dfl.cli import main as cli_main
 from dfl.logic import parse_kb
-from dfl.operators import (OperatorConfig, catalog, descriptor, implication,
+from dfl.operators import (OperatorConfig, catalog, descriptor,
                            parse_operator_config, property_audit,
                            tnorm_duality_check, TNORM_NAMES)
 from dfl.oracle import equivalence_report
@@ -24,7 +24,7 @@ from dfl.trainer import (TrainConfig, evaluate, make_task,
 from dfl.valuation import atom_gradients, build_grounding, parse_grounding, \
     valuate
 
-from conftest import SCENE_GROUNDING, SCENE_KB, SCENE_VALUATION_GRADIENTS
+from conftest import SCENE_GROUNDING, SCENE_KB, SCENE_VALUATION_GRADIENTS, op
 from test_oracle import _random_single_occurrence_kb
 
 
@@ -191,7 +191,7 @@ def test_criterion_4_r_implication_oracle(tname, iname, p):
     worst = 0.0
     for i in range(101):
         for j in range(101):
-            got = implication(iname, A[i, j], C[i, j], p=p)
+            got = op("implication", iname, p=p).value(A[i, j], C[i, j])
             worst = max(worst, abs(got - expected[i, j]))
     assert worst < 1e-3, (iname, p, worst)
     _report(f"criterion 4 ({iname}{'' if p is None else f' p={p}'})",

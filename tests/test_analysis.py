@@ -249,6 +249,29 @@ def test_composition_with_product_is_not_single_passing():
     assert not ok
 
 
+@pytest.mark.parametrize("n", [3, -1, 2, 5])
+def test_composed_refuses_n_that_does_not_split_into_the_inner_arities(
+        monkeypatch, n):
+    def no_draw(*args):
+        raise AssertionError("points drawn before the arity check")
+
+    monkeypatch.setattr(analysis, "_point_chunks", no_draw)
+    product = descriptor("tnorm", "product")
+    with pytest.raises(ValueError, match=(
+            "^n does not split into 2 equal parts that the inner operators "
+            f"take; got n={n}$")):
+        single_passing_audit(composed(product, [product, product]), n)
+
+
+def test_composed_refuses_an_outer_operator_of_another_arity():
+    godel = descriptor("tnorm", "godel")
+    with pytest.raises(OperatorError, match="^tnorm kernels are binary; got n=3$"):
+        composed(godel, [godel] * 3)
+    ok, _ = single_passing_audit(
+        composed(descriptor("aggregator", "min"), [godel] * 3), 6)
+    assert ok
+
+
 def test_godel_implication_single_passing():
     ok, _ = single_passing_audit(descriptor("implication", "godel"), 2)
     assert ok

@@ -11,31 +11,16 @@ from dfl.operators import (
     OperatorConfig,
     OperatorError,
     ConfigError,
-    aggregate,
-    aggregate_array,
-    aggregate_kernel,
     catalog,
-    d_Ic,
-    d_Inot_a,
     descriptor,
-    implication,
-    implication_array,
-    implication_kernel,
-    negation,
     parse_operator_config,
     property_audit,
-    sigmoidal_implication,
-    sigmoidal_kernel,
-    tconorm,
-    tconorm_kernel,
-    tnorm,
-    tnorm_array,
-    tnorm_kernel,
     tnorm_duality_check,
     TNORM_NAMES,
 )
 
 import scalar_kernels
+from conftest import op
 
 
 def kernel_fn(desc):
@@ -50,21 +35,22 @@ def kernel_fn(desc):
 # values
 
 def test_negation_values():
-    assert negation(0.0) == 1.0
-    assert negation(1.0) == 0.0
-    assert negation(0.3) == pytest.approx(0.7)
+    assert op("negation", "classic").value(0.0) == 1.0
+    assert op("negation", "classic").value(1.0) == 0.0
+    assert op("negation", "classic").value(0.3) == pytest.approx(0.7)
     with pytest.raises(OperatorError):
-        negation(1.2)
+        op("negation", "classic").value(1.2)
 
 
 def test_tnorm_values():
-    assert tnorm("lukasiewicz", 0.7, 0.5) == pytest.approx(0.2)
-    assert tnorm("nilpotent", 0.4, 0.5) == 0.0
-    assert tnorm("godel", 0.5, 0.4) == 0.4
-    assert tnorm("product", 0.5, 0.4) == pytest.approx(0.2)
-    assert tnorm("drastic", 0.5, 0.4) == 0.0
-    assert tnorm("drastic", 1.0, 0.4) == 0.4
-    assert tnorm("yager", 0.5, 0.5, p=2.0) == pytest.approx(1 - math.sqrt(0.5))
+    assert op("tnorm", "lukasiewicz").value(0.7, 0.5) == pytest.approx(0.2)
+    assert op("tnorm", "nilpotent").value(0.4, 0.5) == 0.0
+    assert op("tnorm", "godel").value(0.5, 0.4) == 0.4
+    assert op("tnorm", "product").value(0.5, 0.4) == pytest.approx(0.2)
+    assert op("tnorm", "drastic").value(0.5, 0.4) == 0.0
+    assert op("tnorm", "drastic").value(1.0, 0.4) == 0.4
+    assert op("tnorm", "yager", p=2.0).value(0.5, 0.5) == pytest.approx(
+        1 - math.sqrt(0.5))
 
 
 def test_tnorm_neutrality_exact():
@@ -73,19 +59,19 @@ def test_tnorm_neutrality_exact():
         p = 2.0 if name == "yager" else None
         for _ in range(50):
             a = rng.random()
-            assert tnorm(name, 1.0, a, p) == a, name
-            assert tnorm(name, a, 1.0, p) == a, name
+            assert op("tnorm", name, p).value(1.0, a) == a, name
+            assert op("tnorm", name, p).value(a, 1.0) == a, name
 
 
 def test_tconorm_values():
-    assert tconorm("product", 0.3, 0.5) == pytest.approx(0.65)
-    assert tconorm("yager", 0.6, 0.8, p=2.0) == 1.0
-    assert tconorm("godel", 0.3, 0.5) == 0.5
-    assert tconorm("lukasiewicz", 0.3, 0.5) == pytest.approx(0.8)
-    assert tconorm("nilpotent", 0.3, 0.5) == 0.5
-    assert tconorm("nilpotent", 0.6, 0.5) == 1.0
-    assert tconorm("drastic", 0.0, 0.5) == 0.5
-    assert tconorm("drastic", 0.1, 0.5) == 1.0
+    assert op("tconorm", "product").value(0.3, 0.5) == pytest.approx(0.65)
+    assert op("tconorm", "yager", p=2.0).value(0.6, 0.8) == 1.0
+    assert op("tconorm", "godel").value(0.3, 0.5) == 0.5
+    assert op("tconorm", "lukasiewicz").value(0.3, 0.5) == pytest.approx(0.8)
+    assert op("tconorm", "nilpotent").value(0.3, 0.5) == 0.5
+    assert op("tconorm", "nilpotent").value(0.6, 0.5) == 1.0
+    assert op("tconorm", "drastic").value(0.0, 0.5) == 0.5
+    assert op("tconorm", "drastic").value(0.1, 0.5) == 1.0
 
 
 def test_tconorm_neutrality_exact():
@@ -94,83 +80,84 @@ def test_tconorm_neutrality_exact():
         p = 2.0 if name == "yager" else None
         for _ in range(50):
             a = rng.random()
-            assert tconorm(name, 0.0, a, p) == a, name
-            assert tconorm(name, a, 0.0, p) == a, name
+            assert op("tconorm", name, p).value(0.0, a) == a, name
+            assert op("tconorm", name, p).value(a, 0.0) == a, name
 
 
 def test_unknown_names_raise():
     with pytest.raises(OperatorError):
-        tnorm("frobnicate", 0.5, 0.5)
+        op("tnorm", "frobnicate").value(0.5, 0.5)
     with pytest.raises(OperatorError):
-        tconorm("frobnicate", 0.5, 0.5)
+        op("tconorm", "frobnicate").value(0.5, 0.5)
     with pytest.raises(OperatorError):
-        aggregate("frobnicate", [0.5])
+        op("aggregator", "frobnicate").value(0.5)
     with pytest.raises(OperatorError):
-        implication("frobnicate", 0.5, 0.5)
+        op("implication", "frobnicate").value(0.5, 0.5)
     with pytest.raises(OperatorError):
-        tnorm("yager", 0.5, 0.5, p=0.5)
+        op("tnorm", "yager", p=0.5).value(0.5, 0.5)
 
 
 def test_aggregate_values():
-    assert aggregate("mae", [0.2, 0.4, 0.6]) == pytest.approx(0.4)
-    assert aggregate("nilpotent", [0.6, 0.7, 0.9]) == pytest.approx(0.6)
-    assert aggregate("lukasiewicz", [0.9, 0.95, 0.97]) == pytest.approx(0.82)
-    assert aggregate("min", [0.3, 0.2, 0.9]) == 0.2
-    assert aggregate("max", [0.3, 0.2, 0.9]) == 0.9
-    assert aggregate("product", [0.5, 0.5]) == 0.25
-    assert aggregate("prob_sum", [0.5, 0.5]) == 0.75
-    assert aggregate("bounded_sum", [0.5, 0.3]) == pytest.approx(0.8)
-    assert aggregate("rmse", [0.8, 0.6]) == pytest.approx(
+    assert op("aggregator", "mae").value(0.2, 0.4, 0.6) == pytest.approx(0.4)
+    assert op("aggregator", "nilpotent").value(0.6, 0.7, 0.9) == pytest.approx(0.6)
+    assert op("aggregator", "lukasiewicz").value(0.9, 0.95, 0.97) == \
+        pytest.approx(0.82)
+    assert op("aggregator", "min").value(0.3, 0.2, 0.9) == 0.2
+    assert op("aggregator", "max").value(0.3, 0.2, 0.9) == 0.9
+    assert op("aggregator", "product").value(0.5, 0.5) == 0.25
+    assert op("aggregator", "prob_sum").value(0.5, 0.5) == 0.75
+    assert op("aggregator", "bounded_sum").value(0.5, 0.3) == pytest.approx(0.8)
+    assert op("aggregator", "rmse").value(0.8, 0.6) == pytest.approx(
         1 - math.sqrt((0.04 + 0.16) / 2))
-    assert aggregate("pmean", [0.5, 0.7], p=1.0) == pytest.approx(0.6)
+    assert op("aggregator", "pmean", p=1.0).value(0.5, 0.7) == pytest.approx(0.6)
 
 
 def test_aggregate_all_ones_boundary_exact():
     for name in ("min", "max", "product", "lukasiewicz", "bounded_sum",
                  "prob_sum", "nilpotent", "mae", "rmse"):
-        assert aggregate(name, [1.0] * 4) == 1.0, name
-        assert aggregate(name, [0.0] * 4) == 0.0, name
-    assert aggregate("yager", [1.0] * 4, p=2.0) == 1.0
-    assert aggregate("yager", [0.0] * 4, p=2.0) == 0.0
-    assert aggregate("pme", [1.0] * 4, p=0.5) == 1.0
-    assert aggregate("pmean", [1.0] * 4, p=2.0) == 1.0
-    assert aggregate("log_product", [1.0] * 4) == 0.0
+        assert op("aggregator", name).value(*[1.0] * 4) == 1.0, name
+        assert op("aggregator", name).value(*[0.0] * 4) == 0.0, name
+    assert op("aggregator", "yager", p=2.0).value(*[1.0] * 4) == 1.0
+    assert op("aggregator", "yager", p=2.0).value(*[0.0] * 4) == 0.0
+    assert op("aggregator", "pme", p=0.5).value(*[1.0] * 4) == 1.0
+    assert op("aggregator", "pmean", p=2.0).value(*[1.0] * 4) == 1.0
+    assert op("aggregator", "log_product").value(*[1.0] * 4) == 0.0
 
 
 def test_aggregate_errors():
     with pytest.raises(OperatorError):
-        aggregate("product", [])
+        op("aggregator", "product").value()
     with pytest.raises(OperatorError):
-        aggregate("log_product", [0.5, 0.0])
+        op("aggregator", "log_product").value(0.5, 0.0)
     with pytest.raises(OperatorError):
-        aggregate("pme", [0.5], p=0.0)
+        op("aggregator", "pme", p=0.0).value(0.5)
     with pytest.raises(OperatorError):
-        aggregate("mae", [0.5], p=3.0)
+        op("aggregator", "mae", p=3.0).value(0.5)
     with pytest.raises(OperatorError):
-        aggregate("min", [0.5], p=3.0)
+        op("aggregator", "min", p=3.0).value(0.5)
 
 
 def test_log_product_codomain():
-    v = aggregate("log_product", [0.5, 0.25])
+    v = op("aggregator", "log_product").value(0.5, 0.25)
     assert v == pytest.approx(math.log(0.125))
     assert v <= 0.0
 
 
 def test_implication_values():
-    assert implication("reichenbach", 0.9, 0.4) == pytest.approx(0.46)
-    assert implication("goguen", 0.8, 0.4) == pytest.approx(0.5)
-    assert implication("goguen", 0.3, 0.4) == 1.0
-    assert implication("yager_r", 0.8, 0.4, p=2.0) == pytest.approx(
+    assert op("implication", "reichenbach").value(0.9, 0.4) == pytest.approx(0.46)
+    assert op("implication", "goguen").value(0.8, 0.4) == pytest.approx(0.5)
+    assert op("implication", "goguen").value(0.3, 0.4) == 1.0
+    assert op("implication", "yager_r", p=2.0).value(0.8, 0.4) == pytest.approx(
         1 - math.sqrt(0.36 - 0.04))
-    assert implication("kleene_dienes", 0.3, 0.5) == 0.7
-    assert implication("lukasiewicz", 0.7, 0.5) == pytest.approx(0.8)
-    assert implication("godel", 0.7, 0.5) == 0.5
-    assert implication("weber", 0.7, 0.5) == 1.0
-    assert implication("fodor", 0.7, 0.5) == 0.5
-    assert implication("fodor", 0.9, 0.05) == pytest.approx(0.1)
-    assert implication("dubois_prade", 0.7, 0.5) == 1.0
-    assert implication("dubois_prade", 1.0, 0.5) == 0.5
-    assert implication("dubois_prade", 0.7, 0.0) == pytest.approx(0.3)
+    assert op("implication", "kleene_dienes").value(0.3, 0.5) == 0.7
+    assert op("implication", "lukasiewicz").value(0.7, 0.5) == pytest.approx(0.8)
+    assert op("implication", "godel").value(0.7, 0.5) == 0.5
+    assert op("implication", "weber").value(0.7, 0.5) == 1.0
+    assert op("implication", "fodor").value(0.7, 0.5) == 0.5
+    assert op("implication", "fodor").value(0.9, 0.05) == pytest.approx(0.1)
+    assert op("implication", "dubois_prade").value(0.7, 0.5) == 1.0
+    assert op("implication", "dubois_prade").value(1.0, 0.5) == 0.5
+    assert op("implication", "dubois_prade").value(0.7, 0.0) == pytest.approx(0.3)
 
 
 def test_implication_boundary_exact():
@@ -179,10 +166,10 @@ def test_implication_boundary_exact():
     cases = [(n, None) for n in names] + [("yager_s", p) for p in (1.0, 2.0, 5.0)]
     cases += [("yager_r", p) for p in (1.0, 2.0, 5.0)]
     for name, p in cases:
-        assert implication(name, 0.0, 0.0, p=p) == 1.0, name
-        assert implication(name, 1.0, 1.0, p=p) == 1.0, name
-        assert implication(name, 1.0, 0.0, p=p) == 0.0, name
-        assert implication(name, 0.0, 1.0, p=p) == 1.0, name
+        assert op("implication", name, p=p).value(0.0, 0.0) == 1.0, name
+        assert op("implication", name, p=p).value(1.0, 1.0) == 1.0, name
+        assert op("implication", name, p=p).value(1.0, 0.0) == 0.0, name
+        assert op("implication", name, p=p).value(0.0, 1.0) == 1.0, name
 
 
 def test_left_neutrality_derivative_is_one():
@@ -192,16 +179,17 @@ def test_left_neutrality_derivative_is_one():
              ("fodor", None), ("godel", None), ("goguen", None), ("weber", None),
              ("yager_s", 2.0), ("yager_r", 2.0)]
     for name, p in cases:
+        impl = op("implication", name, p=p)
         for _ in range(25):
             c = rng.uniform(0.01, 0.99)
-            assert d_Ic(name, 1.0, c, p=p) == pytest.approx(1.0, abs=1e-9), name
+            assert impl.kernel(1.0, c)[1][1] == pytest.approx(1.0, abs=1e-9), name
 
 
 def test_godel_antecedent_derivative_vanishes():
     rng = random.Random(4)
     for _ in range(200):
         a, c = rng.random(), rng.random()
-        assert d_Inot_a("godel", a, c) == 0.0
+        assert -op("implication", "godel").kernel(a, c)[1][0] == 0.0
 
 
 def test_contrapositive_differentiable_symmetry_s_implications():
@@ -216,8 +204,8 @@ def test_contrapositive_differentiable_symmetry_s_implications():
             if desc.near_locus((a, c), 1e-6) or desc.near_locus((1 - c, 1 - a), 1e-6):
                 continue
             taken += 1
-            assert d_Ic(name, a, c, p=p) == pytest.approx(
-                d_Inot_a(name, 1.0 - c, 1.0 - a, p=p), abs=1e-9), name
+            assert desc.kernel(a, c)[1][1] == pytest.approx(
+                -desc.kernel(1.0 - c, 1.0 - a)[1][0], abs=1e-9), name
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +215,19 @@ def test_sigmoidal_small_s_matches_base():
     for i in range(11):
         for j in range(11):
             a, c = i / 10, j / 10
-            base = implication("reichenbach", a, c)
-            warped = sigmoidal_implication("reichenbach", 0.01, -0.5, a, c)
+            base = op("implication", "reichenbach").value(a, c)
+            warped = op("implication", "sigmoidal", s=0.01, b0=-0.5,
+                        base="reichenbach").value(a, c)
             assert warped == pytest.approx(base, abs=2e-3)
 
 
 def test_sigmoidal_boundaries():
     for s in (0.01, 1.0, 9.0, 20.0):
         for b0 in (-0.5, -0.2, 0.0, -1.0):
-            assert sigmoidal_implication("reichenbach", s, b0, 0.0, 0.0) == pytest.approx(1.0, abs=1e-9)
-            assert sigmoidal_implication("reichenbach", s, b0, 1.0, 0.0) == pytest.approx(0.0, abs=1e-9)
-            assert sigmoidal_implication("reichenbach", s, b0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-9)
+            sig = op("implication", "sigmoidal", s=s, b0=b0, base="reichenbach")
+            assert sig.value(0.0, 0.0) == pytest.approx(1.0, abs=1e-9)
+            assert sig.value(1.0, 0.0) == pytest.approx(0.0, abs=1e-9)
+            assert sig.value(1.0, 1.0) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sigmoidal_level_sets():
@@ -245,8 +235,9 @@ def test_sigmoidal_level_sets():
     rng = random.Random(6)
     for _ in range(200):
         a, c = rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)
-        base = implication("reichenbach", a, c)
-        warped = sigmoidal_implication("reichenbach", 9.0, -0.5, a, c)
+        base = op("implication", "reichenbach").value(a, c)
+        warped = op("implication", "sigmoidal", s=9.0, b0=-0.5,
+                    base="reichenbach").value(a, c)
         if 0.0 < base < 1.0:
             assert 0.0 < warped < 1.0
 
@@ -258,27 +249,31 @@ def test_sigmoidal_b0_half_simplification():
         front = 1.0 / (math.exp(s / 2) - 1.0)
         for _ in range(200):
             a, c = rng.random(), rng.random()
-            iv = implication("reichenbach", a, c)
+            iv = op("implication", "reichenbach").value(a, c)
             sig = 1.0 / (1.0 + math.exp(-s * (iv - 0.5)))
             simple = front * ((1.0 + math.exp(s / 2)) * sig - 1.0)
-            general = sigmoidal_implication("reichenbach", s, -0.5, a, c)
+            general = op("implication", "sigmoidal", s=s, b0=-0.5,
+                         base="reichenbach").value(a, c)
             assert general == pytest.approx(simple, abs=1e-12)
 
 
 def test_sigmoidal_keeps_contrapositive_symmetry():
     rng = random.Random(8)
+    sig = op("implication", "sigmoidal", s=9.0, b0=-0.5, base="reichenbach")
     for _ in range(500):
         a, c = rng.random(), rng.random()
-        lhs = sigmoidal_implication("reichenbach", 9.0, -0.5, a, c)
-        rhs = sigmoidal_implication("reichenbach", 9.0, -0.5, 1 - c, 1 - a)
+        lhs = sig.value(a, c)
+        rhs = sig.value(1 - c, 1 - a)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_sigmoidal_requires_positive_s():
     with pytest.raises(OperatorError):
-        sigmoidal_implication("reichenbach", 0.0, -0.5, 0.5, 0.5)
+        op("implication", "sigmoidal", s=0.0, b0=-0.5,
+           base="reichenbach").value(0.5, 0.5)
     with pytest.raises(OperatorError):
-        sigmoidal_implication("reichenbach", -1.0, -0.5, 0.5, 0.5)
+        op("implication", "sigmoidal", s=-1.0, b0=-0.5,
+           base="reichenbach").value(0.5, 0.5)
 
 
 def test_sigmoidal_vanishes_only_with_base():
@@ -287,8 +282,9 @@ def test_sigmoidal_vanishes_only_with_base():
     rng = random.Random(9)
     for _ in range(200):
         a, c = rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)
-        _, (bda, bdc) = implication_kernel("godel", a, c)
-        _, (sda, sdc) = sigmoidal_kernel("godel", 9.0, -0.5, a, c)
+        _, (bda, bdc) = op("implication", "godel").kernel(a, c)
+        _, (sda, sdc) = op("implication", "sigmoidal", s=9.0, b0=-0.5,
+                           base="godel").kernel(a, c)
         assert (bda == 0.0) == (sda == 0.0)
         assert (bdc == 0.0) == (sdc == 0.0)
 
@@ -327,7 +323,7 @@ def test_duality(name):
 def _extend_tnorm(name, xs, p=None):
     acc = xs[-1]
     for x in reversed(xs[:-1]):
-        acc = tnorm(name, x, acc, p)
+        acc = op("tnorm", name, p).value(x, acc)
     return acc
 
 
@@ -343,7 +339,7 @@ def test_recursive_extension_matches_aggregator(tname, aname):
         n = rng.randint(1, 8)
         xs = [rng.random() for _ in range(n)]
         assert _extend_tnorm(tname, xs) == pytest.approx(
-            aggregate(aname, xs), abs=1e-12)
+            op("aggregator", aname).value(*xs), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +349,15 @@ def _r_implication_oracle(tname, a, c, p=None, coarse=10_000, fine=200):
     # sup{b : T(a, b) <= c} by coarse scan plus local refinement;
     # T is increasing in b, so take the largest grid point that passes.
     grid = np.arange(coarse + 1) / coarse
-    passing = np.flatnonzero(tnorm_array(tname, a, grid, p)[0] <= c)
+    passing = np.flatnonzero(
+        op("tnorm", tname, p).array_kernel(a, grid)[0] <= c)
     if not len(passing):
         return 0.0
     best = float(grid[passing[-1]])
     lo, hi = best, min(1.0, best + 1.0 / coarse)
     for _ in range(fine):
         mid = 0.5 * (lo + hi)
-        if tnorm(tname, a, mid, p) <= c:
+        if op("tnorm", tname, p).value(a, mid) <= c:
             lo = mid
         else:
             hi = mid
@@ -380,7 +377,8 @@ def test_r_implication_closed_form_sample(tname, iname, p):
     for _ in range(60):
         a, c = rng.random(), rng.random()
         expected = _r_implication_oracle(tname, a, c, p)
-        assert implication(iname, a, c, p=p) == pytest.approx(expected, abs=1e-3)
+        assert op("implication", iname, p=p).value(a, c) == pytest.approx(
+            expected, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +412,8 @@ def test_audit_reichenbach():
     assert not report["IP"][0]
     witness = report["IP"][1]
     a = witness[0]
-    assert implication("reichenbach", a, a) != pytest.approx(1.0, abs=1e-9)
+    assert op("implication", "reichenbach").value(a, a) != pytest.approx(
+        1.0, abs=1e-9)
 
 
 def test_audit_lukasiewicz_implication_all():
@@ -586,14 +585,66 @@ def test_descriptor_refuses_unknown_names_and_bad_parameters(family, name, kw,
         descriptor(family, name, **kw)
 
 
+@pytest.mark.parametrize("family, name, counts, message", [
+    ("tnorm", "product", (1, 3), "tnorm kernels are binary; got n={n}"),
+    ("tconorm", "godel", (0, 3), "tconorm kernels are binary; got n={n}"),
+    ("implication", "reichenbach", (1, 3),
+     "implication kernels are binary; got n={n}"),
+    ("negation", "classic", (0, 2), "negation kernels are unary; got n={n}"),
+])
+def test_descriptors_refuse_a_wrong_input_count(family, name, counts,
+                                                message):
+    desc = descriptor(family, name)
+    for n in counts:
+        for call in (desc.kernel, desc.array_kernel):
+            with pytest.raises(OperatorError,
+                               match=f"^{message.format(n=n)}$"):
+                call(*[0.5] * n)
+
+
+def test_aggregator_descriptors_refuse_a_wrong_input_count():
+    desc = descriptor("aggregator", "min")
+    with pytest.raises(OperatorError,
+                       match="^aggregator kernels need n >= 1; got n=0$"):
+        desc.kernel()
+    for xs in ((), (np.array([0.5]), np.array([0.5]))):
+        with pytest.raises(OperatorError, match=(
+                "^aggregator array kernels take one array of n >= 1 "
+                f"inputs; got {len(xs)} arrays$")):
+            desc.array_kernel(*xs)
+    assert desc.kernel(0.5) == (0.5, [1.0])
+
+
+def test_sigmoidal_descriptor_records_the_b0_it_runs_with():
+    implicit = descriptor("implication", "sigmoidal", base="reichenbach", s=9)
+    explicit = descriptor("implication", "sigmoidal", base="reichenbach", s=9,
+                          b0=-0.5)
+    assert implicit.params == explicit.params == (
+        ("base", "reichenbach"), ("s", 9), ("b0", -0.5))
+    assert implicit.label() == "sigmoidal(base=reichenbach,s=9,b0=-0.5)"
+    assert implicit == explicit
+    assert implicit.kernel(0.3, 0.6) == explicit.kernel(0.3, 0.6)
+    assert implicit != descriptor("implication", "sigmoidal",
+                                  base="reichenbach", s=9, b0=-0.2)
+
+
+def test_dfl_exports_descriptor_and_not_the_removed_functions():
+    import dfl
+    assert dfl.descriptor is descriptor
+    for name in ("negation", "tnorm", "tconorm", "aggregate", "implication",
+                 "sigmoidal_implication", "tnorm_kernel", "tnorm_array",
+                 "implication_array", "d_Ic", "d_Inot_a", "sigmoidal_kernel"):
+        assert not hasattr(dfl, name) and not hasattr(operators, name), name
+
+
 @pytest.mark.parametrize("kw", [dict(s=9.0), dict(b0=-0.5),
                                 dict(base="lukasiewicz")])
 def test_only_the_sigmoidal_implication_takes_s_b0_and_base(kw):
     key = next(iter(kw))
     message = f"implication godel takes no parameter {key}"
-    for call in (lambda: implication_kernel("godel", 0.3, 0.6, **kw),
-                 lambda: implication_array("godel", np.array([0.3]),
-                                           np.array([0.6]), **kw)):
+    for call in (lambda: op("implication", "godel", **kw).kernel(0.3, 0.6),
+                 lambda: op("implication", "godel", **kw).array_kernel(
+                     np.array([0.3]), np.array([0.6]))):
         with pytest.raises(OperatorError, match=re.escape(message)):
             call()
     with pytest.raises(OperatorError, match=re.escape(message)):
@@ -609,9 +660,12 @@ def test_only_the_sigmoidal_implication_takes_s_b0_and_base(kw):
 # (entry point, takes scalar and 0-d inputs): each calls one kernel on the
 # array ``x``, with 0.5 as a binary kernel's other operand
 ARRAY_ENTRIES = {
-    "tnorm_array": (lambda x: tnorm_array("product", x, 0.5), True),
-    "tnorm_array_second": (lambda x: tnorm_array("product", 0.5, x), True),
-    "aggregate_array": (lambda x: aggregate_array("min", x), False),
+    "tnorm_array": (lambda x: op("tnorm", "product").array_kernel(x, 0.5),
+                    True),
+    "tnorm_array_second": (
+        lambda x: op("tnorm", "product").array_kernel(0.5, x), True),
+    "aggregate_array": (lambda x: op("aggregator", "min").array_kernel(x),
+                        False),
     "descriptor_implication": (lambda x: descriptor(
         "implication", "reichenbach").array_kernel(x, 0.5), True),
     "descriptor_negation": (lambda x: descriptor(
@@ -663,17 +717,17 @@ def test_array_entries_take_signed_zero_and_the_unit_bounds(entry):
 
 
 def test_array_entries_on_empty_inputs():
-    value, partials = tnorm_array("product", np.zeros((0, 3)),
-                                  np.zeros((0, 3)))
+    value, partials = op("tnorm", "product").array_kernel(np.zeros((0, 3)),
+                                                          np.zeros((0, 3)))
     assert value.shape == (0, 3)
     assert [d.shape for d in partials] == [(0, 3), (0, 3)]
-    value, (da, db) = tnorm_array("product", [], 0.5)
+    value, (da, db) = op("tnorm", "product").array_kernel([], 0.5)
     assert value.shape == db.shape == (0,) and float(da) == 0.5
     value, (d,) = descriptor("negation", "classic").array_kernel([])
     assert value.shape == d.shape == (0,)
-    value, partials = aggregate_array("lukasiewicz", np.zeros((2, 0)))
+    value, partials = op("aggregator", "lukasiewicz").array_kernel(np.zeros((2, 0)))
     assert value.shape == (0,)
     assert [d.shape for d in partials] == [(0,), (0,)]
     for X in ([], np.zeros((0, 3))):  # no input to aggregate
         with pytest.raises(OperatorError, match="at least one input"):
-            aggregate_array("min", X)
+            op("aggregator", "min").array_kernel(X)

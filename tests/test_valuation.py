@@ -398,6 +398,30 @@ def test_deep_formulas_valuate():
     assert sys.getrecursionlimit() == limit
 
 
+def test_both_log_space_flags_share_one_gather_index():
+    kb = parse_kb("forall x, y: p(x) & r(x, y) -> p(y)\n"
+                  "forall x, y: q(x) & r(x, y) -> q(y)\n"
+                  "forall x: p(x) | ~q(x)")
+    g = build_grounding(_const_interp({"p": 1, "q": 1, "r": 2}, 0.5),
+                        _uniform_domain(3), kb.signature, [0, 1, 2])
+    log = parse_operator_config("aggregator=log_product")
+    loss_log, grad_log = valuation.loss_gradient(kb, g, log)
+    loss_min, grad_min = valuation.loss_gradient(kb, g, PRODUCT)
+    plan = valuation._plan_for(kb.formulas(), g, PRODUCT)
+    assert plan is valuation._plan_for(kb.formulas(), g, log)
+    pairs = list(zip(plan.stacks(log), plan.stacks(PRODUCT)))
+    assert len(pairs) == 2
+    for with_log, without in pairs:
+        assert with_log is not without
+        assert with_log.log_space and not without.log_space
+        assert with_log.index is without.index
+    # alternating the flag reads the shared arrays and changes none of them
+    for ops, loss, grad in ((log, loss_log, grad_log),
+                            (PRODUCT, loss_min, grad_min)) * 2:
+        again = valuation.loss_gradient(kb, g, ops)
+        assert again[0] == loss and np.array_equal(again[1], grad)
+
+
 def test_instance_cap_counts_every_formula(monkeypatch):
     kb = parse_kb("forall x, y, z: p(x) & p(y) & p(z)\nforall x: p(x)")
     g = build_grounding(_const_interp({"p": 1}, 0.5), _uniform_domain(2),
