@@ -22,7 +22,9 @@ import numpy as np
 
 from .logic import compile_formula
 from .operators import (OperatorConfig, OperatorDescriptor, OperatorError,
-                        _arity_error, _count_live, descriptor)
+                        _arity_error, _count_live, descriptor,
+                        lukasiewicz_fraction, nilpotent_fraction,
+                        yager_tnorm_fraction)
 from .valuation import (CLAMP_EPS, GroundingTable, _gathers, _plan_for,
                         _valuate, classical_values)
 
@@ -51,21 +53,6 @@ class AnalysisCapError(ValueError):
 # ---------------------------------------------------------------------------
 # closed forms
 
-def lukasiewicz_fraction(n: int) -> float:
-    return 1.0 / math.factorial(n)
-
-
-def nilpotent_fraction(n: int) -> float:
-    return 1.0 / 2 ** (n - 1)
-
-
-def yager_tnorm_fraction(p: float) -> float:
-    """Fraction of the unit square where the Yager t-norm derivative is
-    nonvanishing: sqrt(pi) 4^(-1/p) Gamma(1/p) / (p Gamma(1/2 + 1/p))."""
-    return (math.sqrt(math.pi) * 4.0 ** (-1.0 / p) * math.gamma(1.0 / p)
-            / (p * math.gamma(0.5 + 1.0 / p)))
-
-
 def yager_p2_fraction_candidates(n: int) -> dict:
     """Both closed-form candidates for the p=2 Yager aggregator fraction.
 
@@ -82,35 +69,6 @@ def yager_p2_fraction_candidates(n: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # nonvanishing-derivative regions
-
-def _closed_form(desc: OperatorDescriptor, n: int):
-    name, p = desc.name, desc.p
-    if desc.family == "aggregator":
-        if name == "lukasiewicz":
-            return lukasiewicz_fraction(n)
-        if name == "nilpotent":
-            return nilpotent_fraction(n)
-        if name == "yager" and n == 2:
-            return yager_tnorm_fraction(p)
-        if name in ("min", "max", "product", "log_product", "prob_sum",
-                    "mae", "rmse", "pme", "pmean"):
-            return 1.0
-        return None
-    if desc.family in ("tnorm", "tconorm"):
-        return {
-            "godel": 1.0, "product": 1.0, "lukasiewicz": 0.5,
-            "drastic": 0.0, "nilpotent": 0.5,
-            "yager": yager_tnorm_fraction(p) if p else None,
-        }.get(name)
-    if desc.family == "implication":
-        return {
-            "kleene_dienes": 1.0, "reichenbach": 1.0, "lukasiewicz": 0.5,
-            "godel": 0.5, "goguen": 0.5, "fodor": 0.5, "yager_r": 0.5,
-            "weber": 0.0, "dubois_prade": 0.0,
-            "yager_s": yager_tnorm_fraction(p) if p else None,
-        }.get(name)
-    return None
-
 
 @dataclass
 class FractionEstimate:
@@ -183,7 +141,7 @@ def estimate_nonvanishing_fraction(desc: OperatorDescriptor, n: int,
     estimate = hits / samples
     std_error = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / samples)
     out = FractionEstimate(f"{desc.family}:{desc.label()}", n, samples,
-                           estimate, std_error, _closed_form(desc, n))
+                           estimate, std_error, desc.fraction(n))
     if desc.family == "aggregator" and desc.name == "yager" and desc.p == 2.0:
         out.candidates = yager_p2_fraction_candidates(n)
         se = max(std_error, 1e-15)
@@ -272,9 +230,9 @@ def gradient_quality(kb, g: GroundingTable, ops: OperatorConfig,
     instance follows from it over the compiled programs, one stack of
     programs of one shape at a time (``classical_values``).  Each
     instance's antecedent and consequent derivatives come from the
-    stack's backward pass on ``g``: the passes an earlier valuation under
-    ``ops`` left, when the whole stack shares one, or else one new
-    valuation of the stack.  Each formula's totals are sums over its own
+    stack's backward pass on ``g``: the valuation kept on ``g`` when it is
+    of the same plan under ``ops``, or else one new valuation of the
+    stack.  Each formula's totals are sums over its own
     instances, added in knowledge-base order.  Formulas whose quantifier
     body is not an implication are skipped.  Ratios with a zero
     denominator are returned as nan.
@@ -287,11 +245,11 @@ def gradient_quality(kb, g: GroundingTable, ops: OperatorConfig,
     truth = _atom_truth([p for p, u in zip(programs, used) if u], g,
                         labels.atom_fn)
     sums = [None] * len(formulas)  # per formula: cons, ant, cu_cons, cu_ant
-    for stack in _plan_for(formulas, g, ops).stacks(ops):
+    plan = _plan_for(formulas, g, ops)
+    for j, stack in enumerate(plan.stacks(ops)):
         if not used[stack.members[0]]:  # one shape, so one body, per stack
             continue
-        adj, (da, dc) = _stack_derivatives(
-            [formulas[k] for k in stack.members], g, ops)
+        adj, (da, dc) = _stack_derivatives(plan, j, formulas, g, ops)
         program = stack.programs[0]
         ante, cons = program.instrs[program.body].args
         holds = classical_values(program, len(g.batch), truth,
@@ -319,26 +277,19 @@ def gradient_quality(kb, g: GroundingTable, ops: OperatorConfig,
     )
 
 
-def _stack_derivatives(formulas: list, g: GroundingTable,
+def _stack_derivatives(plan, j: int, formulas: list, g: GroundingTable,
                        ops: OperatorConfig) -> tuple:
-    """(d(value)/d(body), (dI/da, dI/dc)) per ground instance of a stack
-    of implication-bodied ``formulas`` of one shape, each on a leading
-    formula axis: read from the passes an earlier valuation under ``ops``
-    left on ``g`` when all share one stack adjoint, else from one new
-    valuation of the stack."""
-    hits = [g.passes.get(id(f)) for f in formulas]
-    if all(hit is not None and hit[0] is f and hit[1] == ops
-           for f, hit in zip(formulas, hits)) and len(
-               {id(hit[2].stack_adjoint) for hit in hits}) == 1:
-        runs = [hit[2] for hit in hits]
-    else:
-        runs = _valuate(formulas, g, ops, None)
-    adj, partials = runs[0].stack_adjoint, runs[0].stack_partials
-    at = [run.f for run in runs]
-    if at != list(range(len(adj))):  # a subset of the stack, or repeats
-        adj = adj[at]
-        partials = tuple(d[at] if len(d) > 1 else d for d in partials)
-    return adj, partials
+    """(d(value)/d(body), (dI/da, dI/dc)) per ground instance of stack
+    ``j`` of ``plan``, implication-bodied formulas of one shape, each on
+    a leading formula axis: read from the valuation kept on ``g`` when it
+    is of ``plan`` under ``ops``, else from one new valuation of the
+    stack's ``formulas``."""
+    kept = g.kept
+    if kept is None or kept[0] is not plan or kept[1] != ops:
+        _valuate([formulas[k] for k in plan.stacks(ops)[j].members], g, ops,
+                 None)
+        kept, j = g.kept, 0
+    return kept[2][j]
 
 
 def _row_sums(x: np.ndarray) -> list:

@@ -28,8 +28,8 @@ from . import __version__
 from .logic import ParseError, parse_kb
 from .operators import (ConfigError, OperatorConfig, OperatorError,
                         _parse_params, descriptor, parse_operator_config)
-from .valuation import (InstanceCapError, SemanticError, build_grounding,
-                        formula_pass, loss_gradient, parse_grounding)
+from .valuation import (InstanceCapError, SemanticError, _forward_values,
+                        build_grounding, loss_gradient, parse_grounding)
 
 log = logging.getLogger("dfl")
 
@@ -119,7 +119,7 @@ def cmd_eval(args, argv) -> int:
     grounding = build_grounding(interp, domain, kb.signature,
                                 list(range(len(domain))))
     loss, gradient = loss_gradient(kb, grounding, ops)
-    values = [formula_pass(f, grounding, ops).value for f in kb.formulas()]
+    values = _forward_values(kb.formulas(), grounding, ops)
     for i, ((formula, weight), value) in enumerate(zip(kb.entries, values), 1):
         print(f"formula {i}: weight={_fmt(weight)} valuation={_fmt(value)}")
     print(f"total_valuation {_fmt(sum(values))}")

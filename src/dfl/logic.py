@@ -470,7 +470,11 @@ def parse_kb(text: str) -> KnowledgeBase:
         weight = 1.0
         match = _WEIGHT_RE.match(line)
         if match:
-            weight = float(match.group(1))
+            try:
+                weight = float(match.group(1))
+            except ValueError:  # the negative branch admits "-1.2.3"
+                raise ParseError(f"bad formula weight {match.group(1)!r}",
+                                 lineno) from None
             line = match.group(2)
         formula = _Parser(line, lineno).parse_formula()
         kb.add(formula, weight, lineno)

@@ -61,6 +61,9 @@ __all__ = [
     "TCONORM_NAMES",
     "AGGREGATOR_NAMES",
     "IMPLICATION_NAMES",
+    "lukasiewicz_fraction",
+    "nilpotent_fraction",
+    "yager_tnorm_fraction",
 ]
 
 
@@ -416,8 +419,8 @@ def _l_max_tie(xs, m, p):
 
 def _l_nilpotent_agg(xs, m, p):
     ys = sorted(xs)
-    return _near(ys[0] + ys[1] - 1.0, m) or (
-        len(ys) > 1 and _near(ys[0] - ys[1], m))
+    return len(ys) > 1 and (_near(ys[0] + ys[1] - 1.0, m)
+                            or _near(ys[0] - ys[1], m))
 
 
 def _l_pme(xs, m, p):
@@ -453,6 +456,36 @@ def _l_yager_r_impl(xs, m, p):
 
 
 # ---------------------------------------------------------------------------
+# closed forms of the nonvanishing-derivative fraction
+
+def lukasiewicz_fraction(n: int) -> float:
+    return 1.0 / math.factorial(n)
+
+
+def nilpotent_fraction(n: int) -> float:
+    return 1.0 / 2 ** (n - 1)
+
+
+def yager_tnorm_fraction(p: float) -> float:
+    """Fraction of the unit square where the Yager t-norm derivative is
+    nonvanishing: sqrt(pi) 4^(-1/p) Gamma(1/p) / (p Gamma(1/2 + 1/p))."""
+    return (math.sqrt(math.pi) * 4.0 ** (-1.0 / p) * math.gamma(1.0 / p)
+            / (p * math.gamma(0.5 + 1.0 / p)))
+
+
+def _fixed(x: float) -> Callable:
+    """A fraction that depends on neither n nor p."""
+    return lambda n, p: x
+
+
+_ALL, _HALF, _NIL = _fixed(1.0), _fixed(0.5), _fixed(0.0)
+
+
+def _yager_fraction(n, p):
+    return yager_tnorm_fraction(p)
+
+
+# ---------------------------------------------------------------------------
 # the registry: one row per catalog operator
 
 class _Row(NamedTuple):
@@ -461,13 +494,16 @@ class _Row(NamedTuple):
     a number is the fixed p of an alias.  ``properties`` are its declared
     properties, and ``at_p1`` the ones it has only at p = 1, where the
     Yager implications are Lukasiewicz's.  ``locus`` is where finite
-    differences must stay away from, and ``near`` its predicate."""
+    differences must stay away from, and ``near`` its predicate.
+    ``fraction(n, p)`` is the closed form of the fraction of [0, 1]^n on
+    which a partial is nonvanishing, or None where the paper gives none."""
 
     kernel: Callable
     rule: object
     properties: str
     locus: str
     near: Callable
+    fraction: Callable | None = None
     at_p1: str = ""
 
 
@@ -485,99 +521,110 @@ _REGISTRY = {
     ("tnorm", "godel"): _Row(
         _ta_godel, None,
         _NORM + "idempotent continuous left-continuous single-passing",
-        "a = b", _l_tie),
+        "a = b", _l_tie, _ALL),
     ("tnorm", "product"): _Row(
         _ta_product, None, _NORM + "strict continuous left-continuous",
-        "none", _l_none),
+        "none", _l_none, _ALL),
     ("tnorm", "lukasiewicz"): _Row(
         _ta_lukasiewicz, None, _NORM + "continuous left-continuous",
-        "a + b = 1", _l_sum1),
+        "a + b = 1", _l_sum1, _HALF),
     ("tnorm", "drastic"): _Row(
         _ta_drastic, None, _NORM + "single-passing", "a = 1 or b = 1",
-        lambda xs, m, p: xs[0] > 1.0 - m or xs[1] > 1.0 - m),
+        lambda xs, m, p: xs[0] > 1.0 - m or xs[1] > 1.0 - m, _NIL),
     ("tnorm", "nilpotent"): _Row(
         _ta_nilpotent, None, _NORM + "left-continuous single-passing",
-        "a + b = 1 or a = b", _l_tie_or_sum1),
+        "a + b = 1 or a = b", _l_tie_or_sum1, _HALF),
     ("tnorm", "yager"): _Row(
         _ta_yager, ">= 1", _NORM + "continuous left-continuous",
-        "(1-a)^p + (1-b)^p = 1, or -> 0", _l_yager_t),
+        "(1-a)^p + (1-b)^p = 1, or -> 0", _l_yager_t, _yager_fraction),
     ("tconorm", "godel"): _Row(
         _sa_godel, None, _NORM + "idempotent continuous single-passing",
-        "a = b", _l_tie),
+        "a = b", _l_tie, _ALL),
     ("tconorm", "product"): _Row(
-        _sa_product, None, _NORM + "strict continuous", "none", _l_none),
+        _sa_product, None, _NORM + "strict continuous", "none", _l_none,
+        _ALL),
     ("tconorm", "lukasiewicz"): _Row(
-        _sa_lukasiewicz, None, _NORM + "continuous", "a + b = 1", _l_sum1),
+        _sa_lukasiewicz, None, _NORM + "continuous", "a + b = 1", _l_sum1,
+        _HALF),
     ("tconorm", "drastic"): _Row(
         _sa_drastic, None, _NORM + "single-passing", "a = 0 or b = 0",
-        lambda xs, m, p: xs[0] < m or xs[1] < m),
+        lambda xs, m, p: xs[0] < m or xs[1] < m, _NIL),
     ("tconorm", "nilpotent"): _Row(
         _sa_nilpotent, None, _NORM + "single-passing", "a + b = 1 or a = b",
-        _l_tie_or_sum1),
+        _l_tie_or_sum1, _HALF),
     ("tconorm", "yager"): _Row(
         _sa_yager, ">= 1", _NORM + "continuous", "a^p + b^p = 1, or -> 0",
-        _l_yager_s),
+        _l_yager_s, _yager_fraction),
     ("aggregator", "min"): _Row(
         _aa_min, None, _AGG + "idempotent single-passing",
-        "tie of two smallest", _l_min_tie),
+        "tie of two smallest", _l_min_tie, _ALL),
     ("aggregator", "max"): _Row(
         _aa_max, None, _AGG + "idempotent single-passing",
-        "tie of two largest", _l_max_tie),
-    ("aggregator", "product"): _Row(_aa_product, None, _AGG, "none", _l_none),
+        "tie of two largest", _l_max_tie, _ALL),
+    ("aggregator", "product"): _Row(
+        _aa_product, None, _AGG, "none", _l_none, _ALL),
     ("aggregator", "log_product"): _Row(
         _aa_log_product, None, "symmetric monotone",
         "x = 0 (singular 1/x partials)",
-        lambda xs, m, p: any(x < _GUARD for x in xs)),
+        lambda xs, m, p: any(x < _GUARD for x in xs), _ALL),
     ("aggregator", "lukasiewicz"): _Row(
         _aa_lukasiewicz, None, _AGG, "sum = n-1",
-        lambda xs, m, p: _near(math.fsum(xs) - (len(xs) - 1), m)),
+        lambda xs, m, p: _near(math.fsum(xs) - (len(xs) - 1), m),
+        lambda n, p: lukasiewicz_fraction(n)),
     ("aggregator", "bounded_sum"): _Row(
         _aa_bounded_sum, None, _AGG, "sum = 1", _l_sum1),
-    ("aggregator", "prob_sum"): _Row(_aa_prob_sum, None, _AGG, "none", _l_none),
+    ("aggregator", "prob_sum"): _Row(
+        _aa_prob_sum, None, _AGG, "none", _l_none, _ALL),
     ("aggregator", "yager"): _Row(
-        _aa_yager, ">= 1", _AGG, "sum (1-x)^p = 1, or -> 0", _l_yager_t),
+        _aa_yager, ">= 1", _AGG, "sum (1-x)^p = 1, or -> 0", _l_yager_t,
+        lambda n, p: yager_tnorm_fraction(p) if n == 2 else None),
     ("aggregator", "nilpotent"): _Row(
         _aa_nilpotent, None, _AGG + "single-passing",
-        "two smallest sum to 1, or tie", _l_nilpotent_agg),
+        "two smallest sum to 1, or tie", _l_nilpotent_agg,
+        lambda n, p: nilpotent_fraction(n)),
     ("aggregator", "pme"): _Row(
-        _aa_pme, "> 0", _AGG + "idempotent", "radicand -> 0", _l_pme),
+        _aa_pme, "> 0", _AGG + "idempotent", "radicand -> 0", _l_pme, _ALL),
     ("aggregator", "pmean"): _Row(
-        _aa_pmean, "> 0", _AGG + "idempotent", "radicand -> 0", _l_pmean),
+        _aa_pmean, "> 0", _AGG + "idempotent", "radicand -> 0", _l_pmean,
+        _ALL),
     ("aggregator", "mae"): _Row(
-        _aa_pme, 1.0, _AGG + "idempotent", "none", _l_none),
+        _aa_pme, 1.0, _AGG + "idempotent", "none", _l_none, _ALL),
     ("aggregator", "rmse"): _Row(
-        _aa_pme, 2.0, _AGG + "idempotent", "radicand -> 0", _l_pme),
+        _aa_pme, 2.0, _AGG + "idempotent", "radicand -> 0", _l_pme, _ALL),
     ("implication", "kleene_dienes"): _Row(
         _ia_kleene_dienes, None, _IMPL + "LN EP CP single-passing",
-        "1 - a = c", lambda xs, m, p: _near(1.0 - xs[0] - xs[1], m)),
+        "1 - a = c", lambda xs, m, p: _near(1.0 - xs[0] - xs[1], m), _ALL),
     ("implication", "reichenbach"): _Row(
-        _ia_reichenbach, None, _IMPL + "LN EP CP", "none", _l_none),
+        _ia_reichenbach, None, _IMPL + "LN EP CP", "none", _l_none, _ALL),
     ("implication", "lukasiewicz"): _Row(
-        _ia_lukasiewicz, None, _IMPL + "LN EP IP CP", "a = c", _l_tie),
+        _ia_lukasiewicz, None, _IMPL + "LN EP IP CP", "a = c", _l_tie, _HALF),
     ("implication", "dubois_prade"): _Row(
         _ia_dubois_prade, None, _IMPL + "LN EP IP CP single-passing",
-        "a = 1 or c = 0", lambda xs, m, p: xs[0] > 1.0 - m or xs[1] < m),
+        "a = 1 or c = 0", lambda xs, m, p: xs[0] > 1.0 - m or xs[1] < m,
+        _NIL),
     ("implication", "fodor"): _Row(
         _ia_fodor, None, _IMPL + "LN EP IP CP single-passing",
         "a = c or 1 - a = c",
         lambda xs, m, p: (_near(xs[0] - xs[1], m)
-                          or _near(1.0 - xs[0] - xs[1], m))),
+                          or _near(1.0 - xs[0] - xs[1], m)), _HALF),
     ("implication", "godel"): _Row(
-        _ia_godel, None, _IMPL + "LN EP IP single-passing", "a = c", _l_tie),
+        _ia_godel, None, _IMPL + "LN EP IP single-passing", "a = c", _l_tie,
+        _HALF),
     ("implication", "goguen"): _Row(
         _ia_goguen, None, _IMPL + "LN EP IP", "a = c, singular a -> 0",
         # 1/a and c/a^2 partials: third derivatives defeat h=1e-5
         # central differences once a is small
-        lambda xs, m, p: _near(xs[0] - xs[1], m) or xs[0] < 0.15),
+        lambda xs, m, p: _near(xs[0] - xs[1], m) or xs[0] < 0.15, _HALF),
     ("implication", "weber"): _Row(
         _ia_weber, None, _IMPL + "LN EP IP single-passing", "a = 1",
-        lambda xs, m, p: xs[0] > 1.0 - m),
+        lambda xs, m, p: xs[0] > 1.0 - m, _NIL),
     ("implication", "yager_s"): _Row(
         _ia_yager_s, ">= 1", _IMPL + "LN EP CP",
-        "(1-a)^p + c^p = 1, or -> 0", _l_yager_s_impl, at_p1="IP"),
+        "(1-a)^p + c^p = 1, or -> 0", _l_yager_s_impl, _yager_fraction,
+        at_p1="IP"),
     ("implication", "yager_r"): _Row(
         _ia_yager_r, ">= 1", _IMPL + "LN EP IP",
-        "a = c (singular for p > 1)", _l_yager_r_impl, at_p1="CP"),
+        "a = c (singular for p > 1)", _l_yager_r_impl, _HALF, at_p1="CP"),
 }
 
 _KINDS = {"negation": "negation", "tnorm": "t-norm", "tconorm": "t-conorm",
@@ -725,9 +772,11 @@ def _arity_error(family: str, n: int) -> str | None:
 @dataclass(frozen=True)
 class OperatorDescriptor:
     """Catalog entry: family, name, parameters, declared properties, the
-    locus finite differences must stay away from, and the bound array
-    kernel.  Build one with ``descriptor``; two compare equal when their
-    family, name, parameters, properties and locus do."""
+    locus finite differences must stay away from, the bound array kernel
+    and ``fraction(n)``, its row's closed-form nonvanishing fraction at n
+    inputs (None without one).  Build one with ``descriptor``; two
+    compare equal when their family, name, parameters, properties and
+    locus do."""
 
     family: str
     name: str
@@ -737,6 +786,8 @@ class OperatorDescriptor:
     near_locus: Callable = field(default=lambda xs, margin: False, repr=False,
                                  compare=False)
     bound: Callable | None = field(default=None, repr=False, compare=False)
+    fraction: Callable = field(default=lambda n: None, repr=False,
+                               compare=False)
 
     @property
     def p(self):
@@ -824,9 +875,10 @@ def descriptor(family: str, name: str, p=None, s=None, b0=None,
     row = _REGISTRY[family, name]
     p = _checked_p(family, name, p)
     properties = row.properties + " " + (row.at_p1 if p == 1.0 else "")
-    return OperatorDescriptor(family, name, p_param,
-                              frozenset(properties.split()), row.locus,
-                              partial(row.near, p=p), bound)
+    return OperatorDescriptor(
+        family, name, p_param, frozenset(properties.split()), row.locus,
+        partial(row.near, p=p), bound,
+        partial(row.fraction or (lambda n, p: None), p=p))
 
 
 def catalog(yager_ps=(1.0, 2.0, 5.0), pme_ps=(0.5, 1.0, 2.0)) -> list:

@@ -539,7 +539,7 @@ def dpfl_valuation(kb: KnowledgeBase, probs, batch: list) -> float:
     plan = _plan_of(kb, batch)
     raw = np.full(plan.layout.size, 0.5)  # slots the KB never reads
     raw[plan._census[0]] = _weighing(plan, probs)
-    g = GroundingTable._empty(batch, plan.layout, None)._score(raw)
+    g = GroundingTable(batch, plan.layout, None)._score(raw)
     log_total = 0.0
     for value in _forward_values(kb.formulas(), g, DPFL_CONFIG, plan=plan):
         log_total += value

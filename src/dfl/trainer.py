@@ -389,15 +389,15 @@ def _batch_frame(b: int, kb) -> tuple:
             _class_atoms(_layout(b, tuple(sorted(kb.signature.items())))))
 
 
-def _dfl_gradients(model, X_batch, kb, ops, w_dfl, grads, frame=None):
+def _dfl_gradients(model, X_batch, kb, ops, w_dfl, grads, frame):
     """Fuzzy loss and its gradient w.r.t. each atom (``loss_gradient``),
     chained into model parameters; ``frame`` is the batch's
-    ``_batch_frame`` when the caller keeps it."""
+    ``_batch_frame``."""
     H = model.hidden(X_batch)
     P = _softmax(H @ model.theta["W2"] + model.theta["b2"])
     Z = model.same_logits(H)
     S = _sigmoid(Z)
-    domain, batch, classes = frame or _batch_frame(len(X_batch), kb)
+    domain, batch, classes = frame
     g = build_grounding(_BatchInterpretation(P, S), domain, kb.signature,
                         batch)
     loss, grad = loss_gradient(kb, g, ops)
@@ -416,11 +416,11 @@ def _class_atoms(layout) -> tuple:
             np.array(at, dtype=np.intp).reshape(layout.b, len(digits)))
 
 
-def _atom_adjoints(g, a, P, S, classes=None):
+def _atom_adjoints(g, a, P, S, classes):
     """dL/dP and dL/dZ, Z the pair logits, from dL/datom ``a`` over
-    ``g``'s atoms; ``classes`` is ``_class_atoms(g.layout)`` when the
-    caller keeps it.  ``0.0 +`` starts each entry as the tape does."""
-    columns, at = classes or _class_atoms(g.layout)
+    ``g``'s atoms; ``classes`` is ``_class_atoms(g.layout)``.  ``0.0 +``
+    starts each entry as the tape does."""
+    columns, at = classes
     dP = np.zeros(P.shape)
     dP[:, columns] = 0.0 + a[at]
     same = g.tensor("same", a)

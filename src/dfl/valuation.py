@@ -29,8 +29,11 @@ The forward pass (``_forward``) computes every step's array and local
 partials, checking that each is finite; the backward pass (``_backward``)
 runs in reverse, summing each adjoint over the axes its operand was
 broadcast along, and scatters each atom step's adjoint into the
-formula's gradient row, d(valuation)/d(atom).  ``_forward_values`` (the
-oracle's) stops after the forward pass.  ``loss_gradient`` adds the rows
+formula's gradient row, d(valuation)/d(atom).  A valuation without
+``mu`` leaves on the grounding, as ``kept``, its plan, its ops and per
+stack the root quantifier body's adjoint and partials, which the
+gradient diagnostics read.  ``_forward_values`` (the oracle's and
+``dfl eval``'s) stops after the forward pass.  ``loss_gradient`` adds the rows
 times -weight in reverse knowledge-base order, the order in which
 ``Tape.backward`` from ``dfl_loss`` accumulates them, so the two agree
 bit for bit.  Only ``valuate`` and ``dfl_loss`` use the scalar tape,
@@ -55,7 +58,7 @@ from .operators import OperatorConfig
 
 __all__ = [
     "SemanticError", "Domain", "LookupInterpretation", "GroundingTable",
-    "InstanceCapError", "FormulaPass", "formula_pass", "check_instance_cap",
+    "InstanceCapError", "check_instance_cap",
     "classical_values", "build_grounding", "valuate", "loss_gradient",
     "dfl_loss", "atom_gradients", "parse_grounding", "CLAMP_EPS",
     "INSTANCE_CAP",
@@ -168,49 +171,23 @@ class GroundingTable:
     """Truth values of every ground atom over a batch.
 
     ``values`` is the atom vector (clamped) and ``raw_values`` the scores
-    before clamping, both laid out by ``layout``; ``keys()`` lists the
-    atoms in that order.  Tape leaves are recorded only when ``tape`` is
-    first read (``nodes`` and ``node()`` read it), as one bulk block of
-    the atom vector; ``_leaf_idx`` holds their tape indices.  Their Node
-    handles are built on the first read of ``nodes`` or ``node()`` and
-    kept, and each label, ``f"{pred}{objs}"``, is made when the tape
-    first reads it.  A table built by hand,
-    ``GroundingTable(nodes, batch, tape)``, takes its values from the
-    given leaves and leaves out of its vector any predicate that lacks an
-    atom over the batch.  ``passes`` keeps the latest forward/backward
-    pass of each formula valuated on this grounding (see
-    ``formula_pass``).
+    before clamping, both laid out by ``layout`` and filled by ``_score``;
+    ``keys()`` lists the atoms in that order.  Tape leaves are recorded
+    only when ``tape`` is first read (``nodes`` and ``node()`` read it),
+    as one bulk block of the atom vector; ``_leaf_idx`` holds their tape
+    indices.  Their Node handles are built on the first read of ``nodes``
+    or ``node()`` and kept, and each label, ``f"{pred}{objs}"``, is made
+    when the tape first reads it.  ``kept`` is the latest valuation
+    without ``mu`` on this grounding: (its plan, its ops, per stack of the
+    plan the root quantifier body's adjoint and its local partials; see
+    ``_backward``), or None.
     """
 
-    def __init__(self, nodes: dict, batch: list, tape: Tape,
-                 raw: dict | None = None):
-        arities: dict = {}
-        for pred, objs in nodes:
-            arities.setdefault(pred, len(objs))
-        complete = tuple((pred, arity) for pred, arity in sorted(arities.items())
-                         if all((pred, objs) in nodes for objs in
-                                itertools.product(batch, repeat=arity)))
-        self._setup(batch, _layout(len(batch), complete), None)
-        leaves = [nodes[key] for key in self.keys()]
-        self.values = self.raw_values = np.array([n.value for n in leaves],
-                                                 dtype=float)
-        self._nodes, self._tape, self._raw = nodes, tape, dict(raw or {})
-        self._leaf_idx = np.array([n.idx for n in leaves], dtype=np.intp)
-
-    def _setup(self, batch, layout: _Layout, names):
+    def __init__(self, batch, layout: _Layout, names, tape: Tape | None = None):
         self.batch, self.layout, self.names = list(batch), layout, names
-        self.passes: dict = {}
-        self._nodes = self._tape = self._raw = self._leaf_idx = self._keys = None
+        self.kept, self._tape = None, tape
+        self._nodes = self._raw = self._leaf_idx = self._keys = None
         self._positions = {obj: i for i, obj in enumerate(self.batch)}
-
-    @classmethod
-    def _empty(cls, batch, layout: _Layout, names, tape: Tape | None = None):
-        """A table of ``batch`` laid out by ``layout`` whose atom vector
-        ``_score`` fills."""
-        g = cls.__new__(cls)
-        g._setup(batch, layout, names)
-        g._tape = tape
-        return g
 
     def _score(self, raw: np.ndarray, clamp_eps: float = CLAMP_EPS):
         """Take ``raw`` as the scores of the atom vector and store them
@@ -220,7 +197,7 @@ class GroundingTable:
         return self
 
     def __len__(self):
-        return len(self._nodes) if self._nodes is not None else self.layout.size
+        return self.layout.size
 
     def keys(self) -> list:
         """Every atom (pred, objs) of the vector, in vector order."""
@@ -229,9 +206,6 @@ class GroundingTable:
                           in self.layout.preds.items()
                           for objs in itertools.product(self.batch, repeat=arity)]
         return self._keys
-
-    def atoms(self):
-        return list(self._nodes if self._nodes is not None else self.keys())
 
     @property
     def nodes(self) -> dict:
@@ -328,9 +302,9 @@ def build_grounding(interp, domain: Domain, signature: dict, batch: list,
     when they are first needed.
     """
     _check_batch(batch)
-    g = GroundingTable._empty(
-        batch, _layout(len(batch), tuple(sorted(signature.items()))),
-        domain.names, tape)
+    g = GroundingTable(batch, _layout(len(batch),
+                                      tuple(sorted(signature.items()))),
+                       domain.names, tape)
     table = getattr(interp, "truth_table", None)
     raw = None
     if table is not None:
@@ -364,26 +338,6 @@ def build_grounding(interp, domain: Domain, signature: dict, batch: list,
 
 # ---------------------------------------------------------------------------
 # array valuation
-
-@dataclass(slots=True)
-class FormulaPass:
-    """Forward and backward pass of one formula over one grounding.
-
-    ``row`` is d(value)/d(atom) over the grounding's atom vector.  The
-    pass ran in a stack of formulas, at position ``f``:
-    ``stack_adjoint[f]`` is d(value)/d(body) per ground instance of the
-    root quantifier block, and when the body is a binary connective
-    ``stack_partials`` holds its local partials (dI/da and dI/dc for an
-    implication), each of size F or 1 on the formula axis, then one axis
-    per quantified variable.
-    """
-
-    value: float
-    row: np.ndarray
-    f: int = 0
-    stack_adjoint: np.ndarray | None = None
-    stack_partials: tuple | None = None
-
 
 def _index(b: int, n_axes: int, terms: tuple) -> tuple:
     """Index arrays with ``n_axes`` axes, one per term: 0..b-1 laid along
@@ -581,7 +535,7 @@ class Plan:
         return self._stacks[log_space]
 
     @functools.cached_property
-    def atoms(self) -> list:
+    def slices(self) -> list:
         """Per program, the atom-vector positions of every atom of the
         predicates it reads: the parents of its fused tape node."""
         spans = {pred: np.arange(offset, offset + self.layout.b ** arity)
@@ -673,24 +627,30 @@ def _forward(stack: _Stack, g: GroundingTable, ops, index: dict) -> tuple:
     return values, local
 
 
-def _root_values(values: list, F: int) -> list:
-    """Each formula's value, as a Python float, from a stack's arrays."""
-    return values[-1].reshape(F, -1)[:, 0].tolist()
+def _root_values(stack: _Stack, values: list, out: list):
+    """Each formula's value, as a Python float, from a stack's arrays,
+    into ``out`` at the formula's position."""
+    roots = values[-1].reshape(len(stack.members), -1)[:, 0].tolist()
+    for k, value in zip(stack.members, roots):
+        out[k] = value
 
 
 def _backward(stack: _Stack, g: GroundingTable, index: dict, values: list,
               local: list) -> tuple:
     """The backward pass over a stack's forward arrays, in reverse
-    program order: (the gradient rows, formulas x atoms, and one
-    ``FormulaPass`` per program)."""
+    program order: (the gradient rows, formulas x atoms; d(value)/d(body)
+    per ground instance of the root quantifier block; when that body is a
+    binary connective, its local partials, dI/da and dI/dc for an
+    implication, each of size F or 1 on the formula axis, then one axis
+    per quantified variable).  Without a root quantifier the last two
+    are None, and so is the last without a connective body."""
     instrs = stack.programs[0].instrs
-    F, root = len(stack.programs), len(instrs) - 1
-    rows = np.zeros((F, g.layout.size))
+    root = len(instrs) - 1
+    rows = np.zeros((len(stack.programs), g.layout.size))
     flat_rows = rows.reshape(-1)
     adjoints: list = [None] * len(instrs)
     adjoints[root] = np.ones(stack.shapes[root])
-    outs = [FormulaPass(v, rows[f], f)
-            for f, v in enumerate(_root_values(values, F))]
+    body_adjoint = body_partials = None
     for i in range(root, -1, -1):
         instr, adj = instrs[i], adjoints[i]
         op = instr.op
@@ -704,69 +664,68 @@ def _backward(stack: _Stack, g: GroundingTable, index: dict, values: list,
                 adj = adj * P
             body = instr.args[0]
             if instr.root:
-                partials = (local[body] if instrs[body].op in _CONNECTIVES
-                            else None)
-                for out in outs:
-                    out.stack_adjoint, out.stack_partials = adj, partials
+                body_adjoint = adj
+                if instrs[body].op in _CONNECTIVES:
+                    body_partials = local[body]
             adjoints[body] = _sum_over(adj, stack.sums[i][0])
         else:
             for arg, partial, axes in zip(instr.args, local[i], stack.sums[i]):
                 adjoints[arg] = _sum_over(adj * partial, axes)
-    return rows, outs
-
-
-def formula_pass(f, g: GroundingTable, ops: OperatorConfig) -> FormulaPass:
-    """The pass an earlier valuation of ``f`` under ``ops`` left on ``g``,
-    or else a new one."""
-    hit = g.passes.get(id(f))
-    if hit is not None and hit[0] is f and hit[1] == ops:
-        return hit[2]
-    return _valuate([f], g, ops, None)[0]
+    return rows, body_adjoint, body_partials
 
 
 def _valuate(formulas: list, g: GroundingTable, ops: OperatorConfig,
              mu, plan: Plan | None = None, rows=None) -> list:
-    """Passes of ``formulas``, one stack per program shape; without ``mu``
-    each is kept on ``g.passes``.  ``plan`` is theirs, when given, and
-    ``rows(stack, its gradient rows)`` is called per stack."""
-    passes = [None] * len(formulas)
+    """The value of each of ``formulas``, with a forward and a backward
+    pass per stack of programs of one shape; ``rows(stack, its gradient
+    rows)`` is called per stack.  Without ``mu`` the valuation is kept as
+    ``g.kept``.  ``plan`` is theirs, when given."""
+    plan = _plan_for(formulas, g, ops, plan)
+    values, bodies = [None] * len(formulas), []
     with np.errstate(all="ignore"):
-        for stack in _plan_for(formulas, g, ops, plan).stacks(ops):
+        for stack in plan.stacks(ops):
             index = _gathers(stack, g, mu)
-            stack_rows, outs = _backward(stack, g, index,
-                                         *_forward(stack, g, ops, index))
+            forward = _forward(stack, g, ops, index)
+            stack_rows, *body = _backward(stack, g, index, *forward)
             if rows is not None:
                 rows(stack, stack_rows)
-            for k, out in zip(stack.members, outs):
-                passes[k] = out
+            bodies.append(body)
+            _root_values(stack, forward[0], values)
     if not mu:
-        for f, out in zip(formulas, passes):
-            g.passes[id(f)] = (f, ops, out)
-    return passes
+        g.kept = plan, ops, bodies
+    return values
 
 
 def _forward_values(formulas: list, g: GroundingTable, ops: OperatorConfig,
                     mu: dict | None = None, plan: Plan | None = None) -> list:
     """The value of each of ``formulas`` under ``g``, ``ops`` and ``mu``,
     as ``_valuate`` finds it, from the forward pass alone: no gradient
-    row, adjoint or pass is built or kept.  ``plan`` is theirs, when
-    given."""
+    row or adjoint is built, and nothing is kept.  ``plan`` is theirs,
+    when given."""
     out = [None] * len(formulas)
     with np.errstate(all="ignore"):
         for stack in _plan_for(formulas, g, ops, plan).stacks(ops):
             values, _ = _forward(stack, g, ops, _gathers(stack, g, mu))
-            for k, value in zip(stack.members,
-                                _root_values(values, len(stack.members))):
-                out[k] = value
+            _root_values(stack, values, out)
     return out
 
 
-def _record(g: GroundingTable, at: np.ndarray, out: FormulaPass) -> Node:
-    """``out`` as one fused node on ``g``'s tape whose parents are the
-    leaves of the atoms at ``at``, the atom slice of its formula."""
+def _recorded(formulas: list, g: GroundingTable, ops: OperatorConfig,
+              mu) -> list:
+    """Each of ``formulas`` as one fused node on ``g``'s tape whose
+    parents are the leaves of the atoms of its atom slice, with its
+    gradient row there as partials."""
+    plan = _plan_for(formulas, g, ops)
+    rows: list = [None] * len(formulas)
+
+    def keep(stack, stack_rows):
+        for k, row in zip(stack.members, stack_rows):
+            rows[k] = row
+
+    values = _valuate(formulas, g, ops, mu, plan, keep)
     tape = g.tape  # records the leaves, and their indices, first
-    return tape.record_fused("valuation", g._leaf_idx[at], out.value,
-                             out.row[at])
+    return [tape.record_fused("valuation", g._leaf_idx[at], value, row[at])
+            for at, value, row in zip(plan.slices, values, rows)]
 
 
 def valuate(f, g: GroundingTable, ops: OperatorConfig,
@@ -777,9 +736,7 @@ def valuate(f, g: GroundingTable, ops: OperatorConfig,
     returned tape node's parents are the ground atoms of every predicate
     ``f`` uses, with d(value)/d(atom) as partials.
     """
-    plan = _plan_for([f], g, ops)
-    out = _valuate([f], g, ops, mu, plan)[0]
-    return _record(g, plan.atoms[0], out)
+    return _recorded([f], g, ops, mu)[0]
 
 
 def classical_values(program: Program, b: int, truth,
@@ -843,8 +800,8 @@ def loss_gradient(kb: KnowledgeBase, g: GroundingTable,
     def weigh(stack, rows):
         terms[n - stack.rows] = weights[stack.rows, None] * rows
 
-    passes = _valuate(kb.formulas(), g, ops, None, rows=weigh)
-    loss = -sum(w * out.value for (_, w), out in zip(kb.entries, passes))
+    values = _valuate(kb.formulas(), g, ops, None, rows=weigh)
+    loss = -sum(w * value for (_, w), value in zip(kb.entries, values))
     if not math.isfinite(loss):
         raise ValueError(f"loss: non-finite value {loss!r}")
     # accumulate adds down the rows in order; np.add.reduce and np.sum
@@ -861,10 +818,7 @@ def dfl_loss(kb: KnowledgeBase, g: GroundingTable,
     tape = g.tape
     if not kb.entries:
         return tape.leaf(0.0, label="loss")
-    formulas = kb.formulas()
-    plan = _plan_for(formulas, g, ops)
-    passes = _valuate(formulas, g, ops, None, plan)
-    vals = [_record(g, at, out) for at, out in zip(plan.atoms, passes)]
+    vals = _recorded(kb.formulas(), g, ops, None)
     weights = [weight for _, weight in kb.entries]
     total = -sum(w * n.value for w, n in zip(weights, vals))
     return tape.record("loss", vals, total, [-w for w in weights])
@@ -878,8 +832,7 @@ def atom_gradients(kb: KnowledgeBase, g: GroundingTable,
     L = -sum w * valuation, so a NEGATIVE entry means descent increases
     that atom.  d(valuation-sum)/datom is the negation of each entry.
     """
-    grads = dict(zip(g.keys(), loss_gradient(kb, g, ops)[1].tolist()))
-    return {key: grads.get(key, 0.0) for key in g.atoms()}
+    return dict(zip(g.keys(), loss_gradient(kb, g, ops)[1].tolist()))
 
 
 _GROUNDING_LINE = re.compile(

@@ -31,7 +31,7 @@ from dfl.autodiff import Node
 from dfl.logic import And, Atom, ForAll, Implies, Not, Or
 from dfl.oracle import DPFL_CONFIG, WORLD_ATOM_CAP, WorldCapError
 from dfl.valuation import (Domain, LookupInterpretation, SemanticError,
-                           build_grounding, formula_pass)
+                           _valuate, build_grounding)
 from scalar_kernels import (aggregate_kernel, implication_kernel, tconorm_kernel,
                             tnorm_kernel)
 
@@ -317,8 +317,8 @@ def factored_probability(kb, probs, batch: list) -> float:
 
 
 def dpfl_valuation(kb, probs, batch: list) -> float:
-    """Product-config valuation of the KB, one ``formula_pass`` per
-    formula, exponentiated back to probability space."""
+    """Product-config valuation of the KB, a ``_valuate`` of each formula
+    alone, exponentiated back to probability space."""
     appearing = occurrence_counts(kb, batch)
     score = _prob_lookup(probs)
     table = {(pred, objs): score(pred, objs) if (pred, objs) in appearing
@@ -330,5 +330,5 @@ def dpfl_valuation(kb, probs, batch: list) -> float:
                         batch)
     log_total = 0.0
     for formula, _ in kb.entries:
-        log_total += formula_pass(formula, g, DPFL_CONFIG).value
+        log_total += _valuate([formula], g, DPFL_CONFIG, None)[0]
     return math.exp(log_total)

@@ -65,6 +65,19 @@ def test_eval_parse_error(capsys, tmp_path, scene_grounding_text):
     assert code == 2
 
 
+@pytest.mark.parametrize("weight", ["-1.2.3", "-1e", "-."])
+def test_eval_malformed_negative_weight_exit_2(capsys, tmp_path, weight):
+    kb = tmp_path / "kb.dfl"
+    kb.write_text(f"forall x: p(x)\n{weight} forall x: p(x)\n")
+    grounding = tmp_path / "g.grounding"
+    grounding.write_text("p(o1)=0.5\n")
+    code = main(["eval", "--kb", str(kb), "--grounding", str(grounding)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"line 2, col 1: bad formula weight {weight!r}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_eval_semantic_error_exit_3(capsys, tmp_path):
     # well-formed files, bad operator config (pme without p)
     kb = tmp_path / "kb.dfl"

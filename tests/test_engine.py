@@ -22,8 +22,8 @@ from dfl.operators import (AGGREGATOR_NAMES, IMPLICATION_NAMES, TCONORM_NAMES,
                            TNORM_NAMES, parse_operator_config)
 from dfl.valuation import (Domain, LookupInterpretation, SemanticError,
                            _forward_values, _valuate, build_grounding,
-                           classical_values, dfl_loss, formula_pass,
-                           loss_gradient, valuate)
+                           classical_values, dfl_loss, loss_gradient,
+                           valuate)
 
 BASE = "tnorm=product tconorm=product implication=reichenbach aggregator=product"
 
@@ -163,9 +163,8 @@ def test_forward_values_are_the_pass_values_bit_for_bit(override):
                  ([nested], None)]
         cases += [([free] + prenex, {"z": obj}) for obj in batch[:2]]
         for formulas, mu in cases:
-            want = _values_or_error(
-                lambda *args: [out.value for out in _valuate(*args)],
-                formulas, table, batch, ops, mu)
+            want = _values_or_error(_valuate, formulas, table, batch, ops,
+                                    mu)
             got = _values_or_error(_forward_values, formulas, table, batch,
                                    ops, mu)
             assert got == want, (override, formulas)
@@ -260,7 +259,7 @@ def test_gradient_quality_matches_per_instance_reference(override, batch):
         return labels[(pred, objs)]
 
     g = _grounding(table, batch)
-    dfl_loss(kb, g, ops)  # gradient_quality reuses these passes
+    dfl_loss(kb, g, ops)  # gradient_quality reuses this valuation
     got = gradient_quality(kb, g, ops, labeling_from_atoms(atom_fn))
     cons, ant, cu_cons, cu_ant = _reference_quality(
         kb, _grounding(table, batch), ops, atom_fn)
@@ -269,9 +268,10 @@ def test_gradient_quality_matches_per_instance_reference(override, batch):
 
 
 def _per_formula_quality(kb, g, ops, labels):
-    """``gradient_quality`` one formula at a time: each formula's own pass
-    (``formula_pass``), per-predicate label arrays lifted over its program
-    alone, and its sums taken one formula at a time."""
+    """``gradient_quality`` one formula at a time: each formula's own
+    one-formula valuation (kept on ``g``), per-predicate label arrays
+    lifted over its program alone, and its sums taken one formula at a
+    time."""
     truth: dict = {}
     total_cons = total_ant = total_cu_cons = total_cu_ant = 0.0
     used = skipped = 0
@@ -283,9 +283,10 @@ def _per_formula_quality(kb, g, ops, labels):
             skipped += 1
             continue
         used += 1
-        run = formula_pass(formula, g, ops)
-        adj = run.stack_adjoint[run.f]
-        da, dc = (d[run.f if len(d) > 1 else 0] for d in run.stack_partials)
+        _valuate([formula], g, ops, None)
+        adj, partials = g.kept[2][0]  # the one stack, of one formula
+        adj = adj[0]
+        da, dc = (d[0] for d in partials)
         shape = [1] * program.n_axes
         for axis in program.instrs[-1].axes:
             shape[axis] = b
@@ -338,19 +339,19 @@ def _fields(quality):
             for v in dataclasses.astuple(quality)]
 
 
-def _leave_passes(how, kb, g, ops, other):
+def _valuate_first(how, kb, g, ops, other):
     if how == "dfl_loss":
         dfl_loss(kb, g, ops)
     elif how == "loss_gradient":
         loss_gradient(kb, g, ops)
-    elif how == "formula_pass":
+    elif how == "singly":
         for f in kb.formulas():
-            formula_pass(f, g, ops)
+            _valuate([f], g, ops, None)
     elif how == "other ops":
         dfl_loss(kb, g, other)
     elif how == "some":  # a subset of one stack, then the rest singly
         _valuate(kb.formulas()[::2], g, ops, None)
-        formula_pass(kb.formulas()[1], g, ops)
+        _valuate([kb.formulas()[1]], g, ops, None)
 
 
 @pytest.mark.parametrize("override", CONFIGS)
@@ -370,15 +371,42 @@ def test_gradient_quality_is_the_per_formula_quality_bit_for_bit(override,
                                                 ops, labeling))
         except (SemanticError, ValueError) as exc:
             want = type(exc), str(exc)
-        for how in ("none", "dfl_loss", "loss_gradient", "formula_pass",
+        for how in ("none", "dfl_loss", "loss_gradient", "singly",
                     "other ops", "some"):
             g = _grounding(table, batch)
             try:
-                _leave_passes(how, kb, g, ops, other)
+                _valuate_first(how, kb, g, ops, other)
                 got = _fields(gradient_quality(kb, g, ops, labeling))
             except (SemanticError, ValueError) as exc:
                 got = type(exc), str(exc)
             assert got == want, (how, override)
+
+
+def test_gradient_quality_reads_the_kept_valuation(monkeypatch):
+    import dfl.analysis
+    ops = parse_operator_config(BASE)
+    other = parse_operator_config("implication=godel aggregator=min")
+    rng = random.Random(11)
+    kb, table = _quality_kb(rng), _table(rng)
+    labeling = labeling_from_atoms(lambda p, o: 1)
+    calls = []
+    original = dfl.analysis._valuate
+
+    def counted(formulas, *args):
+        calls.append(len(formulas))
+        return original(formulas, *args)
+
+    monkeypatch.setattr(dfl.analysis, "_valuate", counted)
+    g = _grounding(table, [0, 1, 2])
+    loss_gradient(kb, g, ops)
+    kept = g.kept
+    gradient_quality(kb, g, ops, labeling)
+    assert calls == [] and g.kept is kept
+    # a valuation under other operators is not read: each stack of
+    # implication-bodied formulas is valuated anew
+    loss_gradient(kb, g, other)
+    gradient_quality(kb, g, ops, labeling)
+    assert calls and sum(calls) <= len(kb)
 
 
 def test_gradient_quality_builds_no_leaf_nodes(monkeypatch):

@@ -308,6 +308,29 @@ def test_finite_difference_sample(desc):
         assert err < 1e-5, (desc.label(), xs, err)
 
 
+def test_near_locus_takes_every_input_count_its_kernel_takes():
+    rng = random.Random(29)
+    for desc in catalog():
+        counts = {"negation": [1], "aggregator": range(1, 6)}.get(
+            desc.family, [2])
+        for n in counts:
+            for _ in range(50):
+                xs = [rng.choice([0.0, 0.5, 1.0, rng.random()])
+                      for _ in range(n)]
+                assert desc.near_locus(xs, 1e-3) in (True, False), (
+                    desc.label(), xs)
+
+
+def test_closed_form_fraction_is_none_where_the_paper_gives_none():
+    assert descriptor("aggregator", "nilpotent").fraction(3) == 0.25
+    assert descriptor("aggregator", "yager", p=2.0).fraction(3) is None
+    for desc in (descriptor("negation", "classic"),
+                 descriptor("aggregator", "bounded_sum"),
+                 descriptor("implication", "sigmoidal", base="reichenbach",
+                            s=9.0)):
+        assert desc.fraction(2) is None, desc.label()
+
+
 # ---------------------------------------------------------------------------
 # duality
 

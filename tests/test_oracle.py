@@ -212,7 +212,7 @@ def _assert_matches_loop(kb, probs, batch):
         assert type(bits) is tuple and all(type(bit) is int for bit in bits)
         assert type(satisfied) is bool
         assert type(weight) is float
-    # the stacked valuation against one formula_pass per formula
+    # the stacked valuation against one valuation per formula
     assert dpfl_valuation(kb, probs, batch) == reference.dpfl_valuation(
         kb, probs, batch)
 

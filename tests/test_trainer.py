@@ -14,6 +14,7 @@ from dfl.trainer import (
     TrainConfig,
     _BatchInterpretation,
     _atom_adjoints,
+    _batch_frame,
     _ce_gradients,
     _dfl_gradients,
     _pair_pool,
@@ -195,14 +196,15 @@ def test_gradient_step_identity():
     pos, neg = _same_pairs(rng, y_sup)
     _same_bce_gradients(model, X_sup, H_sup, pos, neg, g_same)
     g_dfl = model.zero_grads()
+    frame = _batch_frame(len(batch), kb)
     _dfl_gradients(model, task.X[batch], kb, OperatorConfig(
-        aggregator="log_product"), 1.0, g_dfl)
+        aggregator="log_product"), 1.0, g_dfl, frame)
 
     combined = model.zero_grads()
     _ce_gradients(model, X_sup, H_sup, y_sup, combined)
     _same_bce_gradients(model, X_sup, H_sup, pos, neg, combined)
     _dfl_gradients(model, task.X[batch], kb, OperatorConfig(
-        aggregator="log_product"), w_dfl, combined)
+        aggregator="log_product"), w_dfl, combined, frame)
 
     before = model.get_flat()
     model.apply_step(combined, lr=0.01)
@@ -224,14 +226,15 @@ def test_dfl_gradients_match_finite_differences():
     batch = task.unlabeled_idx[:3]
     X = task.X[batch]
     grads = model.zero_grads()
-    _dfl_gradients(model, X, kb, ops, 1.0, grads)
+    frame = _batch_frame(len(X), kb)
+    _dfl_gradients(model, X, kb, ops, 1.0, grads, frame)
     flat_grad = np.concatenate([grads[k].ravel() for k in model.PARAMS])
 
     def loss_at(flat):
         probe = TinyModel(task.dim, 8, 10, seed=7)
         probe.set_flat(flat)
         g = probe.zero_grads()
-        value, _ = _dfl_gradients(probe, X, kb, ops, 1.0, g)
+        value, _ = _dfl_gradients(probe, X, kb, ops, 1.0, g, frame)
         return value
 
     theta = model.get_flat()
@@ -376,7 +379,8 @@ def test_atom_adjoints_equal_the_readback_loop(ops):
 
         g = grounding()
         _, grad = loss_gradient(kb, g, ops)
-        dP, dZ = _atom_adjoints(g, grad * w_dfl, P, S)
+        dP, dZ = _atom_adjoints(g, grad * w_dfl, P, S,
+                                _batch_frame(b, kb)[2])
         g = grounding()
         want_dP, want_dZ = _readback_loop(g, dfl_loss(kb, g, ops), P, S, w_dfl)
         assert dP.tobytes() == want_dP.tobytes(), formulas
