@@ -26,8 +26,8 @@ import time
 
 from . import __version__
 from .logic import ParseError, parse_kb
-from .operators import (ConfigError, OperatorConfig, OperatorError,
-                        _parse_params, descriptor, parse_operator_config)
+from .operators import (ConfigError, OperatorError, _parse_params, descriptor,
+                        parse_operator_config)
 from .valuation import (InstanceCapError, SemanticError, _forward_values,
                         build_grounding, loss_gradient, parse_grounding)
 
@@ -195,17 +195,14 @@ def cmd_analyze(args, argv) -> int:
         from .analysis import derivative_surface
         kw = dict(p=args.p)
         if args.op.startswith("sigmoidal:"):
-            text = f"implication={args.op}"
-            if args.p is not None and "p" in _parse_params(
-                    args.op.partition(":")[2], text):
+            params = _parse_params(args.op.partition(":")[2],
+                                   f"implication={args.op}")
+            if args.p is not None and "p" in params:
                 print(f"error: p is given twice: in --op {args.op} and as "
                       f"--p {args.p!r}", file=sys.stderr)
                 return EXIT_INPUT
             # --p is the base's p: a yager base is checked with it
-            cfg = parse_operator_config(text, OperatorConfig(
-                implication_p=args.p))
-            kw = dict(p=cfg.implication_p, s=cfg.sigmoid_s,
-                      b0=cfg.sigmoid_b0, base=cfg.sigmoid_base)
+            kw.update(params)
             name = "sigmoidal"
         else:
             name = args.op

@@ -13,11 +13,11 @@ Everything else reads the rows.  ``_bind`` checks a name and its
 parameter and binds the kernel; the sigmoidal implication, which warps
 a base implication, is the one operator without a row.  ``descriptor``
 is the one way to call an operator: its ``array_kernel`` runs the kernel
-on checked arrays, and its ``kernel`` and ``value`` run it at one point
-and return floats.  ``catalog`` lists the descriptors, and
-``OperatorConfig.arrays`` binds a configuration's kernels once for the
-valuation engine.  The property audits draw many points and check each
-law with one array call.
+on checked arrays, its ``kernel`` and ``value`` run it at one point and
+return floats, and its ``bound`` kernel runs unchecked for the valuation
+engine.  ``catalog`` lists the descriptors, and an ``OperatorConfig`` is
+one descriptor per family.  The property audits draw many points and
+check each law with one array call.
 
 Inputs must already lie in [0, 1]; nothing is clamped here (the
 valuation layer clamps model outputs before they reach a kernel).  Every
@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -51,7 +51,6 @@ __all__ = [
     "ConfigError",
     "OperatorDescriptor",
     "OperatorConfig",
-    "ArrayKernels",
     "descriptor",
     "tnorm_duality_check",
     "property_audit",
@@ -670,6 +669,8 @@ def _checked_p(family: str, name: str, p):
     if p is None:
         raise OperatorError(f"{who} requires parameter p")
     p = float(p)
+    if not math.isfinite(p):
+        raise OperatorError(f"{who} requires a finite p, got {p}")
     if p < 1.0 if rule == ">= 1" else p <= 0.0:
         raise OperatorError(f"{who} requires p {rule}, got {p}")
     return p
@@ -683,12 +684,15 @@ def _sigmoidal_scaling(base, s, b0):
     """Checked (s, b0, d, h) of the sigmoidal warp around ``base``."""
     if base is None:
         raise OperatorError("sigmoidal implication requires a base implication")
-    if base == "sigmoidal":
-        raise OperatorError("sigmoidal base cannot itself be sigmoidal")
+    if ("implication", base) not in _REGISTRY:
+        raise OperatorError(f"unknown sigmoidal base {base!r}")
     if s is None or float(s) <= 0.0:
         raise OperatorError(f"sigmoidal implication requires s > 0, got {s!r}")
     s = float(s)
     b0 = SIGMOID_B0 if b0 is None else float(b0)
+    if not (math.isfinite(s) and math.isfinite(b0)):
+        raise OperatorError("sigmoidal implication requires finite s and b0, "
+                            f"got s={s}, b0={b0}")
     try:
         e_top = math.exp(-s * (1.0 + b0))
         e_bot = math.exp(-s * b0)
@@ -698,17 +702,6 @@ def _sigmoidal_scaling(base, s, b0):
     if denom <= 0.0:
         raise OperatorError(f"degenerate sigmoidal scaling for s={s}, b0={b0}")
     return s, b0, (1.0 + e_top) / denom, 1.0 + e_bot
-
-
-class ArrayKernels(NamedTuple):
-    """Array kernels with their operators and parameters resolved, and
-    without input checks: callers pass values already in [0, 1] and run
-    them under ``np.errstate(all="ignore")``."""
-
-    tnorm: Callable
-    tconorm: Callable
-    implication: Callable
-    aggregate: Callable
 
 
 def _bind(family: str, name: str, p=None, s=None, b0=None,
@@ -1105,63 +1098,40 @@ def property_audit(desc: OperatorDescriptor, samples: int = 2000, seed: int = 0,
 
 @dataclass(frozen=True)
 class OperatorConfig:
-    """The (N, T, S, I, A) selection with parameters."""
+    """The (T, S, I, A) selection: one descriptor per family, so every
+    name and parameter in it has been checked."""
 
-    tnorm: str = "product"
-    tnorm_p: float | None = None
-    tconorm: str = "product"
-    tconorm_p: float | None = None
-    implication: str = "reichenbach"
-    implication_p: float | None = None
-    sigmoid_base: str | None = None
-    sigmoid_s: float | None = None
-    sigmoid_b0: float | None = None
-    aggregator: str = "product"
-    aggregator_p: float | None = None
+    tnorm: OperatorDescriptor = descriptor("tnorm", "product")
+    tconorm: OperatorDescriptor = descriptor("tconorm", "product")
+    implication: OperatorDescriptor = descriptor("implication", "reichenbach")
+    aggregator: OperatorDescriptor = descriptor("aggregator", "product")
 
-    # each scalar kernel binds its own operator only, so a bad entry
-    # elsewhere in the configuration does not fail it
+    def __post_init__(self):
+        for key, desc in vars(self).items():
+            if getattr(desc, "family", None) != key:
+                raise OperatorError(f"OperatorConfig.{key} must be an "
+                                    f"OperatorDescriptor of family {key!r}, "
+                                    f"got {desc!r}")
+
     def tnorm_kernel(self, a, b):
-        return descriptor("tnorm", self.tnorm, self.tnorm_p).kernel(a, b)
+        return self.tnorm.kernel(a, b)
 
     def tconorm_kernel(self, a, b):
-        return descriptor("tconorm", self.tconorm, self.tconorm_p).kernel(a, b)
+        return self.tconorm.kernel(a, b)
 
     def implication_kernel(self, a, c):
-        return descriptor("implication", self.implication, self.implication_p,
-                          self.sigmoid_s, self.sigmoid_b0,
-                          self.sigmoid_base).kernel(a, c)
+        return self.implication.kernel(a, c)
 
     def aggregate_kernel(self, xs):
-        return descriptor("aggregator", self.aggregator,
-                          self.aggregator_p).kernel(*xs)
-
-    @cached_property
-    def arrays(self) -> ArrayKernels:
-        """This configuration's array kernels, bound once."""
-        return ArrayKernels(
-            _bind("tnorm", self.tnorm, self.tnorm_p),
-            _bind("tconorm", self.tconorm, self.tconorm_p),
-            _bind("implication", self.implication, self.implication_p,
-                  self.sigmoid_s, self.sigmoid_b0, self.sigmoid_base),
-            _bind("aggregator", self.aggregator, self.aggregator_p))
+        return self.aggregator.kernel(*xs)
 
     def describe(self) -> str:
         """This configuration in the grammar ``parse_operator_config`` reads."""
-        sigmoid = ((("base", self.sigmoid_base), ("s", self.sigmoid_s),
-                    ("b0", self.sigmoid_b0))
-                   if self.implication == "sigmoidal" else ())
-        parts = []
-        for key, params in [("tnorm", ()), ("tconorm", ()),
-                            ("implication", sigmoid), ("aggregator", ())]:
-            params += (("p", getattr(self, f"{key}_p")),)
-            text = ",".join(f"{k}={v}" for k, v in params if v is not None)
-            parts.append(f"{key}={getattr(self, key)}" + (f":{text}" if text else ""))
-        return " ".join(parts)
-
-    def validate(self) -> "OperatorConfig":
-        self.arrays  # binding checks every name and parameter
-        return self
+        return " ".join(
+            f"{d.family}={d.name}"
+            + (":" + ",".join(f"{k}={v}" for k, v in d.params) if d.params else "")
+            for d in (self.tnorm, self.tconorm, self.implication,
+                      self.aggregator))
 
 
 def _parse_params(text: str, where: str) -> dict:
@@ -1172,6 +1142,8 @@ def _parse_params(text: str, where: str) -> dict:
         key, _, raw = piece.partition("=")
         key = key.strip()
         raw = raw.strip()
+        if key in params:
+            raise ConfigError(f"{where}: parameter {key!r} given twice")
         if key == "base":
             params[key] = raw
         elif key in ("p", "s", "b0"):
@@ -1185,14 +1157,15 @@ def _parse_params(text: str, where: str) -> dict:
 
 
 def parse_operator_config(text: str, base: OperatorConfig | None = None) -> OperatorConfig:
-    """Parse assignments like ``tnorm=yager:p=2``.
+    """Parse assignments like ``tnorm=yager:p=2`` over ``base`` (the
+    default configuration when None).
 
     Assignments are separated by whitespace, semicolons or newlines.
-    Unknown keys are errors.
+    Unknown keys are errors, and each assignment is checked as written,
+    so a bad one fails even when a later one replaces it.
     """
-    cfg = asdict(base or OperatorConfig())
-    tokens = text.replace(";", " ").split()
-    for token in tokens:
+    cfg = base or OperatorConfig()
+    for token in text.replace(";", " ").split():
         if "=" not in token:
             raise ConfigError(f"expected key=value, got {token!r}")
         key, _, rest = token.partition("=")
@@ -1202,41 +1175,21 @@ def parse_operator_config(text: str, base: OperatorConfig | None = None) -> Oper
         name, _, param_text = rest.partition(":")
         name = name.strip()
         params = _parse_params(param_text, token) if param_text else {}
-        if key == "negation":
-            if name != "classic":
-                raise ConfigError(f"unknown negation {name!r} (only 'classic')")
-            if params:
-                raise ConfigError(f"{token!r}: parameter "
-                                  f"{next(iter(params))!r} not valid here")
-            continue
-        # names and parameter keys are checked per token, parameter values
-        # once ``validate`` binds
-        sigmoidal = (key, name) == ("implication", "sigmoidal")
-        if not sigmoidal:
-            try:
+        if key == "negation" and name != "classic":
+            raise ConfigError(f"unknown negation {name!r} (only 'classic')")
+        try:
+            if (key, name) == ("implication", "sigmoidal"):
+                # without its own p, the warp keeps the implication's p
+                params.setdefault("p", cfg.implication.p)
+            else:
                 _row(key, name)
-            except OperatorError as exc:
-                raise ConfigError(str(exc)) from None
-            for pk in params:
-                if pk != "p":
-                    raise ConfigError(f"{token!r}: parameter {pk!r} not valid here")
-        if sigmoidal:
-            cfg.update(implication=name,
-                       implication_p=params.get("p", cfg["implication_p"]),
-                       sigmoid_s=params.get("s"),
-                       sigmoid_b0=params.get("b0", SIGMOID_B0),
-                       sigmoid_base=params.get("base"))
-            if cfg["sigmoid_base"] is None:
-                raise ConfigError("sigmoidal implication needs base=<name>")
-            if ("implication", cfg["sigmoid_base"]) not in _REGISTRY:
-                raise ConfigError(f"unknown sigmoidal base {cfg['sigmoid_base']!r}")
-            if cfg["sigmoid_s"] is None:
-                raise ConfigError("sigmoidal implication needs s=<positive>")
-            continue
-        if key == "implication":
-            cfg.update(sigmoid_s=None, sigmoid_b0=None, sigmoid_base=None)
-        cfg.update({key: name, f"{key}_p": params.get("p")})
-    try:
-        return OperatorConfig(**cfg).validate()
-    except OperatorError as exc:
-        raise ConfigError(str(exc)) from None
+                for pk in params:
+                    if pk != "p" or key == "negation":
+                        raise ConfigError(
+                            f"{token!r}: parameter {pk!r} not valid here")
+            desc = descriptor(key, name, **params)
+        except OperatorError as exc:
+            raise ConfigError(str(exc)) from None
+        if key != "negation":
+            cfg = replace(cfg, **{key: desc})
+    return cfg

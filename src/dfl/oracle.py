@@ -79,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logic import KnowledgeBase, compile_formula
-from .operators import OperatorConfig
+from .operators import OperatorConfig, descriptor
 from .valuation import (INSTANCE_CAP, GroundingTable, LookupInterpretation,
                         Plan, SemanticError, _atom_key, _atom_text,
                         _check_batch, _forward_values, _index, _layout,
@@ -98,9 +98,10 @@ WORLD_ATOM_CAP = 20
 WORLD_INSTANCE_CAP = 2 ** 32
 WORLD_CHUNK = 2 ** 14  # most worlds per array pass
 
-DPFL_CONFIG = OperatorConfig(tnorm="product", tconorm="product",
-                             implication="reichenbach",
-                             aggregator="log_product")
+DPFL_CONFIG = OperatorConfig(descriptor("tnorm", "product"),
+                             descriptor("tconorm", "product"),
+                             descriptor("implication", "reichenbach"),
+                             descriptor("aggregator", "log_product"))
 
 
 class WorldCapError(ValueError):

@@ -14,13 +14,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analysis import gradient_quality, labeling_from_atoms
 from .logic import KnowledgeBase, parse_kb
-from .operators import OperatorConfig, parse_operator_config
+from .operators import OperatorConfig, descriptor, parse_operator_config
 from .valuation import Domain, LookupInterpretation, _layout, \
     build_grounding, loss_gradient
 
@@ -86,7 +86,7 @@ def fuzzy_max_sat(kb: KnowledgeBase, ops: OperatorConfig, *,
     else:
         values = {k: float(init[k]) for k in atom_keys}
 
-    best = 0.0 if ops.aggregator == "log_product" else 1.0
+    best = 0.0 if ops.aggregator.name == "log_product" else 1.0
     target = -sum(w * best for _, w in kb.entries)
     trajectory = []
     for step in range(steps + 1):  # the last valuation takes no step
@@ -268,10 +268,14 @@ class TinyModel:
 # ---------------------------------------------------------------------------
 # training
 
+# the operators of a run that names none
+_DEFAULT_OPS = OperatorConfig(
+    aggregator=descriptor("aggregator", "log_product"))
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    ops: OperatorConfig = field(default_factory=lambda: OperatorConfig(
-        aggregator="log_product"))
+    ops: OperatorConfig = _DEFAULT_OPS
     w_dfl: float = 10.0
     labeled_fraction: float = 0.01
     sup_batch: int = 64
@@ -542,11 +546,13 @@ def _apply_axis(base: TrainConfig, axis: str, value, seed: int) -> TrainConfig:
         ops = parse_operator_config(f"{axis}={value}", base=base.ops)
         return replace(base, ops=ops, seed=seed)
     if axis in ("s", "b0"):
-        if base.ops.implication != "sigmoidal":
+        if base.ops.implication.name != "sigmoidal":
             raise ValueError(f"axis {axis!r} needs a sigmoidal implication")
-        ops = replace(base.ops, **{"sigmoid_s" if axis == "s" else "sigmoid_b0":
-                                   float(value)})
-        return replace(base, ops=ops, seed=seed)
+        params = dict(base.ops.implication.params)
+        implication = descriptor("implication", "sigmoidal",
+                                 **{**params, axis: float(value)})
+        return replace(base, ops=replace(base.ops, implication=implication),
+                       seed=seed)
     raise ValueError(f"unknown sweep axis {axis!r}")
 
 
@@ -582,9 +588,5 @@ def parse_train_config(text: str) -> TrainConfig:
             kwargs[key] = _CONFIG_DEFAULTS[key](value)
         else:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-    base_ops = OperatorConfig(aggregator="log_product")
-    if op_parts:
-        kwargs["ops"] = parse_operator_config(" ".join(op_parts), base=base_ops)
-    else:
-        kwargs["ops"] = base_ops
+    kwargs["ops"] = parse_operator_config(" ".join(op_parts), base=_DEFAULT_OPS)
     return TrainConfig(**kwargs)

@@ -398,7 +398,7 @@ def _non_finite(ops: OperatorConfig, op: str, what: str, x) -> ValueError:
     """The tape's error for a non-finite value or partial, labelled with
     the operator as a tape node would be."""
     prefix, attr = _OPERATOR_FIELDS[op]
-    return ValueError(f"{prefix}_{getattr(ops, attr)}: non-finite {what} "
+    return ValueError(f"{prefix}_{getattr(ops, attr).name}: non-finite {what} "
                       f"{float(x)!r}")
 
 
@@ -528,7 +528,7 @@ class Plan:
 
     def stacks(self, ops: OperatorConfig) -> list:
         """The stacks under ``ops``'s log-space flag, one per shape."""
-        log_space = ops.aggregator == "log_product"
+        log_space = ops.aggregator.name == "log_product"
         if log_space not in self._stacks:
             self._stacks[log_space] = [_Stack(*shape, self.layout, log_space)
                                        for shape in self.shapes]
@@ -583,9 +583,9 @@ def _forward(stack: _Stack, g: GroundingTable, ops, index: dict) -> tuple:
     instrs = stack.programs[0].instrs
     values: list = [None] * len(instrs)
     local: list = [None] * len(instrs)
-    kernels = ops.arrays
-    binary = {"and": kernels.tnorm, "or": kernels.tconorm,
-              "implies": kernels.implication}
+    aggregate = ops.aggregator.bound
+    binary = {"and": ops.tnorm.bound, "or": ops.tconorm.bound,
+              "implies": ops.implication.bound}
     for i, instr in enumerate(instrs):
         op = instr.op
         if op == "atom":
@@ -600,7 +600,7 @@ def _forward(stack: _Stack, g: GroundingTable, ops, index: dict) -> tuple:
                 X = np.broadcast_to(X, stack.spread[i])
             if stack.log_space:
                 order, flat, moved, back = stack.moves[i]
-                v, P = kernels.aggregate(X.transpose(order).reshape(flat))
+                v, P = aggregate(X.transpose(order).reshape(flat))
                 _check_finite(ops, op, v, [P])
                 levels = [P.reshape(moved).transpose(back)]
                 v = v.reshape(stack.shapes[i])
@@ -608,7 +608,7 @@ def _forward(stack: _Stack, g: GroundingTable, ops, index: dict) -> tuple:
                 levels = []
                 v = X
                 for front, back, shape in stack.moves[i]:
-                    agg, P = kernels.aggregate(v.transpose(front))
+                    agg, P = aggregate(v.transpose(front))
                     _check_finite(ops, op, agg, [P])
                     levels.append(P.transpose(back))
                     v = agg.reshape(shape)

@@ -53,9 +53,8 @@ def valuate(f, g, ops, mu=None, instances=None) -> Node:
 
 
 def _implication(ops, a, c):
-    return implication_kernel(ops.implication, a, c, p=ops.implication_p,
-                              s=ops.sigmoid_s, b0=ops.sigmoid_b0,
-                              base=ops.sigmoid_base)
+    return implication_kernel(ops.implication.name, a, c,
+                              **dict(ops.implication.params))
 
 
 def _collapse_forall(f: ForAll):
@@ -100,21 +99,23 @@ def _eval(node, g, ops, mu, instances, at_root=False):
     if isinstance(node, And):
         lhs = _eval(node.lhs, g, ops, mu, instances)
         rhs = _eval(node.rhs, g, ops, mu, instances)
-        v, partials = tnorm_kernel(ops.tnorm, lhs.value, rhs.value, ops.tnorm_p)
-        return tape.record(f"T_{ops.tnorm}", [lhs, rhs], v, partials)
+        v, partials = tnorm_kernel(ops.tnorm.name, lhs.value, rhs.value,
+                                   ops.tnorm.p)
+        return tape.record(f"T_{ops.tnorm.name}", [lhs, rhs], v, partials)
     if isinstance(node, Or):
         lhs = _eval(node.lhs, g, ops, mu, instances)
         rhs = _eval(node.rhs, g, ops, mu, instances)
-        v, partials = tconorm_kernel(ops.tconorm, lhs.value, rhs.value,
-                                     ops.tconorm_p)
-        return tape.record(f"S_{ops.tconorm}", [lhs, rhs], v, partials)
+        v, partials = tconorm_kernel(ops.tconorm.name, lhs.value, rhs.value,
+                                     ops.tconorm.p)
+        return tape.record(f"S_{ops.tconorm.name}", [lhs, rhs], v, partials)
     if isinstance(node, Implies):
         lhs = _eval(node.lhs, g, ops, mu, instances)
         rhs = _eval(node.rhs, g, ops, mu, instances)
         v, partials = _implication(ops, lhs.value, rhs.value)
-        return tape.record(f"I_{ops.implication}", [lhs, rhs], v, partials)
+        return tape.record(f"I_{ops.implication.name}", [lhs, rhs], v,
+                           partials)
     if isinstance(node, ForAll):
-        if ops.aggregator == "log_product" and not at_root:
+        if ops.aggregator.name == "log_product" and not at_root:
             raise SemanticError(
                 "log_product produces a log-space truth value; it may only "
                 "appear as the outermost quantifier of a prenex formula")
@@ -130,7 +131,7 @@ def _eval_body(body, g, ops, mu, instances):
         ante_slot = g.tape.record("ante", [ante], ante.value, [1.0])
         cons_slot = g.tape.record("cons", [cons], cons.value, [1.0])
         v, partials = _implication(ops, ante_slot.value, cons_slot.value)
-        out = g.tape.record(f"I_{ops.implication}", [ante_slot, cons_slot],
+        out = g.tape.record(f"I_{ops.implication.name}", [ante_slot, cons_slot],
                             v, partials)
         instances.append(InstanceRecord(dict(mu), ante_slot, cons_slot,
                                         body.lhs, body.rhs))
@@ -141,15 +142,16 @@ def _eval_body(body, g, ops, mu, instances):
 def _eval_quantifier(vars_, body, g, ops, mu, instances):
     tape = g.tape
     batch = g.batch
-    if ops.aggregator == "log_product":
+    if ops.aggregator.name == "log_product":
         values = []
         for combo in itertools.product(batch, repeat=len(vars_)):
             mu.update(zip(vars_, combo))
             values.append(_eval_body(body, g, ops, mu, instances))
         for var in vars_:
             mu.pop(var, None)
-        v, partials = aggregate_kernel(ops.aggregator, [n.value for n in values],
-                                       ops.aggregator_p)
+        v, partials = aggregate_kernel(ops.aggregator.name,
+                                       [n.value for n in values],
+                                       ops.aggregator.p)
         return tape.record("A_log_product", values, v, partials)
 
     def agg_over(remaining):
@@ -161,10 +163,10 @@ def _eval_quantifier(vars_, body, g, ops, mu, instances):
             mu[var] = idx
             children.append(agg_over(remaining[1:]))
         del mu[var]
-        v, partials = aggregate_kernel(ops.aggregator,
+        v, partials = aggregate_kernel(ops.aggregator.name,
                                        [n.value for n in children],
-                                       ops.aggregator_p)
-        return tape.record(f"A_{ops.aggregator}", children, v, partials)
+                                       ops.aggregator.p)
+        return tape.record(f"A_{ops.aggregator.name}", children, v, partials)
 
     return agg_over(list(vars_))
 

@@ -326,6 +326,20 @@ _NOT_UTF8 = b"\xff\xfe"
      "labeled_fraction must be a finite number, got nan"),
     (["sweep", "--config", "{cfg}", "--axis", "w_dfl", "--values", "1,-inf"],
      {"cfg": b"seed=1\n"}, 3, "w_dfl must be a finite number, got -inf"),
+    (["eval", "--kb", "{kb}", "--grounding", "{g}", "--ops",
+      "tnorm=yager:p=nan"], {"kb": _KB, "g": _GROUNDING}, 3,
+     "yager t-norm requires a finite p, got nan"),
+    (["eval", "--kb", "{kb}", "--grounding", "{g}", "--ops",
+      "tnorm=yager:p=inf"], {"kb": _KB, "g": _GROUNDING}, 3,
+     "yager t-norm requires a finite p, got inf"),
+    (["analyze", "fractions", "--op", "yager_tnorm", "--p", "nan", "--seed",
+      "1"], {}, 3, "yager t-norm requires a finite p, got nan"),
+    (["train", "--config", "{cfg}"],
+     {"cfg": b"seed=1\nimplication=sigmoidal:base=reichenbach,s=nan\n"}, 3,
+     "sigmoidal implication requires finite s and b0, got s=nan, b0=-0.5"),
+    (["sweep", "--config", "{cfg}", "--axis", "s", "--values=-1,9"],
+     {"cfg": b"seed=1\nimplication=sigmoidal:base=reichenbach,s=9\n"}, 3,
+     "sigmoidal implication requires s > 0, got -1.0"),
     (["train", "--config", "{cfg}"], {"cfg": b"seed=1\n" + _NOT_UTF8}, 2,
      "not UTF-8 text"),
     (["eval", "--kb", "{kb}", "--grounding", "{g}"],

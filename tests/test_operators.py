@@ -519,12 +519,18 @@ def test_parse_operator_config():
     cfg = parse_operator_config(
         "tnorm=yager:p=2 implication=sigmoidal:base=reichenbach,s=9,b0=-0.5 "
         "aggregator=log_product")
-    assert cfg.tnorm == "yager" and cfg.tnorm_p == 2.0
-    assert cfg.implication == "sigmoidal"
-    assert cfg.sigmoid_base == "reichenbach"
-    assert cfg.sigmoid_s == 9.0 and cfg.sigmoid_b0 == -0.5
-    assert cfg.aggregator == "log_product"
-    assert cfg.tconorm == "product"
+    assert cfg.tnorm.name == "yager" and cfg.tnorm.p == 2.0
+    assert cfg.implication.name == "sigmoidal"
+    params = dict(cfg.implication.params)
+    assert params["base"] == "reichenbach"
+    assert params["s"] == 9.0 and params["b0"] == -0.5
+    assert cfg.aggregator.name == "log_product"
+    assert cfg.tconorm.name == "product"
+    # a sigmoidal token without p keeps the implication's p
+    carried = parse_operator_config(
+        "implication=yager_s:p=2 implication=sigmoidal:base=yager_s,s=9")
+    assert carried.implication == descriptor("implication", "sigmoidal",
+                                             base="yager_s", s=9.0, p=2.0)
 
 
 def test_parse_operator_config_errors():
@@ -553,6 +559,17 @@ def test_parse_operator_config_errors():
     with pytest.raises(ConfigError, match=re.escape(
             "'negation=classic:p=2': parameter 'p' not valid here")):
         parse_operator_config("negation=classic:p=2")
+    # a parameter given twice is refused, not overwritten
+    for text, key in [("tnorm=yager:p=2,p=3", "p"),
+                      ("implication=sigmoidal:base=reichenbach,s=9,"
+                       "base=godel,s=1", "base")]:
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{text}: parameter {key!r} given twice")):
+            parse_operator_config(text)
+    # every token's parameters are checked too, as its name is
+    with pytest.raises(ConfigError,
+                       match="yager t-norm requires parameter p"):
+        parse_operator_config("tnorm=yager tnorm=godel")
 
 
 def test_config_describe_roundtrip():
@@ -587,7 +604,7 @@ def test_every_registry_row_is_in_the_catalog():
     ("foo", "product", {}, "unknown family 'foo'"),
     ("implication", "sigmoidal", {}, "requires a base implication"),
     ("implication", "sigmoidal", dict(base="foo", s=9.0),
-     "unknown implication 'foo'"),
+     "unknown sigmoidal base 'foo'"),
     ("tnorm", "godel", dict(p=2.0), "t-norm godel takes no parameter p"),
     ("tnorm", "yager", {}, "yager t-norm requires parameter p"),
     ("aggregator", "mae", dict(p=1.0), "mae takes no parameter p"),
@@ -670,10 +687,36 @@ def test_only_the_sigmoidal_implication_takes_s_b0_and_base(kw):
                      np.array([0.3]), np.array([0.6]))):
         with pytest.raises(OperatorError, match=re.escape(message)):
             call()
-    with pytest.raises(OperatorError, match=re.escape(message)):
-        OperatorConfig(implication="godel", **{
-            {"s": "sigmoid_s", "b0": "sigmoid_b0",
-             "base": "sigmoid_base"}[key]: kw[key]}).validate()
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("family,name,kw,key", [
+    ("tnorm", "yager", {}, "p"),
+    ("aggregator", "pme", {}, "p"),
+    ("implication", "yager_s", {}, "p"),
+    ("implication", "sigmoidal", dict(base="yager_s", s=9.0), "p"),
+    ("implication", "sigmoidal", dict(base="reichenbach"), "s"),
+    ("implication", "sigmoidal", dict(base="reichenbach", s=9.0), "b0"),
+])
+def test_descriptor_refuses_non_finite_parameters(family, name, kw, key, x):
+    with pytest.raises(OperatorError, match=f"finite|{key} > 0|{key} >= 1"):
+        descriptor(family, name, **kw, **{key: x})
+
+
+def test_operator_config_holds_one_descriptor_per_family():
+    cfg = OperatorConfig()
+    assert [d.family for d in vars(cfg).values()] == [
+        "tnorm", "tconorm", "implication", "aggregator"]
+    assert cfg.describe() == ("tnorm=product tconorm=product "
+                              "implication=reichenbach aggregator=product")
+    with pytest.raises(OperatorError, match=re.escape(
+            "OperatorConfig.tnorm must be an OperatorDescriptor of family "
+            "'tnorm', got 'godel'")):
+        OperatorConfig(tnorm="godel")
+    with pytest.raises(OperatorError, match=re.escape(
+            "OperatorConfig.aggregator must be an OperatorDescriptor of "
+            "family 'aggregator'")):
+        OperatorConfig(aggregator=descriptor("tnorm", "product"))
 
 
 # ---------------------------------------------------------------------------

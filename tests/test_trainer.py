@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -161,7 +162,7 @@ def test_train_run_builds_one_plan_and_reuses_it():
         g = build_grounding(_BatchInterpretation(P, S),
                             Domain(["b0", "b1", "b2"]), kb.signature,
                             [0, 1, 2])
-        loss_gradient(kb, g, OperatorConfig(aggregator="log_product"))
+        loss_gradient(kb, g, parse_operator_config("aggregator=log_product"))
         return valuation._plan.cache_info().misses
 
     assert misses() == misses() == 2
@@ -197,14 +198,14 @@ def test_gradient_step_identity():
     _same_bce_gradients(model, X_sup, H_sup, pos, neg, g_same)
     g_dfl = model.zero_grads()
     frame = _batch_frame(len(batch), kb)
-    _dfl_gradients(model, task.X[batch], kb, OperatorConfig(
-        aggregator="log_product"), 1.0, g_dfl, frame)
+    _dfl_gradients(model, task.X[batch], kb, parse_operator_config(
+        "aggregator=log_product"), 1.0, g_dfl, frame)
 
     combined = model.zero_grads()
     _ce_gradients(model, X_sup, H_sup, y_sup, combined)
     _same_bce_gradients(model, X_sup, H_sup, pos, neg, combined)
-    _dfl_gradients(model, task.X[batch], kb, OperatorConfig(
-        aggregator="log_product"), w_dfl, combined, frame)
+    _dfl_gradients(model, task.X[batch], kb, parse_operator_config(
+        "aggregator=log_product"), w_dfl, combined, frame)
 
     before = model.get_flat()
     model.apply_step(combined, lr=0.01)
@@ -222,7 +223,7 @@ def test_dfl_gradients_match_finite_differences():
     task = make_task(7, n=200, test_n=50)
     model = TinyModel(task.dim, 8, 10, seed=7)
     kb = digit_kb()
-    ops = OperatorConfig(aggregator="log_product")
+    ops = parse_operator_config("aggregator=log_product")
     batch = task.unlabeled_idx[:3]
     X = task.X[batch]
     grads = model.zero_grads()
@@ -360,7 +361,7 @@ def _readback_loop(g, loss, P, S, w_dfl):
     return dP, dZ
 
 
-@pytest.mark.parametrize("ops", [OperatorConfig(aggregator="log_product"),
+@pytest.mark.parametrize("ops", [parse_operator_config("aggregator=log_product"),
                                  GODEL, LUK], ids=["log_product", "godel",
                                                    "lukasiewicz"])
 def test_atom_adjoints_equal_the_readback_loop(ops):
@@ -414,7 +415,7 @@ def test_cu_ant_under_shuffled_labels_matches_counting_oracle():
     marginal = np.bincount(shuffled, minlength=10) / len(shuffled)
     model = TinyModel(task.dim, 16, 10, seed=10)
     kb = digit_kb()
-    ops = OperatorConfig(aggregator="log_product")
+    ops = parse_operator_config("aggregator=log_product")
     batch = task.unlabeled_idx[:6]
 
     from dfl.trainer import _softmax
@@ -513,6 +514,22 @@ def test_sweep_refuses_bad_seed_before_any_run(monkeypatch):
     assert runs == []
 
 
+@pytest.mark.parametrize("axis,values,message", [
+    ("s", [9.0, -1.0], "sigmoidal implication requires s > 0, got -1.0"),
+    ("b0", [-0.5, float("nan")], "requires finite s and b0, got s=9.0, b0=nan"),
+])
+def test_sweep_checks_s_and_b0_before_any_run(monkeypatch, axis, values,
+                                              message):
+    runs = []
+    monkeypatch.setattr(trainer, "semi_supervised_train",
+                        lambda *args: runs.append(args))
+    base = TrainConfig(seed=1, ops=parse_operator_config(
+        "implication=sigmoidal:base=reichenbach,s=9"), **SWEEP_FAST)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config_sweep(base, axis, values)
+    assert runs == []
+
+
 def test_sweep_continues_after_per_run_failure():
     base = TrainConfig(seed=1, **SWEEP_FAST)
     rows, means = config_sweep(base, "formula-subset", ["", "1"])
@@ -533,8 +550,8 @@ seed=3
 labeled_fraction=0.02
 formulas=1,3
 """)
-    assert config.ops.implication == "sigmoidal"
-    assert config.ops.sigmoid_s == 9.0
+    assert config.ops.implication.name == "sigmoidal"
+    assert dict(config.ops.implication.params)["s"] == 9.0
     assert config.w_dfl == 10.0
     assert config.steps == 50
     assert config.formulas == (1, 3)

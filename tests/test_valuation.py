@@ -210,12 +210,13 @@ def test_all_true_kb_for_every_aggregator():
                    ("lukasiewicz", None), ("bounded_sum", None),
                    ("prob_sum", None), ("yager", 2.0), ("nilpotent", None),
                    ("pme", 2.0), ("pmean", 2.0), ("mae", None), ("rmse", None)]:
-        ops = OperatorConfig(aggregator=agg, aggregator_p=p)
+        ops = parse_operator_config(f"aggregator={agg}"
+                                    + (f":p={p}" if p else ""))
         g = build_grounding(_const_interp({"p": 1}, 1.0), domain, {"p": 1},
                             [0, 1, 2])
         assert valuate(kb.formulas()[0], g, ops).value == pytest.approx(1.0, abs=1e-6)
     g = build_grounding(_const_interp({"p": 1}, 1.0), domain, {"p": 1}, [0, 1, 2])
-    ops = OperatorConfig(aggregator="log_product")
+    ops = parse_operator_config("aggregator=log_product")
     assert valuate(kb.formulas()[0], g, ops).value == pytest.approx(0.0, abs=1e-6)
 
 
@@ -224,7 +225,7 @@ def test_single_instance_conjunction_godel():
     domain = _uniform_domain(1)
     table = {("p", (0,)): 0.5, ("q", (0,)): 0.4}
     g = build_grounding(LookupInterpretation(table), domain, {"p": 1, "q": 1}, [0])
-    ops = OperatorConfig(tnorm="godel", tconorm="godel", aggregator="min")
+    ops = parse_operator_config("tnorm=godel tconorm=godel aggregator=min")
     assert valuate(kb.formulas()[0], g, ops).value == pytest.approx(0.4)
 
 
@@ -308,7 +309,7 @@ def test_log_product_flattens_quantifier_block():
     table = {("p", (i, j)): 0.2 + 0.2 * i + 0.1 * j for i in range(2)
              for j in range(2)}
     g = build_grounding(LookupInterpretation(table), domain, {"p": 2}, [0, 1])
-    ops = OperatorConfig(aggregator="log_product")
+    ops = parse_operator_config("aggregator=log_product")
     value = valuate(kb.formulas()[0], g, ops).value
     assert value == pytest.approx(sum(math.log(v) for v in table.values()),
                                   rel=1e-12)
@@ -321,7 +322,7 @@ def test_log_product_rejected_under_connective():
     domain = _uniform_domain(2)
     g = build_grounding(_const_interp({"p": 1, "q": 1}, 0.5), domain,
                         {"p": 1, "q": 1}, [0, 1])
-    ops = OperatorConfig(aggregator="log_product")
+    ops = parse_operator_config("aggregator=log_product")
     with pytest.raises(SemanticError, match="log_product"):
         valuate(bad, g, ops)
     # but the same shape is fine for ordinary aggregators
