@@ -20,7 +20,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .logic import compile_formula
 from .operators import (OperatorConfig, OperatorDescriptor, OperatorError,
                         _arity_error, _count_live, descriptor,
                         lukasiewicz_fraction, nilpotent_fraction,
@@ -225,8 +224,8 @@ def gradient_quality(kb, g: GroundingTable, ops: OperatorConfig,
     ``labels`` gives the {0,1} data truth of every ground atom (see
     ``labeling_from_atoms``), asked once per atom of each predicate that
     an implication-bodied formula reads, into one boolean vector laid
-    out like ``g.values``, before the instance cap is checked over the
-    whole knowledge base; the truth of each antecedent and consequent
+    out like ``g.values``, once the knowledge base's plan admits it
+    (``valuation.Plan``); the truth of each antecedent and consequent
     instance follows from it over the compiled programs, one stack of
     programs of one shape at a time (``classical_values``).  Each
     instance's antecedent and consequent derivatives come from the
@@ -238,22 +237,19 @@ def gradient_quality(kb, g: GroundingTable, ops: OperatorConfig,
     denominator are returned as nan.
     """
     formulas = kb.formulas()
-    programs = tuple(compile_formula(f) for f in formulas)
-    used = [program.body is not None
-            and program.instrs[program.body].op == "implies"
-            for program in programs]
-    truth = _atom_truth([p for p, u in zip(programs, used) if u], g,
+    plan = _plan_for(formulas, g, ops)
+    used = [program.instrs[program.body].op == "implies"
+            for program in plan.programs]
+    truth = _atom_truth([p for p, u in zip(plan.programs, used) if u], g,
                         labels.atom_fn)
     sums = [None] * len(formulas)  # per formula: cons, ant, cu_cons, cu_ant
-    plan = _plan_for(formulas, g, ops)
     for j, stack in enumerate(plan.stacks(ops)):
         if not used[stack.members[0]]:  # one shape, so one body, per stack
             continue
         adj, (da, dc) = _stack_derivatives(plan, j, formulas, g, ops)
         program = stack.programs[0]
         ante, cons = program.instrs[program.body].args
-        holds = classical_values(program, len(g.batch), truth,
-                                 _gathers(stack, g, None))
+        holds = classical_values(program, truth, _gathers(stack, g))
         d_cons, d_ant = adj * dc, -(adj * da)
         rows = [_row_sums(x) for x in (d_cons, d_ant, holds[cons] * d_cons,
                                        ~holds[ante] * d_ant)]
@@ -286,8 +282,7 @@ def _stack_derivatives(plan, j: int, formulas: list, g: GroundingTable,
     stack's ``formulas``."""
     kept = g.kept
     if kept is None or kept[0] is not plan or kept[1] != ops:
-        _valuate([formulas[k] for k in plan.stacks(ops)[j].members], g, ops,
-                 None)
+        _valuate([formulas[k] for k in plan.stacks(ops)[j].members], g, ops)
         kept, j = g.kept, 0
     return kept[2][j]
 

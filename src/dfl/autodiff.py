@@ -5,10 +5,10 @@ output with respect to each input; ``Tape.backward`` sweeps the tape once
 in reverse creation order, accumulating adjoints in a float64 array.  A
 ``record`` node keeps its edges as a tuple of (parent index, partial)
 pairs; a fused node (``record_fused``, many inputs given by tape index)
-keeps them as two arrays, swept with one ``np.add.at``.  The valuation
-engine records each formula as a fused node over atom leaves recorded in
-bulk (``leaf_range``), which builds no Node and makes each leaf's label
-only when ``labels``, ``Node.label`` or ``dump`` first reads it; training
+keeps them as two arrays, swept with one ``np.add.at``.  ``dfl_loss``
+records a loss as one fused node over atom leaves recorded in bulk
+(``leaf_range``), which builds no Node and makes each leaf's label only
+when ``labels``, ``Node.label`` or ``dump`` first reads it; training
 uses ``valuation.loss_gradient`` instead.
 
 Completed tapes are read-only.  A tape must not be shared between

@@ -258,11 +258,10 @@ class Instr(NamedTuple):
 
     ``op`` is atom, not, and, or, implies or forall; ``args`` are the
     operand steps.  An atom step keeps its ``atom``, and its ``terms``
-    hold, per argument, the axis of its quantified variable or the name
-    of a variable that ``mu`` binds.  A forall lists its ``vars`` and
-    their ``axes`` outermost first; ``root`` marks the quantifier block
-    at the root of the formula.  Steps hold no reference to the formula
-    itself, so a cached program does not keep its formula alive.
+    hold, per argument, the axis of its quantified variable or, for a
+    variable no quantifier binds, its name.  A forall lists its ``vars``
+    and their ``axes`` outermost first.  Steps hold no reference to the
+    formula itself, so a cached program does not keep its formula alive.
     """
 
     op: str
@@ -271,7 +270,6 @@ class Instr(NamedTuple):
     terms: tuple = ()
     vars: tuple = ()
     axes: tuple = ()
-    root: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,19 +278,20 @@ class Program:
     one axis per quantified variable (size 1 where it does not depend on
     that variable), and the last step is the formula.  Programs with the
     same ``shape`` differ only in their predicates and run as one stack
-    of formulas.  Programs compare and hash by identity, so caches can
-    key on them cheaply."""
+    of formulas.  ``fault`` says why the formula is outside the language
+    the grammar admits, or is None; only a program without one is
+    valuated.  Programs compare and hash by identity, so caches can key
+    on them cheaply."""
 
     instrs: tuple
     n_axes: int
     shape: tuple
+    fault: str | None
 
     @property
-    def body(self):
-        """Index of the root quantifier block's body, or None when the
-        formula is not quantified at its root."""
-        last = self.instrs[-1]
-        return last.args[0] if last.op == "forall" and last.root else None
+    def body(self) -> int:
+        """Index of the body of the root quantifier block."""
+        return self.instrs[-1].args[0]
 
 
 _BINARY = {And: "and", Or: "or", Implies: "implies"}
@@ -327,10 +326,8 @@ def _compile(formula) -> Program:
             args = tuple(done[-arity:])
             del done[-arity:]
             if isinstance(node, tuple):
-                # the root block is the last to finish
                 instr = Instr("forall", args=args, vars=node,
-                              axes=tuple(env[v] for v in node),
-                              root=not stack)
+                              axes=tuple(env[v] for v in node))
             else:
                 instr = Instr("not" if isinstance(node, Not)
                               else _BINARY[type(node)], args=args)
@@ -360,28 +357,42 @@ def _compile(formula) -> Program:
             stack.append((node.lhs, env, None))
         else:
             raise ParseError(f"unknown node {node!r}")
-    shape = tuple((i.op, i.args, i.terms, i.axes, i.root) for i in instrs)
-    return Program(tuple(instrs), n_axes, shape)
+    shape = tuple((i.op, i.args, i.terms, i.axes) for i in instrs)
+    return Program(tuple(instrs), n_axes, shape, _fault(instrs))
+
+
+def _fault(instrs: list) -> str | None:
+    """Why the steps are outside the language the grammar admits (closed
+    prenex formulas over atoms of at least one variable), or None."""
+    if instrs[-1].op != "forall":
+        return "formula must be universally quantified"
+    for instr in instrs[:-1]:  # the root block is the last step
+        free = [term for term in instr.terms if not isinstance(term, int)]
+        if instr.op == "forall":
+            return "quantifiers must be prenex"
+        if instr.op == "atom" and not instr.terms:
+            return f"atom {instr.atom} needs at least one variable"
+        if free:
+            return f"unbound variable {free[0]!r} in {instr.atom}"
+    return None
 
 
 def validate_formula(f: ForAll, signature: dict | None = None,
                      line: int = 1) -> dict:
-    """Check bound variables, arity consistency and that the only
-    quantifier is ``f``'s own; returns the (possibly updated) predicate
-    signature table."""
-    if not isinstance(f, ForAll):
-        raise ParseError("formula must be universally quantified", line)
+    """Check that ``f`` is in the language (``Program.fault``), that its
+    quantifier block is one ``forall`` chain, and arity consistency;
+    returns the (possibly updated) predicate signature table."""
+    program = compile_formula(f)
+    if program.fault is not None:
+        raise ParseError(program.fault, line)
+    # a root block longer than f.vars is a ForAll directly under f
+    if program.instrs[-1].vars != f.vars:
+        raise ParseError("quantifiers must be prenex", line)
     signature = dict(signature or {})
-    for instr in compile_formula(f).instrs:
-        # a root block longer than f.vars is a ForAll directly under f
-        if instr.op == "forall" and not (instr.root and instr.vars == f.vars):
-            raise ParseError("quantifiers must be prenex", line)
+    for instr in program.instrs:
         if instr.op != "atom":
             continue
         atom = instr.atom
-        for term in instr.terms:
-            if not isinstance(term, int):
-                raise ParseError(f"unbound variable {term!r} in {atom}", line)
         arity = signature.setdefault(atom.pred, len(atom.args))
         if arity != len(atom.args):
             raise ParseError(f"arity conflict for {atom.pred!r}: "
@@ -418,8 +429,6 @@ def _fragments(item) -> list:
 
 def print_formula(f: ForAll) -> str:
     """Canonical text; ``parse_formula(print_formula(f)) == f``."""
-    if not isinstance(f, ForAll):
-        return _join((f, 0), _fragments)
     return f"forall {', '.join(f.vars)}: {_join((f.body, 0), _fragments)}"
 
 

@@ -83,7 +83,7 @@ from .operators import OperatorConfig, descriptor
 from .valuation import (INSTANCE_CAP, GroundingTable, LookupInterpretation,
                         Plan, SemanticError, _atom_key, _atom_text,
                         _check_batch, _forward_values, _index, _layout,
-                        check_instance_cap, classical_values)
+                        _missing, check_instance_cap, classical_values)
 
 __all__ = [
     "WorldCapError", "AtomOccurrence", "EquivalenceReport",
@@ -149,9 +149,10 @@ def _union(label: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 class _Plan(Plan):
     """What the oracle knows of ``programs`` over ``batch`` before it sees
     a probability, starting from their valuation plan under
-    ``DPFL_CONFIG`` on the atom vector of every predicate they read.
-    What is not a valuation plan's is worked out on first use and kept,
-    but ``instances``.  One object per programs and batch (``_plan``)."""
+    ``DPFL_CONFIG`` on the atom vector of every predicate they read,
+    which refuses the programs the valuation engine refuses.  What is
+    not a valuation plan's is worked out on first use and kept, but
+    ``instances``.  One object per programs and batch (``_plan``)."""
 
     def __init__(self, programs: tuple, batch: tuple):
         _check_batch(batch)
@@ -161,6 +162,10 @@ class _Plan(Plan):
                    if instr.op == "atom"}
         super().__init__(programs, _layout(len(batch), tuple(sorted(
             arities.items()))))
+        for _, stacked, index in self.shapes:
+            if isinstance(index, tuple):  # a predicate read at two arities
+                instr = stacked[index[1]].instrs[index[0]]
+                raise _missing(instr.atom.pred, [batch[0]] * len(instr.terms))
         self.batch = batch
         self.instances = sum(len(batch) ** p.n_axes for p in programs)
 
@@ -312,7 +317,7 @@ class _Plan(Plan):
                                     len(part))
                 ok = mask[start:start + len(truth)]
                 for program, index, inside in runs:
-                    values = classical_values(program, b, truth, index)
+                    values = classical_values(program, truth, index)
                     if inside is None:
                         ok &= values[-1].reshape(-1)
                     else:

@@ -147,6 +147,10 @@ def make_task(seed: int, n: int = 5000, dim: int = 16, classes: int = 10,
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(classes, dim)) * center_scale
     y = rng.integers(0, classes, size=n)
+    drawn = np.bincount(y, minlength=classes)
+    if not drawn.all():
+        raise ValueError(f"n_points={n} draws no point of class "
+                         f"{int(drawn.argmin())}; raise n_points")
     X = centers[y] + rng.normal(size=(n, dim)) * noise
     y_test = rng.integers(0, classes, size=test_n)
     X_test = centers[y_test] + rng.normal(size=(test_n, dim)) * noise
@@ -297,12 +301,23 @@ class TrainConfig:
             if not math.isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be a finite number, got "
                                  f"{getattr(self, key)!r}")
-        if self.w_dfl < 0 or self.lr <= 0 or self.steps <= 0:
-            raise ValueError("w_dfl must be >= 0 and lr/steps positive")
+        if self.w_dfl < 0 or self.lr <= 0:
+            raise ValueError("w_dfl must be >= 0 and lr positive")
         if not 0 < self.labeled_fraction <= 1:
             raise ValueError("labeled_fraction must be in (0, 1]")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for key in ("steps", "sup_batch", "dfl_batch", "eval_interval",
+                    "hidden", "n_points", "dim", "test_n"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got "
+                                 f"{getattr(self, key)}")
+        if self.classes < len(DIGITS):
+            raise ValueError(f"classes must be >= {len(DIGITS)}, one per "
+                             f"digit predicate, got {self.classes}")
+        if not self.formulas or not set(self.formulas) <= {1, 2, 3}:
+            raise ValueError(f"formulas must be a non-empty subset of "
+                             f"1,2,3, got {self.formulas!r}")
 
 
 @dataclass
@@ -450,6 +465,10 @@ def _quality_labels(task, batch_global):
 def semi_supervised_train(task: SyntheticTask, config: TrainConfig):
     """Cross-entropy + w_dfl * fuzzy loss + same-pair BCE, plain gradient
     descent.  Returns the trained model and the metrics series."""
+    if config.w_dfl > 0 and not len(task.unlabeled_idx):
+        raise ValueError(f"labeled_fraction={config.labeled_fraction} labels "
+                         f"all {len(task.y)} points: no unlabeled point is "
+                         f"left for w_dfl={config.w_dfl} > 0")
     rng = np.random.default_rng(config.seed)
     model = TinyModel(task.dim, config.hidden, config.classes,
                       seed=config.seed + 7919)

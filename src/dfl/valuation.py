@@ -8,39 +8,34 @@ float64 vector: predicates in sorted order, each predicate's atoms in
 compiled once (``logic.compile_formula``) into a postorder program with
 one array axis per quantified variable, so over b objects a formula with
 d quantified variables is valuated as arrays of b**d ground instances.
-Nested quantifier variables aggregate innermost-first (``forall x, y``
-is A_x(A_y(...))), except under log-product, whose output lives in
-(-inf, 0] and may not feed another connective: its whole quantifier
-block is one flat aggregation over all b**d instances.
+Only closed prenex formulas are valuated: a plan refuses a program with
+a ``fault`` (``logic.Program``) before any array is built.  The root
+quantifier block aggregates innermost-first (``forall x, y`` is
+A_x(A_y(...))), except under log-product, which aggregates the block
+flat over all b**d instances.
 
 What no truth value changes is compiled once per tuple of programs and
 layout into a cached ``Plan``: programs of one shape form a stack, run
 as one pass with a leading formula axis, with one gather index (the
 flat atom-vector position of every instance each atom step reads, and
-its position in the stack's gradient rows) or the error of the first
-step that cannot gather.  Per log-space flag, each stack also holds
-every step's array shape, the transposes of each aggregation and the
-axes each adjoint sums over; the stacks of both flags read the same
-gather index.  The plan also holds each formula's atom slice.  Only a
-valuation under ``mu`` gathers afresh.
+its position in the stack's gradient rows) or the first step that
+cannot gather.  Per log-space flag, each stack also holds every step's
+array shape, the transposes of the aggregation and the axes each
+adjoint sums over; the stacks of both flags read the same gather index.
 The instance cap is checked on every call, before the plan is sought.
 
 The forward pass (``_forward``) computes every step's array and local
 partials, checking that each is finite; the backward pass (``_backward``)
 runs in reverse, summing each adjoint over the axes its operand was
 broadcast along, and scatters each atom step's adjoint into the
-formula's gradient row, d(valuation)/d(atom).  A valuation without
-``mu`` leaves on the grounding, as ``kept``, its plan, its ops and per
-stack the root quantifier body's adjoint and partials, which the
-gradient diagnostics read.  ``_forward_values`` (the oracle's and
-``dfl eval``'s) stops after the forward pass.  ``loss_gradient`` adds the rows
-times -weight in reverse knowledge-base order, the order in which
-``Tape.backward`` from ``dfl_loss`` accumulates them, so the two agree
-bit for bit.  Only ``valuate`` and ``dfl_loss`` use the scalar tape,
-recording each formula as one fused node over the atom leaves, which a
-grounding records in bulk when ``tape`` is first read; Node handles are
-built when ``nodes`` or ``node()`` is first read, each label when the
-tape first reads it.
+formula's gradient row, d(valuation)/d(atom).  A valuation leaves on the
+grounding, as ``kept``, its plan, its ops and per stack the root
+quantifier body's adjoint and partials, which the gradient diagnostics
+read.  ``valuate`` and ``_forward_values`` (the oracle's and ``dfl
+eval``'s) stop after the forward pass.  ``loss_gradient`` adds the rows
+times -weight in reverse knowledge-base order; ``dfl_loss`` records that
+loss on the grounding's tape as one fused node over the atom leaves,
+with the gradient as partials.
 """
 from __future__ import annotations
 
@@ -71,8 +66,8 @@ INSTANCE_CAP = 1_000_000
 
 
 class SemanticError(ValueError):
-    """Well-formed input that cannot be valuated (unresolvable atom,
-    log-product output consumed by a connective, scorer out of range)."""
+    """Well-formed input that cannot be valuated (a formula outside the
+    language, unresolvable atom, scorer out of range)."""
 
 
 class InstanceCapError(ValueError):
@@ -172,22 +167,26 @@ class GroundingTable:
 
     ``values`` is the atom vector (clamped) and ``raw_values`` the scores
     before clamping, both laid out by ``layout`` and filled by ``_score``;
-    ``keys()`` lists the atoms in that order.  Tape leaves are recorded
-    only when ``tape`` is first read (``nodes`` and ``node()`` read it),
-    as one bulk block of the atom vector; ``_leaf_idx`` holds their tape
-    indices.  Their Node handles are built on the first read of ``nodes``
-    or ``node()`` and kept, and each label, ``f"{pred}{objs}"``, is made
-    when the tape first reads it.  ``kept`` is the latest valuation
-    without ``mu`` on this grounding: (its plan, its ops, per stack of the
-    plan the root quantifier body's adjoint and its local partials; see
-    ``_backward``), or None.
+    ``keys()`` lists the atoms in that order.  The grounding owns its
+    tape, made when ``tape`` is first read (``nodes`` and ``node()`` read
+    it), with the atom vector recorded on it as one bulk block of leaves;
+    ``_leaf_idx`` holds their tape indices.  Their Node handles are built
+    on the first read of ``nodes`` or ``node()`` and kept, and each label,
+    ``f"{pred}{objs}"``, is made when the tape first reads it.  ``kept``
+    is the latest valuation with a backward pass on this grounding: (its
+    plan, its ops, per stack of the plan the root quantifier body's
+    adjoint and its local partials; see ``_backward``), or None.
     """
 
-    def __init__(self, batch, layout: _Layout, names, tape: Tape | None = None):
+    # one per valuation call: without slots, the size class of its
+    # instance dict alone moved the oracle benchmark's peak RSS by 1.6 MB
+    __slots__ = ("batch", "layout", "names", "kept", "raw_values", "values",
+                 "_tape", "_nodes", "_raw", "_leaf_idx", "_keys")
+
+    def __init__(self, batch, layout: _Layout, names):
         self.batch, self.layout, self.names = list(batch), layout, names
-        self.kept, self._tape = None, tape
+        self.kept = self._tape = None
         self._nodes = self._raw = self._leaf_idx = self._keys = None
-        self._positions = {obj: i for i, obj in enumerate(self.batch)}
 
     def _score(self, raw: np.ndarray, clamp_eps: float = CLAMP_EPS):
         """Take ``raw`` as the scores of the atom vector and store them
@@ -220,9 +219,8 @@ class GroundingTable:
     def tape(self) -> Tape:
         """The tape, with the atom vector recorded on it as leaves, in
         bulk and without Node handles, on first read."""
-        if self._leaf_idx is None:
-            if self._tape is None:
-                self._tape = Tape()
+        if self._tape is None:
+            self._tape = Tape()
             # the labeller holds no reference to the table, so the table
             # and its tape form no cycle
             leaves = self._tape.leaf_range(self.values, functools.partial(
@@ -254,10 +252,6 @@ class GroundingTable:
         vector = self.values if vector is None else vector
         return vector[offset:offset + b ** arity].reshape((b,) * arity)
 
-    def position(self, obj: int):
-        """Batch position of object ``obj``, or None outside the batch."""
-        return self._positions.get(obj)
-
 
 def _atom_key(layout: _Layout, batch, k: int) -> tuple:
     """(pred, objs) of atom ``k`` of an atom vector laid out by ``layout``
@@ -285,7 +279,6 @@ def _missing(pred, objs, names=None) -> SemanticError:
 
 
 def build_grounding(interp, domain: Domain, signature: dict, batch: list,
-                    tape: Tape | None = None,
                     clamp_eps: float = CLAMP_EPS) -> GroundingTable:
     """Score every ground atom over the batch into the atom vector.
 
@@ -298,13 +291,12 @@ def build_grounding(interp, domain: Domain, signature: dict, batch: list,
     atom's ``score(pred, objs)``.  Raw scores may stray 1e-6 outside
     [0, 1] (model arithmetic); anything worse, NaN included, is an error
     that names the atom.  Stored values are clamped to [eps, 1-eps], which
-    keeps log-product and Goguen kernels finite.  Leaves go on ``tape``
-    when they are first needed.
+    keeps log-product and Goguen kernels finite.
     """
     _check_batch(batch)
     g = GroundingTable(batch, _layout(len(batch),
                                       tuple(sorted(signature.items()))),
-                       domain.names, tape)
+                       domain.names)
     table = getattr(interp, "truth_table", None)
     raw = None
     if table is not None:
@@ -341,49 +333,37 @@ def build_grounding(interp, domain: Domain, signature: dict, batch: list,
 
 def _index(b: int, n_axes: int, terms: tuple) -> tuple:
     """Index arrays with ``n_axes`` axes, one per term: 0..b-1 laid along
-    axis k for a term k >= 0, the fixed position -1 - k for k < 0."""
+    axis k for a term k."""
     index = []
     for term in terms:
         shape = [1] * n_axes
-        if term >= 0:
-            shape[term] = b
-            index.append(np.arange(b).reshape(shape))
-        else:
-            index.append(np.full(shape, -1 - term))
+        shape[term] = b
+        index.append(np.arange(b).reshape(shape))
     return tuple(index)
 
 
-def _gather_index(programs: tuple, layout: _Layout, fixed: tuple):
+def _gather_index(programs: tuple, layout: _Layout):
     """Per atom step of a stack of programs, (gather, scatter): the
     positions in the atom vector of every instance the step reads, with a
     leading formula axis, and the same positions in the stack's flattened
-    (formula x atom) gradient rows.  ``fixed`` pairs each variable that
-    ``mu`` binds with its batch position (None outside the batch).  The
-    first step that cannot gather is returned instead, as (step, formula,
-    its unbound variable or None)."""
+    (formula x atom) gradient rows.  The first step that cannot gather,
+    its predicate absent from the layout or of another arity, is returned
+    instead, as (step, formula)."""
     b, n_axes = layout.b, programs[0].n_axes
-    bound = dict(fixed)
     rows = np.arange(len(programs)).reshape((-1,) + (1,) * n_axes) * layout.size
     out = {}
     for i, instr in enumerate(programs[0].instrs):  # the same terms throughout
         if instr.op != "atom":
             continue
-        terms = []
-        for term in instr.terms:
-            if not isinstance(term, int):
-                if bound.get(term) is None:
-                    return i, 0, None if term in bound else term
-                term = -1 - bound[term]
-            terms.append(term)
         offsets = []
         for f, program in enumerate(programs):
             offset, arity = layout.preds.get(program.instrs[i].atom.pred,
                                              (0, None))
-            if arity != len(terms):
-                return i, f, None
+            if arity != len(instr.terms):
+                return i, f
             offsets.append(offset)
         position = 0
-        for ix in _index(b, n_axes, tuple(terms)):
+        for ix in _index(b, n_axes, instr.terms):
             position = position * b + ix
         gather = np.reshape(offsets, rows.shape) + position
         out[i] = gather, gather + rows
@@ -438,12 +418,6 @@ def _sum_over(adjoint: np.ndarray, axes: tuple) -> np.ndarray:
     return np.add.reduce(adjoint, axis=axes, keepdims=True) if axes else adjoint
 
 
-def _log_product_error() -> SemanticError:
-    return SemanticError(
-        "log_product produces a log-space truth value; it may only "
-        "appear as the outermost quantifier of a prenex formula")
-
-
 _CONNECTIVES = ("and", "or", "implies")
 
 
@@ -451,13 +425,12 @@ class _Stack:
     """The programs of one shape in a plan (``members``: their positions
     among the plan's programs, also as the index array ``rows``) and what
     a pass over them does that no value changes: its ``_gather_index``
-    without ``mu`` (``index``, the same object under both log-space
-    flags); every step's array shape (``shapes``); per quantifier step the
-    shape its body is broadcast to (``spread``, None when the body has it)
-    and the transposes and shapes of its aggregation (``moves``); per
-    connective and quantifier step the axes along which each operand's
-    adjoint sums (``sums``).  ``log_error`` is the first quantifier step
-    whose log-product output would feed a connective, or None."""
+    (``index``, the same object under both log-space flags); every step's
+    array shape (``shapes``); for the root quantifier step the shape its
+    body is broadcast to (``spread``, None when the body has it) and the
+    transposes and shapes of its aggregation (``moves``); per connective
+    and quantifier step the axes along which each operand's adjoint sums
+    (``sums``)."""
 
     def __init__(self, members: list, programs: tuple, index,
                  layout: _Layout, log_space: bool):
@@ -465,21 +438,19 @@ class _Stack:
         self.rows = np.array(members, dtype=np.intp)
         self.index = index
         instrs, b, ndim = programs[0].instrs, layout.b, 1 + programs[0].n_axes
-        self.log_space, self.log_error = log_space, None
+        self.log_space = log_space
         self.shapes: list = []
         self.spread, self.moves, self.sums = ([None] * len(instrs)
                                               for _ in range(3))
         for i, instr in enumerate(instrs):
             args = [self.shapes[k] for k in instr.args]
             if instr.op == "atom":
-                axes = {t + 1 for t in instr.terms if isinstance(t, int)}
+                axes = {t + 1 for t in instr.terms}
                 shape = (len(programs),) + tuple(
                     b if k in axes else 1 for k in range(1, ndim))
             elif instr.op == "not":
                 shape = args[0]
             elif instr.op == "forall":
-                if log_space and not instr.root and self.log_error is None:
-                    self.log_error = i
                 axes = tuple(k + 1 for k in instr.axes)
                 full = tuple(b if k in axes else n
                              for k, n in enumerate(args[0]))
@@ -509,12 +480,16 @@ class _Stack:
 class Plan:
     """What valuating ``programs`` on atom vectors laid out by ``layout``
     needs that no truth value changes: per shape, in first-seen order,
-    the positions and programs of that shape and their gather index; the
-    stacks of each log-space flag, built from them on first use; and each
-    program's atom slice.  One object per programs and layout
-    (``_plan``), built only after the instance cap admits the programs."""
+    the positions and programs of that shape and their gather index; and
+    the stacks of each log-space flag, built from them on first use.  One
+    object per programs and layout (``_plan``), built only after the
+    instance cap admits the programs; a program with a ``fault`` is
+    refused before any array is built."""
 
     def __init__(self, programs: tuple, layout: _Layout):
+        for program in programs:
+            if program.fault is not None:
+                raise SemanticError(program.fault)
         self.programs, self.layout = programs, layout
         shapes: dict = {}
         for k, program in enumerate(programs):
@@ -523,7 +498,7 @@ class Plan:
         for members in shapes.values():
             stacked = tuple(programs[k] for k in members)
             self.shapes.append((members, stacked,
-                                _gather_index(stacked, layout, ())))
+                                _gather_index(stacked, layout)))
         self._stacks: dict = {}
 
     def stacks(self, ops: OperatorConfig) -> list:
@@ -533,16 +508,6 @@ class Plan:
             self._stacks[log_space] = [_Stack(*shape, self.layout, log_space)
                                        for shape in self.shapes]
         return self._stacks[log_space]
-
-    @functools.cached_property
-    def slices(self) -> list:
-        """Per program, the atom-vector positions of every atom of the
-        predicates it reads: the parents of its fused tape node."""
-        spans = {pred: np.arange(offset, offset + self.layout.b ** arity)
-                 for pred, (offset, arity) in self.layout.preds.items()}
-        return [np.concatenate([spans[pred] for pred in sorted(
-            {instr.atom.pred for instr in p.instrs if instr.op == "atom"})])
-            for p in self.programs]
 
 
 # each entry keeps its programs alive: room for a few knowledge bases
@@ -558,21 +523,15 @@ def _plan_for(formulas: list, g: GroundingTable, ops: OperatorConfig,
     return plan or _plan(programs, g.layout)
 
 
-def _gathers(stack: _Stack, g: GroundingTable, mu):
-    """The gather index of ``stack`` on ``g`` under ``mu``, or the
-    SemanticError of the first step that cannot gather."""
-    index = stack.index if not mu else _gather_index(
-        stack.programs, g.layout,
-        tuple((var, g.position(obj)) for var, obj in sorted(mu.items())))
-    if isinstance(index, tuple):
-        i, f, unbound = index
+def _gathers(stack: _Stack, g: GroundingTable) -> dict:
+    """The gather index of ``stack``, or the SemanticError of the first
+    step that cannot gather on ``g``."""
+    if isinstance(stack.index, tuple):
+        i, f = stack.index
         instr = stack.programs[f].instrs[i]
-        if unbound is not None:
-            raise SemanticError(f"unbound variable {unbound!r} in {instr.atom}")
-        example = [g.batch[0] if isinstance(t, int) else mu[t]
-                   for t in instr.terms]  # the objects of one instance
-        raise _missing(instr.atom.pred, example, g.names)
-    return index
+        raise _missing(instr.atom.pred, [g.batch[0]] * len(instr.terms),
+                       g.names)
+    return stack.index
 
 
 def _forward(stack: _Stack, g: GroundingTable, ops, index: dict) -> tuple:
@@ -593,8 +552,6 @@ def _forward(stack: _Stack, g: GroundingTable, ops, index: dict) -> tuple:
         elif op == "not":
             values[i] = 1.0 - values[instr.args[0]]
         elif op == "forall":
-            if i == stack.log_error:
-                raise _log_product_error()
             X = values[instr.args[0]]
             if stack.spread[i] is not None:
                 X = np.broadcast_to(X, stack.spread[i])
@@ -642,16 +599,19 @@ def _backward(stack: _Stack, g: GroundingTable, index: dict, values: list,
     per ground instance of the root quantifier block; when that body is a
     binary connective, its local partials, dI/da and dI/dc for an
     implication, each of size F or 1 on the formula axis, then one axis
-    per quantified variable).  Without a root quantifier the last two
-    are None, and so is the last without a connective body."""
+    per quantified variable, else None)."""
     instrs = stack.programs[0].instrs
     root = len(instrs) - 1
     rows = np.zeros((len(stack.programs), g.layout.size))
     flat_rows = rows.reshape(-1)
     adjoints: list = [None] * len(instrs)
-    adjoints[root] = np.ones(stack.shapes[root])
-    body_adjoint = body_partials = None
-    for i in range(root, -1, -1):
+    body_adjoint = np.ones(stack.shapes[root])
+    for P in local[root]:  # outermost first
+        body_adjoint = body_adjoint * P
+    body = stack.programs[0].body
+    body_partials = local[body] if instrs[body].op in _CONNECTIVES else None
+    adjoints[body] = _sum_over(body_adjoint, stack.sums[root][0])
+    for i in range(body, -1, -1):
         instr, adj = instrs[i], adjoints[i]
         op = instr.op
         if op == "atom":
@@ -659,15 +619,6 @@ def _backward(stack: _Stack, g: GroundingTable, index: dict, values: list,
             flat_rows[index[i][1]] += adj
         elif op == "not":
             adjoints[instr.args[0]] = -adj
-        elif op == "forall":
-            for P in local[i]:  # outermost first
-                adj = adj * P
-            body = instr.args[0]
-            if instr.root:
-                body_adjoint = adj
-                if instrs[body].op in _CONNECTIVES:
-                    body_partials = local[body]
-            adjoints[body] = _sum_over(adj, stack.sums[i][0])
         else:
             for arg, partial, axes in zip(instr.args, local[i], stack.sums[i]):
                 adjoints[arg] = _sum_over(adj * partial, axes)
@@ -675,96 +626,62 @@ def _backward(stack: _Stack, g: GroundingTable, index: dict, values: list,
 
 
 def _valuate(formulas: list, g: GroundingTable, ops: OperatorConfig,
-             mu, plan: Plan | None = None, rows=None) -> list:
+             plan: Plan | None = None, rows=None) -> list:
     """The value of each of ``formulas``, with a forward and a backward
     pass per stack of programs of one shape; ``rows(stack, its gradient
-    rows)`` is called per stack.  Without ``mu`` the valuation is kept as
-    ``g.kept``.  ``plan`` is theirs, when given."""
+    rows)`` is called per stack.  The valuation is kept as ``g.kept``.
+    ``plan`` is theirs, when given."""
     plan = _plan_for(formulas, g, ops, plan)
     values, bodies = [None] * len(formulas), []
     with np.errstate(all="ignore"):
         for stack in plan.stacks(ops):
-            index = _gathers(stack, g, mu)
+            index = _gathers(stack, g)
             forward = _forward(stack, g, ops, index)
             stack_rows, *body = _backward(stack, g, index, *forward)
             if rows is not None:
                 rows(stack, stack_rows)
             bodies.append(body)
             _root_values(stack, forward[0], values)
-    if not mu:
-        g.kept = plan, ops, bodies
+    g.kept = plan, ops, bodies
     return values
 
 
 def _forward_values(formulas: list, g: GroundingTable, ops: OperatorConfig,
-                    mu: dict | None = None, plan: Plan | None = None) -> list:
-    """The value of each of ``formulas`` under ``g``, ``ops`` and ``mu``,
-    as ``_valuate`` finds it, from the forward pass alone: no gradient
-    row or adjoint is built, and nothing is kept.  ``plan`` is theirs,
-    when given."""
+                    plan: Plan | None = None) -> list:
+    """The value of each of ``formulas`` under ``g`` and ``ops``, as
+    ``_valuate`` finds it, from the forward pass alone: no gradient row
+    or adjoint is built, and nothing is kept.  ``plan`` is theirs, when
+    given."""
     out = [None] * len(formulas)
     with np.errstate(all="ignore"):
         for stack in _plan_for(formulas, g, ops, plan).stacks(ops):
-            values, _ = _forward(stack, g, ops, _gathers(stack, g, mu))
+            values, _ = _forward(stack, g, ops, _gathers(stack, g))
             _root_values(stack, values, out)
     return out
 
 
-def _recorded(formulas: list, g: GroundingTable, ops: OperatorConfig,
-              mu) -> list:
-    """Each of ``formulas`` as one fused node on ``g``'s tape whose
-    parents are the leaves of the atoms of its atom slice, with its
-    gradient row there as partials."""
-    plan = _plan_for(formulas, g, ops)
-    rows: list = [None] * len(formulas)
-
-    def keep(stack, stack_rows):
-        for k, row in zip(stack.members, stack_rows):
-            rows[k] = row
-
-    values = _valuate(formulas, g, ops, mu, plan, keep)
-    tape = g.tape  # records the leaves, and their indices, first
-    return [tape.record_fused("valuation", g._leaf_idx[at], value, row[at])
-            for at, value, row in zip(plan.slices, values, rows)]
+def valuate(f, g: GroundingTable, ops: OperatorConfig) -> float:
+    """Fuzzy truth value of the closed prenex formula ``f`` under
+    grounding ``g`` and operators ``ops``, from the forward pass."""
+    return _forward_values([f], g, ops)[0]
 
 
-def valuate(f, g: GroundingTable, ops: OperatorConfig,
-            mu: dict | None = None) -> Node:
-    """Fuzzy truth value of ``f`` under grounding ``g`` and operators ``ops``.
-
-    ``mu`` maps variables that ``f`` leaves free to object indices.  The
-    returned tape node's parents are the ground atoms of every predicate
-    ``f`` uses, with d(value)/d(atom) as partials.
-    """
-    return _recorded([f], g, ops, mu)[0]
-
-
-def classical_values(program: Program, b: int, truth,
-                     index: dict | None = None) -> list:
-    """Boolean truth of every step of ``program`` over a batch of ``b``
-    objects: ``truth`` maps each predicate to a boolean array whose last
-    axes are batch positions, like ``GroundingTable.tensor``.  Any leading
-    axes (a world axis, say) are kept in front of the program's own.
-    With ``index``, each atom step ``i`` reads ``truth[index[i][0]]``
-    instead: for the ``_gather_index`` of a stack of programs shaped like
-    ``program`` on a grounding, ``truth`` is one boolean vector laid out
-    like the grounding's atom vector, and each atom step gathers every
-    formula of the stack from it, on a leading formula axis; an index
-    ``(Ellipsis, columns)`` reads columns of a ``truth`` matrix and keeps
-    its leading axes.  Quantifiers hold where every instance holds."""
+def classical_values(program: Program, truth, index: dict) -> list:
+    """Boolean truth of every step of ``program``, where each atom step
+    ``i`` reads ``truth[index[i][0]]``: for the ``_gather_index`` of a
+    stack of programs shaped like ``program`` on a grounding, ``truth``
+    is one boolean vector laid out like the grounding's atom vector, and
+    each atom step gathers every formula of the stack from it, on a
+    leading formula axis; an index ``(Ellipsis, columns)`` reads columns
+    of a ``truth`` matrix and keeps its leading axes (a world axis, say)
+    in front of the program's own.  Quantifiers hold where every
+    instance holds."""
     n_axes = program.n_axes
     out: list = []
     for i, instr in enumerate(program.instrs):
         args = [out[k] for k in instr.args]
-        if index is not None and instr.op == "atom":
+        if instr.op == "atom":
             value = truth[index[i][0]]
-        elif instr.op == "atom":
-            if not all(isinstance(t, int) for t in instr.terms):
-                raise SemanticError(f"unbound variable in {instr.atom}")
-            value = truth[instr.atom.pred][
-                (Ellipsis,) + _index(b, n_axes, instr.terms)]
-            if not instr.terms:  # a nullary atom: size 1 on every axis
-                value = value.reshape(value.shape + (1,) * n_axes)
         elif instr.op == "not":
             value = ~args[0]
         elif instr.op == "and":
@@ -788,9 +705,7 @@ def loss_gradient(kb: KnowledgeBase, g: GroundingTable,
     of weight * valuation.
 
     The weighted rows are summed one after another onto zeros, in
-    reverse knowledge-base order, the order in which ``Tape.backward``
-    from ``dfl_loss`` accumulates them, so both give the same gradient
-    bit for bit."""
+    reverse knowledge-base order, so no entry of the gradient is -0.0."""
     if not kb.entries:
         return 0.0, np.zeros(g.layout.size)
     n = len(kb.entries)
@@ -800,7 +715,7 @@ def loss_gradient(kb: KnowledgeBase, g: GroundingTable,
     def weigh(stack, rows):
         terms[n - stack.rows] = weights[stack.rows, None] * rows
 
-    values = _valuate(kb.formulas(), g, ops, None, rows=weigh)
+    values = _valuate(kb.formulas(), g, ops, rows=weigh)
     loss = -sum(w * value for (_, w), value in zip(kb.entries, values))
     if not math.isfinite(loss):
         raise ValueError(f"loss: non-finite value {loss!r}")
@@ -811,17 +726,13 @@ def loss_gradient(kb: KnowledgeBase, g: GroundingTable,
 
 def dfl_loss(kb: KnowledgeBase, g: GroundingTable,
              ops: OperatorConfig) -> Node:
-    """The loss of ``loss_gradient`` as the root of ``g``'s tape.
-
-    The loss node's parents are the formula valuations, in knowledge-base
-    order, each one fused node over the atom leaves."""
-    tape = g.tape
-    if not kb.entries:
-        return tape.leaf(0.0, label="loss")
-    vals = _recorded(kb.formulas(), g, ops, None)
-    weights = [weight for _, weight in kb.entries]
-    total = -sum(w * n.value for w, n in zip(weights, vals))
-    return tape.record("loss", vals, total, [-w for w in weights])
+    """The loss of ``loss_gradient`` as one fused node on ``g``'s tape
+    whose parents are the atom leaves, with dL/datom as partials, so
+    ``Tape.backward`` from it gives ``loss_gradient``'s gradient bit for
+    bit."""
+    loss, gradient = loss_gradient(kb, g, ops)
+    tape = g.tape  # records the leaves, and their indices, first
+    return tape.record_fused("loss", g._leaf_idx, loss, gradient)
 
 
 def atom_gradients(kb: KnowledgeBase, g: GroundingTable,

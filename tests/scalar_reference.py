@@ -47,9 +47,9 @@ class InstanceRecord:
     consequent_formula: object
 
 
-def valuate(f, g, ops, mu=None, instances=None) -> Node:
+def valuate(f, g, ops, instances=None) -> Node:
     """Fuzzy truth value of ``f`` as a node on ``g.tape``."""
-    return _eval(f, g, ops, dict(mu or {}), instances, at_root=True)
+    return _eval(f, g, ops, {}, instances, at_root=True)
 
 
 def _implication(ops, a, c):

@@ -39,7 +39,7 @@ def test_criterion_1_example_scene_reproduction():
     kb = parse_kb(SCENE_KB)
     domain, interp, signature = parse_grounding(SCENE_GROUNDING)
     g = build_grounding(interp, domain, signature, [0, 1])
-    value = valuate(kb.formulas()[0], g, OperatorConfig()).value
+    value = valuate(kb.formulas()[0], g, OperatorConfig())
     assert value == pytest.approx(0.612, abs=5e-4)
     g = build_grounding(interp, domain, signature, [0, 1])
     grads = atom_gradients(kb, g, OperatorConfig())

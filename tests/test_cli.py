@@ -351,6 +351,28 @@ _NOT_UTF8 = b"\xff\xfe"
      "not UTF-8 text"),
     (["oracle", "compare", "--kb", "{kb}", "--grounding", "{g}"],
      {"kb": _NOT_UTF8, "g": _GROUNDING}, 2, "not UTF-8 text"),
+    *[(["train", "--config", "{cfg}"], {"cfg": b"seed=1\nsteps=3\n" + line},
+       3, message) for line, message in [
+        (b"eval_interval=0", "eval_interval must be >= 1, got 0"),
+        (b"eval_interval=-1", "eval_interval must be >= 1, got -1"),
+        (b"hidden=0", "hidden must be >= 1, got 0"),
+        (b"dim=0", "dim must be >= 1, got 0"),
+        (b"n_points=0", "n_points must be >= 1, got 0"),
+        (b"test_n=0", "test_n must be >= 1, got 0"),
+        (b"sup_batch=0", "sup_batch must be >= 1, got 0"),
+        (b"dfl_batch=0", "dfl_batch must be >= 1, got 0"),
+        (b"steps=0", "steps must be >= 1, got 0"),
+        (b"classes=1", "classes must be >= 10, one per digit predicate, "
+                       "got 1"),
+        (b"formulas=9", "formulas must be a non-empty subset of 1,2,3, "
+                        "got (9,)"),
+        (b"n_points=15", "n_points=15 draws no point of class"),
+        (b"labeled_fraction=1", "labeled_fraction=1.0 labels all 5000 "
+                                "points: no unlabeled point is left"),
+    ]],
+    (["sweep", "--config", "{cfg}", "--axis", "formula-subset", "--values",
+      "1,9"], {"cfg": b"seed=1\n"}, 3,
+     "formulas must be a non-empty subset of 1,2,3, got (9,)"),
 ])
 def test_refusals_exit_with_their_code_before_any_output(tmp_path, capsys,
                                                          argv, files, code,
@@ -429,10 +451,11 @@ def test_sweep(tmp_path, capsys):
 def test_sweep_continues_and_exit_code(tmp_path, capsys):
     config = tmp_path / "sweep.cfg"
     config.write_text("seed=1\nsteps=10\neval_interval=10\nn_points=300\n"
-                      "test_n=50\ndfl_batch=3\n")
-    code = main(["sweep", "--config", str(config), "--axis", "formula-subset",
-                 "--values", "9,1"])
-    assert code == 0  # one run failed (unknown formula 9), one succeeded
+                      "test_n=50\ndfl_batch=3\nlabeled_fraction=1\n")
+    code = main(["sweep", "--config", str(config), "--axis", "w_dfl",
+                 "--values", "1,0"])
+    # one run failed (w_dfl=1 with every point labeled), one succeeded
+    assert code == 0
 
 
 def test_oracle_compare(tmp_path, capsys):
@@ -559,9 +582,9 @@ def test_oracle_dump_worlds_evaluates_each_chunk_once(tmp_path, capsys,
     calls = []
     evaluate = oracle.classical_values
 
-    def counted(program, b, truth, index):
+    def counted(program, truth, index):
         calls.append(program)
-        return evaluate(program, b, truth, index)
+        return evaluate(program, truth, index)
 
     monkeypatch.setattr(oracle, "classical_values", counted)
     monkeypatch.setattr(oracle, "WORLD_CHUNK", 4)  # 16 worlds in 4 chunks

@@ -4,7 +4,6 @@ gradient-quality metrics agree to 1e-12 under every operator, and both
 raise the same exceptions."""
 
 import dataclasses
-import itertools
 import math
 import random
 import re
@@ -21,9 +20,9 @@ from dfl.logic import (And, Atom, ForAll, Implies, KnowledgeBase, Not, Or,
 from dfl.operators import (AGGREGATOR_NAMES, IMPLICATION_NAMES, TCONORM_NAMES,
                            TNORM_NAMES, parse_operator_config)
 from dfl.valuation import (Domain, LookupInterpretation, SemanticError,
-                           _forward_values, _valuate, build_grounding,
-                           classical_values, dfl_loss, loss_gradient,
-                           valuate)
+                           _forward_values, _gather_index, _valuate,
+                           build_grounding, classical_values, dfl_loss,
+                           loss_gradient, valuate)
 
 BASE = "tnorm=product tconorm=product implication=reichenbach aggregator=product"
 
@@ -72,7 +71,8 @@ def _tree(rng, vars_, depth):
 
 def _random_formulas(rng):
     """Prenex formulas, a nested quantifier under a connective, and one
-    formula with a variable z left free for ``mu``."""
+    formula with a variable z left free; the engine refuses the last
+    two."""
     prenex = [ForAll(("x", "y"), Implies(_tree(rng, ["x", "y"], 2),
                                          _tree(rng, ["x", "y"], 2))),
               ForAll(("x",), ForAll(("y",), _tree(rng, ["x", "y"], 3)))]
@@ -105,16 +105,26 @@ def _close(a, b, tol=1e-12):
     return abs(a - b) <= tol * max(1.0, abs(b))
 
 
-def _gradients(valuate_fn, formula, table, batch, ops, mu=None):
+def _engine_valuate(formula, g, ops):
+    """The engine's value of ``formula`` as a tape node whose adjoints are
+    d(value)/datom: the loss of a one-formula knowledge base of weight 1,
+    -value, negated.  Its value is ``valuate``'s, bit for bit."""
+    loss = dfl_loss(KnowledgeBase([(formula, 1.0)]), g, ops)
+    node = g.tape.record("value", [loss], -loss.value, [-1.0])
+    assert valuate(formula, g, ops) == node.value
+    return node
+
+
+def _gradients(valuate_fn, formula, table, batch, ops):
     g = _grounding(table, batch)
-    node = valuate_fn(formula, g, ops, mu=mu)
+    node = valuate_fn(formula, g, ops)
     grads = g.tape.backward(node)
     return node.value, {key: grads[leaf] for key, leaf in g.nodes.items()}
 
 
-def _outcome(valuate_fn, formula, table, batch, ops, mu=None):
+def _outcome(valuate_fn, formula, table, batch, ops):
     try:
-        return _gradients(valuate_fn, formula, table, batch, ops, mu)
+        return _gradients(valuate_fn, formula, table, batch, ops)
     except (SemanticError, ValueError) as exc:
         return type(exc)
 
@@ -127,12 +137,13 @@ def test_engine_matches_scalar_reference(override):
         table = _table(rng, ties=trial % 2 == 1)
         prenex, nested, free = _random_formulas(rng)
         batch = [[0], [0, 2], [0, 1, 2]][trial % 3]
-        cases = [(f, None) for f in prenex + [nested]]
-        cases += [(free, {"z": obj}) for obj in batch[:2]]
-        for formula, mu in cases:
-            got = _outcome(valuate, formula, table, batch, ops, mu)
+        for formula in (nested, free):
+            assert _outcome(_engine_valuate, formula, table, batch,
+                            ops) is SemanticError
+        for formula in prenex:
+            got = _outcome(_engine_valuate, formula, table, batch, ops)
             want = _outcome(scalar_reference.valuate, formula, table, batch,
-                            ops, mu)
+                            ops)
             if isinstance(want, type):
                 assert got is want, (override, formula)
                 continue
@@ -141,10 +152,10 @@ def test_engine_matches_scalar_reference(override):
                 assert _close(got[1][key], grad), (override, formula, key)
 
 
-def _values_or_error(fn, formulas, table, batch, ops, mu):
+def _values_or_error(fn, formulas, table, batch, ops):
     try:
         return [value.hex() for value in fn(formulas, _grounding(table, batch),
-                                            ops, mu)]
+                                            ops)]
     except (SemanticError, ValueError) as exc:
         return type(exc), str(exc)
 
@@ -157,26 +168,14 @@ def test_forward_values_are_the_pass_values_bit_for_bit(override):
         table = _table(rng, ties=trial % 2 == 1)
         prenex, nested, free = _random_formulas(rng)
         batch = [[0], [0, 2], [0, 1, 2]][trial % 3]
-        # prenex twice stacks formulas of one shape, [nested] raises under
-        # log_product, and free needs mu
-        cases = [(prenex, None), (prenex + prenex[::-1], None),
-                 ([nested], None)]
-        cases += [([free] + prenex, {"z": obj}) for obj in batch[:2]]
-        for formulas, mu in cases:
-            want = _values_or_error(_valuate, formulas, table, batch, ops,
-                                    mu)
+        # prenex twice stacks formulas of one shape; nested and free are
+        # refused by both
+        cases = [prenex, prenex + prenex[::-1], [nested], [free] + prenex]
+        for formulas in cases:
+            want = _values_or_error(_valuate, formulas, table, batch, ops)
             got = _values_or_error(_forward_values, formulas, table, batch,
-                                   ops, mu)
+                                   ops)
             assert got == want, (override, formulas)
-
-
-def test_log_product_under_a_connective_is_rejected_by_both():
-    ops = parse_operator_config("aggregator=log_product")
-    _, nested, _ = _random_formulas(random.Random(1))
-    table = _table(random.Random(2))
-    for valuate_fn in (valuate, scalar_reference.valuate):
-        with pytest.raises(SemanticError, match="log_product"):
-            valuate_fn(nested, _grounding(table, [0, 1]), ops)
 
 
 @pytest.mark.parametrize("batch", [[0], [0, 1]])
@@ -185,14 +184,11 @@ def test_unbound_variable_and_missing_atom_raise_semantic_error(batch):
     table = _table(random.Random(3))
     unbound = ForAll(("x",), And(Atom("p", ("x",)), Atom("q", ("z",))))
     missing = ForAll(("x",), Atom("s", ("x",)))
-    outside = ForAll(("x",), Atom("r", ("x", "z")))
     for valuate_fn in (valuate, scalar_reference.valuate):
         with pytest.raises(SemanticError, match="unbound variable 'z'"):
             valuate_fn(unbound, _grounding(table, batch), ops)
         with pytest.raises(SemanticError, match="missing"):
             valuate_fn(missing, _grounding(table, batch), ops)
-        with pytest.raises(SemanticError, match="missing"):
-            valuate_fn(outside, _grounding(table, batch), ops, mu={"z": 2})
 
 
 @pytest.mark.parametrize("config, q, batch", [
@@ -269,21 +265,21 @@ def test_gradient_quality_matches_per_instance_reference(override, batch):
 
 def _per_formula_quality(kb, g, ops, labels):
     """``gradient_quality`` one formula at a time: each formula's own
-    one-formula valuation (kept on ``g``), per-predicate label arrays
-    lifted over its program alone, and its sums taken one formula at a
-    time."""
-    truth: dict = {}
+    one-formula valuation (kept on ``g``), the label of every atom lifted
+    over its program alone, and its sums taken one formula at a time."""
+    truth = np.array([bool(labels.atom_fn(pred, objs))
+                      for pred, objs in g.keys()])
     total_cons = total_ant = total_cu_cons = total_cu_ant = 0.0
     used = skipped = 0
     b = len(g.batch)
     for formula, _ in kb.entries:
         program = compile_formula(formula)
         body = program.body
-        if body is None or program.instrs[body].op != "implies":
+        if program.instrs[body].op != "implies":
             skipped += 1
             continue
         used += 1
-        _valuate([formula], g, ops, None)
+        _valuate([formula], g, ops)
         adj, partials = g.kept[2][0]  # the one stack, of one formula
         adj = adj[0]
         da, dc = (d[0] for d in partials)
@@ -293,16 +289,9 @@ def _per_formula_quality(kb, g, ops, labels):
         d_cons = np.broadcast_to(adj * dc, tuple(shape))
         d_ant = np.broadcast_to(-(adj * da), tuple(shape))
         ante, cons = program.instrs[body].args
-        for instr in program.instrs:
-            pred = instr.atom.pred if instr.op == "atom" else None
-            if pred is not None and pred not in truth:
-                arity = g.tensor(pred).ndim
-                truth[pred] = np.array(
-                    [bool(labels.atom_fn(pred, objs))
-                     for objs in itertools.product(g.batch, repeat=arity)],
-                    dtype=bool).reshape((b,) * arity)
-        holds = classical_values(program, b, truth)
-        cons_true, ante_false = holds[cons], ~holds[ante]
+        holds = classical_values(program, truth,
+                                 _gather_index((program,), g.layout))
+        cons_true, ante_false = holds[cons][0], ~holds[ante][0]
         total_cons += float(d_cons.sum())
         total_ant += float(d_ant.sum())
         total_cu_cons += float((cons_true * d_cons).sum())
@@ -346,12 +335,12 @@ def _valuate_first(how, kb, g, ops, other):
         loss_gradient(kb, g, ops)
     elif how == "singly":
         for f in kb.formulas():
-            _valuate([f], g, ops, None)
+            _valuate([f], g, ops)
     elif how == "other ops":
         dfl_loss(kb, g, other)
     elif how == "some":  # a subset of one stack, then the rest singly
-        _valuate(kb.formulas()[::2], g, ops, None)
-        _valuate([kb.formulas()[1]], g, ops, None)
+        _valuate(kb.formulas()[::2], g, ops)
+        _valuate([kb.formulas()[1]], g, ops)
 
 
 @pytest.mark.parametrize("override", CONFIGS)
@@ -427,9 +416,9 @@ def test_gradient_quality_builds_no_leaf_nodes(monkeypatch):
     grads = g.tape.backward(loss)
     gradient_quality(kb, g, ops, labeling_from_atoms(lambda p, o: 1))
     monkeypatch.undo()
-    # one fused node per formula and the loss; no leaf handle, no label
+    # one fused loss node; no leaf handle, no label
     assert sorted(built) == list(range(len(g), nodes))
-    assert nodes == len(g) + len(kb) + 1 == loss.idx + 1
+    assert nodes == len(g) + 1 == loss.idx + 1
     assert g.tape._labels[:len(g)] == [None] * len(g)
     assert [grads[g.nodes[key]] for key in g.keys()] == list(
         _tape_loss_gradient(kb, _grounding(table, [0, 1, 2]), ops)[1])
@@ -447,17 +436,27 @@ def test_formulas_compile_once_into_postorder_programs():
     assert program.body == 4
 
 
-def test_valuation_is_one_fused_node_over_the_atom_leaves():
+def test_valuate_is_the_forward_value_and_records_nothing():
     ops = parse_operator_config(BASE)
     table = _table(random.Random(5))
     formula = _random_formulas(random.Random(6))[0][0]
     g = _grounding(table, [0, 1, 2])
-    before = len(g.tape)
-    node = valuate(formula, g, ops)
-    assert len(g.tape) == before + 1
-    parents = g.tape.parents[node.idx]
-    assert {idx for idx, _ in parents} <= {leaf.idx for leaf in g.nodes.values()}
-    assert all(math.isfinite(d) for _, d in parents)
+    value = valuate(formula, g, ops)
+    assert type(value) is float
+    assert g._tape is None and g.kept is None
+    assert value == _valuate([formula], _grounding(table, [0, 1, 2]), ops)[0]
+
+
+def test_loss_is_one_fused_node_over_the_atom_leaves():
+    ops = parse_operator_config(BASE)
+    rng = random.Random(6)
+    kb = _random_kb(rng)
+    g = _grounding(_table(rng), [0, 1, 2])
+    loss = dfl_loss(kb, g, ops)
+    assert len(g.tape) == len(g) + 1 == loss.idx + 1
+    parents = g.tape.parents[loss.idx]
+    assert [idx for idx, _ in parents] == [leaf.idx for leaf in g.nodes.values()]
+    assert [d for _, d in parents] == loss_gradient(kb, g, ops)[1].tolist()
 
 
 def _random_kb(rng):
@@ -537,30 +536,3 @@ def test_loss_gradient_adds_many_rows_in_tape_order(override):
         tape_loss, tape_grad = _tape_loss_gradient(kb, grounding(), ops)
         assert loss == tape_loss
         assert grad.tobytes() == tape_grad.tobytes()
-
-
-@pytest.mark.parametrize("override", ["", "aggregator=log_product",
-                                      "tnorm=godel aggregator=min"])
-def test_ground_formulas_and_constants_match_scalar_reference(override):
-    # constants are variables that mu binds; a formula of constants only
-    # is ground, with no quantifier axis
-    ops = parse_operator_config(f"{BASE} {override}")
-    rng = random.Random(f"ground {override}")
-    formulas = [Atom("r", ("z", "w")),
-                Not(And(Atom("p", ("z",)), Atom("r", ("z", "z")))),
-                Implies(Atom("q", ("w",)), Or(Atom("p", ("w",)),
-                                              Atom("r", ("w", "z")))),
-                ForAll(("x",), Implies(Atom("r", ("x", "x")),
-                                       Or(Atom("p", ("z",)),
-                                          Not(Atom("r", ("z", "x"))))))]
-    for trial in range(4):
-        table = _table(rng, ties=trial % 2 == 1)
-        batch = [[0, 2], [0, 1, 2]][trial % 2]
-        mu = {"z": batch[-1], "w": batch[0]}
-        for formula in formulas:
-            got = _gradients(valuate, formula, table, batch, ops, mu)
-            want = _gradients(scalar_reference.valuate, formula, table, batch,
-                              ops, mu)
-            assert _close(got[0], want[0]), (override, formula)
-            for key, grad in want[1].items():
-                assert _close(got[1][key], grad), (override, formula, key)

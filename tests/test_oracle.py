@@ -403,6 +403,19 @@ def test_batch_objects_must_be_distinct():
         occurrence_census(kb, [0, 0])
 
 
+def test_a_predicate_at_two_arities_is_refused_as_by_the_engine():
+    # a hand-built knowledge base: KnowledgeBase.add refuses the conflict
+    kb = KnowledgeBase([(parse_formula("forall x: p(x)"), 1.0),
+                        (parse_formula("forall x, y: p(x, y)"), 1.0)],
+                       {"p": 1})
+    probs = {("p", (0,)): 0.5, ("p", (0, 0)): 0.5}
+    for fn in (semantic_probability, dpfl_valuation, world_table):
+        with pytest.raises(SemanticError, match="missing from grounding"):
+            fn(kb, probs, [0])
+    with pytest.raises(SemanticError, match="missing from grounding"):
+        reference.dpfl_valuation(kb, probs, [0])
+
+
 def test_world_arrays_stay_bounded_at_seven_objects():
     # 14 atoms and 7**4 instances: a chunk of 2**14 worlds would hold
     # 2**14 x 7**4 entries per step

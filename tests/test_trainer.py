@@ -531,9 +531,10 @@ def test_sweep_checks_s_and_b0_before_any_run(monkeypatch, axis, values,
 
 
 def test_sweep_continues_after_per_run_failure():
-    base = TrainConfig(seed=1, **SWEEP_FAST)
-    rows, means = config_sweep(base, "formula-subset", ["", "1"])
-    assert rows[0]["error"] != ""
+    # every point labeled: a run with w_dfl > 0 has no DFL batch
+    base = TrainConfig(seed=1, labeled_fraction=1.0, **SWEEP_FAST)
+    rows, means = config_sweep(base, "w_dfl", [1.0, 0.0])
+    assert "no unlabeled point" in rows[0]["error"]
     assert rows[1]["error"] == ""
     assert len(means) == 1
 

@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+import re
 import sys
 
 import numpy as np
 import pytest
 
-from dfl.logic import ForAll, Atom, And, parse_formula, parse_kb, ParseError
+from dfl.logic import (And, Atom, ForAll, KnowledgeBase, Not, ParseError,
+                       parse_formula, parse_kb)
 from dfl.operators import OperatorConfig, parse_operator_config
 from dfl import valuation
 from dfl.valuation import (
@@ -73,28 +75,22 @@ def test_grounding_leaves_match_per_leaf_recording():
     table = {(pred, objs): rng.random() for pred, arity in signature.items()
              for objs in itertools.product(range(4), repeat=arity)}
     interp = LookupInterpretation(table)
-    for held in (0, 2):  # a fresh tape, and one that already holds nodes
-        tape = Tape()
-        for k in range(held):
-            tape.leaf(0.5, label=f"before{k}")
-        g = build_grounding(interp, _uniform_domain(4), signature, batch,
-                            tape=tape)
-        reference = Tape()
-        for k in range(held):
-            reference.leaf(0.5, label=f"before{k}")
-        expected = {key: reference.leaf(v, label=f"{key[0]}{key[1]}")
-                    for key, v in zip(g.keys(), g.values.tolist())}
-        assert list(g.nodes) == list(expected) == g.keys()
-        assert [n.idx for n in g.nodes.values()] == [
-            n.idx for n in expected.values()] == list(range(held, len(tape)))
-        assert all(n.tape is tape for n in g.nodes.values())
-        assert tape.values == reference.values
-        assert tape.labels == reference.labels
-        assert tape.parents == reference.parents
-        assert g.tape is tape
-        node = valuate(parse_formula("forall x, y: p(x) -> r(x, y)"), g, PRODUCT)
-        assert {idx for idx, _ in tape.parents[node.idx]} == {
-            g.nodes[key].idx for key in g.keys() if key[0] in ("p", "r")}
+    g = build_grounding(interp, _uniform_domain(4), signature, batch)
+    tape = g.tape
+    reference = Tape()
+    expected = {key: reference.leaf(v, label=f"{key[0]}{key[1]}")
+                for key, v in zip(g.keys(), g.values.tolist())}
+    assert list(g.nodes) == list(expected) == g.keys()
+    assert [n.idx for n in g.nodes.values()] == [
+        n.idx for n in expected.values()] == list(range(len(tape)))
+    assert all(n.tape is tape for n in g.nodes.values())
+    assert tape.values == reference.values
+    assert tape.labels == reference.labels
+    assert tape.parents == reference.parents
+    assert g.tape is tape
+    loss = dfl_loss(parse_kb("forall x, y: p(x) -> r(x, y)"), g, PRODUCT)
+    assert [idx for idx, _ in tape.parents[loss.idx]] == [
+        g.nodes[key].idx for key in g.keys()]
 
 
 class _Tables:
@@ -199,7 +195,7 @@ def test_grounding_clamps():
 
 def test_example_scene_valuation(scene):
     kb, g = scene
-    value = valuate(kb.formulas()[0], g, PRODUCT).value
+    value = valuate(kb.formulas()[0], g, PRODUCT)
     assert value == pytest.approx(SCENE_VALUATION, abs=5e-4)
 
 
@@ -214,10 +210,10 @@ def test_all_true_kb_for_every_aggregator():
                                     + (f":p={p}" if p else ""))
         g = build_grounding(_const_interp({"p": 1}, 1.0), domain, {"p": 1},
                             [0, 1, 2])
-        assert valuate(kb.formulas()[0], g, ops).value == pytest.approx(1.0, abs=1e-6)
+        assert valuate(kb.formulas()[0], g, ops) == pytest.approx(1.0, abs=1e-6)
     g = build_grounding(_const_interp({"p": 1}, 1.0), domain, {"p": 1}, [0, 1, 2])
     ops = parse_operator_config("aggregator=log_product")
-    assert valuate(kb.formulas()[0], g, ops).value == pytest.approx(0.0, abs=1e-6)
+    assert valuate(kb.formulas()[0], g, ops) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_single_instance_conjunction_godel():
@@ -226,7 +222,7 @@ def test_single_instance_conjunction_godel():
     table = {("p", (0,)): 0.5, ("q", (0,)): 0.4}
     g = build_grounding(LookupInterpretation(table), domain, {"p": 1, "q": 1}, [0])
     ops = parse_operator_config("tnorm=godel tconorm=godel aggregator=min")
-    assert valuate(kb.formulas()[0], g, ops).value == pytest.approx(0.4)
+    assert valuate(kb.formulas()[0], g, ops) == pytest.approx(0.4)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +241,6 @@ def test_dfl_loss_weight_scaling(scene_kb_text, scene_grounding_text):
 
 
 def test_dfl_loss_empty_kb():
-    from dfl.logic import KnowledgeBase
     domain = _uniform_domain(2)
     g = build_grounding(_const_interp({"p": 1}, 0.5), domain, {"p": 1}, [0, 1])
     assert dfl_loss(KnowledgeBase(), g, PRODUCT).value == 0.0
@@ -298,7 +293,7 @@ def test_nested_aggregation_matches_flat_for_product():
     table = {("p", (i, j)): 0.3 + 0.07 * i + 0.11 * j for i in range(3)
              for j in range(3)}
     g = build_grounding(LookupInterpretation(table), domain, {"p": 2}, [0, 1, 2])
-    nested = valuate(kb.formulas()[0], g, PRODUCT).value
+    nested = valuate(kb.formulas()[0], g, PRODUCT)
     flat = math.prod(min(max(v, 1e-7), 1 - 1e-7) for v in table.values())
     assert nested == pytest.approx(flat, rel=1e-12)
 
@@ -310,23 +305,58 @@ def test_log_product_flattens_quantifier_block():
              for j in range(2)}
     g = build_grounding(LookupInterpretation(table), domain, {"p": 2}, [0, 1])
     ops = parse_operator_config("aggregator=log_product")
-    value = valuate(kb.formulas()[0], g, ops).value
+    value = valuate(kb.formulas()[0], g, ops)
     assert value == pytest.approx(sum(math.log(v) for v in table.values()),
                                   rel=1e-12)
 
 
-def test_log_product_rejected_under_connective():
-    # hand-built AST: quantifier value consumed by a conjunction
-    inner = ForAll(("y",), Atom("p", ("y",)))
-    bad = ForAll(("x",), And(Atom("q", ("x",)), inner))
-    domain = _uniform_domain(2)
-    g = build_grounding(_const_interp({"p": 1, "q": 1}, 0.5), domain,
-                        {"p": 1, "q": 1}, [0, 1])
-    ops = parse_operator_config("aggregator=log_product")
-    with pytest.raises(SemanticError, match="log_product"):
-        valuate(bad, g, ops)
-    # but the same shape is fine for ordinary aggregators
-    assert valuate(bad, g, PRODUCT, mu={}).value > 0
+_OUTSIDE_THE_LANGUAGE = [
+    (ForAll(("x",), And(Atom("p", ("x",)), Atom("q", ("z",)))),
+     "unbound variable 'z' in q(z)"),
+    (ForAll(("x",), And(Atom("p", ("x",)), ForAll(("y",), Atom("q", ("y",))))),
+     "quantifiers must be prenex"),
+    (Not(ForAll(("x",), Atom("p", ("x",)))),
+     "formula must be universally quantified"),
+    (ForAll(("x",), And(Atom("p", ("x",)), Atom("q", ()))),
+     "atom q() needs at least one variable"),
+]
+
+
+@pytest.mark.parametrize("formula, message", _OUTSIDE_THE_LANGUAGE)
+def test_every_entry_point_refuses_what_the_grammar_refuses(monkeypatch,
+                                                            formula, message):
+    from dfl import oracle
+    from dfl.analysis import gradient_quality, labeling_from_atoms
+    with pytest.raises(ParseError, match=re.escape(message)):
+        KnowledgeBase().add(formula)
+    # a hand-built knowledge base skips that check; every valuation and
+    # the oracle refuse it before a gather index or a world is built
+    kb = KnowledgeBase([(parse_formula("forall x: p(x) -> q(x)"), 1.0),
+                        (formula, 2.0)], {"p": 1, "q": 1})
+    probs = {(pred, (i,)): 0.5 for pred in "pq" for i in range(2)}
+
+    def build_nothing(*args):
+        raise AssertionError("an array was built")
+
+    monkeypatch.setattr(valuation, "_gather_index", build_nothing)
+    monkeypatch.setattr(oracle, "_world_bits", build_nothing)
+    g = build_grounding(LookupInterpretation(probs), _uniform_domain(2),
+                        kb.signature, [0, 1])
+    calls = [
+        lambda: valuate(formula, g, PRODUCT),
+        lambda: valuation.loss_gradient(kb, g, PRODUCT),
+        lambda: dfl_loss(kb, g, PRODUCT),
+        lambda: valuation._forward_values(kb.formulas(), g, PRODUCT),
+        lambda: gradient_quality(kb, g, PRODUCT,
+                                 labeling_from_atoms(lambda p, o: 1)),
+        lambda: oracle.semantic_probability(kb, probs, [0, 1]),
+        lambda: oracle.dpfl_valuation(kb, probs, [0, 1]),
+        lambda: oracle.world_table(kb, probs, [0, 1]),
+    ]
+    for call in calls:
+        with pytest.raises(SemanticError, match=f"^{re.escape(message)}$"):
+            call()
+    assert g._tape is None and g.kept is None
 
 
 def test_commutativity_and_associativity_preserved_product_config():
@@ -343,8 +373,8 @@ def test_commutativity_and_associativity_preserved_product_config():
             ("forall x: p(x) | q(x)", "forall x: q(x) | p(x)"),
         ]
         for left, right in pairs:
-            lv = valuate(parse_formula(left), g, PRODUCT).value
-            rv = valuate(parse_formula(right), g, PRODUCT).value
+            lv = valuate(parse_formula(left), g, PRODUCT)
+            rv = valuate(parse_formula(right), g, PRODUCT)
             assert lv == pytest.approx(rv, abs=1e-12)
 
 
@@ -357,8 +387,8 @@ def test_relaxed_equals_full_when_batch_is_domain():
     g_full = build_grounding(interp, domain, {"p": 1, "q": 1}, [0, 1, 2])
     # the whole domain as a batch, as a uniform sample of 3 of 3 objects is
     g_rel = build_grounding(interp, domain, {"p": 1, "q": 1}, [0, 1, 2])
-    full = valuate(kb.formulas()[0], g_full, PRODUCT).value
-    relaxed = valuate(kb.formulas()[0], g_rel, PRODUCT).value
+    full = valuate(kb.formulas()[0], g_full, PRODUCT)
+    relaxed = valuate(kb.formulas()[0], g_rel, PRODUCT)
     assert full == relaxed
 
 
